@@ -2,8 +2,7 @@
 
 Every failure path prints a single `error: ...` line to stderr and
 exits 2; warnings go to stderr prefixed `warning:` and do not change
-the exit code. Worker count for inference is read from the
-QUADFLORA_WORKERS environment variable (default 1).
+the exit code.
 """
 
 import argparse
@@ -97,7 +96,9 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = formats.run_config_from(formats.load_config(args.config))
-    targets = sorted(float(part) for part in args.targets.split(","))
+    targets = sorted(
+        formats._convert(float, "targets", part) for part in args.targets.split(",")
+    )
     tax, quadrats, registry = _load_world(args.data)
     gt_path = args.groundtruth or os.path.join(args.data, "groundtruth.csv")
     gt = formats.load_ground_truth(gt_path)

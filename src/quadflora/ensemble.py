@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import ConfigError, IncompleteGridError, IncongruentMembersError
 from .fusion import TileLogits
-from .geometry import GridSpec, TileRef, neighbors
+from .geometry import GridSpec, TileRef
 from .synthworld import HeadRegistry, ToyModel
 
 TileKey = tuple[int, int, int]
@@ -27,7 +27,7 @@ class ModelOutput:
     """Per-tile logits of one model over one quadrat."""
 
     model_id: str
-    tiles: dict  # TileKey -> TileLogits
+    tiles: dict  # TileKey -> TileLogits; the pipeline stores one block per member
 
 
 @dataclass(frozen=True)
@@ -125,41 +125,46 @@ def bag(outputs: Sequence[ModelOutput]) -> ModelOutput:
     )
 
 
+def smooth_grid(grid: np.ndarray, w: float, n: int) -> np.ndarray:
+    """Add w times the 4-neighbor rows to each row of one n x n grid.
+
+    grid holds one tile per row in row-major order. Neighbors are added
+    up, down, left, right, reading only the unsmoothed input (a single
+    additive pass, no cascading).
+    """
+    x = grid.reshape(n, n, -1)
+    acc = x.astype(np.float64, copy=True)
+    acc[1:] += w * x[:-1]
+    acc[:-1] += w * x[1:]
+    acc[:, 1:] += w * x[:, :-1]
+    acc[:, :-1] += w * x[:, 1:]
+    return acc.reshape(grid.shape)
+
+
 def kernel_smooth(
     tiles: Mapping[TileKey, TileLogits], w: float, spec: GridSpec
 ) -> dict:
-    """Add w times the 4-neighbor logits to each tile, per level.
-
-    Reads only the unsmoothed inputs (a single additive pass, no
-    cascading); the map must cover the full scale x scale grid.
-    """
+    """Per-tile form of smooth_grid, per level; the map must cover the
+    full scale x scale grid."""
     if w < 0:
         raise ConfigError(f"kernel weight must be >= 0, got {w}")
     n = spec.scale
-    expected = {(n, r, c) for r in range(n) for c in range(n)}
-    if set(tiles) != expected:
+    order = [(n, r, c) for r in range(n) for c in range(n)]
+    if set(tiles) != set(order):
         raise IncompleteGridError(
             f"kernel smoothing needs all {n * n} tiles of the {n}x{n} grid"
         )
     if w == 0:
         return dict(tiles)
-    out = {}
-    for key, tl in tiles.items():
-        neigh = [tiles[(n, r, c)] for r, c in neighbors(tl.tile, spec)]
-        smoothed = {}
-        for level in ("species", "genus", "family"):
-            base = getattr(tl, level)
-            if base is None:
-                smoothed[level] = None
-                continue
-            acc = base.astype(np.float64, copy=True)
-            for nb in neigh:
-                nb_level = getattr(nb, level)
-                if nb_level is None:
-                    raise IncongruentMembersError(
-                        f"{level} logits missing on a neighboring tile"
-                    )
-                acc += w * nb_level
-            smoothed[level] = acc
-        out[key] = TileLogits(tile=tl.tile, **smoothed)
-    return out
+    smoothed = {}
+    for level in ("species", "genus", "family"):
+        rows = [getattr(tiles[key], level) for key in order]
+        if any(r is None for r in rows):
+            if any(r is not None for r in rows):
+                raise IncongruentMembersError(f"{level} logits missing on a neighboring tile")
+            continue
+        smoothed[level] = smooth_grid(np.vstack(rows), w, n)
+    return {
+        key: TileLogits(tiles[key].tile, **{lvl: b[i] for lvl, b in smoothed.items()})
+        for i, key in enumerate(order)
+    }

@@ -19,7 +19,6 @@ config         flat "key = value" lines, '#' comments
 
 import csv
 import json
-import threading
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -53,17 +52,20 @@ CACHE_HEADER = [
 def _read_rows(path, expected_header: list[str]):
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected_header:
-            raise FormatError(f"bad header {header!r} in {path}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise FormatError(
-                    f"{path}:{lineno}: expected {len(expected_header)} fields"
-                )
-            yield lineno, row
+        try:
+            header = next(reader, None)
+            if header != expected_header:
+                raise FormatError(f"bad header {header!r} in {path}")
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(expected_header):
+                    raise FormatError(
+                        f"{path}:{lineno}: expected {len(expected_header)} fields"
+                    )
+                yield lineno, row
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def _parse_id_list(field: str, where: str) -> tuple[int, ...]:
@@ -295,7 +297,6 @@ class LogitCache:
     def __init__(self, path=None):
         self.path = path
         self._data: dict[tuple, np.ndarray] = {}
-        self._lock = threading.Lock()
         self._dirty = True
 
     @classmethod
@@ -325,9 +326,8 @@ class LogitCache:
         return self._data.get(key)
 
     def put(self, key, values: np.ndarray) -> None:
-        with self._lock:
-            self._data[key] = values
-            self._dirty = True
+        self._data[key] = values
+        self._dirty = True
 
     def save(self, path=None) -> None:
         # Rewriting an unchanged cache would produce the same bytes; skip it
@@ -382,7 +382,11 @@ def parse_config_text(text: str, where: str = "<config>") -> dict[str, str]:
 
 def load_config(path) -> dict[str, str]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), where=str(path))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    return parse_config_text(text, where=str(path))
 
 
 def _convert(kind, key, value):

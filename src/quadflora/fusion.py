@@ -5,6 +5,9 @@ the fused score of a species is the sum of its own log-probability and
 the log-probabilities of its genus and family, i.e. the log of the
 product of the three head probabilities restricted to hierarchy-valid
 (species, genus, family) triples. Invalid triples never score.
+
+All functions work row-wise: a (tiles x classes) block gets, row by
+row, exactly the arithmetic of a single tile's 1-d vector.
 """
 
 from dataclasses import dataclass
@@ -18,35 +21,28 @@ from .taxonomy import TaxonomyTable
 
 
 def log_softmax(v: np.ndarray) -> np.ndarray:
-    """Numerically stable log-softmax of a 1-d logit vector."""
+    """Numerically stable log-softmax along the last axis."""
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ShapeError("log_softmax of an empty vector")
-    m = v.max()
-    return v - (m + np.log(np.exp(v - m).sum()))
+    m = v.max(axis=-1, keepdims=True)
+    return v - (m + np.log(np.exp(v - m).sum(axis=-1, keepdims=True)))
 
 
 @dataclass(frozen=True)
 class TileLogits:
-    """Raw head outputs for one tile; genus/family heads are optional."""
+    """Raw head outputs for one tile, or a block with one tile per row;
+    genus/family heads are optional."""
 
-    tile: TileRef
+    tile: TileRef  # a tuple of TileRefs for a block
     species: np.ndarray
     genus: Optional[np.ndarray] = None
     family: Optional[np.ndarray] = None
 
-    def levels(self) -> tuple[str, ...]:
-        present = ["species"]
-        if self.genus is not None:
-            present.append("genus")
-        if self.family is not None:
-            present.append("family")
-        return tuple(present)
-
 
 @dataclass(frozen=True)
 class FusedScores:
-    """Per-species fused log-probabilities for one tile (entries <= 0)."""
+    """Per-species fused log-probabilities (entries <= 0), per tile or block."""
 
     tile: TileRef
     score: np.ndarray
@@ -57,29 +53,29 @@ def fuse(t: TileLogits, tax: TaxonomyTable) -> FusedScores:
 
     An absent genus or family head contributes nothing (0 in log space).
     """
-    if t.species.shape != (tax.n_species,):
-        raise ShapeError(
-            f"species logits have length {t.species.shape}, expected {tax.n_species}"
-        )
+    sizes = {"species": tax.n_species, "genus": tax.n_genera, "family": tax.n_families}
+    for level, size in sizes.items():
+        v = getattr(t, level)
+        if v is not None and v.shape[-1:] != (size,):
+            raise ShapeError(f"{level} logits have length {v.shape}, expected {size}")
+    # np.take keeps a block's rows contiguous; a[..., idx] would not
     score = log_softmax(t.species)
     if t.genus is not None:
-        if t.genus.shape != (tax.n_genera,):
-            raise ShapeError(
-                f"genus logits have length {t.genus.shape}, expected {tax.n_genera}"
-            )
-        score = score + log_softmax(t.genus)[tax.species_to_genus]
+        score = score + np.take(log_softmax(t.genus), tax.species_to_genus, axis=-1)
     if t.family is not None:
-        if t.family.shape != (tax.n_families,):
-            raise ShapeError(
-                f"family logits have length {t.family.shape}, expected {tax.n_families}"
-            )
-        score = score + log_softmax(t.family)[tax.species_to_family]
+        score = score + np.take(log_softmax(t.family), tax.species_to_family, axis=-1)
     return FusedScores(tile=t.tile, score=score)
 
 
-def tile_top1(f: FusedScores) -> tuple[int, float]:
-    """Argmax species and its score; ties go to the lowest species id."""
-    if f.score.size == 0:
+def top1_rows(score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Argmax species and its score per row; ties go to the lowest id."""
+    if score.size == 0:
         raise ShapeError("top-1 of an empty score vector")
-    i = int(np.argmax(f.score))
-    return i, float(f.score[i])
+    ids = np.argmax(score, axis=-1)
+    return ids, np.take_along_axis(score, ids[..., None], axis=-1)[..., 0]
+
+
+def tile_top1(f: FusedScores) -> tuple[int, float]:
+    """Argmax species of one tile and its score."""
+    i, value = top1_rows(f.score)
+    return int(i), float(value)

@@ -1,25 +1,28 @@
 """End-to-end inference: crop, tile, score, smooth, bag, fuse, select.
 
-Stage order per quadrat is fixed: for every crop member and model,
-compute per-tile head logits at every grid scale, kernel-smooth within
-each scale if configured, then average logits across all members
-(bagging), fuse per tile through the taxonomy, and max-merge per-tile
-top-1 candidates across scales. Threshold calibration is corpus-global:
-one threshold serves the whole test set.
+Per quadrat, every (crop, model, level) gives one block of logits: a
+tiles x classes array over every scale's tiles in (scale, row, col)
+order. Each block is kernel-smoothed on each scale's grid if
+configured; the blocks of all (crop, model) members are then averaged
+(bagging), fused row-wise through the taxonomy, and each row's top-1
+candidate is max-merged across the quadrat. Threshold calibration is
+corpus-global: one threshold serves the whole test set.
 
-All freshly computed logits are rounded to 9 significant digits (the
-logit cache's text precision) before use, so runs that read a warm
-cache are bit-identical to the runs that filled it.
+Heads run once per tile row, and every freshly computed row is rounded
+to 9 significant digits (the logit cache's text precision) before use,
+so runs that read a warm cache are bit-identical to the runs that
+filled it.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ._util import canonical9, fmt9
-from .ensemble import HeadSelection, ModelOutput, bag, compose_model, kernel_smooth, tile_key
-from .errors import ConfigError, QuadfloraError
+from .ensemble import HeadSelection, ModelOutput, bag, compose_model, smooth_grid
+from .ensemble import kernel_smooth  # noqa: F401  not called; the benchmark tracer wraps it
+from .errors import ConfigError, QuadfloraError, ShapeError
 from .fusion import TileLogits, fuse
 from .geometry import CropSpec, GridSpec, Rect, central_crop, tile_grid
 from .selection import (
@@ -33,10 +36,8 @@ from .selection import (
     metadata_merge,
     zscore_normalize,
 )
-from .synthworld import Quadrat, ToyModel, head_logits, tile_features
+from .synthworld import LEVELS, Quadrat, ToyModel, head_logits, tile_features
 from .taxonomy import TaxonomyTable
-
-WORKERS_ENV = "QUADFLORA_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -72,43 +73,31 @@ class RunConfig:
             raise ConfigError("bisect_iters must be >= 1")
 
 
-def _tile_logits(model, quadrat, crop_frac, tref, cache, feature_memo):
-    """Per-tile logits for one model, cache-first, canonically rounded."""
-    crop = fmt9(100.0 * crop_frac)
-    levels = [
-        lvl
-        for lvl in ("species", "genus", "family")
-        if model.head_for(lvl) is not None
-    ]
-    out = {}
-    missing = []
-    for lvl in levels:
-        key = (model.model_id, quadrat.quadrat_id, crop, tref.scale, tref.row, tref.col, lvl)
-        hit = cache.get(key) if cache is not None else None
-        if hit is None:
-            missing.append((lvl, key))
-        else:
-            out[lvl] = hit
-    if missing:
-        if quadrat.cells is None:
-            raise QuadfloraError(
-                f"quadrat {quadrat.quadrat_id} has no features and the cache "
-                f"lacks {missing[0][1]}"
-            )
-        mkey = tile_key(tref)
-        if mkey not in feature_memo:
-            feature_memo[mkey] = tile_features(quadrat, tref)
-        for lvl, key in missing:
-            values = canonical9(head_logits(model, lvl, feature_memo[mkey]))
+def _logit_block(model, level, quadrat, crop, tiles, cache, features) -> np.ndarray:
+    """(tiles x classes) logits of one model level, cache-first per row.
+
+    features is the crop's list of per-tile feature rows, shared by every
+    model and level; it is filled on the first cache miss.
+    """
+    rows = []
+    for i, t in enumerate(tiles):
+        key = (model.model_id, quadrat.quadrat_id, crop, t.scale, t.row, t.col, level)
+        values = cache.get(key) if cache is not None else None
+        if values is None:
+            if quadrat.cells is None:
+                raise QuadfloraError(
+                    f"quadrat {quadrat.quadrat_id} has no features and the cache "
+                    f"lacks {key}"
+                )
+            if not features:
+                features.extend(tile_features(quadrat, tile) for tile in tiles)
+            values = canonical9(head_logits(model, level, features[i]))
             if cache is not None:
                 cache.put(key, values)
-            out[lvl] = values
-    return TileLogits(
-        tile=tref,
-        species=out["species"],
-        genus=out.get("genus"),
-        family=out.get("family"),
-    )
+        rows.append(values)
+    if any(r.shape != rows[0].shape for r in rows):
+        raise ShapeError(f"{level} logits of {model.model_id} differ in length across tiles")
+    return np.vstack(rows)
 
 
 def infer_quadrat(
@@ -121,50 +110,35 @@ def infer_quadrat(
     """Candidate species for one quadrat under the configured pipeline."""
     if not models:
         raise ConfigError("at least one model is required")
+    scales = sorted(set(cfg.scales))
     image = Rect(0, 0, quadrat.grid_cells, quadrat.grid_cells)
     members = []
     for crop_frac in cfg.crop_fracs:
+        crop = fmt9(100.0 * crop_frac)
         region = central_crop(image, CropSpec(crop_frac))
-        grids = {s: tile_grid(region, GridSpec(s, cfg.overlap_frac)) for s in cfg.scales}
-        feature_memo: dict = {}
+        tiles = [
+            t for s in scales for t in tile_grid(region, GridSpec(s, cfg.overlap_frac))
+        ]
+        features = []
         for model in models:
-            tiles = {}
-            for scale in cfg.scales:
-                for tref in grids[scale]:
-                    tiles[tile_key(tref)] = _tile_logits(
-                        model, quadrat, crop_frac, tref, cache, feature_memo
-                    )
-            if cfg.kernel_w is not None:
-                smoothed = {}
-                for scale in cfg.scales:
-                    subgrid = {k: v for k, v in tiles.items() if k[0] == scale}
-                    smoothed.update(
-                        kernel_smooth(subgrid, cfg.kernel_w, GridSpec(scale, cfg.overlap_frac))
-                    )
-                tiles = smoothed
-            members.append(
-                ModelOutput(
-                    model_id=f"{model.model_id}|crop={fmt9(100.0 * crop_frac)}",
-                    tiles=tiles,
-                )
-            )
-    bagged = bag(members)
-    ordered = [bagged.tiles[k] for k in sorted(bagged.tiles)]
+            blocks = {}
+            for level in LEVELS:
+                if model.head_for(level) is None:
+                    continue
+                block = _logit_block(model, level, quadrat, crop, tiles, cache, features)
+                if cfg.kernel_w:
+                    start = 0
+                    for n in scales:
+                        stop = start + n * n
+                        block[start:stop] = smooth_grid(block[start:stop], cfg.kernel_w, n)
+                        start = stop
+                blocks[level] = block
+            block = TileLogits(tile=tuple(tiles), **blocks)
+            members.append(ModelOutput(f"{model.model_id}|crop={crop}", {"block": block}))
+    scored = bag(members).tiles["block"]
     if cfg.selection.channel == "fused":
-        scored = [fuse(tl, tax) for tl in ordered]
-    else:
-        scored = ordered
-    return collect_candidates(scored, cfg.selection, quadrat.quadrat_id)
-
-
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    raw = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        raise ConfigError(f"bad {WORKERS_ENV} value {raw!r}") from None
+        scored = fuse(scored, tax)
+    return collect_candidates([scored], cfg.selection, quadrat.quadrat_id)
 
 
 def infer_corpus(
@@ -173,14 +147,9 @@ def infer_corpus(
     tax: TaxonomyTable,
     models: Sequence[ToyModel],
     cache=None,
-    workers: Optional[int] = None,
 ) -> list[CandidateSet]:
     """Candidate sets for every quadrat, in input order."""
-    n = _worker_count(workers)
-    if n == 1 or len(corpus) < 2:
-        return [infer_quadrat(q, cfg, tax, models, cache) for q in corpus]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(lambda q: infer_quadrat(q, cfg, tax, models, cache), corpus))
+    return [infer_quadrat(q, cfg, tax, models, cache) for q in corpus]
 
 
 def select_predictions(
@@ -217,7 +186,6 @@ def run(
     models: Optional[Sequence[ToyModel]] = None,
     registry=None,
     cache=None,
-    workers: Optional[int] = None,
 ) -> list[PredictionSet]:
     """Full corpus inference; models come either ready-made or composed
     from a head registry via cfg.head_combos."""
@@ -225,7 +193,7 @@ def run(
         if registry is None or cfg.head_combos is None:
             raise ConfigError("run() needs models, or a registry plus cfg.head_combos")
         models = [compose_model(registry, sel) for sel in cfg.head_combos]
-    candidates = infer_corpus(corpus, cfg, tax, models, cache, workers)
+    candidates = infer_corpus(corpus, cfg, tax, models, cache)
     groups = {q.quadrat_id: q.transect_id for q in corpus}
     preds, _, _ = select_predictions(candidates, cfg, groups)
     return preds

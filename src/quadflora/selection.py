@@ -19,7 +19,7 @@ from .errors import (
     SelectionError,
     UnattainableTargetError,
 )
-from .fusion import FusedScores, TileLogits, tile_top1
+from .fusion import FusedScores, TileLogits, top1_rows
 
 CHANNELS = ("fused", "raw")
 
@@ -90,23 +90,25 @@ def collect_candidates(
     """Max-merge the top-1 species of every tile into one candidate set.
 
     For the fused channel, tiles are FusedScores; for the raw channel,
-    TileLogits (scored by their species head logits).
+    TileLogits (scored by their species head logits). Either may be a
+    block, whose rows are tiles.
     """
     if not tiles:
         raise SelectionError("no tiles to collect candidates from")
+    if cfg.channel == "fused":
+        if not all(isinstance(t, FusedScores) for t in tiles):
+            raise SelectionError("fused channel expects FusedScores tiles")
+        blocks = [t.score for t in tiles]
+    else:
+        if not all(isinstance(t, TileLogits) for t in tiles):
+            raise SelectionError("raw channel expects TileLogits tiles")
+        blocks = [t.species for t in tiles]
     entries: dict[int, float] = {}
-    for t in tiles:
-        if cfg.channel == "fused":
-            if not isinstance(t, FusedScores):
-                raise SelectionError("fused channel expects FusedScores tiles")
-            species, score = tile_top1(t)
-        else:
-            if not isinstance(t, TileLogits):
-                raise SelectionError("raw channel expects TileLogits tiles")
-            species = int(np.argmax(t.species))
-            score = float(t.species[species])
-        if species not in entries or score > entries[species]:
-            entries[species] = score
+    for block in blocks:
+        species_ids, scores = top1_rows(np.atleast_2d(np.asarray(block, dtype=np.float64)))
+        for species, score in zip(species_ids.tolist(), scores.tolist()):
+            if species not in entries or score > entries[species]:
+                entries[species] = score
     return CandidateSet(quadrat_id=quadrat_id, entries=dict(sorted(entries.items())))
 
 

@@ -211,7 +211,7 @@ class TestCriterion5NoiselessRecovery:
                 crop_fracs=(0.0,),
                 selection=qf.SelectionConfig(target_mean_len=4.0),
             )
-            preds = qf.run(quads, rc, tax, models=models, workers=1)
+            preds = qf.run(quads, rc, tax, models=models)
             gt = qf.GroundTruthTable(
                 quadrats={q.quadrat_id: (q.transect_id, q.truth) for q in quads}
             )
@@ -248,7 +248,7 @@ class TestCriterion6NoiseOrdering:
             crop_fracs=(0.0,),
             selection=qf.SelectionConfig(target_mean_len=4.0, channel=channel),
         )
-        preds = qf.run(quads, rc, tax, models=models, workers=1)
+        preds = qf.run(quads, rc, tax, models=models)
         gt = qf.GroundTruthTable(
             quadrats={q.quadrat_id: (q.transect_id, q.truth) for q in quads}
         )
@@ -394,7 +394,7 @@ class TestCriterion10PaperScaleTaxonomy:
                 crop_fracs=(0.10,),
                 selection=qf.SelectionConfig(max_len=9),
             )
-            preds = qf.run(quads, rc, loaded, models=models, workers=1)
+            preds = qf.run(quads, rc, loaded, models=models)
             assert len(preds) == 20
             assert all(1 <= len(p.species) <= 9 for p in preds)
             elapsed = time.perf_counter() - start

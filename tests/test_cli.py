@@ -1,9 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quadflora
 from quadflora.cli import main
+
+SRC = str(Path(quadflora.__file__).resolve().parents[1])
 
 GEN_CFG = """\
 # small noiseless world with purity-aligned patches
@@ -43,6 +50,23 @@ def run_cfg_file(tmp_path, text=RUN_CFG):
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return path
+
+
+def assert_cli_error(*args):
+    """Run the CLI in a fresh interpreter; it must fail with exit 2 and
+    exactly one error line, without a traceback."""
+    pythonpath = [SRC, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadflora.cli", *map(str, args)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sum(line.startswith("error:") for line in proc.stderr.splitlines()) == 1
+    return proc.stderr
 
 
 class TestGen:
@@ -257,3 +281,29 @@ class TestTaxonomyValidate:
         bad.write_text("species_id,genus_id,family_id\n0,0,0\n0,1,0\n")
         assert main(["taxonomy-validate", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestErrorContract:
+    def test_bad_sweep_target(self, gen_dir, tmp_path):
+        cfg = run_cfg_file(tmp_path)
+        err = assert_cli_error(
+            "sweep", "--config", cfg, "--data", gen_dir, "--targets", "4,abc"
+        )
+        assert "targets" in err
+
+    def test_non_utf8_csv(self, tmp_path):
+        gt = tmp_path / "gt.csv"
+        gt.write_text("quadrat_id,transect_id,species_ids\nq0,t0,1\n")
+        sub = tmp_path / "sub.csv"
+        sub.write_bytes(b"quadrat_id,species_ids\nq0,1\n\xff\xfe,2\n")
+        assert str(sub) in assert_cli_error("eval", sub, gt)
+
+    def test_non_utf8_config(self, tmp_path):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_bytes(GEN_CFG.encode() + b"# caf\xe9\n")
+        assert str(cfg) in assert_cli_error("gen", "--config", cfg, "--out", tmp_path / "x")
+
+    def test_non_utf8_taxonomy(self, tmp_path):
+        tax = tmp_path / "tax.csv"
+        tax.write_bytes(b"species_id,genus_id,family_id\n0,0,0\n\x80,1,0\n")
+        assert str(tax) in assert_cli_error("taxonomy-validate", tax)

@@ -16,7 +16,7 @@ from quadflora.errors import (
     UnknownHeadError,
 )
 from quadflora.fusion import TileLogits
-from quadflora.geometry import GridSpec, Rect, tile_grid
+from quadflora.geometry import GridSpec, Rect, neighbors, tile_grid
 from quadflora.synthworld import gen_world, head_logits
 
 
@@ -206,6 +206,24 @@ class TestKernelSmooth:
             np.testing.assert_allclose(
                 sboth[k].species, sa[k].species + sb[k].species, atol=1e-9
             )
+
+    def test_neighbors_added_in_fixed_order(self):
+        # bit-exact against one accumulation per neighbor, in the order
+        # geometry.neighbors lists them (up, down, left, right)
+        rng = np.random.default_rng(12)
+        spec = GridSpec(4)
+        tiles = {
+            tile_key(t): TileLogits(
+                t, rng.standard_normal(64) * 10.0 ** rng.integers(-8, 8, size=64)
+            )
+            for t in tile_grid(Rect(0, 0, 8, 8), spec)
+        }
+        out = kernel_smooth(tiles, 0.3, spec)
+        for key, tl in tiles.items():
+            acc = tl.species.copy()
+            for r, c in neighbors(tl.tile, spec):
+                acc += 0.3 * tiles[(4, r, c)].species
+            np.testing.assert_array_equal(out[key].species, acc)
 
     def test_incomplete_grid(self):
         tiles = self.four_tiles()

@@ -141,6 +141,24 @@ class TestFuse:
             np.testing.assert_allclose(got, expected, atol=1e-9)
             assert int(np.argmax(got)) == int(np.argmax(expected))
 
+    def test_block_rows_equal_single_tiles(self):
+        # a (tiles x classes) block gets, row by row, exactly the per-tile
+        # result, and that result is the scalar-reduction log-softmax
+        rng = np.random.default_rng(23)
+        tax = TaxonomyTable.from_dense(np.arange(300) % 40, np.arange(40) % 7, n_families=7)
+        sizes = {"species": 300, "genus": 40, "family": 7}
+        block = TileLogits(
+            tile=(TILE,) * 9,
+            **{lvl: rng.standard_normal((9, n)) * 10 for lvl, n in sizes.items()},
+        )
+        fused = fuse(block, tax).score
+        for i in range(9):
+            row = {lvl: getattr(block, lvl)[i].copy() for lvl in sizes}
+            np.testing.assert_array_equal(fused[i], fuse(TileLogits(TILE, **row), tax).score)
+            v = row["species"]
+            reference = v - (v.max() + np.log(np.exp(v - v.max()).sum()))
+            np.testing.assert_array_equal(log_softmax(block.species)[i], reference)
+
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             fuse(TileLogits(tile=TILE, species=np.zeros(4)), TAX3)

@@ -3,13 +3,20 @@ import dataclasses
 import numpy as np
 import pytest
 
-from quadflora.ensemble import HeadSelection, compose_model
-from quadflora.errors import ConfigError, QuadfloraError
-from quadflora.formats import LogitCache
+from quadflora.ensemble import (
+    HeadSelection,
+    ModelOutput,
+    bag,
+    compose_model,
+    kernel_smooth,
+    tile_key,
+)
+from quadflora.errors import ConfigError, IncongruentMembersError, QuadfloraError, ShapeError
+from quadflora.formats import LogitCache, crop_key
 from quadflora.fusion import TileLogits, fuse, tile_top1
-from quadflora.geometry import GridSpec, Rect, tile_grid
+from quadflora.geometry import CropSpec, GridSpec, Rect, central_crop, tile_grid
 from quadflora.pipeline import RunConfig, infer_corpus, infer_quadrat, run
-from quadflora.selection import SelectionConfig
+from quadflora.selection import SelectionConfig, collect_candidates
 from quadflora.synthworld import Quadrat, SynthConfig, gen_world, head_logits, tile_features
 
 
@@ -33,8 +40,58 @@ def world():
     return gen_world(cfg)
 
 
+@pytest.fixture(scope="module")
+def noisy_world():
+    cfg = SynthConfig(
+        n_species=40,
+        n_genera=10,
+        n_families=4,
+        n_quadrats=4,
+        quadrats_per_transect=2,
+        grid_cells=20,
+        feature_dim=48,
+        noise_sigma=0.8,
+        richness_min=3,
+        richness_max=5,
+        patch_align=4,
+        orthogonal_prototypes=True,
+        seed=43,
+    )
+    return gen_world(cfg)
+
+
 def default_models(registry):
     return [compose_model(registry, HeadSelection("lin1", "mlp2", "mlp2"))]
+
+
+def per_tile_oracle(q, cfg, tax, models, cache):
+    """The pipeline composed from the public per-tile functions over the
+    cached logit rows, one tile at a time."""
+    image = Rect(0, 0, q.grid_cells, q.grid_cells)
+    members = []
+    for crop_frac in cfg.crop_fracs:
+        crop = crop_key(crop_frac)
+        region = central_crop(image, CropSpec(crop_frac))
+        for model in models:
+            tiles = {}
+            for scale in cfg.scales:
+                spec = GridSpec(scale, cfg.overlap_frac)
+                grid = {}
+                for t in tile_grid(region, spec):
+                    levels = {
+                        lvl: cache.get(
+                            (model.model_id, q.quadrat_id, crop, t.scale, t.row, t.col, lvl)
+                        )
+                        for lvl in ("species", "genus", "family")
+                    }
+                    grid[tile_key(t)] = TileLogits(tile=t, **levels)
+                tiles.update(kernel_smooth(grid, cfg.kernel_w, spec))
+            members.append(ModelOutput(f"{model.model_id}|crop={crop}", tiles))
+    bagged = bag(members)
+    scored = [bagged.tiles[k] for k in sorted(bagged.tiles)]
+    if cfg.selection.channel == "fused":
+        scored = [fuse(t, tax) for t in scored]
+    return collect_candidates(scored, cfg.selection, q.quadrat_id)
 
 
 class TestInferQuadrat:
@@ -133,6 +190,36 @@ class TestInferQuadrat:
         got = infer_quadrat(quads[0], cfg, tax, models)
         assert len(got.entries) >= 1
 
+    @pytest.mark.parametrize("channel", ["fused", "raw"])
+    def test_block_path_equals_per_tile_composition(self, noisy_world, channel):
+        tax, quads, registry = noisy_world
+        models = [
+            compose_model(registry, HeadSelection("lin1", "mlp2", "mlp2")),
+            compose_model(registry, HeadSelection("lin1c", "lin1", "lin1")),
+        ]
+        cfg = RunConfig(
+            scales=(5, 2, 3, 2),  # unsorted, with a duplicate
+            crop_fracs=(0.0, 0.05, 0.10),
+            overlap_frac=0.3,
+            kernel_w=0.7,
+            selection=SelectionConfig(channel=channel),
+        )
+        cache = LogitCache()
+        for q in quads:
+            got = infer_quadrat(q, cfg, tax, models, cache)
+            assert got == per_tile_oracle(q, cfg, tax, models, cache)
+        # 25 + 4 + 9 distinct tiles, 3 levels, 2 models, 3 crops
+        assert len(cache) == len(quads) * 38 * 3 * 2 * 3
+
+    def test_models_with_different_levels_are_incongruent(self, world):
+        tax, quads, registry = world
+        models = [
+            compose_model(registry, HeadSelection("lin1", "mlp2", "mlp2")),
+            compose_model(registry, HeadSelection("lin1", "mlp2", None)),
+        ]
+        with pytest.raises(IncongruentMembersError):
+            infer_quadrat(quads[0], RunConfig(scales=(2,)), tax, models)
+
     def test_needs_models(self, world):
         tax, quads, _ = world
         with pytest.raises(ConfigError):
@@ -175,38 +262,6 @@ class TestRun:
             (p.quadrat_id, p.species) for p in b
         ]
 
-    def test_workers_do_not_change_results(self, world):
-        tax, quads, registry = world
-        models = default_models(registry)
-        cfg = RunConfig(scales=(4,), crop_fracs=(0.0,))
-        serial = infer_corpus(quads, cfg, tax, models, workers=1)
-        threaded = infer_corpus(quads, cfg, tax, models, workers=4)
-        assert [c.entries for c in serial] == [c.entries for c in threaded]
-
-    def test_workers_share_cache_safely(self, world, tmp_path):
-        tax, quads, registry = world
-        models = default_models(registry)
-        cfg = RunConfig(scales=(4, 5), crop_fracs=(0.0,))
-        serial = infer_corpus(quads, cfg, tax, models, workers=1)
-        cache = LogitCache(tmp_path / "cache.csv")
-        threaded = infer_corpus(quads, cfg, tax, models, cache=cache, workers=4)
-        assert [c.entries for c in serial] == [c.entries for c in threaded]
-        # 41 tiles x 3 levels per quadrat
-        assert len(cache) == len(quads) * 41 * 3
-
-    def test_worker_env_var(self, world, monkeypatch):
-        tax, quads, registry = world
-        models = default_models(registry)
-        cfg = RunConfig(scales=(4,), crop_fracs=(0.0,))
-        monkeypatch.setenv("QUADFLORA_WORKERS", "3")
-        via_env = infer_corpus(quads, cfg, tax, models)
-        assert [c.entries for c in via_env] == [
-            c.entries for c in infer_corpus(quads, cfg, tax, models, workers=1)
-        ]
-        monkeypatch.setenv("QUADFLORA_WORKERS", "zebra")
-        with pytest.raises(ConfigError):
-            infer_corpus(quads, cfg, tax, models)
-
     def test_merge_needs_groups_only_when_enabled(self, world):
         tax, quads, registry = world
         models = default_models(registry)
@@ -245,6 +300,17 @@ class TestCache:
         for a, b in zip(cold, warm):
             assert a.entries == b.entries
 
+    def test_one_row_per_tile_and_level(self, world):
+        tax, quads, registry = world
+        models = default_models(registry)
+        cfg = RunConfig(scales=(4, 5), crop_fracs=(0.0,))
+        cache = LogitCache()
+        cached = infer_corpus(quads, cfg, tax, models, cache=cache)
+        uncached = infer_corpus(quads, cfg, tax, models)
+        assert [c.entries for c in cached] == [c.entries for c in uncached]
+        # 41 tiles x 3 levels per quadrat
+        assert len(cache) == len(quads) * 41 * 3
+
     def test_featureless_quadrats_run_from_cache(self, world, tmp_path):
         tax, quads, registry = world
         models = default_models(registry)
@@ -257,6 +323,17 @@ class TestCache:
         again = [infer_quadrat(s, cfg, tax, models, cache) for s in stubs]
         for a, b in zip(expected, again):
             assert a.entries == b.entries
+
+    def test_cached_row_of_wrong_length_fails(self, world):
+        tax, quads, registry = world
+        models = default_models(registry)
+        cfg = RunConfig(scales=(2,), selection=SelectionConfig(channel="raw"))
+        cache = LogitCache()
+        infer_quadrat(quads[0], cfg, tax, models, cache)
+        key = (models[0].model_id, quads[0].quadrat_id, "0", 2, 1, 1, "species")
+        cache.put(key, cache.get(key)[:-1])
+        with pytest.raises(ShapeError):
+            infer_quadrat(quads[0], cfg, tax, models, cache)
 
     def test_featureless_quadrat_without_cache_fails(self, world):
         tax, quads, registry = world
