@@ -99,6 +99,10 @@ def cmd_sweep(args) -> int:
     targets = sorted(
         formats._convert(float, "targets", part) for part in args.targets.split(",")
     )
+    selections = [
+        dataclasses.replace(cfg.selection, target_mean_len=target, min_logit=None)
+        for target in targets
+    ]
     tax, quadrats, registry = _load_world(args.data)
     gt_path = args.groundtruth or os.path.join(args.data, "groundtruth.csv")
     gt = formats.load_ground_truth(gt_path)
@@ -109,10 +113,7 @@ def cmd_sweep(args) -> int:
     groups = {q.quadrat_id: q.transect_id for q in quadrats}
     print(f"{'target':>8} {'threshold':>14} {'mean_len':>9} {'score':>8}")
     rows = []
-    for target in targets:
-        sel = dataclasses.replace(
-            cfg.selection, target_mean_len=target, min_logit=None
-        )
+    for target, sel in zip(targets, selections):
         per_target = dataclasses.replace(cfg, selection=sel)
         try:
             preds, tau, achieved = select_predictions(candidates, per_target, groups)

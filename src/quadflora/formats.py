@@ -49,7 +49,15 @@ CACHE_HEADER = [
 ]
 
 
+# The csv module refuses fields over 131072 characters by default. One
+# logit-cache row at the paper's 7,806 species is about 100k characters, and
+# wider taxonomies or feature vectors go past the default; every row
+# quadflora writes must read back.
+_FIELD_LIMIT = 2**31 - 1
+
+
 def _read_rows(path, expected_header: list[str]):
+    csv.field_size_limit(_FIELD_LIMIT)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -66,6 +74,8 @@ def _read_rows(path, expected_header: list[str]):
                 yield lineno, row
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        except csv.Error as exc:
+            raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def _parse_id_list(field: str, where: str) -> tuple[int, ...]:

@@ -67,8 +67,8 @@ class RunConfig:
             GridSpec(s, self.overlap_frac)  # validates both
         for f in self.crop_fracs:
             CropSpec(f)
-        if self.kernel_w is not None and self.kernel_w < 0:
-            raise ConfigError("kernel weight must be >= 0")
+        if self.kernel_w is not None and not self.kernel_w >= 0:
+            raise ConfigError(f"kernel_w must be >= 0, got {self.kernel_w}")
         if self.bisect_iters < 1:
             raise ConfigError("bisect_iters must be >= 1")
 

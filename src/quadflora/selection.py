@@ -8,6 +8,7 @@ prediction count, a floor of at least min_len species per quadrat, and
 optionally z-score normalization and cross-quadrat metadata merging.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -45,6 +46,10 @@ class SelectionConfig:
     def __post_init__(self):
         if self.channel not in CHANNELS:
             raise ConfigError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
+        thresholds = {"min_logit": self.min_logit, "target_mean_len": self.target_mean_len}
+        for key, value in thresholds.items():
+            if value is not None and math.isnan(value):
+                raise ConfigError(f"{key} must be a number, got nan")
         if self.min_logit is not None and self.target_mean_len is not None:
             raise ConfigError("set at most one of min_logit and target_mean_len")
         if self.min_len < 1:

@@ -161,6 +161,8 @@ def load_taxonomy(path) -> TaxonomyTable:
                 genus_family[g] = f
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        except csv.Error as exc:
+            raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
     if not species_genus:
         raise FormatError(f"no taxonomy rows in {path}")
 

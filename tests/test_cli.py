@@ -307,3 +307,33 @@ class TestErrorContract:
         tax = tmp_path / "tax.csv"
         tax.write_bytes(b"species_id,genus_id,family_id\n0,0,0\n\x80,1,0\n")
         assert str(tax) in assert_cli_error("taxonomy-validate", tax)
+
+    def test_nan_sweep_target(self, gen_dir, tmp_path):
+        cfg = run_cfg_file(tmp_path)
+        err = assert_cli_error(
+            "sweep", "--config", cfg, "--data", gen_dir, "--targets", "3,nan"
+        )
+        assert "target_mean_len" in err
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [
+            ("target_mean_len", RUN_CFG.replace("target_mean_len = 3.0", "target_mean_len = nan")),
+            ("min_logit", RUN_CFG.replace("target_mean_len = 3.0", "min_logit = nan")),
+            ("kernel_w", RUN_CFG + "kernel_w = nan\n"),
+        ],
+        ids=["target_mean_len", "min_logit", "kernel_w"],
+    )
+    def test_nan_setting_in_infer_config(self, gen_dir, tmp_path, key, text):
+        cfg = run_cfg_file(tmp_path, text)
+        out = tmp_path / "sub.csv"
+        err = assert_cli_error("infer", "--config", cfg, "--data", gen_dir, "--out", out)
+        assert key in err
+        assert not out.exists()
+
+    def test_csv_error_in_taxonomy(self, tmp_path):
+        tax = tmp_path / "tax.csv"
+        tax.write_text("species_id,genus_id,family_id\n0,0,0\n1,0," + "0" * 140_000 + "\n")
+        assert f"{tax}:3: field larger than field limit" in assert_cli_error(
+            "taxonomy-validate", tax
+        )

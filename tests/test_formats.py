@@ -1,8 +1,14 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quadflora import formats
-from quadflora._util import canonical9, fmt9_array
+from quadflora._util import _canonical9_text, canonical9, fmt9_array
+from quadflora.cli import main
 from quadflora.ensemble import HeadSelection
 from quadflora.errors import ConfigError, DuplicatePredictionError, FormatError
 from quadflora.metric import GroundTruthTable
@@ -32,6 +38,59 @@ class TestCanonicalFloats:
     def test_precision_within_nine_digits(self):
         v = np.array([123456789.123, -0.000123456789123, 3.141592653589793])
         np.testing.assert_allclose(canonical9(v), v, rtol=5e-9)
+
+    def test_bit_identical_to_text_on_adversarial_values(self):
+        powers = np.array([10.0**p for p in range(-320, 309)])
+        powers = powers[powers != 0]
+        below, above = np.nextafter(powers, 0), np.nextafter(powers, np.inf)
+        tiny = np.finfo(np.float64).tiny
+        n = np.arange(-50_000, 50_000)
+        rng = np.random.default_rng(5)
+        nine_digit_ties = (rng.integers(10**8, 10**9, 2000) + 0.5) * 10.0 ** rng.integers(
+            -20, 20, 2000
+        )
+        v = np.concatenate(
+            [
+                powers, below, above, np.nextafter(below, 0), np.nextafter(above, np.inf),
+                [5e-324, 1e-310, tiny, np.nextafter(tiny, 0), np.finfo(np.float64).max],
+                [np.inf, np.nan, 0.0, 0.5, 9.999999995],
+                (n + 0.5) / 2**10,
+                [123456789.5, 999999999.5, 99999999.5, 100000000.5, 0.1234567895],
+                nine_digit_ties,
+            ]
+        )
+        v = np.concatenate([v, -v])
+        assert_same_bits(canonical9(v), _canonical9_text(v))
+
+    def test_bit_identical_to_text_on_random_magnitudes(self):
+        rng = np.random.default_rng(6)
+        for scale in 10.0 ** np.arange(-30, 31, 2):
+            v = rng.standard_normal(20_000) * scale
+            assert_same_bits(canonical9(v), _canonical9_text(v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.integers(0, 40),
+            elements=st.one_of(
+                st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                st.builds(
+                    lambda digits, exp: (digits + 0.5) * 10.0**exp,
+                    st.integers(-(10**9), 10**9),
+                    st.integers(-30, 30),
+                ),
+            ),
+        )
+    )
+    def test_bit_identical_to_text_property(self, v):
+        assert_same_bits(canonical9(v), _canonical9_text(v))
+
+
+def assert_same_bits(got, expected):
+    """Equal float64 bit patterns, any NaN matching any NaN."""
+    same = got.view(np.int64) == expected.view(np.int64)
+    assert (same | (np.isnan(got) & np.isnan(expected))).all()
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +258,33 @@ class TestCache:
 
     def test_missing_file_is_empty(self, tmp_path):
         assert len(formats.LogitCache.load(tmp_path / "nope.csv")) == 0
+
+    def test_row_over_csv_default_field_limit_round_trips(self, tmp_path):
+        path = tmp_path / "cache.csv"
+        cache = formats.LogitCache(path)
+        row = canonical9(np.random.default_rng(4).standard_normal(11_000))
+        cache.put(("m", "q0", "0", 1, 0, 0, "species"), row)
+        cache.save()
+        assert path.stat().st_size > 131072
+        loaded = formats.LogitCache.load(path)
+        np.testing.assert_array_equal(loaded.get(("m", "q0", "0", 1, 0, 0, "species")), row)
+        loaded.save(tmp_path / "cache2.csv")
+        assert path.read_bytes() == (tmp_path / "cache2.csv").read_bytes()
+
+    def test_csv_error_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        gt = tmp_path / "gt.csv"
+        gt.write_text("quadrat_id,transect_id,species_ids\nq0,t0,1\n")
+        sub = tmp_path / "sub.csv"
+        ids = ";".join(str(i) for i in range(100))
+        sub.write_text(f"quadrat_id,species_ids\nq0,{ids}\n")
+        default_limit = csv.field_size_limit()
+        monkeypatch.setattr(formats, "_FIELD_LIMIT", 64)
+        try:
+            assert main(["eval", str(sub), str(gt)]) == 2
+        finally:
+            csv.field_size_limit(default_limit)
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {sub}:2: field larger than field limit (64)"]
 
     def test_clean_save_skips_rewrite(self, tmp_path):
         import os

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from quadflora import pipeline
+from quadflora._util import _canonical9_text
 from quadflora.ensemble import (
     HeadSelection,
     ModelOutput,
@@ -310,6 +312,31 @@ class TestCache:
         assert [c.entries for c in cached] == [c.entries for c in uncached]
         # 41 tiles x 3 levels per quadrat
         assert len(cache) == len(quads) * 41 * 3
+
+    @pytest.mark.parametrize("channel", ["fused", "raw"])
+    def test_numeric_rounding_matches_text_rounding(
+        self, noisy_world, tmp_path, monkeypatch, channel
+    ):
+        tax, quads, registry = noisy_world
+        models = [
+            compose_model(registry, HeadSelection("lin1", "mlp2", "mlp2")),
+            compose_model(registry, HeadSelection("lin1c", "lin1", "lin1")),
+        ]
+        cfg = RunConfig(
+            scales=(2, 3),
+            crop_fracs=(0.0, 0.10),
+            kernel_w=0.5,
+            selection=SelectionConfig(channel=channel),
+        )
+        numeric = LogitCache(tmp_path / "numeric.csv")
+        got = infer_corpus(quads, cfg, tax, models, numeric)
+        numeric.save()
+        monkeypatch.setattr(pipeline, "canonical9", _canonical9_text)
+        text = LogitCache(tmp_path / "text.csv")
+        expected = infer_corpus(quads, cfg, tax, models, text)
+        text.save()
+        assert got == expected
+        assert numeric.path.read_bytes() == text.path.read_bytes()
 
     def test_featureless_quadrats_run_from_cache(self, world, tmp_path):
         tax, quads, registry = world
