@@ -3,9 +3,11 @@
 
 Candidate scores per quadrat induce a step function: as the threshold
 rises, the mean number of kept species per quadrat falls. Exact
-targets are generally unattainable, so the bisection search returns
-the threshold achieving the closest attainable level at or above the
-target (more species rather than fewer).
+targets are generally unattainable, so calibration returns the
+threshold achieving the closest attainable level at or above the
+target (more species rather than fewer). One sort lists every step, so
+that threshold comes in closed form: the float just below the score
+whose inclusion first lifts the mean to the target.
 """
 
 import numpy as np

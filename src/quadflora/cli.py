@@ -26,8 +26,15 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
+def _run(args) -> int:
+    """Run the chosen command; each Python warning becomes one `warning:` line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return args.func(args)
+        finally:
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
 
 
 def _load_world(data_dir: str):
@@ -81,11 +88,7 @@ def cmd_infer(args) -> int:
 def cmd_eval(args) -> int:
     preds = formats.load_submission(args.submission)
     gt = formats.load_ground_truth(args.groundtruth)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        report = score(preds, gt)
-    for w in caught:
-        _warn(str(w.message))
+    report = score(preds, gt)
     report_path = args.report or args.submission + ".report.json"
     formats.write_score_report(report, report_path)
     print(f"final {report.final:.5f}")
@@ -190,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (QuadfloraError, OSError) as exc:
         return _fail(str(exc))
 

@@ -19,6 +19,7 @@ config         flat "key = value" lines, '#' comments
 
 import csv
 import json
+import warnings
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -440,8 +441,7 @@ def synth_config_from(mapping: Mapping[str, str]) -> SynthConfig:
 
 _RUN_KEYS = (
     "scales", "crop_fracs", "overlap_frac", "models", "kernel_w", "channel",
-    "min_logit", "target_mean_len", "max_len", "min_len", "zscore", "merge_k",
-    "bisect_iters", "seed",
+    "min_logit", "target_mean_len", "max_len", "min_len", "zscore", "merge_k", "seed",
 )
 
 DEFAULT_MODELS = "lin1+mlp2+mlp2"
@@ -460,9 +460,11 @@ def _parse_head_combo(text: str) -> HeadSelection:
 
 
 def run_config_from(mapping: Mapping[str, str]) -> RunConfig:
-    unknown = set(mapping) - set(_RUN_KEYS)
+    unknown = set(mapping) - set(_RUN_KEYS) - {"bisect_iters"}
     if unknown:
         raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
+    if "bisect_iters" in mapping:
+        warnings.warn("bisect_iters is ignored: the threshold is calibrated in closed form")
     if "scales" not in mapping:
         raise ConfigError("run config needs scales (e.g. scales = 4,5)")
     scales = tuple(
@@ -512,6 +514,5 @@ def run_config_from(mapping: Mapping[str, str]) -> RunConfig:
             else None
         ),
         selection=selection,
-        bisect_iters=_convert(int, "bisect_iters", mapping.get("bisect_iters", "64")),
         seed=_convert(int, "seed", mapping.get("seed", "0")),
     )

@@ -55,7 +55,6 @@ class RunConfig:
     head_combos: Optional[tuple] = None
     kernel_w: Optional[float] = None
     selection: SelectionConfig = field(default_factory=SelectionConfig)
-    bisect_iters: int = 64
     seed: int = 0
 
     def __post_init__(self):
@@ -69,8 +68,6 @@ class RunConfig:
             CropSpec(f)
         if self.kernel_w is not None and not self.kernel_w >= 0:
             raise ConfigError(f"kernel_w must be >= 0, got {self.kernel_w}")
-        if self.bisect_iters < 1:
-            raise ConfigError("bisect_iters must be >= 1")
 
 
 def _logit_block(model, level, quadrat, crop, tiles, cache, features) -> np.ndarray:
@@ -165,7 +162,7 @@ def select_predictions(
     if sel.zscore:
         candidates = [zscore_normalize(c) for c in candidates]
     if sel.target_mean_len is not None:
-        tau = bisect_threshold(candidates, sel.target_mean_len, sel, cfg.bisect_iters)
+        tau = bisect_threshold(candidates, sel.target_mean_len, sel)
     elif sel.min_logit is not None:
         tau = sel.min_logit
     else:

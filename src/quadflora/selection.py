@@ -2,10 +2,12 @@
 
 Each tile contributes at most one species (its top-1); per quadrat the
 candidates keep the maximum contributing score per species. Selection
-then applies a score threshold (a static minimum, or one calibrated by
-bisection against a target mean prediction length), a hard cap on
-prediction count, a floor of at least min_len species per quadrat, and
-optionally z-score normalization and cross-quadrat metadata merging.
+then applies a score threshold (a static minimum, or one calibrated
+against a target mean prediction length), a hard cap on prediction
+count, a floor of at least min_len species per quadrat, and optionally
+z-score normalization and cross-quadrat metadata merging. Calibration
+needs no search: one sort of the scores lists every step of the mean
+length, so the threshold comes in closed form.
 """
 
 import math
@@ -156,69 +158,63 @@ def apply_threshold(c: CandidateSet, tau: float, cfg: SelectionConfig) -> Predic
     )
 
 
+def _length_steps(corpus: Sequence[CandidateSet], cfg: SelectionConfig):
+    """The corpus's prediction-length step function, as (base, extra).
+
+    A quadrat keeps min(n_q, max(min_len, min(max_len, #{s > tau})))
+    species, so the corpus keeps base = sum_q min(n_q, min_len) plus the
+    extra scores above tau: those whose rank in their quadrat (1 = best)
+    lies in (min_len, max_len], here sorted ascending.
+    """
+    if not corpus:
+        raise SelectionError("empty corpus")
+    base, extra = 0, []
+    for c in corpus:
+        if not c.entries:
+            raise SelectionError(f"empty candidate set for {c.quadrat_id}")
+        ranked = np.sort(np.fromiter(c.entries.values(), np.float64))[::-1]
+        base += min(len(ranked), cfg.min_len)
+        extra.append(ranked[cfg.min_len : cfg.max_len])
+    return base, np.sort(np.concatenate(extra))
+
+
 def mean_prediction_length(
     corpus: Sequence[CandidateSet], tau: float, cfg: SelectionConfig
 ) -> float:
     """Mean over quadrats of the selected species count at threshold tau."""
-    if not corpus:
-        raise SelectionError("empty corpus")
-    return float(
-        np.mean([len(apply_threshold(c, tau, cfg).species) for c in corpus])
-    )
+    base, extra = _length_steps(corpus, cfg)
+    above = len(extra) - int(np.searchsorted(extra, tau, side="right"))
+    return (base + above) / len(corpus)
 
 
 def bisect_threshold(
-    corpus: Sequence[CandidateSet],
-    target: float,
-    cfg: SelectionConfig,
-    iters: int = 64,
+    corpus: Sequence[CandidateSet], target: float, cfg: SelectionConfig
 ) -> float:
     """Find a threshold whose mean prediction length best meets target.
 
     The mean length is a non-increasing step function of the threshold,
-    so an exact target is generally unattainable; the search brackets
-    the jump and returns the lower endpoint, which achieves the closest
-    step level at or above the target (more predictions rather than
-    fewer). Raises if even keeping every candidate is too few.
+    so an exact target is generally unattainable; the threshold returned
+    achieves the closest step level at or above the target (more
+    predictions rather than fewer). Raises if even keeping every
+    candidate is too few.
 
-    The halving phase cannot separate jump points closer than the
-    bracket width times 2**-iters, so it is followed by a discrete
-    bisection over the candidate scores left inside the bracket (the
-    only possible jump points); the achieved level is therefore exactly
-    the closest attainable one regardless of score spacing.
+    With k the fewest extra scores (see _length_steps) that lift the
+    mean to the target, tau is the float just below the k-th largest of
+    them (so exactly the extra scores >= that one are kept); with k = 0
+    it is the largest candidate score.
     """
-    if not corpus:
-        raise SelectionError("empty corpus")
+    base, extra = _length_steps(corpus, cfg)
     if target < cfg.min_len:
         raise ConfigError(f"target {target} below min_len {cfg.min_len}")
-    all_scores = np.concatenate([c.scores() for c in corpus])
-    lo = float(all_scores.min()) - 1.0
-    hi = float(all_scores.max())
-    if mean_prediction_length(corpus, lo, cfg) < target:
+    levels = (base + np.arange(len(extra) + 1)) / len(corpus)
+    k = int(np.searchsorted(levels, target, side="left"))
+    if k > len(extra):
         raise UnattainableTargetError(
             f"target mean length {target} exceeds what keeping all candidates yields"
         )
-    if mean_prediction_length(corpus, hi, cfg) >= target:
-        return hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket exhausted float resolution
-            break
-        if mean_prediction_length(corpus, mid, cfg) >= target:
-            lo = mid
-        else:
-            hi = mid
-    inside = np.unique(all_scores[(all_scores >= lo) & (all_scores < hi)])
-    lo_i, hi_i = 0, len(inside) - 1
-    best = None
-    while lo_i <= hi_i:
-        mid_i = (lo_i + hi_i) // 2
-        if mean_prediction_length(corpus, float(inside[mid_i]), cfg) >= target:
-            best = float(inside[mid_i])
-            lo_i = mid_i + 1
-        else:
-            hi_i = mid_i - 1
-    return lo if best is None else best
+    if k == 0:
+        return float(np.concatenate([c.scores() for c in corpus]).max())
+    return float(np.nextafter(extra[len(extra) - k], -np.inf))
 
 
 def metadata_merge(

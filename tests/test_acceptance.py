@@ -171,14 +171,20 @@ class TestCriterion4Calibration:
             elapsed = time.perf_counter() - start
             assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
-            achieved = mean_prediction_length(corpus, tau, cfg)
+            def oracle_mean_length(t):
+                return float(
+                    np.mean([len(qf.apply_threshold(c, t, cfg).species) for c in corpus])
+                )
+
+            achieved = oracle_mean_length(tau)
             assert achieved >= 4.0
+            assert mean_prediction_length(corpus, tau, cfg) == achieved
 
             scores = np.unique(
                 np.concatenate([c.scores() for c in corpus])
             )
             probes = np.concatenate([[scores[0] - 1.0], scores])
-            levels = [mean_prediction_length(corpus, float(t), cfg) for t in probes]
+            levels = [oracle_mean_length(float(t)) for t in probes]
             # the step function never increases
             assert all(a >= b for a, b in zip(levels, levels[1:]))
             # bisection lands on the closest attainable level at/above target

@@ -160,6 +160,31 @@ class TestInfer:
         ) == 0
         assert sub.exists()
 
+    def test_retired_bisect_iters_warns_once(self, gen_dir, tmp_path, capsys):
+        plain = run_cfg_file(tmp_path)
+        retired = tmp_path / "retired.cfg"
+        retired.write_text(RUN_CFG + "bisect_iters = 64\n")
+        outputs = {}
+        for cfg in (plain, retired):
+            sub = tmp_path / f"{cfg.stem}.csv"
+            sweep = tmp_path / f"{cfg.stem}.sweep.csv"
+            assert main(
+                ["infer", "--config", str(cfg), "--data", str(gen_dir), "--out", str(sub)]
+            ) == 0
+            infer = capsys.readouterr()
+            assert main(
+                ["sweep", "--config", str(cfg), "--data", str(gen_dir),
+                 "--targets", "2.0,3.0", "--out", str(sweep)]
+            ) == 0
+            swept = capsys.readouterr()
+            outputs[cfg.stem] = (sub.read_bytes(), sweep.read_bytes(), infer, swept)
+        assert outputs["retired"][:2] == outputs["run"][:2]
+        for captured in outputs["retired"][2:]:
+            warned = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+            assert len(warned) == 1
+            assert warned[0].startswith("warning: bisect_iters is ignored")
+        assert all(captured.err == "" for captured in outputs["run"][2:])
+
 
 class TestEval:
     def test_perfect_score(self, gen_dir, tmp_path, capsys):

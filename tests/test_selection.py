@@ -32,6 +32,77 @@ def cands(qid, mapping):
     return CandidateSet(quadrat_id=qid, entries=dict(mapping))
 
 
+def oracle_mean_length(corpus, tau, cfg):
+    """Mean prediction length straight from apply_threshold."""
+    return float(np.mean([len(apply_threshold(c, tau, cfg).species) for c in corpus]))
+
+
+def _halving_threshold(corpus, target, cfg, iters=64):
+    """The former threshold search (64 halvings, then a discrete
+    bisection over the scores left in the bracket), kept as an oracle."""
+    if not corpus:
+        raise SelectionError("empty corpus")
+    if target < cfg.min_len:
+        raise ConfigError(f"target {target} below min_len {cfg.min_len}")
+    all_scores = np.concatenate([c.scores() for c in corpus])
+    lo = float(all_scores.min()) - 1.0
+    hi = float(all_scores.max())
+    if oracle_mean_length(corpus, lo, cfg) < target:
+        raise UnattainableTargetError(
+            f"target mean length {target} exceeds what keeping all candidates yields"
+        )
+    if oracle_mean_length(corpus, hi, cfg) >= target:
+        return hi
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:  # bracket exhausted float resolution
+            break
+        if oracle_mean_length(corpus, mid, cfg) >= target:
+            lo = mid
+        else:
+            hi = mid
+    inside = np.unique(all_scores[(all_scores >= lo) & (all_scores < hi)])
+    lo_i, hi_i = 0, len(inside) - 1
+    best = None
+    while lo_i <= hi_i:
+        mid_i = (lo_i + hi_i) // 2
+        if oracle_mean_length(corpus, float(inside[mid_i]), cfg) >= target:
+            best = float(inside[mid_i])
+            lo_i = mid_i + 1
+        else:
+            hi_i = mid_i - 1
+    return lo if best is None else best
+
+
+@st.composite
+def calibration_cases(draw):
+    """A corpus with ties within and across quadrats (scores on a grid of
+    quarters, optionally z-scored) and length bounds to go with it."""
+    min_len = draw(st.integers(1, 3))
+    max_len = draw(st.one_of(st.none(), st.integers(min_len, min_len + 3)))
+    sets = draw(
+        st.lists(
+            st.lists(st.integers(-12, 12), min_size=1, max_size=7),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    corpus = [
+        cands(f"q{i}", {j: q / 4.0 for j, q in enumerate(qs)}) for i, qs in enumerate(sets)
+    ]
+    if draw(st.booleans()):
+        corpus = [zscore_normalize(c) for c in corpus]
+    return corpus, SelectionConfig(min_len=min_len, max_len=max_len)
+
+
+def probe_levels(corpus, cfg):
+    """Oracle: the mean-length step function from apply_threshold, at
+    every candidate score and just below the minimum."""
+    scores = sorted({v for c in corpus for v in c.entries.values()})
+    probes = [scores[0] - 1.0] + scores
+    return {t: oracle_mean_length(corpus, t, cfg) for t in probes}
+
+
 def fused_tile(argmax_species, score, n=6):
     v = np.full(n, score - 1.0)
     v[argmax_species] = score
@@ -140,19 +211,11 @@ class TestBisect:
             cands("c", {5: 0.7}),
         ]
 
-    @staticmethod
-    def sweep_levels(corpus, cfg):
-        """Oracle: evaluate the mean-length step function at every
-        candidate score and just below the minimum."""
-        scores = sorted({v for c in corpus for v in c.entries.values()})
-        probes = [scores[0] - 1.0] + scores
-        return {t: mean_prediction_length(corpus, t, cfg) for t in probes}
-
     def test_target_two(self):
         cfg = SelectionConfig()
         corpus = self.corpus()
         tau = bisect_threshold(corpus, 2.0, cfg)
-        levels = self.sweep_levels(corpus, cfg)
+        levels = probe_levels(corpus, cfg)
         expected = min(v for v in levels.values() if v >= 2.0)
         assert mean_prediction_length(corpus, tau, cfg) == expected == 2.0
         assert tau < 0.1
@@ -161,7 +224,7 @@ class TestBisect:
         cfg = SelectionConfig()
         corpus = self.corpus()
         tau = bisect_threshold(corpus, 4.0 / 3.0, cfg)
-        levels = self.sweep_levels(corpus, cfg)
+        levels = probe_levels(corpus, cfg)
         expected = min(v for v in levels.values() if v >= 4.0 / 3.0)
         achieved = mean_prediction_length(corpus, tau, cfg)
         assert achieved == expected == pytest.approx(4.0 / 3.0)
@@ -204,27 +267,71 @@ class TestBisect:
                 )
                 assert a == b
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        data=st.lists(
-            st.lists(st.floats(-50, 50), min_size=1, max_size=6),
-            min_size=1,
-            max_size=8,
-        ),
-        target_step=st.integers(0, 10),
-    )
-    def test_bisect_matches_sweep_oracle(self, data, target_step):
-        corpus = [
-            cands(f"q{i}", {j: v for j, v in enumerate(vals)})
-            for i, vals in enumerate(data)
-        ]
-        cfg = SelectionConfig()
-        levels = self.sweep_levels(corpus, cfg)
-        top = max(levels.values())
-        target = 1.0 + (top - 1.0) * target_step / 10.0
+    @settings(max_examples=200, deadline=None)
+    @given(case=calibration_cases())
+    def test_mean_length_matches_apply_threshold(self, case):
+        corpus, cfg = case
+        for tau, level in probe_levels(corpus, cfg).items():
+            assert mean_prediction_length(corpus, tau, cfg) == level
+
+    @staticmethod
+    def target_between_levels(levels, cfg, target_step):
+        low, top = min(levels.values()), max(levels.values())
+        return max(float(cfg.min_len), low + (top - low) * target_step / 10.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=calibration_cases(), target_step=st.integers(0, 10))
+    def test_bisect_matches_sweep_oracle(self, case, target_step):
+        corpus, cfg = case
+        levels = probe_levels(corpus, cfg)
+        target = self.target_between_levels(levels, cfg, target_step)
+        if target > max(levels.values()):  # every quadrat has fewer than min_len
+            with pytest.raises(UnattainableTargetError):
+                bisect_threshold(corpus, target, cfg)
+            return
         tau = bisect_threshold(corpus, target, cfg)
-        achieved = mean_prediction_length(corpus, tau, cfg)
+        achieved = oracle_mean_length(corpus, tau, cfg)
         assert achieved == min(v for v in levels.values() if v >= target)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=calibration_cases(), target_step=st.integers(0, 11))
+    def test_closed_form_matches_halving_search(self, case, target_step):
+        corpus, cfg = case
+        levels = probe_levels(corpus, cfg)
+        target = self.target_between_levels(levels, cfg, target_step)
+        if target_step == 11:
+            target = max(float(cfg.min_len), max(levels.values()) + 0.5)
+        try:
+            old = _halving_threshold(corpus, target, cfg)
+        except UnattainableTargetError:
+            with pytest.raises(UnattainableTargetError):
+                bisect_threshold(corpus, target, cfg)
+            return
+        new = bisect_threshold(corpus, target, cfg)
+        assert [apply_threshold(c, new, cfg) for c in corpus] == [
+            apply_threshold(c, old, cfg) for c in corpus
+        ]
+        scores = {v for c in corpus for v in c.entries.values()}
+        if np.nextafter(old, np.inf) in scores or old == max(scores):
+            assert np.float64(new).view(np.int64) == np.float64(old).view(np.int64)
+
+    def test_all_sets_empty(self):
+        corpus = [cands("a", {}), cands("b", {})]
+        for call in (
+            lambda: bisect_threshold(corpus, 1.0, SelectionConfig()),
+            lambda: mean_prediction_length(corpus, 0.0, SelectionConfig()),
+        ):
+            with pytest.raises(SelectionError, match="empty candidate set for a"):
+                call()
+
+    def test_one_set_empty(self):
+        corpus = [cands("a", {0: 0.5}), cands("b", {}), cands("c", {})]
+        for call in (
+            lambda: bisect_threshold(corpus, 1.0, SelectionConfig()),
+            lambda: mean_prediction_length(corpus, 0.0, SelectionConfig()),
+        ):
+            with pytest.raises(SelectionError, match="empty candidate set for b"):
+                call()
 
 
 class TestMetadataMerge:
