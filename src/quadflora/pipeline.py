@@ -8,10 +8,12 @@ configured; the blocks of all (crop, model) members are then averaged
 candidate is max-merged across the quadrat. Threshold calibration is
 corpus-global: one threshold serves the whole test set.
 
-Heads run once per tile row, and every freshly computed row is rounded
-to 9 significant digits (the logit cache's text precision) before use,
-so runs that read a warm cache are bit-identical to the runs that
-filled it.
+Each head runs once per (crop, scale) grid, as one GEMM over the
+grid's pooled tile features, and every freshly computed block is
+rounded to 9 significant digits (the logit cache's text precision)
+before use, so runs that read a warm cache are bit-identical to the
+runs that filled it. The batch is always a whole grid, so a cached row
+does not depend on which other scales, crops or rows a run computes.
 """
 
 from dataclasses import dataclass, field
@@ -70,28 +72,42 @@ class RunConfig:
             raise ConfigError(f"kernel_w must be >= 0, got {self.kernel_w}")
 
 
-def _logit_block(model, level, quadrat, crop, tiles, cache, features) -> np.ndarray:
-    """(tiles x classes) logits of one model level, cache-first per row.
+def _logit_block(model, level, quadrat, crop, grids, cache, features) -> np.ndarray:
+    """(tiles x classes) logits of one model level over the crop's grids.
 
-    features is the crop's list of per-tile feature rows, shared by every
-    model and level; it is filled on the first cache miss.
+    Per (crop, scale) grid, rows come from the cache where present. If
+    any row misses, the head runs once on the whole grid (one GEMM), the
+    result is rounded by one canonical9 call, and only the missing rows
+    are put. The batch is always the whole grid because GEMM's last bits
+    can depend on the batch size; so a row's value depends on its cache
+    key alone, whatever else a run asks for or the cache holds.
+
+    features is the crop's list, shared by every model and level; the
+    first cache miss puts the crop's (tiles x D) pooled features in it.
     """
     rows = []
-    for i, t in enumerate(tiles):
-        key = (model.model_id, quadrat.quadrat_id, crop, t.scale, t.row, t.col, level)
-        values = cache.get(key) if cache is not None else None
-        if values is None:
+    for grid in grids:
+        keys = [
+            (model.model_id, quadrat.quadrat_id, crop, t.scale, t.row, t.col, level)
+            for t in grid
+        ]
+        got = [cache.get(key) for key in keys] if cache is not None else [None] * len(keys)
+        missing = [i for i, r in enumerate(got) if r is None]
+        if missing:
             if quadrat.cells is None:
                 raise QuadfloraError(
                     f"quadrat {quadrat.quadrat_id} has no features and the cache "
-                    f"lacks {key}"
+                    f"lacks {keys[missing[0]]}"
                 )
             if not features:
-                features.extend(tile_features(quadrat, tile) for tile in tiles)
-            values = canonical9(head_logits(model, level, features[i]))
-            if cache is not None:
-                cache.put(key, values)
-        rows.append(values)
+                features.append(np.array([tile_features(quadrat, t) for g in grids for t in g]))
+            batch = features[0][len(rows) : len(rows) + len(grid)]
+            fresh = canonical9(head_logits(model, level, batch))
+            for i in missing:
+                got[i] = fresh[i]
+                if cache is not None:
+                    cache.put(keys[i], fresh[i])
+        rows += got
     if any(r.shape != rows[0].shape for r in rows):
         raise ShapeError(f"{level} logits of {model.model_id} differ in length across tiles")
     return np.vstack(rows)
@@ -113,16 +129,15 @@ def infer_quadrat(
     for crop_frac in cfg.crop_fracs:
         crop = fmt9(100.0 * crop_frac)
         region = central_crop(image, CropSpec(crop_frac))
-        tiles = [
-            t for s in scales for t in tile_grid(region, GridSpec(s, cfg.overlap_frac))
-        ]
+        grids = [tile_grid(region, GridSpec(s, cfg.overlap_frac)) for s in scales]
+        tiles = tuple(t for grid in grids for t in grid)
         features = []
         for model in models:
             blocks = {}
             for level in LEVELS:
                 if model.head_for(level) is None:
                     continue
-                block = _logit_block(model, level, quadrat, crop, tiles, cache, features)
+                block = _logit_block(model, level, quadrat, crop, grids, cache, features)
                 if cfg.kernel_w:
                     start = 0
                     for n in scales:
@@ -130,7 +145,7 @@ def infer_quadrat(
                         block[start:stop] = smooth_grid(block[start:stop], cfg.kernel_w, n)
                         start = stop
                 blocks[level] = block
-            block = TileLogits(tile=tuple(tiles), **blocks)
+            block = TileLogits(tile=tiles, **blocks)
             members.append(ModelOutput(f"{model.model_id}|crop={crop}", {"block": block}))
     scored = bag(members).tiles["block"]
     if cfg.selection.channel == "fused":

@@ -203,6 +203,8 @@ def bisect_threshold(
     them (so exactly the extra scores >= that one are kept); with k = 0
     it is the largest candidate score.
     """
+    if math.isnan(target):
+        raise ConfigError("target_mean_len must be a number, got nan")
     base, extra = _length_steps(corpus, cfg)
     if target < cfg.min_len:
         raise ConfigError(f"target {target} below min_len {cfg.min_len}")

@@ -94,7 +94,8 @@ class LinearHead:
         return int(self.weight.shape[1])
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.weight @ f + self.bias
+        """Logits of a (D,) feature vector or of each row of a (T x D) matrix."""
+        return f @ self.weight.T + self.bias
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,8 @@ class TwoLayerHead:
         return int(self.w1.shape[1])
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        return self.w2 @ np.maximum(self.w1 @ f + self.b1, 0.0) + self.b2
+        """Logits of a (D,) feature vector or of each row of a (T x D) matrix."""
+        return np.maximum(f @ self.w1.T + self.b1, 0.0) @ self.w2.T + self.b2
 
 
 Head = Union[LinearHead, TwoLayerHead]
@@ -133,13 +135,21 @@ class ToyModel:
 
 
 def head_logits(model: ToyModel, level: str, f: np.ndarray) -> np.ndarray:
-    """Apply the model's head for one level to a tile feature vector."""
+    """Apply the model's head for one level to a tile feature vector (D,),
+    or to a (T x D) matrix of them at once, giving (C,) or (T x C).
+
+    The matrix form is one GEMM; its last bits can depend on T, so a row
+    need not equal the vector call on that row to the ulp.
+    """
     head = model.head_for(level)
     if head is None:
         raise QuadfloraError(f"model {model.model_id} has no {level} head")
     f = np.asarray(f, dtype=np.float64)
-    if f.shape != (head.in_dim,):
-        raise ShapeError(f"feature has shape {f.shape}, head expects ({head.in_dim},)")
+    if f.ndim not in (1, 2) or f.shape[-1] != head.in_dim:
+        raise ShapeError(
+            f"feature has shape {f.shape}, head expects ({head.in_dim},) "
+            f"or (T, {head.in_dim})"
+        )
     return head.apply(f)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from quadflora import pipeline
-from quadflora._util import _canonical9_text
+from quadflora._util import _canonical9_text, canonical9
 from quadflora.ensemble import (
     HeadSelection,
     ModelOutput,
@@ -17,9 +17,16 @@ from quadflora.errors import ConfigError, IncongruentMembersError, QuadfloraErro
 from quadflora.formats import LogitCache, crop_key
 from quadflora.fusion import TileLogits, fuse, tile_top1
 from quadflora.geometry import CropSpec, GridSpec, Rect, central_crop, tile_grid
-from quadflora.pipeline import RunConfig, infer_corpus, infer_quadrat, run
+from quadflora.pipeline import RunConfig, infer_corpus, infer_quadrat, run, select_predictions
 from quadflora.selection import SelectionConfig, collect_candidates
-from quadflora.synthworld import Quadrat, SynthConfig, gen_world, head_logits, tile_features
+from quadflora.synthworld import (
+    LEVELS,
+    Quadrat,
+    SynthConfig,
+    gen_world,
+    head_logits,
+    tile_features,
+)
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +69,59 @@ def noisy_world():
     return gen_world(cfg)
 
 
+@pytest.fixture(scope="module")
+def bagged_world():
+    cfg = SynthConfig(
+        n_species=60,
+        n_genera=12,
+        n_families=4,
+        n_quadrats=6,
+        quadrats_per_transect=3,
+        grid_cells=20,
+        feature_dim=64,
+        noise_sigma=1.2,
+        richness_min=3,
+        richness_max=5,
+        patch_align=4,
+        seed=44,
+    )
+    return gen_world(cfg)
+
+
 def default_models(registry):
     return [compose_model(registry, HeadSelection("lin1", "mlp2", "mlp2"))]
+
+
+def two_models(registry):
+    return [
+        compose_model(registry, HeadSelection("lin1", "mlp2", "mlp2")),
+        compose_model(registry, HeadSelection("lin1c", "lin1", "lin1")),
+    ]
+
+
+def per_row_cache(quads, cfg, models):
+    """A cache filled by the per-row logit path: each tile's heads applied
+    to its feature vector (GEMV), each row rounded by its own canonical9.
+
+    Inference that reads every row from this cache is that path's result,
+    so it serves as the oracle for the one-GEMM-per-grid path."""
+    cache = LogitCache()
+    for q in quads:
+        image = Rect(0, 0, q.grid_cells, q.grid_cells)
+        for crop_frac in cfg.crop_fracs:
+            region = central_crop(image, CropSpec(crop_frac))
+            for scale in set(cfg.scales):
+                for t in tile_grid(region, GridSpec(scale, cfg.overlap_frac)):
+                    f = tile_features(q, t)
+                    for model in models:
+                        for level in LEVELS:
+                            if model.head_for(level) is not None:
+                                key = (
+                                    model.model_id, q.quadrat_id, crop_key(crop_frac),
+                                    t.scale, t.row, t.col, level,
+                                )
+                                cache.put(key, canonical9(head_logits(model, level, f)))
+    return cache
 
 
 def per_tile_oracle(q, cfg, tax, models, cache):
@@ -195,10 +253,7 @@ class TestInferQuadrat:
     @pytest.mark.parametrize("channel", ["fused", "raw"])
     def test_block_path_equals_per_tile_composition(self, noisy_world, channel):
         tax, quads, registry = noisy_world
-        models = [
-            compose_model(registry, HeadSelection("lin1", "mlp2", "mlp2")),
-            compose_model(registry, HeadSelection("lin1c", "lin1", "lin1")),
-        ]
+        models = two_models(registry)
         cfg = RunConfig(
             scales=(5, 2, 3, 2),  # unsorted, with a duplicate
             crop_fracs=(0.0, 0.05, 0.10),
@@ -212,6 +267,72 @@ class TestInferQuadrat:
             assert got == per_tile_oracle(q, cfg, tax, models, cache)
         # 25 + 4 + 9 distinct tiles, 3 levels, 2 models, 3 crops
         assert len(cache) == len(quads) * 38 * 3 * 2 * 3
+
+    @pytest.mark.parametrize("world_name", ["noisy_world", "bagged_world"])
+    @pytest.mark.parametrize("channel", ["fused", "raw"])
+    def test_grid_gemm_equals_per_row_path(self, request, world_name, channel):
+        tax, quads, registry = request.getfixturevalue(world_name)
+        models = two_models(registry)
+        cfg = RunConfig(
+            scales=(4, 5),
+            crop_fracs=(0.0, 0.10),
+            kernel_w=0.5,
+            selection=SelectionConfig(channel=channel, target_mean_len=4.0, max_len=9),
+        )
+        oracle = per_row_cache(quads, cfg, models)
+        expected = infer_corpus(quads, cfg, tax, models, oracle)
+        assert len(oracle) == len(quads) * 41 * 3 * 2 * 2  # every row was a hit
+        got = infer_corpus(quads, cfg, tax, models)
+        for a, b in zip(got, expected):
+            assert set(a.entries) == set(b.entries)
+            for s, v in b.entries.items():
+                assert a.entries[s] == pytest.approx(v, rel=1e-8)
+        groups = {q.quadrat_id: q.transect_id for q in quads}
+        for merge_k in (None, 1):
+            sel = dataclasses.replace(cfg.selection, merge_k=merge_k)
+            c = dataclasses.replace(cfg, selection=sel)
+            want, _, _ = select_predictions(expected, c, groups)
+            assert select_predictions(got, c, groups)[0] == want
+
+    @pytest.mark.parametrize("rounding", ["canonical9", "none"])
+    def test_cached_rows_depend_on_key_alone(self, noisy_world, monkeypatch, rounding):
+        # GEMM bits can depend on the batch size, so each grid is always
+        # one batch. Without rounding, any other batching shows in the bits.
+        if rounding == "none":
+            monkeypatch.setattr(pipeline, "canonical9", lambda x: x)
+        tax, quads, registry = noisy_world
+        models = two_models(registry)
+        cfg = RunConfig(scales=(4, 5), crop_fracs=(0.0, 0.10), kernel_w=0.5)
+        ref = LogitCache()
+        infer_corpus(quads, cfg, tax, models, ref)
+        keys = sorted(ref._data)
+
+        def assert_rows_match_ref(cache, n_rows=len(keys)):
+            assert len(cache) == n_rows
+            for key in cache._data:
+                np.testing.assert_array_equal(
+                    cache.get(key).view(np.int64), ref.get(key).view(np.int64)
+                )
+
+        for changed in (
+            dict(scales=(4,)),
+            dict(scales=(5, 4)),
+            dict(crop_fracs=(0.10, 0.0)),
+        ):
+            cache = LogitCache()
+            infer_corpus(quads, dataclasses.replace(cfg, **changed), tax, models, cache)
+            n_rows = sum(k[3] in changed.get("scales", (4, 5)) for k in keys)
+            assert_rows_match_ref(cache, n_rows)
+
+        warm = LogitCache()
+        dropped = set(keys[::97])
+        for key in keys:
+            if key not in dropped:
+                warm.put(key, ref.get(key))
+        infer_corpus(quads, cfg, tax, models, warm)
+        assert_rows_match_ref(warm)
+        # hit rows are kept as they were; only missing rows are put
+        assert all(warm.get(k) is ref.get(k) for k in keys if k not in dropped)
 
     def test_models_with_different_levels_are_incongruent(self, world):
         tax, quads, registry = world
@@ -318,10 +439,7 @@ class TestCache:
         self, noisy_world, tmp_path, monkeypatch, channel
     ):
         tax, quads, registry = noisy_world
-        models = [
-            compose_model(registry, HeadSelection("lin1", "mlp2", "mlp2")),
-            compose_model(registry, HeadSelection("lin1c", "lin1", "lin1")),
-        ]
+        models = two_models(registry)
         cfg = RunConfig(
             scales=(2, 3),
             crop_fracs=(0.0, 0.10),

@@ -234,6 +234,12 @@ class TestBisect:
         with pytest.raises(UnattainableTargetError):
             bisect_threshold(self.corpus(), 3.5, SelectionConfig())
 
+    def test_nan_target_is_config_error(self):
+        with pytest.raises(ConfigError, match="got nan"):
+            bisect_threshold(self.corpus(), math.nan, SelectionConfig())
+        with pytest.raises(ConfigError, match="got nan"):
+            bisect_threshold([cands("a", {0: 1.0, 1: 0.5})], float("nan"), SelectionConfig())
+
     def test_target_below_min_len(self):
         with pytest.raises(ConfigError):
             bisect_threshold(self.corpus(), 0.5, SelectionConfig())

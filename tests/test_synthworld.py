@@ -206,3 +206,37 @@ class TestHeadLogits:
         model = ToyModel("m", LinearHead(np.ones((4, 3)), np.zeros(4)))
         with pytest.raises(ShapeError):
             head_logits(model, "species", np.zeros(5))
+
+    def test_row_matrix_gives_row_per_tile(self):
+        _, _, reg = gen_world(small_cfg())
+        model = ToyModel("m", reg.heads["species"]["lin1"], reg.heads["genus"]["mlp2"])
+        f = np.random.default_rng(5).standard_normal((7, 16))
+        assert head_logits(model, "species", f).shape == (7, 12)
+        assert head_logits(model, "genus", f).shape == (7, 5)
+
+    @pytest.mark.parametrize("shape", [(16, 5), (2, 3, 16), (3, 4, 5)])
+    def test_matrix_of_wrong_shape(self, shape):
+        _, _, reg = gen_world(small_cfg())
+        model = ToyModel("m", reg.heads["species"]["lin1"], reg.heads["genus"]["mlp2"])
+        for level in ("species", "genus"):
+            with pytest.raises(ShapeError):
+                head_logits(model, level, np.zeros(shape))
+
+    def test_rows_match_vector_calls(self):
+        rng = np.random.default_rng(6)
+        w = rng.standard_normal((9, 16))
+        b = rng.standard_normal(9)
+        d = 16
+        eye = np.eye(d)
+        two = TwoLayerHead(
+            w1=np.concatenate([eye, -eye]),
+            b1=rng.standard_normal(2 * d),
+            w2=np.concatenate([w, -w], axis=1),
+            b2=b,
+        )
+        model = ToyModel("m", LinearHead(w, b), genus_head=two)
+        f = rng.standard_normal((25, d))
+        for level in ("species", "genus"):
+            block = head_logits(model, level, f)
+            for row, vec in zip(block, f):
+                np.testing.assert_allclose(row, head_logits(model, level, vec), rtol=1e-12)
