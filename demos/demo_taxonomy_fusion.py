@@ -10,9 +10,7 @@ head's favourite wins once its genus is strongly supported.
 
 import numpy as np
 
-from quadflora import TaxonomyTable, fuse, log_softmax, tile_top1
-from quadflora.fusion import TileLogits
-from quadflora.geometry import GridSpec, Rect, tile_grid
+from quadflora import TaxonomyTable, TileLogits, fuse, log_softmax, top1_rows
 
 # ------------------------------------------------------------------
 # A 3-species hierarchy: s0 and s1 share genus g0, s2 sits alone in
@@ -30,9 +28,7 @@ print("genus -> family: ", tax.genus_to_family)
 # Head outputs for one tile. The species head slightly prefers s1,
 # but the genus head is confident the tile shows genus g1.
 # ------------------------------------------------------------------
-(tile,) = tile_grid(Rect(0, 0, 4, 4), GridSpec(1))
 logits = TileLogits(
-    tile=tile,
     species=np.array([1.0, 2.0, 1.5]),
     genus=np.array([0.0, 2.0]),
     family=np.array([0.0]),
@@ -46,7 +42,7 @@ print("  family: ", np.round(log_softmax(logits.family), 3))
 fused = fuse(logits, tax)
 print("\nfused per-species log-scores:", np.round(fused.score, 3))
 print("species-head argmax:", int(np.argmax(logits.species)), "(s1)")
-winner, value = tile_top1(fused)
+winner, value = top1_rows(fused.score)
 print(f"fused argmax:        {winner} (s2), score {value:.3f}")
 
 # ------------------------------------------------------------------

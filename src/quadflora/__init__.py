@@ -5,10 +5,10 @@ sets via taxonomy fusion, multi-scale tile aggregation, and calibrated
 thresholding, and scores predictions with the transect-averaged F1.
 """
 
-from .ensemble import HeadSelection, ModelOutput, bag, compose_model, kernel_smooth
+from .ensemble import HeadSelection, bag, compose_model, kernel_smooth
 from .errors import QuadfloraError
-from .fusion import FusedScores, TileLogits, fuse, log_softmax, tile_top1
-from .geometry import CropSpec, GridSpec, Rect, TileRef, central_crop, neighbors, tile_grid
+from .fusion import FusedScores, TileLogits, fuse, log_softmax, top1_rows
+from .geometry import CropSpec, GridSpec, Rect, TileRef, central_crop, tile_grid
 from .metric import GroundTruthTable, ScoreReport, quadrat_f1, score
 from .pipeline import RunConfig, infer_corpus, infer_quadrat, run, select_predictions
 from .selection import (
@@ -40,11 +40,11 @@ __version__ = "0.1.0"
 __all__ = [
     "QuadfloraError",
     "TaxonomyTable", "load_taxonomy", "write_taxonomy_csv", "genus_of", "family_of",
-    "Rect", "CropSpec", "GridSpec", "TileRef", "central_crop", "tile_grid", "neighbors",
+    "Rect", "CropSpec", "GridSpec", "TileRef", "central_crop", "tile_grid",
     "SynthConfig", "Quadrat", "ToyModel", "LinearHead", "TwoLayerHead", "HeadRegistry",
     "gen_world", "tile_features", "head_logits",
-    "TileLogits", "FusedScores", "log_softmax", "fuse", "tile_top1",
-    "ModelOutput", "HeadSelection", "bag", "compose_model", "kernel_smooth",
+    "TileLogits", "FusedScores", "log_softmax", "fuse", "top1_rows",
+    "HeadSelection", "bag", "compose_model", "kernel_smooth",
     "CandidateSet", "SelectionConfig", "PredictionSet", "collect_candidates",
     "zscore_normalize", "apply_threshold", "bisect_threshold",
     "mean_prediction_length", "metadata_merge",

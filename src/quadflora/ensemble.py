@@ -1,33 +1,20 @@
 """Combine model outputs: logit bagging, head swapping, kernel smoothing.
 
-Tiles are keyed on (scale, row, col) rather than absolute rectangles so
-that members produced from different crop fractions of the same quadrat
-still align tile-for-tile.
+Every function works on per-level (tiles x classes) blocks whose rows
+follow the (scale, row, col) order of the pipeline's tile grids, so
+members produced from different crop fractions of the same quadrat
+still align row for row.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, IncompleteGridError, IncongruentMembersError
 from .fusion import TileLogits
-from .geometry import GridSpec, TileRef
-from .synthworld import HeadRegistry, ToyModel
-
-TileKey = tuple[int, int, int]
-
-
-def tile_key(t: TileRef) -> TileKey:
-    return (t.scale, t.row, t.col)
-
-
-@dataclass(frozen=True)
-class ModelOutput:
-    """Per-tile logits of one model over one quadrat."""
-
-    model_id: str
-    tiles: dict  # TileKey -> TileLogits; the pipeline stores one block per member
+from .synthworld import LEVELS, HeadRegistry, ToyModel
 
 
 @dataclass(frozen=True)
@@ -63,31 +50,6 @@ def compose_model(registry: HeadRegistry, sel: HeadSelection) -> ToyModel:
     )
 
 
-def _check_congruent(outputs: Sequence[ModelOutput]) -> None:
-    keys = set(outputs[0].tiles)
-    for m in outputs[1:]:
-        if set(m.tiles) != keys:
-            raise IncongruentMembersError(
-                f"members {outputs[0].model_id!r} and {m.model_id!r} "
-                "cover different tile sets"
-            )
-    for key in keys:
-        first = outputs[0].tiles[key]
-        for m in outputs[1:]:
-            other = m.tiles[key]
-            for level in ("species", "genus", "family"):
-                a = getattr(first, level)
-                b = getattr(other, level)
-                if (a is None) != (b is None):
-                    raise IncongruentMembersError(
-                        f"{level} head present in some members only (tile {key})"
-                    )
-                if a is not None and a.shape != b.shape:
-                    raise IncongruentMembersError(
-                        f"{level} logit lengths differ at tile {key}"
-                    )
-
-
 def _anchored_mean(arrays: list[np.ndarray]) -> np.ndarray:
     # First member plus the mean deviation from it: mathematically the
     # arithmetic mean, but exactly idempotent when all members are equal.
@@ -100,29 +62,32 @@ def _anchored_mean(arrays: list[np.ndarray]) -> np.ndarray:
     return anchor + delta / len(arrays)
 
 
-def bag(outputs: Sequence[ModelOutput]) -> ModelOutput:
-    """Element-wise mean of member logits, per tile and per level.
+def bag(members: Sequence[tuple[str, TileLogits]]) -> TileLogits:
+    """Element-wise mean of (member_id, blocks) members, per level.
 
-    Members are reduced in model_id order, so the result does not depend
-    on the order of the input list.
+    Members are reduced in member_id order (a stable sort, so duplicate
+    ids stay), and the result does not depend on the input list's order.
     """
-    if not outputs:
+    if not members:
         raise IncongruentMembersError("bag of zero members")
-    if len(outputs) == 1:
-        return outputs[0]
-    _check_congruent(outputs)
-    members = sorted(outputs, key=lambda m: m.model_id)
-    tiles = {}
-    for key in sorted(members[0].tiles):
-        per_level = {}
-        for level in ("species", "genus", "family"):
-            vecs = [getattr(m.tiles[key], level) for m in members]
-            per_level[level] = None if vecs[0] is None else _anchored_mean(vecs)
-        tiles[key] = TileLogits(tile=members[0].tiles[key].tile, **per_level)
-    return ModelOutput(
-        model_id="bag(" + ",".join(m.model_id for m in members) + ")",
-        tiles=tiles,
-    )
+    if len(members) == 1:
+        return members[0][1]
+    members = sorted(members, key=lambda m: m[0])
+    first_id, first = members[0]
+    for member_id, t in members[1:]:
+        for level in LEVELS:
+            a, b = getattr(first, level), getattr(t, level)
+            if (a is None) != (b is None):
+                raise IncongruentMembersError(f"{level} head present in some members only")
+            if a is not None and a.shape != b.shape:
+                raise IncongruentMembersError(
+                    f"{level} blocks of {first_id!r} and {member_id!r} differ in shape"
+                )
+    blocks = {}
+    for level in LEVELS:
+        arrays = [getattr(t, level) for _, t in members]
+        blocks[level] = None if arrays[0] is None else _anchored_mean(arrays)
+    return TileLogits(**blocks)
 
 
 def smooth_grid(grid: np.ndarray, w: float, n: int) -> np.ndarray:
@@ -141,30 +106,22 @@ def smooth_grid(grid: np.ndarray, w: float, n: int) -> np.ndarray:
     return acc.reshape(grid.shape)
 
 
-def kernel_smooth(
-    tiles: Mapping[TileKey, TileLogits], w: float, spec: GridSpec
-) -> dict:
-    """Per-tile form of smooth_grid, per level; the map must cover the
-    full scale x scale grid."""
-    if w < 0:
-        raise ConfigError(f"kernel weight must be >= 0, got {w}")
-    n = spec.scale
-    order = [(n, r, c) for r in range(n) for c in range(n)]
-    if set(tiles) != set(order):
+def kernel_smooth(block: np.ndarray, w: float, scales: Sequence[int]) -> np.ndarray:
+    """smooth_grid on each scale's grid of a block whose rows are the
+    n x n grids of scales, one after the other."""
+    if not (math.isfinite(w) and w >= 0):
+        raise ConfigError(f"kernel weight must be finite and >= 0, got {w}")
+    sizes = [n * n for n in scales]
+    if len(block) != sum(sizes):
         raise IncompleteGridError(
-            f"kernel smoothing needs all {n * n} tiles of the {n}x{n} grid"
+            f"kernel smoothing needs all {sum(sizes)} tiles of the scales {tuple(scales)} "
+            f"grids, got {len(block)}"
         )
     if w == 0:
-        return dict(tiles)
-    smoothed = {}
-    for level in ("species", "genus", "family"):
-        rows = [getattr(tiles[key], level) for key in order]
-        if any(r is None for r in rows):
-            if any(r is not None for r in rows):
-                raise IncongruentMembersError(f"{level} logits missing on a neighboring tile")
-            continue
-        smoothed[level] = smooth_grid(np.vstack(rows), w, n)
-    return {
-        key: TileLogits(tiles[key].tile, **{lvl: b[i] for lvl, b in smoothed.items()})
-        for i, key in enumerate(order)
-    }
+        return block
+    out = np.empty(block.shape)
+    start = 0
+    for n, size in zip(scales, sizes):
+        out[start : start + size] = smooth_grid(block[start : start + size], w, n)
+        start += size
+    return out

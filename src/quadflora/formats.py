@@ -24,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text, fmt9, fmt9_array
+from ._util import atomic_write_text, fmt9_array
 from .ensemble import HeadSelection
 from .errors import ConfigError, DuplicatePredictionError, FormatError
 from .metric import GroundTruthTable, ScoreReport
@@ -291,11 +291,6 @@ def load_head_registry(path) -> HeadRegistry:
 
 
 # ---------------------------------------------------------------- logit cache
-
-def crop_key(crop_frac: float) -> str:
-    """Canonical cache key text for a crop fraction, as a percentage."""
-    return fmt9(100.0 * crop_frac)
-
 
 class LogitCache:
     """Per-tile logits keyed by model, quadrat, crop, scale, position, level.

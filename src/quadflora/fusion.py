@@ -6,8 +6,8 @@ the log-probabilities of its genus and family, i.e. the log of the
 product of the three head probabilities restricted to hierarchy-valid
 (species, genus, family) triples. Invalid triples never score.
 
-All functions work row-wise: a (tiles x classes) block gets, row by
-row, exactly the arithmetic of a single tile's 1-d vector.
+All functions work row-wise on (tiles x classes) blocks: each row gets
+exactly the arithmetic of a single tile's 1-d vector.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,6 @@ from typing import Optional
 import numpy as np
 
 from .errors import ShapeError
-from .geometry import TileRef
 from .taxonomy import TaxonomyTable
 
 
@@ -31,10 +30,9 @@ def log_softmax(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TileLogits:
-    """Raw head outputs for one tile, or a block with one tile per row;
+    """Raw head outputs as per-level blocks with one tile per row;
     genus/family heads are optional."""
 
-    tile: TileRef  # a tuple of TileRefs for a block
     species: np.ndarray
     genus: Optional[np.ndarray] = None
     family: Optional[np.ndarray] = None
@@ -42,9 +40,8 @@ class TileLogits:
 
 @dataclass(frozen=True)
 class FusedScores:
-    """Per-species fused log-probabilities (entries <= 0), per tile or block."""
+    """Per-species fused log-probabilities (entries <= 0), one tile per row."""
 
-    tile: TileRef
     score: np.ndarray
 
 
@@ -52,19 +49,21 @@ def fuse(t: TileLogits, tax: TaxonomyTable) -> FusedScores:
     """Combine species/genus/family logits into per-species log-scores.
 
     An absent genus or family head contributes nothing (0 in log space).
+    Present blocks must have the species block's rows.
     """
     sizes = {"species": tax.n_species, "genus": tax.n_genera, "family": tax.n_families}
+    rows = t.species.shape[:-1]
     for level, size in sizes.items():
         v = getattr(t, level)
-        if v is not None and v.shape[-1:] != (size,):
-            raise ShapeError(f"{level} logits have length {v.shape}, expected {size}")
+        if v is not None and v.shape != rows + (size,):
+            raise ShapeError(f"{level} logits have shape {v.shape}, expected {rows + (size,)}")
     # np.take keeps a block's rows contiguous; a[..., idx] would not
     score = log_softmax(t.species)
     if t.genus is not None:
         score = score + np.take(log_softmax(t.genus), tax.species_to_genus, axis=-1)
     if t.family is not None:
         score = score + np.take(log_softmax(t.family), tax.species_to_family, axis=-1)
-    return FusedScores(tile=t.tile, score=score)
+    return FusedScores(score=score)
 
 
 def top1_rows(score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -73,9 +72,3 @@ def top1_rows(score: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError("top-1 of an empty score vector")
     ids = np.argmax(score, axis=-1)
     return ids, np.take_along_axis(score, ids[..., None], axis=-1)[..., 0]
-
-
-def tile_top1(f: FusedScores) -> tuple[int, float]:
-    """Argmax species of one tile and its score."""
-    i, value = top1_rows(f.score)
-    return int(i), float(value)

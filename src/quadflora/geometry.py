@@ -1,4 +1,4 @@
-"""Crop rectangles, multi-scale tile grids, and tile adjacency.
+"""Crop rectangles and multi-scale tile grids.
 
 Coordinates are integer cell units with half-open rectangles; an n x n
 grid partitions a region exactly (boundaries at floor(i * extent / n)),
@@ -111,16 +111,3 @@ def tile_grid(region: Rect, spec: GridSpec) -> list[TileRef]:
                 y1 = min(region.y1, y1 + gy)
             tiles.append(TileRef(n, row, col, Rect(x0, y0, x1, y1)))
     return tiles
-
-
-def neighbors(tile: TileRef, spec: GridSpec) -> list[tuple[int, int]]:
-    """4-adjacent in-grid (row, col) indices at the tile's scale."""
-    n = spec.scale
-    if not (0 <= tile.row < n and 0 <= tile.col < n):
-        raise GeometryError(f"tile ({tile.row},{tile.col}) outside {n}x{n} grid")
-    out = []
-    for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        r, c = tile.row + dr, tile.col + dc
-        if 0 <= r < n and 0 <= c < n:
-            out.append((r, c))
-    return out

@@ -4,8 +4,9 @@ Per quadrat, every (crop, model, level) gives one block of logits: a
 tiles x classes array over every scale's tiles in (scale, row, col)
 order. Each block is kernel-smoothed on each scale's grid if
 configured; the blocks of all (crop, model) members are then averaged
-(bagging), fused row-wise through the taxonomy, and each row's top-1
-candidate is max-merged across the quadrat. Threshold calibration is
+(bagging). The configured channel's score block, the rows fused through
+the taxonomy or the species logits alone, gives each row's top-1
+candidate, max-merged across the quadrat. Threshold calibration is
 corpus-global: one threshold serves the whole test set.
 
 Each head runs once per (crop, scale) grid, as one GEMM over the
@@ -16,14 +17,14 @@ runs that filled it. The batch is always a whole grid, so a cached row
 does not depend on which other scales, crops or rows a run computes.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._util import canonical9, fmt9
-from .ensemble import HeadSelection, ModelOutput, bag, compose_model, smooth_grid
-from .ensemble import kernel_smooth  # noqa: F401  not called; the benchmark tracer wraps it
+from .ensemble import HeadSelection, bag, compose_model, kernel_smooth
 from .errors import ConfigError, QuadfloraError, ShapeError
 from .fusion import TileLogits, fuse
 from .geometry import CropSpec, GridSpec, Rect, central_crop, tile_grid
@@ -68,8 +69,13 @@ class RunConfig:
             GridSpec(s, self.overlap_frac)  # validates both
         for f in self.crop_fracs:
             CropSpec(f)
-        if self.kernel_w is not None and not self.kernel_w >= 0:
-            raise ConfigError(f"kernel_w must be >= 0, got {self.kernel_w}")
+        if self.kernel_w is not None and not 0 <= self.kernel_w < math.inf:
+            raise ConfigError(f"kernel_w must be finite and >= 0, got {self.kernel_w}")
+
+
+def crop_key(crop_frac: float) -> str:
+    """Canonical cache key text for a crop fraction, as a percentage."""
+    return fmt9(100.0 * crop_frac)
 
 
 def _logit_block(model, level, quadrat, crop, grids, cache, features) -> np.ndarray:
@@ -127,10 +133,9 @@ def infer_quadrat(
     image = Rect(0, 0, quadrat.grid_cells, quadrat.grid_cells)
     members = []
     for crop_frac in cfg.crop_fracs:
-        crop = fmt9(100.0 * crop_frac)
+        crop = crop_key(crop_frac)
         region = central_crop(image, CropSpec(crop_frac))
         grids = [tile_grid(region, GridSpec(s, cfg.overlap_frac)) for s in scales]
-        tiles = tuple(t for grid in grids for t in grid)
         features = []
         for model in models:
             blocks = {}
@@ -139,18 +144,15 @@ def infer_quadrat(
                     continue
                 block = _logit_block(model, level, quadrat, crop, grids, cache, features)
                 if cfg.kernel_w:
-                    start = 0
-                    for n in scales:
-                        stop = start + n * n
-                        block[start:stop] = smooth_grid(block[start:stop], cfg.kernel_w, n)
-                        start = stop
+                    block = kernel_smooth(block, cfg.kernel_w, scales)
                 blocks[level] = block
-            block = TileLogits(tile=tiles, **blocks)
-            members.append(ModelOutput(f"{model.model_id}|crop={crop}", {"block": block}))
-    scored = bag(members).tiles["block"]
+            members.append((f"{model.model_id}|crop={crop}", TileLogits(**blocks)))
+    bagged = bag(members)
     if cfg.selection.channel == "fused":
-        scored = fuse(scored, tax)
-    return collect_candidates([scored], cfg.selection, quadrat.quadrat_id)
+        scores = fuse(bagged, tax).score
+    else:
+        scores = bagged.species
+    return collect_candidates(scores, quadrat.quadrat_id)
 
 
 def infer_corpus(

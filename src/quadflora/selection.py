@@ -1,7 +1,8 @@
 """Turn per-tile candidates into final per-quadrat species sets.
 
-Each tile contributes at most one species (its top-1); per quadrat the
-candidates keep the maximum contributing score per species. Selection
+Each tile (a row of the quadrat's score block) contributes at most one
+species (its top-1); per quadrat the candidates keep the maximum
+contributing score per species. Selection
 then applies a score threshold (a static minimum, or one calibrated
 against a target mean prediction length), a hard cap on prediction
 count, a floor of at least min_len species per quadrat, and optionally
@@ -22,7 +23,7 @@ from .errors import (
     SelectionError,
     UnattainableTargetError,
 )
-from .fusion import FusedScores, TileLogits, top1_rows
+from .fusion import top1_rows
 
 CHANNELS = ("fused", "raw")
 
@@ -50,8 +51,8 @@ class SelectionConfig:
             raise ConfigError(f"channel must be one of {CHANNELS}, got {self.channel!r}")
         thresholds = {"min_logit": self.min_logit, "target_mean_len": self.target_mean_len}
         for key, value in thresholds.items():
-            if value is not None and math.isnan(value):
-                raise ConfigError(f"{key} must be a number, got nan")
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be a finite number, got {value}")
         if self.min_logit is not None and self.target_mean_len is not None:
             raise ConfigError("set at most one of min_logit and target_mean_len")
         if self.min_len < 1:
@@ -91,31 +92,17 @@ class PredictionSet:
             raise SelectionError(f"prediction ids not strictly ascending: {self.species}")
 
 
-def collect_candidates(
-    tiles: Sequence, cfg: SelectionConfig, quadrat_id: str = ""
-) -> CandidateSet:
-    """Max-merge the top-1 species of every tile into one candidate set.
-
-    For the fused channel, tiles are FusedScores; for the raw channel,
-    TileLogits (scored by their species head logits). Either may be a
-    block, whose rows are tiles.
-    """
-    if not tiles:
+def collect_candidates(scores: np.ndarray, quadrat_id: str) -> CandidateSet:
+    """Max-merge the top-1 species of every row of a (tiles x species)
+    score block into one candidate set."""
+    scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
+    if len(scores) == 0:
         raise SelectionError("no tiles to collect candidates from")
-    if cfg.channel == "fused":
-        if not all(isinstance(t, FusedScores) for t in tiles):
-            raise SelectionError("fused channel expects FusedScores tiles")
-        blocks = [t.score for t in tiles]
-    else:
-        if not all(isinstance(t, TileLogits) for t in tiles):
-            raise SelectionError("raw channel expects TileLogits tiles")
-        blocks = [t.species for t in tiles]
     entries: dict[int, float] = {}
-    for block in blocks:
-        species_ids, scores = top1_rows(np.atleast_2d(np.asarray(block, dtype=np.float64)))
-        for species, score in zip(species_ids.tolist(), scores.tolist()):
-            if species not in entries or score > entries[species]:
-                entries[species] = score
+    species_ids, best = top1_rows(scores)
+    for species, score in zip(species_ids.tolist(), best.tolist()):
+        if species not in entries or score > entries[species]:
+            entries[species] = score
     return CandidateSet(quadrat_id=quadrat_id, entries=dict(sorted(entries.items())))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 import quadflora as qf
 from quadflora.cli import main
-from quadflora.ensemble import ModelOutput, bag, kernel_smooth, tile_key
+from quadflora.ensemble import bag, kernel_smooth
 from quadflora.fusion import TileLogits
 from quadflora.geometry import GridSpec, Rect, tile_grid
 from quadflora.selection import CandidateSet, mean_prediction_length
@@ -40,9 +40,6 @@ def random_taxonomy(rng, max_species=20):
     s2g = np.concatenate([rng.permutation(n_g), rng.integers(0, n_g, n_s - n_g)])
     g2f = np.concatenate([rng.permutation(n_f), rng.integers(0, n_f, n_g - n_f)])
     return TaxonomyTable.from_dense(s2g, g2f, n_families=n_f)
-
-
-TILE = tile_grid(Rect(0, 0, 4, 4), GridSpec(1))[0]
 
 
 class TestCriterion1MetricOracle:
@@ -116,7 +113,6 @@ class TestCriterion2FusionBruteForce:
             for _ in range(100):
                 tax = random_taxonomy(rng)
                 t = TileLogits(
-                    tile=TILE,
                     species=rng.standard_normal(tax.n_species) * 4,
                     genus=rng.standard_normal(tax.n_genera) * 4,
                     family=rng.standard_normal(tax.n_families) * 4,
@@ -134,7 +130,6 @@ class TestCriterion3WorkedFusionExample:
         with criterion(3, "worked fusion example scores and argmax"):
             tax = TaxonomyTable.from_dense([0, 0, 1], [0, 0], n_families=1)
             t = TileLogits(
-                tile=TILE,
                 species=np.array([1.0, 2.0, 1.5]),
                 genus=np.array([0.0, 2.0]),
                 family=np.array([0.0]),
@@ -342,28 +337,22 @@ class TestCriterion9EnsembleIdentities:
     def test_bag_and_kernel_identities(self):
         with criterion(9, "bag of identical models and zero-weight kernel are identities"):
             rng = np.random.default_rng(9009)
-            tiles = {}
-            for t in tile_grid(Rect(0, 0, 12, 12), GridSpec(3)):
-                tiles[tile_key(t)] = TileLogits(
-                    tile=t,
-                    species=rng.standard_normal(17) * 3.7 + 0.1,
-                    genus=rng.standard_normal(5),
-                    family=rng.standard_normal(2),
-                )
-            member = ModelOutput(model_id="m", tiles=tiles)
+            n = 3 * 3  # the tiles of one 3 x 3 grid, one per row
+            block = TileLogits(
+                species=rng.standard_normal((n, 17)) * 3.7 + 0.1,
+                genus=rng.standard_normal((n, 5)),
+                family=rng.standard_normal((n, 2)),
+            )
             for k in (2, 3, 5):
-                bagged = bag([member] * k)
-                for key in tiles:
-                    for level in ("species", "genus", "family"):
-                        np.testing.assert_array_equal(
-                            getattr(bagged.tiles[key], level), getattr(tiles[key], level)
-                        )
-            smoothed = kernel_smooth(tiles, 0.0, GridSpec(3))
-            for key in tiles:
+                bagged = bag([("m", block)] * k)
                 for level in ("species", "genus", "family"):
                     np.testing.assert_array_equal(
-                        getattr(smoothed[key], level), getattr(tiles[key], level)
+                        getattr(bagged, level), getattr(block, level)
                     )
+            for level in ("species", "genus", "family"):
+                np.testing.assert_array_equal(
+                    kernel_smooth(getattr(block, level), 0.0, (3,)), getattr(block, level)
+                )
 
 
 class TestCriterion10PaperScaleTaxonomy:

@@ -346,14 +346,23 @@ class TestErrorContract:
             ("target_mean_len", RUN_CFG.replace("target_mean_len = 3.0", "target_mean_len = nan")),
             ("min_logit", RUN_CFG.replace("target_mean_len = 3.0", "min_logit = nan")),
             ("kernel_w", RUN_CFG + "kernel_w = nan\n"),
+            ("target_mean_len", RUN_CFG.replace("target_mean_len = 3.0", "target_mean_len = inf")),
+            ("min_logit", RUN_CFG.replace("target_mean_len = 3.0", "min_logit = inf")),
+            ("min_logit", RUN_CFG.replace("target_mean_len = 3.0", "min_logit = -inf")),
+            ("kernel_w", RUN_CFG + "kernel_w = inf\n"),
         ],
-        ids=["target_mean_len", "min_logit", "kernel_w"],
+        ids=[
+            "target_mean_len", "min_logit", "kernel_w",
+            "target_mean_len=inf", "min_logit=inf", "min_logit=-inf", "kernel_w=inf",
+        ],
     )
     def test_nan_setting_in_infer_config(self, gen_dir, tmp_path, key, text):
+        # non-finite settings: NaN and, in the later cases, +-inf
         cfg = run_cfg_file(tmp_path, text)
         out = tmp_path / "sub.csv"
         err = assert_cli_error("infer", "--config", cfg, "--data", gen_dir, "--out", out)
         assert key in err
+        assert "warning:" not in err
         assert not out.exists()
 
     def test_csv_error_in_taxonomy(self, tmp_path):

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from quadflora.ensemble import (
-    HeadSelection,
-    ModelOutput,
-    bag,
-    compose_model,
-    kernel_smooth,
-    tile_key,
-)
+import per_tile
+from quadflora.ensemble import HeadSelection, bag, compose_model, kernel_smooth
 from quadflora.errors import (
     ConfigError,
     IncompleteGridError,
@@ -16,72 +10,61 @@ from quadflora.errors import (
     UnknownHeadError,
 )
 from quadflora.fusion import TileLogits
-from quadflora.geometry import GridSpec, Rect, neighbors, tile_grid
+from quadflora.geometry import GridSpec, Rect, tile_grid
 from quadflora.synthworld import gen_world, head_logits
 
 
-def grid_output(model_id, scale, values_fn, side=8):
-    tiles = {}
-    for t in tile_grid(Rect(0, 0, side, side), GridSpec(scale)):
-        tiles[tile_key(t)] = TileLogits(tile=t, species=values_fn(t.row, t.col))
-    return ModelOutput(model_id=model_id, tiles=tiles)
+def grid_member(member_id, scale, values_fn):
+    """A (member_id, blocks) bag member: one species row per tile of a
+    scale x scale grid, row-major."""
+    rows = [values_fn(r, c) for r in range(scale) for c in range(scale)]
+    return member_id, TileLogits(species=np.array(rows, dtype=np.float64))
 
 
 class TestBag:
     def test_single_member_identity(self):
-        m = grid_output("a", 2, lambda r, c: np.array([r + c, 1.0]))
-        assert bag([m]) is m
+        m = grid_member("a", 2, lambda r, c: np.array([r + c, 1.0]))
+        assert bag([m]) is m[1]
 
     def test_two_member_mean(self):
-        a = grid_output("a", 1, lambda r, c: np.array([1.0, 3.0]))
-        b = grid_output("b", 1, lambda r, c: np.array([3.0, 1.0]))
+        a = grid_member("a", 1, lambda r, c: np.array([1.0, 3.0]))
+        b = grid_member("b", 1, lambda r, c: np.array([3.0, 1.0]))
         out = bag([a, b])
-        key = next(iter(out.tiles))
         # oracle: element-wise mean
-        np.testing.assert_array_equal(out.tiles[key].species, [2.0, 2.0])
+        np.testing.assert_array_equal(out.species, [[2.0, 2.0]])
 
     def test_duplicate_members_exact_idempotence(self):
         awkward = np.array([0.1, 0.2, 0.3, -1.7, 5.000000001])
-        m = grid_output("m", 2, lambda r, c: awkward + r + 10 * c)
+        m = grid_member("m", 2, lambda r, c: awkward + r + 10 * c)
         for k in (2, 3, 5, 7):
             out = bag([m] * k)
-            for key in m.tiles:
-                np.testing.assert_array_equal(
-                    out.tiles[key].species, m.tiles[key].species
-                )
+            np.testing.assert_array_equal(out.species, m[1].species)
 
     def test_permutation_invariance_exact(self):
         rng = np.random.default_rng(0)
         members = [
-            grid_output(f"m{i}", 2, lambda r, c, i=i: rng.standard_normal(4))
+            grid_member(f"m{i}", 2, lambda r, c, i=i: rng.standard_normal(4))
             for i in range(4)
         ]
         forward = bag(members)
         backward = bag(members[::-1])
-        assert forward.model_id == backward.model_id
-        for key in forward.tiles:
-            np.testing.assert_array_equal(
-                forward.tiles[key].species, backward.tiles[key].species
-            )
+        np.testing.assert_array_equal(forward.species, backward.species)
 
     def test_mismatched_tile_sets(self):
-        a = grid_output("a", 2, lambda r, c: np.zeros(2))
-        b = grid_output("b", 3, lambda r, c: np.zeros(2), side=9)
+        a = grid_member("a", 2, lambda r, c: np.zeros(2))
+        b = grid_member("b", 3, lambda r, c: np.zeros(2))
         with pytest.raises(IncongruentMembersError):
             bag([a, b])
 
     def test_mismatched_lengths(self):
-        a = grid_output("a", 2, lambda r, c: np.zeros(2))
-        b = grid_output("b", 2, lambda r, c: np.zeros(3))
+        a = grid_member("a", 2, lambda r, c: np.zeros(2))
+        b = grid_member("b", 2, lambda r, c: np.zeros(3))
         with pytest.raises(IncongruentMembersError):
             bag([a, b])
 
     def test_mismatched_level_presence(self):
-        base = tile_grid(Rect(0, 0, 4, 4), GridSpec(1))[0]
-        a = ModelOutput(
-            "a", {tile_key(base): TileLogits(base, np.zeros(2), genus=np.zeros(1))}
-        )
-        b = ModelOutput("b", {tile_key(base): TileLogits(base, np.zeros(2))})
+        a = ("a", TileLogits(np.zeros((1, 2)), genus=np.zeros((1, 1))))
+        b = ("b", TileLogits(np.zeros((1, 2))))
         with pytest.raises(IncongruentMembersError):
             bag([a, b])
 
@@ -151,86 +134,70 @@ class TestComposeModel:
 
 class TestKernelSmooth:
     def four_tiles(self):
-        values = {(0, 0): 1.0, (0, 1): 2.0, (1, 0): 3.0, (1, 1): 4.0}
-        tiles = {}
-        for t in tile_grid(Rect(0, 0, 4, 4), GridSpec(2)):
-            tiles[tile_key(t)] = TileLogits(
-                tile=t, species=np.array([values[(t.row, t.col)]])
-            )
-        return tiles
+        # the 2 x 2 grid, row-major: (0,0)=1, (0,1)=2, (1,0)=3, (1,1)=4
+        return np.array([[1.0], [2.0], [3.0], [4.0]])
 
     def test_zero_weight_identity(self):
-        tiles = self.four_tiles()
-        out = kernel_smooth(tiles, 0.0, GridSpec(2))
-        for key in tiles:
-            np.testing.assert_array_equal(out[key].species, tiles[key].species)
+        block = self.four_tiles()
+        out = kernel_smooth(block, 0.0, (2,))
+        np.testing.assert_array_equal(out, block)
 
     def test_two_by_two_half_weight(self):
-        out = kernel_smooth(self.four_tiles(), 0.5, GridSpec(2))
+        out = kernel_smooth(self.four_tiles(), 0.5, (2,))
         # oracle: 1 + 0.5*(2+3), and symmetrically for the others
-        np.testing.assert_allclose(out[(2, 0, 0)].species, [1 + 0.5 * (2 + 3)])
-        np.testing.assert_allclose(out[(2, 0, 1)].species, [2 + 0.5 * (1 + 4)])
-        np.testing.assert_allclose(out[(2, 1, 0)].species, [3 + 0.5 * (1 + 4)])
-        np.testing.assert_allclose(out[(2, 1, 1)].species, [4 + 0.5 * (2 + 3)])
+        np.testing.assert_allclose(out[0], [1 + 0.5 * (2 + 3)])
+        np.testing.assert_allclose(out[1], [2 + 0.5 * (1 + 4)])
+        np.testing.assert_allclose(out[2], [3 + 0.5 * (1 + 4)])
+        np.testing.assert_allclose(out[3], [4 + 0.5 * (2 + 3)])
 
     def test_single_tile_any_weight(self):
-        (t,) = tile_grid(Rect(0, 0, 4, 4), GridSpec(1))
-        tiles = {tile_key(t): TileLogits(tile=t, species=np.array([5.0]))}
-        out = kernel_smooth(tiles, 2.0, GridSpec(1))
-        np.testing.assert_array_equal(out[(1, 0, 0)].species, [5.0])
+        out = kernel_smooth(np.array([[5.0]]), 2.0, (1,))
+        np.testing.assert_array_equal(out, [[5.0]])
 
     def test_single_pass_no_cascade(self):
-        # 3x1-ish: use a 3x3 grid, check the middle tile uses raw inputs only
-        tiles = {}
-        for t in tile_grid(Rect(0, 0, 9, 9), GridSpec(3)):
-            tiles[tile_key(t)] = TileLogits(
-                tile=t, species=np.array([float(t.row * 3 + t.col)])
-            )
-        out = kernel_smooth(tiles, 1.0, GridSpec(3))
+        # 3x3 grid: the middle tile uses raw inputs only
+        block = np.arange(9.0)[:, None]
+        out = kernel_smooth(block, 1.0, (3,))
         center = 4.0
         expected = center + (1.0 + 3.0 + 5.0 + 7.0)  # unsmoothed neighbors
-        np.testing.assert_allclose(out[(3, 1, 1)].species, [expected])
+        np.testing.assert_allclose(out[4], [expected])
 
     def test_linearity(self):
         rng = np.random.default_rng(8)
-        grid = tile_grid(Rect(0, 0, 6, 6), GridSpec(3))
-        a = {tile_key(t): TileLogits(t, rng.standard_normal(4)) for t in grid}
-        b = {tile_key(t): TileLogits(t, rng.standard_normal(4)) for t in grid}
-        both = {
-            k: TileLogits(a[k].tile, a[k].species + b[k].species) for k in a
-        }
-        sa = kernel_smooth(a, 0.7, GridSpec(3))
-        sb = kernel_smooth(b, 0.7, GridSpec(3))
-        sboth = kernel_smooth(both, 0.7, GridSpec(3))
-        for k in a:
-            np.testing.assert_allclose(
-                sboth[k].species, sa[k].species + sb[k].species, atol=1e-9
-            )
+        a = rng.standard_normal((9, 4))
+        b = rng.standard_normal((9, 4))
+        sa = kernel_smooth(a, 0.7, (3,))
+        sb = kernel_smooth(b, 0.7, (3,))
+        sboth = kernel_smooth(a + b, 0.7, (3,))
+        np.testing.assert_allclose(sboth, sa + sb, atol=1e-9)
 
     def test_neighbors_added_in_fixed_order(self):
         # bit-exact against one accumulation per neighbor, in the order
-        # geometry.neighbors lists them (up, down, left, right)
+        # the per-tile neighbors lists them (up, down, left, right)
         rng = np.random.default_rng(12)
         spec = GridSpec(4)
         tiles = {
-            tile_key(t): TileLogits(
+            per_tile.tile_key(t): per_tile.PerTileLogits(
                 t, rng.standard_normal(64) * 10.0 ** rng.integers(-8, 8, size=64)
             )
             for t in tile_grid(Rect(0, 0, 8, 8), spec)
         }
-        out = kernel_smooth(tiles, 0.3, spec)
-        for key, tl in tiles.items():
+        block = np.vstack([tiles[key].species for key in sorted(tiles)])
+        out = kernel_smooth(block, 0.3, (4,))
+        per_tile_out = per_tile.kernel_smooth(tiles, 0.3, spec)
+        for i, key in enumerate(sorted(tiles)):
+            tl = tiles[key]
             acc = tl.species.copy()
-            for r, c in neighbors(tl.tile, spec):
+            for r, c in per_tile.neighbors(tl.tile, spec):
                 acc += 0.3 * tiles[(4, r, c)].species
-            np.testing.assert_array_equal(out[key].species, acc)
+            np.testing.assert_array_equal(per_tile_out[key].species, acc)
+            np.testing.assert_array_equal(out[i], acc)
 
     def test_incomplete_grid(self):
-        tiles = self.four_tiles()
-        tiles.pop((2, 1, 1))
         with pytest.raises(IncompleteGridError):
-            kernel_smooth(tiles, 0.5, GridSpec(2))
+            kernel_smooth(self.four_tiles()[:3], 0.5, (2,))
 
     def test_negative_weight(self):
-        with pytest.raises(ConfigError):
-            kernel_smooth(self.four_tiles(), -0.1, GridSpec(2))
+        for w in (-0.1, float("inf"), float("nan")):
+            with pytest.raises(ConfigError):
+                kernel_smooth(self.four_tiles(), w, (2,))

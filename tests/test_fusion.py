@@ -4,11 +4,8 @@ import numpy as np
 import pytest
 
 from quadflora.errors import ShapeError
-from quadflora.fusion import FusedScores, TileLogits, fuse, log_softmax, tile_top1
-from quadflora.geometry import GridSpec, Rect, tile_grid
+from quadflora.fusion import TileLogits, fuse, log_softmax, top1_rows
 from quadflora.taxonomy import TaxonomyTable
-
-TILE = tile_grid(Rect(0, 0, 4, 4), GridSpec(1))[0]
 
 # The 3-species fixture: s0,s1 -> g0, s2 -> g1; both genera -> f0.
 TAX3 = TaxonomyTable.from_dense([0, 0, 1], [0, 0], n_families=1)
@@ -80,7 +77,6 @@ class TestLogSoftmax:
 class TestFuse:
     def worked_example(self):
         return TileLogits(
-            tile=TILE,
             species=np.array([1.0, 2.0, 1.5]),
             genus=np.array([0.0, 2.0]),
             family=np.array([0.0]),
@@ -101,13 +97,13 @@ class TestFuse:
         for _ in range(20):
             species = rng.standard_normal(3)
             t = TileLogits(
-                tile=TILE, species=species, genus=np.zeros(2), family=np.zeros(1)
+                species=species, genus=np.zeros(2), family=np.zeros(1)
             )
             assert int(np.argmax(fuse(t, TAX3).score)) == int(np.argmax(species))
 
     def test_absent_heads_reduce_to_log_softmax(self):
         species = np.array([0.3, -1.2, 4.0])
-        t = TileLogits(tile=TILE, species=species)
+        t = TileLogits(species=species)
         np.testing.assert_array_equal(fuse(t, TAX3).score, log_softmax(species))
 
     def test_shift_invariance(self):
@@ -117,7 +113,7 @@ class TestFuse:
         for _ in range(20):
             a, b, c = rng.standard_normal(3) * 100
             shifted = TileLogits(
-                tile=TILE, species=t.species + a, genus=t.genus + b, family=t.family + c
+                species=t.species + a, genus=t.genus + b, family=t.family + c
             )
             np.testing.assert_allclose(fuse(shifted, TAX3).score, base, atol=1e-9)
 
@@ -131,7 +127,6 @@ class TestFuse:
             g2f = np.concatenate([rng.permutation(n_f), rng.integers(0, n_f, n_g - n_f)])
             tax = TaxonomyTable.from_dense(s2g, g2f, n_families=n_f)
             t = TileLogits(
-                tile=TILE,
                 species=rng.standard_normal(n_s) * 5,
                 genus=rng.standard_normal(n_g) * 5,
                 family=rng.standard_normal(n_f) * 5,
@@ -148,44 +143,54 @@ class TestFuse:
         tax = TaxonomyTable.from_dense(np.arange(300) % 40, np.arange(40) % 7, n_families=7)
         sizes = {"species": 300, "genus": 40, "family": 7}
         block = TileLogits(
-            tile=(TILE,) * 9,
             **{lvl: rng.standard_normal((9, n)) * 10 for lvl, n in sizes.items()},
         )
         fused = fuse(block, tax).score
         for i in range(9):
             row = {lvl: getattr(block, lvl)[i].copy() for lvl in sizes}
-            np.testing.assert_array_equal(fused[i], fuse(TileLogits(TILE, **row), tax).score)
+            np.testing.assert_array_equal(fused[i], fuse(TileLogits(**row), tax).score)
             v = row["species"]
             reference = v - (v.max() + np.log(np.exp(v - v.max()).sum()))
             np.testing.assert_array_equal(log_softmax(block.species)[i], reference)
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            fuse(TileLogits(tile=TILE, species=np.zeros(4)), TAX3)
+            fuse(TileLogits(species=np.zeros(4)), TAX3)
         with pytest.raises(ShapeError):
-            fuse(TileLogits(tile=TILE, species=np.zeros(3), genus=np.zeros(3)), TAX3)
+            fuse(TileLogits(species=np.zeros(3), genus=np.zeros(3)), TAX3)
+
+    @pytest.mark.parametrize("level, size", [("genus", 2), ("family", 1)])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_block_rows_mismatch(self, level, size, rows):
+        # a (1 x G) block would broadcast over the species rows, a (3 x G)
+        # one fail inside numpy; both are shape errors
+        t = TileLogits(species=np.zeros((4, 3)), **{level: np.zeros((rows, size))})
+        with pytest.raises(ShapeError, match=level):
+            fuse(t, TAX3)
+        with pytest.raises(ShapeError, match=level):
+            fuse(TileLogits(species=np.zeros(3), **{level: np.zeros((rows, size))}), TAX3)
 
 
 class TestTileTop1:
     def test_from_worked_example(self):
         scores = fuse(
             TileLogits(
-                tile=TILE,
                 species=np.array([1.0, 2.0, 1.5]),
                 genus=np.array([0.0, 2.0]),
                 family=np.array([0.0]),
             ),
             TAX3,
         )
-        species, value = tile_top1(scores)
+        species, value = top1_rows(scores.score)
         assert species == 2
         assert value == pytest.approx(-1.307, abs=1e-3)
 
     def test_tie_breaks_to_lowest_id(self):
-        f = FusedScores(tile=TILE, score=np.array([-1.5, -1.5, -1.5]))
-        assert tile_top1(f) == (0, -1.5)
+        species, value = top1_rows(np.array([-1.5, -1.5, -1.5]))
+        assert (int(species), float(value)) == (0, -1.5)
 
     def test_single_species_taxonomy(self):
         tax1 = TaxonomyTable.from_dense([0], [0], n_families=1)
-        f = fuse(TileLogits(tile=TILE, species=np.array([7.0])), tax1)
-        assert tile_top1(f) == (0, 0.0)
+        f = fuse(TileLogits(species=np.array([7.0])), tax1)
+        species, value = top1_rows(f.score)
+        assert (int(species), float(value)) == (0, 0.0)

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from per_tile import neighbors
 from quadflora.errors import ConfigError, GeometryError
 from quadflora.geometry import (
     CropSpec,
     GridSpec,
     Rect,
     central_crop,
-    neighbors,
     tile_grid,
 )
 

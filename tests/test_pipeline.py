@@ -1,24 +1,28 @@
 import dataclasses
+import importlib
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import per_tile
 from quadflora import pipeline
 from quadflora._util import _canonical9_text, canonical9
-from quadflora.ensemble import (
-    HeadSelection,
-    ModelOutput,
-    bag,
-    compose_model,
-    kernel_smooth,
-    tile_key,
-)
+from quadflora.ensemble import HeadSelection, compose_model
 from quadflora.errors import ConfigError, IncongruentMembersError, QuadfloraError, ShapeError
-from quadflora.formats import LogitCache, crop_key
-from quadflora.fusion import TileLogits, fuse, tile_top1
+from quadflora.formats import LogitCache
+from quadflora.fusion import FusedScores, TileLogits, fuse
 from quadflora.geometry import CropSpec, GridSpec, Rect, central_crop, tile_grid
-from quadflora.pipeline import RunConfig, infer_corpus, infer_quadrat, run, select_predictions
-from quadflora.selection import SelectionConfig, collect_candidates
+from quadflora.pipeline import (
+    RunConfig,
+    crop_key,
+    infer_corpus,
+    infer_quadrat,
+    run,
+    select_predictions,
+)
+from quadflora.selection import SelectionConfig
 from quadflora.synthworld import (
     LEVELS,
     Quadrat,
@@ -125,7 +129,7 @@ def per_row_cache(quads, cfg, models):
 
 
 def per_tile_oracle(q, cfg, tax, models, cache):
-    """The pipeline composed from the public per-tile functions over the
+    """The pipeline composed from the per-tile oracle functions over the
     cached logit rows, one tile at a time."""
     image = Rect(0, 0, q.grid_cells, q.grid_cells)
     members = []
@@ -144,14 +148,16 @@ def per_tile_oracle(q, cfg, tax, models, cache):
                         )
                         for lvl in ("species", "genus", "family")
                     }
-                    grid[tile_key(t)] = TileLogits(tile=t, **levels)
-                tiles.update(kernel_smooth(grid, cfg.kernel_w, spec))
-            members.append(ModelOutput(f"{model.model_id}|crop={crop}", tiles))
-    bagged = bag(members)
+                    grid[per_tile.tile_key(t)] = per_tile.PerTileLogits(tile=t, **levels)
+                tiles.update(per_tile.kernel_smooth(grid, cfg.kernel_w, spec))
+            members.append(per_tile.ModelOutput(f"{model.model_id}|crop={crop}", tiles))
+    bagged = per_tile.bag(members)
     scored = [bagged.tiles[k] for k in sorted(bagged.tiles)]
     if cfg.selection.channel == "fused":
         scored = [fuse(t, tax) for t in scored]
-    return collect_candidates(scored, cfg.selection, q.quadrat_id)
+    else:
+        scored = [FusedScores(score=t.species) for t in scored]
+    return per_tile.collect_candidates(scored, q.quadrat_id)
 
 
 class TestInferQuadrat:
@@ -166,12 +172,11 @@ class TestInferQuadrat:
         (tref,) = tile_grid(Rect(0, 0, q.grid_cells, q.grid_cells), GridSpec(1))
         f = tile_features(q, tref)
         tl = TileLogits(
-            tile=tref,
             species=head_logits(models[0], "species", f),
             genus=head_logits(models[0], "genus", f),
             family=head_logits(models[0], "family", f),
         )
-        species, value = tile_top1(fuse(tl, tax))
+        species, value = per_tile.tile_top1(fuse(tl, tax))
         assert set(got.entries) == {species}
         assert got.entries[species] == pytest.approx(value, rel=1e-8)
 
@@ -224,7 +229,6 @@ class TestInferQuadrat:
         got = infer_quadrat(q, cfg, tax, [model])
 
         from quadflora.geometry import CropSpec, central_crop
-        from quadflora.selection import collect_candidates
 
         region = central_crop(Rect(0, 0, q.grid_cells, q.grid_cells), CropSpec(0.10))
         scored = []
@@ -232,13 +236,12 @@ class TestInferQuadrat:
             for tref in tile_grid(region, GridSpec(scale)):
                 f = tile_features(q, tref)
                 tl = TileLogits(
-                    tile=tref,
                     species=head_logits(model, "species", f),
                     genus=head_logits(model, "genus", f),
                     family=head_logits(model, "family", f),
                 )
                 scored.append(fuse(tl, tax))
-        expected = collect_candidates(scored, cfg.selection, q.quadrat_id)
+        expected = per_tile.collect_candidates(scored, q.quadrat_id)
         assert set(got.entries) == set(expected.entries)
         for s, v in expected.entries.items():
             assert got.entries[s] == pytest.approx(v, rel=1e-7, abs=1e-9)
@@ -347,6 +350,43 @@ class TestInferQuadrat:
         tax, quads, _ = world
         with pytest.raises(ConfigError):
             infer_quadrat(quads[0], RunConfig(scales=(2,)), tax, [])
+
+
+class TestBenchmarkHooks:
+    def test_traced_run_records_every_stage(self, noisy_world, monkeypatch):
+        # perfbench's tracer wraps names bound in pipeline; each must be
+        # the one the pipeline calls, and wrapping must not change results
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        tracer_mod = importlib.import_module("tracer")
+        tax, quads, registry = noisy_world
+        models = two_models(registry)
+        groups = {q.quadrat_id: q.transect_id for q in quads}
+
+        def infer(channel):
+            cfg = RunConfig(
+                scales=(2, 3),
+                crop_fracs=(0.0, 0.10),
+                kernel_w=0.5,
+                selection=SelectionConfig(channel=channel, max_len=9),
+            )
+            candidates = pipeline.infer_corpus(quads, cfg, tax, models)
+            return candidates, pipeline.select_predictions(candidates, cfg, groups)
+
+        for channel in ("fused", "raw"):
+            expected = infer(channel)
+            tracer = tracer_mod.Tracer()
+            tracer.install()
+            try:
+                got = infer(channel)
+            finally:
+                tracer.uninstall()
+            assert got == expected
+            calls = Counter(span[0] for span in tracer.spans)
+            # 2 crops x 2 models x 3 levels smoothed blocks per quadrat
+            assert calls["ensemble.kernel_smooth"] == len(quads) * 12
+            for name in ("ensemble.bag", "selection.collect_candidates"):
+                assert calls[name] == len(quads), name
+            assert calls["fusion.fuse"] == (len(quads) if channel == "fused" else 0)
 
 
 class TestRun:

@@ -11,8 +11,6 @@ from quadflora.errors import (
     SelectionError,
     UnattainableTargetError,
 )
-from quadflora.fusion import FusedScores, TileLogits
-from quadflora.geometry import GridSpec, Rect, tile_grid
 from quadflora.selection import (
     CandidateSet,
     PredictionSet,
@@ -24,9 +22,6 @@ from quadflora.selection import (
     metadata_merge,
     zscore_normalize,
 )
-
-TILE = tile_grid(Rect(0, 0, 8, 8), GridSpec(1))[0]
-
 
 def cands(qid, mapping):
     return CandidateSet(quadrat_id=qid, entries=dict(mapping))
@@ -106,40 +101,32 @@ def probe_levels(corpus, cfg):
 def fused_tile(argmax_species, score, n=6):
     v = np.full(n, score - 1.0)
     v[argmax_species] = score
-    return FusedScores(tile=TILE, score=v)
+    return v
 
 
 class TestCollect:
     def test_max_merge(self):
         tiles = [fused_tile(1, -2.0), fused_tile(1, -1.0), fused_tile(4, -3.0)]
-        out = collect_candidates(tiles, SelectionConfig(), "q")
+        out = collect_candidates(np.vstack(tiles), "q")
         assert out.entries == {1: -1.0, 4: -3.0}
 
     def test_single_tile(self):
-        out = collect_candidates([fused_tile(2, -0.5)], SelectionConfig(), "q")
+        out = collect_candidates(fused_tile(2, -0.5)[None], "q")
         assert out.entries == {2: -0.5}
 
     def test_scale_bound_on_candidates(self):
         rng = np.random.default_rng(0)
-        tiles = [
-            FusedScores(tile=TILE, score=rng.standard_normal(60) - 60)
-            for _ in range(16 + 25)
-        ]
-        out = collect_candidates(tiles, SelectionConfig(), "q")
+        out = collect_candidates(rng.standard_normal((16 + 25, 60)) - 60, "q")
         assert 1 <= len(out.entries) <= 41
 
     def test_raw_channel_uses_species_logits(self):
-        t = TileLogits(tile=TILE, species=np.array([0.5, 3.0, 1.0]))
-        out = collect_candidates([t], SelectionConfig(channel="raw"), "q")
+        # raw species logits are taken as they are, like fused log-scores
+        out = collect_candidates(np.array([[0.5, 3.0, 1.0]]), "q")
         assert out.entries == {1: 3.0}
-
-    def test_channel_type_mismatch(self):
-        with pytest.raises(SelectionError):
-            collect_candidates([fused_tile(0, -1.0)], SelectionConfig(channel="raw"), "q")
 
     def test_empty(self):
         with pytest.raises(SelectionError):
-            collect_candidates([], SelectionConfig(), "q")
+            collect_candidates(np.zeros((0, 6)), "q")
 
 
 class TestZScore:
