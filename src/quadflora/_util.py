@@ -29,14 +29,15 @@ def fmt9(x: float) -> str:
     return "%.9g" % x
 
 
-def fmt9_array(values: np.ndarray) -> np.ndarray:
-    """Vectorized %.9g rendering; returns an array of strings."""
-    return np.char.mod("%.9g", np.asarray(values, dtype=np.float64))
+def fmt9_array(values: np.ndarray) -> list[str]:
+    """%.9g rendering of every value, flattened, as a list of strings."""
+    return list(map("%.9g".__mod__, np.asarray(values, dtype=np.float64).ravel().tolist()))
 
 
 def _canonical9_text(values: np.ndarray) -> np.ndarray:
     """canonical9 by definition: render with %.9g and parse back."""
-    return fmt9_array(values).astype(np.float64)
+    x = np.asarray(values, dtype=np.float64)
+    return np.fromiter(map(float, fmt9_array(x)), np.float64, count=x.size).reshape(x.shape)
 
 
 def canonical9(values: np.ndarray) -> np.ndarray:

@@ -48,6 +48,13 @@ def _models_for(cfg: RunConfig, registry):
     return [compose_model(registry, sel) for sel in cfg.head_combos]
 
 
+def _load_cache(args, cfg: RunConfig, models, quadrats):
+    """The logit cache, checked against its fingerprint for this run."""
+    path = args.cache or os.path.join(args.data, "logit_cache.csv")
+    fingerprint = formats.CacheFingerprint.of(cfg.overlap_frac, models, quadrats)
+    return formats.LogitCache.load(path, fingerprint)
+
+
 def cmd_gen(args) -> int:
     cfg = formats.synth_config_from(formats.load_config(args.config))
     if args.seed is not None:
@@ -71,13 +78,12 @@ def cmd_infer(args) -> int:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     tax, quadrats, registry = _load_world(args.data)
     models = _models_for(cfg, registry)
-    cache_path = args.cache or os.path.join(args.data, "logit_cache.csv")
-    cache = formats.LogitCache.load(cache_path)
+    cache = _load_cache(args, cfg, models, quadrats)
     candidates = infer_corpus(quadrats, cfg, tax, models, cache)
     groups = {q.quadrat_id: q.transect_id for q in quadrats}
     preds, tau, achieved = select_predictions(candidates, cfg, groups)
     formats.write_submission(preds, args.out, species_labels=tax.species_labels)
-    cache.save(cache_path)
+    cache.save()
     print(
         f"wrote {args.out}: {len(preds)} quadrats, "
         f"threshold {tau:.6g}, mean length {achieved:.4f}"
@@ -110,8 +116,7 @@ def cmd_sweep(args) -> int:
     gt_path = args.groundtruth or os.path.join(args.data, "groundtruth.csv")
     gt = formats.load_ground_truth(gt_path)
     models = _models_for(cfg, registry)
-    cache_path = args.cache or os.path.join(args.data, "logit_cache.csv")
-    cache = formats.LogitCache.load(cache_path)
+    cache = _load_cache(args, cfg, models, quadrats)
     candidates = infer_corpus(quadrats, cfg, tax, models, cache)
     groups = {q.quadrat_id: q.transect_id for q in quadrats}
     print(f"{'target':>8} {'threshold':>14} {'mean_len':>9} {'score':>8}")
@@ -127,7 +132,7 @@ def cmd_sweep(args) -> int:
         final = score(preds, gt).final
         print(f"{target:>8.4g} {tau:>14.6g} {achieved:>9.4f} {final:>8.5f}")
         rows.append((target, tau, achieved, final))
-    cache.save(cache_path)
+    cache.save()
     if args.out:
         lines = ["target,threshold,mean_len,score"]
         for target, tau, achieved, final in rows:

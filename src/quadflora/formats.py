@@ -14,19 +14,35 @@ submission     quadrat_id,species_ids                   ids ;-separated, ascendi
 features       quadrat_id,transect_id,grid_cells,feature_dim,row,col,values
 head registry  level,head_id,param,row,values           param in w,b,w1,b1,w2,b2
 logit cache    model_id,quadrat_id,crop_pct,scale,row,col,level,values
+fingerprint    JSON sidecar <logit cache>.fingerprint   see LogitCache
 config         flat "key = value" lines, '#' comments
+
+A features file is checked in full when it is read, but each quadrat's
+float values are parsed only when its features are first needed (a
+logit cache miss), so a run served entirely from a cache parses none.
 """
 
 import csv
+import hashlib
+import io
 import json
+import os
 import warnings
+from collections import Counter
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from ._util import atomic_write_text, fmt9_array
 from .ensemble import HeadSelection
-from .errors import ConfigError, DuplicatePredictionError, FormatError
+from .errors import (
+    ConfigError,
+    DuplicatePredictionError,
+    FormatError,
+    QuadfloraError,
+    ShapeError,
+)
 from .metric import GroundTruthTable, ScoreReport
 from .pipeline import RunConfig
 from .selection import PredictionSet, SelectionConfig
@@ -57,9 +73,17 @@ CACHE_HEADER = [
 _FIELD_LIMIT = 2**31 - 1
 
 
-def _read_rows(path, expected_header: list[str]):
+def _read_rows(path, expected_header: list[str], text: Optional[str] = None):
+    """Yield (line number, fields) for each non-empty row after the header.
+
+    text, when given, is the file's content, already read.
+    """
     csv.field_size_limit(_FIELD_LIMIT)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    if text is None:
+        opened = open(path, "r", encoding="utf-8", newline="")
+    else:
+        opened = io.StringIO(text, newline="")
+    with opened as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -102,7 +126,7 @@ def _parse_values(field: str, where: str) -> np.ndarray:
 
 
 def _join_values(values: np.ndarray) -> str:
-    return ";".join(fmt9_array(values).tolist())
+    return ";".join(fmt9_array(values))
 
 
 # ---------------------------------------------------------------- ground truth
@@ -175,23 +199,61 @@ def load_submission(path) -> list[PredictionSet]:
 def write_quadrat_features(quadrats: Sequence[Quadrat], path) -> None:
     lines = [",".join(FEATURES_HEADER)]
     for q in sorted(quadrats, key=lambda q: q.quadrat_id):
-        if q.cells is None:
+        cells = q.features()
+        if cells is None:
             raise FormatError(f"quadrat {q.quadrat_id} has no features to write")
-        dim = q.cells.shape[2]
-        for row in range(q.grid_cells):
-            for col in range(q.grid_cells):
-                lines.append(
-                    f"{q.quadrat_id},{q.transect_id},{q.grid_cells},{dim},"
-                    f"{row},{col},{_join_values(q.cells[row, col])}"
-                )
+        dim = cells.shape[2]
+        text = fmt9_array(cells)
+        for i in range(q.grid_cells * q.grid_cells):
+            row, col = divmod(i, q.grid_cells)
+            lines.append(
+                f"{q.quadrat_id},{q.transect_id},{q.grid_cells},{dim},"
+                f"{row},{col}," + ";".join(text[i * dim : (i + 1) * dim])
+            )
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+class _FeatureRows:
+    """One quadrat's rows of a features file.
+
+    Each row is checked when the file is read, except for its float
+    values, and added to the quadrat's digest. Calling the object parses
+    the values (once) into the (grid, grid, dim) cell array.
+    """
+
+    def __init__(self, path, transect_id: str, grid: int, dim: int):
+        self.path = path
+        self.meta = (transect_id, grid, dim)
+        self.rows: dict[tuple[int, int], tuple[int, str]] = {}  # (row, col) -> (line, values)
+        self.sha = hashlib.sha256(f"{transect_id!r},{grid},{dim}\n".encode())
+        self.cells: Optional[np.ndarray] = None
+
+    @property
+    def digest(self) -> str:
+        """sha256 of the quadrat's metadata and its rows' text, in file order."""
+        return self.sha.hexdigest()
+
+    def __call__(self) -> np.ndarray:
+        if self.cells is None:
+            _, grid, dim = self.meta
+            cells = np.empty((grid, grid, dim))
+            for (r, c), (lineno, values) in self.rows.items():
+                cells[r, c] = _parse_values(values, f"{self.path}:{lineno}")
+            self.cells, self.rows = cells, {}
+        return self.cells
+
+
 def load_quadrat_features(path) -> list[Quadrat]:
-    """Rebuild quadrats (without truth sets) from a features file."""
-    meta: dict[str, tuple[str, int, int]] = {}
-    cells: dict[str, np.ndarray] = {}
-    filled: dict[str, np.ndarray] = {}
+    """Rebuild quadrats (without truth sets) from a features file.
+
+    Every check but the float parse happens here: header, field count,
+    UTF-8, integer fields, bounds, value count, duplicate and missing
+    cells, metadata consistency. A quadrat's values are parsed the first
+    time its features are needed (Quadrat.features), and a parse error
+    names the file and line then. Each quadrat also gets the sha256 of
+    its rows' text, which fingerprints logit caches computed from it.
+    """
+    sources: dict[str, _FeatureRows] = {}
     for lineno, row in _read_rows(path, FEATURES_HEADER):
         qid, tid, grid_s, dim_s, r_s, c_s, values = row
         where = f"{path}:{lineno}"
@@ -199,31 +261,34 @@ def load_quadrat_features(path) -> list[Quadrat]:
             grid, dim, r, c = int(grid_s), int(dim_s), int(r_s), int(c_s)
         except ValueError as exc:
             raise FormatError(f"{where}: bad integer field") from exc
-        if qid not in meta:
-            meta[qid] = (tid, grid, dim)
-            cells[qid] = np.zeros((grid, grid, dim))
-            filled[qid] = np.zeros((grid, grid), dtype=bool)
-        elif meta[qid] != (tid, grid, dim):
+        source = sources.get(qid)
+        if source is None:
+            if grid < 1 or dim < 1:
+                raise FormatError(f"{where}: grid size and feature dim must be >= 1")
+            source = sources[qid] = _FeatureRows(path, tid, grid, dim)
+        elif source.meta != (tid, grid, dim):
             raise FormatError(f"{where}: inconsistent metadata for {qid}")
         if not (0 <= r < grid and 0 <= c < grid):
             raise FormatError(f"{where}: cell ({r},{c}) outside {grid}x{grid} grid")
-        vec = _parse_values(values, where)
-        if vec.shape != (dim,):
-            raise FormatError(f"{where}: expected {dim} values, got {vec.size}")
-        if filled[qid][r, c]:
+        n_values = values.count(";") + 1
+        if n_values != dim:
+            raise FormatError(f"{where}: expected {dim} values, got {n_values}")
+        if (r, c) in source.rows:
             raise FormatError(f"{where}: duplicate cell ({r},{c}) for {qid}")
-        cells[qid][r, c] = vec
-        filled[qid][r, c] = True
-    if not meta:
+        source.rows[r, c] = (lineno, values)
+        source.sha.update(f"{r},{c},{values}\n".encode())
+    if not sources:
         raise FormatError(f"no feature rows in {path}")
     out = []
-    for qid in sorted(meta):
-        if not filled[qid].all():
+    for qid in sorted(sources):
+        source = sources[qid]
+        tid, grid, _ = source.meta
+        if len(source.rows) != grid * grid:
             raise FormatError(f"{path}: quadrat {qid} is missing cells")
-        tid, grid, _ = meta[qid]
         out.append(
             Quadrat(
-                quadrat_id=qid, transect_id=tid, grid_cells=grid, cells=cells[qid]
+                quadrat_id=qid, transect_id=tid, grid_cells=grid, cells=None,
+                load_cells=source,
             )
         )
     return out
@@ -274,17 +339,28 @@ def load_head_registry(path) -> HeadRegistry:
         for param, rows in params.items():
             if sorted(rows) != list(range(len(rows))):
                 raise FormatError(f"{path}: {level}/{head_id}/{param} has missing rows")
+            if any(len(r) != len(rows[0]) for r in rows.values()):
+                raise FormatError(f"{path}: {level}/{head_id}/{param} rows differ in length")
             matrices[param] = np.vstack([rows[i] for i in range(len(rows))])
         if set(matrices) == {"w", "b"}:
-            heads[level][head_id] = LinearHead(matrices["w"], matrices["b"][0])
+            head = LinearHead(matrices["w"], matrices["b"][0])
+            consistent = head.bias.shape == head.weight.shape[:1]
         elif set(matrices) == {"w1", "b1", "w2", "b2"}:
-            heads[level][head_id] = TwoLayerHead(
+            head = TwoLayerHead(
                 matrices["w1"], matrices["b1"][0], matrices["w2"], matrices["b2"][0]
+            )
+            consistent = (
+                head.b1.shape == head.w1.shape[:1]
+                and head.w2.shape[1:] == head.w1.shape[:1]
+                and head.b2.shape == head.w2.shape[:1]
             )
         else:
             raise FormatError(
                 f"{path}: head {level}/{head_id} has params {sorted(matrices)}"
             )
+        if not consistent:
+            raise FormatError(f"{path}: head {level}/{head_id} has inconsistent shapes")
+        heads[level][head_id] = head
     if not any(heads.values()):
         raise FormatError(f"no head rows in {path}")
     return HeadRegistry(heads=heads)
@@ -292,27 +368,130 @@ def load_head_registry(path) -> HeadRegistry:
 
 # ---------------------------------------------------------------- logit cache
 
-class LogitCache:
-    """Per-tile logits keyed by model, quadrat, crop, scale, position, level.
+FINGERPRINT_VERSION = 1
 
-    Values are stored in their canonical 9-significant-digit form, so a
-    cache round-trip reproduces in-memory results exactly. Writes are
-    last-write-wins; save() emits rows sorted by key.
+
+def fingerprint_path(cache_path) -> str:
+    """The sidecar file that fingerprints a logit cache."""
+    return os.fspath(cache_path) + ".fingerprint"
+
+
+def model_digest(model) -> str:
+    """sha256 of a model's head arrays, level by level."""
+    sha = hashlib.sha256()
+    for level in LEVELS:
+        head = model.head_for(level)
+        sha.update(f"{level}:{type(head).__name__}\n".encode())
+        if head is not None:
+            for param, array in sorted(_head_params(head).items()):
+                array = np.ascontiguousarray(array, dtype=np.float64)
+                sha.update(f"{param}{array.shape}\n".encode())
+                sha.update(array.tobytes())
+    return sha.hexdigest()
+
+
+@dataclass(frozen=True)
+class CacheFingerprint:
+    """What a run's cached logits depend on beyond their keys: the tile
+    overlap, each model's head arrays and each quadrat's feature text."""
+
+    overlap_frac: float
+    models: dict  # model id -> model_digest
+    features: dict  # quadrat id -> its _FeatureRows (digest, parsed cells)
+
+    @classmethod
+    def of(cls, overlap_frac: float, models, quadrats: Sequence[Quadrat]) -> "CacheFingerprint":
+        features = {}
+        for q in quadrats:
+            if not isinstance(q.load_cells, _FeatureRows):
+                raise QuadfloraError(f"quadrat {q.quadrat_id} was not read from a features file")
+            features[q.quadrat_id] = q.load_cells
+        return cls(
+            float(overlap_frac), {m.model_id: model_digest(m) for m in models}, features
+        )
+
+
+def _read_sidecar(cache_path, data: bytes, overlap_frac: float) -> tuple[Optional[dict], str]:
+    """The sidecar's record if it describes these cache bytes, computed
+    with this overlap_frac; else (None, why not)."""
+    try:
+        with open(fingerprint_path(cache_path), "r", encoding="utf-8") as fh:
+            record = json.load(fh)
+    except FileNotFoundError:
+        return None, "it has no fingerprint file"
+    except (OSError, ValueError, RecursionError):
+        return None, "its fingerprint file is unreadable"
+    if not isinstance(record, dict) or record.get("version") != FINGERPRINT_VERSION:
+        return None, f"its fingerprint is not format version {FINGERPRINT_VERSION}"
+    overlap = record.get("overlap_frac")
+    digests = [record.get("models"), record.get("quadrats")]
+    if (
+        type(overlap) not in (int, float)
+        or not all(isinstance(d, dict) for d in digests)
+        or not all(isinstance(v, str) for d in digests for v in d.values())
+    ):
+        return None, "its fingerprint file is unreadable"
+    if record.get("cache_sha256") != hashlib.sha256(data).hexdigest():
+        return None, "it was changed after its fingerprint was written"
+    if overlap != overlap_frac:
+        return None, f"it holds logits for overlap_frac {overlap}"
+    return record, ""
+
+
+class LogitCache:
+    """Logits of whole tile grids, keyed by (model, quadrat, crop, scale, level).
+
+    Each entry is one (scale^2 x classes) block, its rows in the grid's
+    row-major tile order. The file holds one row per tile and level,
+    sorted by (model, quadrat, crop, scale, row, col, level); a grid with
+    a missing or out-of-range row in a loaded file is dropped, so it is
+    recomputed whole. Values are stored in their canonical
+    9-significant-digit form, so a cache round-trip reproduces in-memory
+    results exactly. len() counts rows.
+
+    Loaded with a CacheFingerprint (as `infer` and `sweep` do), the cache
+    is checked against its sidecar, fingerprint_path(path): a JSON record
+    of the format version, overlap_frac, one digest per model's heads and
+    per quadrat's feature text, and the sha256 of the cache bytes. Grids
+    it cannot vouch for are dropped with one warning: all of them when
+    the sidecar is missing or unreadable, or the version, the cache
+    bytes or overlap_frac differ; else those of changed models and
+    quadrats. Entries for models and quadrats outside the run are kept
+    with their recorded digests. A quadrat's digest is recorded only
+    once its text has been parsed and checked, in this run or an earlier
+    one. save() writes the sidecar after the cache, and only then.
     """
 
     def __init__(self, path=None):
         self.path = path
         self._data: dict[tuple, np.ndarray] = {}
         self._dirty = True
+        self._fingerprint: Optional[CacheFingerprint] = None
+        self._recorded = {"models": {}, "quadrats": {}}
 
     @classmethod
-    def load(cls, path) -> "LogitCache":
+    def load(cls, path, fingerprint: Optional[CacheFingerprint] = None) -> "LogitCache":
         cache = cls(path)
+        cache._fingerprint = fingerprint
         try:
-            rows = list(_read_rows(path, CACHE_HEADER))
+            with open(path, "rb") as fh:
+                data = fh.read()
         except FileNotFoundError:
             return cache
-        for lineno, (model_id, qid, crop, scale_s, row_s, col_s, level, values) in rows:
+        if fingerprint is not None:
+            record, why_not = _read_sidecar(path, data, fingerprint.overlap_frac)
+            if record is None:
+                warnings.warn(f"logit cache {path} not used: {why_not}")
+                return cache
+            cache._recorded = _still_valid(record, fingerprint)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        grids: dict[tuple, dict] = {}
+        for lineno, (model_id, qid, crop, scale_s, row_s, col_s, level, values) in _read_rows(
+            path, CACHE_HEADER, text
+        ):
             where = f"{path}:{lineno}"
             if level not in LEVELS:
                 raise FormatError(f"{where}: unknown level {level!r}")
@@ -320,20 +499,49 @@ class LogitCache:
                 scale, row, col = int(scale_s), int(row_s), int(col_s)
             except ValueError as exc:
                 raise FormatError(f"{where}: bad tile index") from exc
-            key = (model_id, qid, crop, scale, row, col, level)
-            cache._data[key] = _parse_values(values, where)
-        cache._dirty = False
+            grids.setdefault((model_id, qid, crop, scale, level), {})[row, col] = (where, values)
+        dropped = Counter()
+        for key, rows in grids.items():
+            model_id, qid, _, scale, _ = key
+            if fingerprint is not None and model_id not in cache._recorded["models"]:
+                dropped["changed heads"] += 1
+            elif fingerprint is not None and qid not in cache._recorded["quadrats"]:
+                dropped["changed features"] += 1
+            else:
+                block = _grid_block(rows, scale)
+                if block is None:
+                    dropped["missing rows"] += 1
+                else:
+                    cache._data[key] = block
+        if dropped:
+            reasons = ", ".join(f"{n} for {why}" for why, n in sorted(dropped.items()))
+            warnings.warn(
+                f"logit cache {path}: dropped {dropped.total()} of {len(grids)} grids ({reasons})"
+            )
+        cache._dirty = bool(dropped)
         return cache
 
     def __len__(self) -> int:
-        return len(self._data)
+        return sum(len(block) for block in self._data.values())
 
     def get(self, key) -> Optional[np.ndarray]:
         return self._data.get(key)
 
-    def put(self, key, values: np.ndarray) -> None:
-        self._data[key] = values
+    def put(self, key, block: np.ndarray) -> None:
+        scale = key[3]
+        if block.ndim != 2 or len(block) != scale * scale:
+            raise ShapeError(f"logit block of shape {block.shape} for a {scale}x{scale} grid")
+        self._data[key] = block
         self._dirty = True
+
+    def rows(self) -> list[tuple[tuple, np.ndarray]]:
+        """Every (model, quadrat, crop, scale, row, col, level) row, sorted."""
+        out = []
+        for (model_id, qid, crop, scale, level), block in self._data.items():
+            for i, values in enumerate(block):
+                out.append(((model_id, qid, crop, scale, i // scale, i % scale, level), values))
+        out.sort(key=lambda item: item[0])
+        return out
 
     def save(self, path=None) -> None:
         # Rewriting an unchanged cache would produce the same bytes; skip it
@@ -345,14 +553,58 @@ class LogitCache:
             if not self._dirty:
                 return
         lines = [",".join(CACHE_HEADER)]
-        for key in sorted(self._data):
-            model_id, qid, crop, scale, row, col, level = key
-            lines.append(
-                f"{model_id},{qid},{crop},{scale},{row},{col},{level},"
-                f"{_join_values(self._data[key])}"
-            )
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        for key, values in self.rows():
+            lines.append(",".join(map(str, key)) + "," + _join_values(values))
+        text = "\n".join(lines) + "\n"
+        atomic_write_text(path, text)
+        if self._fingerprint is not None:
+            atomic_write_text(fingerprint_path(path), self._sidecar_text(text))
         self._dirty = False
+
+    def _sidecar_text(self, cache_text: str) -> str:
+        fp = self._fingerprint
+        quadrats = dict(self._recorded["quadrats"])
+        quadrats.update(
+            (qid, rows.digest) for qid, rows in fp.features.items() if rows.cells is not None
+        )
+        record = {
+            "version": FINGERPRINT_VERSION,
+            "overlap_frac": fp.overlap_frac,
+            "models": {**self._recorded["models"], **fp.models},
+            "quadrats": quadrats,
+            "cache_sha256": hashlib.sha256(cache_text.encode("utf-8")).hexdigest(),
+        }
+        return json.dumps(record, indent=1, sort_keys=True) + "\n"
+
+
+def _still_valid(record: dict, fingerprint: CacheFingerprint) -> dict:
+    """The recorded digests that still hold: those equal to the run's,
+    and those of models and quadrats the run does not have."""
+    current = {
+        "models": fingerprint.models,
+        "quadrats": {qid: rows.digest for qid, rows in fingerprint.features.items()},
+    }
+    return {
+        kind: {
+            name: digest
+            for name, digest in record[kind].items()
+            if current[kind].get(name, digest) == digest
+        }
+        for kind in ("models", "quadrats")
+    }
+
+
+def _grid_block(rows: dict, scale: int) -> Optional[np.ndarray]:
+    """The (scale^2 x C) block of one grid's parsed rows, or None if any
+    row is missing, out of range or of another length."""
+    if len(rows) != scale * scale or not all(
+        0 <= r < scale and 0 <= c < scale for r, c in rows
+    ):
+        return None
+    parsed = [_parse_values(values, where) for where, values in map(rows.get, sorted(rows))]
+    if any(len(p) != len(parsed[0]) for p in parsed):
+        return None
+    return np.vstack(parsed)
 
 
 # --------------------------------------------------------------- score report

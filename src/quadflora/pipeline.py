@@ -13,8 +13,14 @@ Each head runs once per (crop, scale) grid, as one GEMM over the
 grid's pooled tile features, and every freshly computed block is
 rounded to 9 significant digits (the logit cache's text precision)
 before use, so runs that read a warm cache are bit-identical to the
-runs that filled it. The batch is always a whole grid, so a cached row
-does not depend on which other scales, crops or rows a run computes.
+runs that filled it. The logit cache holds whole grids, keyed by
+(model, quadrat, crop, scale, level), so a cached grid does not depend
+on which other scales, crops or grids a run computes. What else a grid
+depends on (heads, feature text, tile overlap) is recorded in the
+cache's fingerprint sidecar, which `infer` and `sweep` check on load
+(formats.LogitCache). A quadrat read from a features file parses its
+feature values only when one of its grids misses the cache, so a fully
+warm run parses none.
 """
 
 import math
@@ -35,6 +41,7 @@ from .selection import (
     apply_threshold,
     bisect_threshold,
     collect_candidates,
+    length_steps,
     mean_prediction_length,
     metadata_merge,
     zscore_normalize,
@@ -81,42 +88,37 @@ def crop_key(crop_frac: float) -> str:
 def _logit_block(model, level, quadrat, crop, grids, cache, features) -> np.ndarray:
     """(tiles x classes) logits of one model level over the crop's grids.
 
-    Per (crop, scale) grid, rows come from the cache where present. If
-    any row misses, the head runs once on the whole grid (one GEMM), the
-    result is rounded by one canonical9 call, and only the missing rows
-    are put. The batch is always the whole grid because GEMM's last bits
-    can depend on the batch size; so a row's value depends on its cache
-    key alone, whatever else a run asks for or the cache holds.
+    Each (crop, scale) grid is one cache entry. On a miss the head runs
+    once on the whole grid (one GEMM), the result is rounded by one
+    canonical9 call and put whole. GEMM's last bits can depend on the
+    batch size, so the batch is always one grid, and a grid's values
+    depend on its cache key alone, whatever else a run asks for.
 
     features is the crop's list, shared by every model and level; the
-    first cache miss puts the crop's (tiles x D) pooled features in it.
+    first miss puts the crop's (tiles x D) pooled features in it, which
+    is when a quadrat read from a file parses its feature values.
     """
-    rows = []
+    blocks = []
+    start = 0
     for grid in grids:
-        keys = [
-            (model.model_id, quadrat.quadrat_id, crop, t.scale, t.row, t.col, level)
-            for t in grid
-        ]
-        got = [cache.get(key) for key in keys] if cache is not None else [None] * len(keys)
-        missing = [i for i, r in enumerate(got) if r is None]
-        if missing:
-            if quadrat.cells is None:
-                raise QuadfloraError(
-                    f"quadrat {quadrat.quadrat_id} has no features and the cache "
-                    f"lacks {keys[missing[0]]}"
-                )
+        key = (model.model_id, quadrat.quadrat_id, crop, grid[0].scale, level)
+        block = cache.get(key) if cache is not None else None
+        if block is None:
             if not features:
+                if quadrat.features() is None:
+                    raise QuadfloraError(
+                        f"quadrat {quadrat.quadrat_id} has no features and the cache "
+                        f"lacks {key}"
+                    )
                 features.append(np.array([tile_features(quadrat, t) for g in grids for t in g]))
-            batch = features[0][len(rows) : len(rows) + len(grid)]
-            fresh = canonical9(head_logits(model, level, batch))
-            for i in missing:
-                got[i] = fresh[i]
-                if cache is not None:
-                    cache.put(keys[i], fresh[i])
-        rows += got
-    if any(r.shape != rows[0].shape for r in rows):
-        raise ShapeError(f"{level} logits of {model.model_id} differ in length across tiles")
-    return np.vstack(rows)
+            block = canonical9(head_logits(model, level, features[0][start : start + len(grid)]))
+            if cache is not None:
+                cache.put(key, block)
+        blocks.append(block)
+        start += len(grid)
+    if any(b.shape[1:] != blocks[0].shape[1:] for b in blocks):
+        raise ShapeError(f"{level} logits of {model.model_id} differ in length across grids")
+    return np.vstack(blocks)
 
 
 def infer_quadrat(
@@ -178,14 +180,15 @@ def select_predictions(
     sel = cfg.selection
     if sel.zscore:
         candidates = [zscore_normalize(c) for c in candidates]
+    steps = length_steps(candidates, sel)
     if sel.target_mean_len is not None:
-        tau = bisect_threshold(candidates, sel.target_mean_len, sel)
+        tau = bisect_threshold(candidates, sel.target_mean_len, sel, steps)
     elif sel.min_logit is not None:
         tau = sel.min_logit
     else:
         tau = float("-inf")
     preds = [apply_threshold(c, tau, sel) for c in candidates]
-    achieved = mean_prediction_length(candidates, tau, sel)
+    achieved = mean_prediction_length(candidates, tau, sel, steps)
     if sel.merge_k is not None:
         if groups is None:
             raise ConfigError("metadata merging needs a quadrat -> group mapping")

@@ -130,8 +130,10 @@ def apply_threshold(c: CandidateSet, tau: float, cfg: SelectionConfig) -> Predic
 
     Survivors are truncated to max_len by descending score (ties to the
     lower id); if fewer than min_len survive, the best-scoring excluded
-    candidates are added back until the floor is met.
+    candidates are added back until the floor is met. tau may be -inf
+    (keep everything), not NaN.
     """
+    _check_threshold(tau)
     kept = _ranked([(s, sc) for s, sc in c.entries.items() if sc > tau])
     if cfg.max_len is not None:
         kept = kept[: cfg.max_len]
@@ -145,7 +147,12 @@ def apply_threshold(c: CandidateSet, tau: float, cfg: SelectionConfig) -> Predic
     )
 
 
-def _length_steps(corpus: Sequence[CandidateSet], cfg: SelectionConfig):
+def _check_threshold(tau: float) -> None:
+    if math.isnan(tau):
+        raise ConfigError("threshold must be a number, got nan")
+
+
+def length_steps(corpus: Sequence[CandidateSet], cfg: SelectionConfig):
     """The corpus's prediction-length step function, as (base, extra).
 
     A quadrat keeps min(n_q, max(min_len, min(max_len, #{s > tau})))
@@ -166,16 +173,20 @@ def _length_steps(corpus: Sequence[CandidateSet], cfg: SelectionConfig):
 
 
 def mean_prediction_length(
-    corpus: Sequence[CandidateSet], tau: float, cfg: SelectionConfig
+    corpus: Sequence[CandidateSet], tau: float, cfg: SelectionConfig, steps=None
 ) -> float:
-    """Mean over quadrats of the selected species count at threshold tau."""
-    base, extra = _length_steps(corpus, cfg)
+    """Mean over quadrats of the selected species count at threshold tau.
+
+    steps is length_steps(corpus, cfg), if the caller already built it.
+    """
+    _check_threshold(tau)
+    base, extra = length_steps(corpus, cfg) if steps is None else steps
     above = len(extra) - int(np.searchsorted(extra, tau, side="right"))
     return (base + above) / len(corpus)
 
 
 def bisect_threshold(
-    corpus: Sequence[CandidateSet], target: float, cfg: SelectionConfig
+    corpus: Sequence[CandidateSet], target: float, cfg: SelectionConfig, steps=None
 ) -> float:
     """Find a threshold whose mean prediction length best meets target.
 
@@ -185,14 +196,15 @@ def bisect_threshold(
     predictions rather than fewer). Raises if even keeping every
     candidate is too few.
 
-    With k the fewest extra scores (see _length_steps) that lift the
+    With k the fewest extra scores (see length_steps) that lift the
     mean to the target, tau is the float just below the k-th largest of
     them (so exactly the extra scores >= that one are kept); with k = 0
-    it is the largest candidate score.
+    it is the largest candidate score. steps is length_steps(corpus,
+    cfg), if the caller already built it.
     """
-    if math.isnan(target):
-        raise ConfigError("target_mean_len must be a number, got nan")
-    base, extra = _length_steps(corpus, cfg)
+    if not math.isfinite(target):
+        raise ConfigError(f"target_mean_len must be a finite number, got {target}")
+    base, extra = length_steps(corpus, cfg) if steps is None else steps
     if target < cfg.min_len:
         raise ConfigError(f"target {target} below min_len {cfg.min_len}")
     levels = (base + np.arange(len(extra) + 1)) / len(corpus)

@@ -18,7 +18,7 @@ the same seed differ only in noise magnitude.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -74,14 +74,28 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class Quadrat:
-    """One synthetic plot; cells is None for feature-less stubs whose
-    logits come entirely from a cache."""
+    """One synthetic plot.
+
+    Generated quadrats hold their cells. A quadrat read from a features
+    file has cells None and a load_cells that parses them on first use
+    (see formats.load_quadrat_features). With neither, it is a
+    feature-less stub whose logits come entirely from a cache.
+    """
 
     quadrat_id: str
     transect_id: str
     grid_cells: int
     cells: Optional[np.ndarray]  # (grid, grid, feature_dim)
     truth: frozenset = field(default_factory=frozenset)
+    load_cells: Optional[Callable[[], np.ndarray]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def features(self) -> Optional[np.ndarray]:
+        """The (grid, grid, feature_dim) cells, loaded if need be; None for a stub."""
+        if self.cells is None and self.load_cells is not None:
+            return self.load_cells()
+        return self.cells
 
 
 @dataclass(frozen=True)
@@ -171,12 +185,13 @@ class HeadRegistry:
 
 def tile_features(q: Quadrat, t: TileRef) -> np.ndarray:
     """Mean of the cell feature vectors inside the tile's rectangle."""
-    if q.cells is None:
+    cells = q.features()
+    if cells is None:
         raise QuadfloraError(f"quadrat {q.quadrat_id} has no feature grid")
     r = t.rect
     if not Rect(0, 0, q.grid_cells, q.grid_cells).contains(r):
         raise GeometryError(f"tile {r!r} outside quadrat {q.quadrat_id}")
-    return q.cells[r.y0 : r.y1, r.x0 : r.x1].mean(axis=(0, 1))
+    return cells[r.y0 : r.y1, r.x0 : r.x1].mean(axis=(0, 1))
 
 
 def _two_layer_of(weight: np.ndarray) -> TwoLayerHead:

@@ -186,6 +186,123 @@ class TestInfer:
         assert all(captured.err == "" for captured in outputs["run"][2:])
 
 
+def infer_argv(cfg, data, out, *extra):
+    return ["infer", "--config", str(cfg), "--data", str(data), "--out", str(out), *extra]
+
+
+def fresh_cache_submission(tmp_path, cfg, data, name="fresh"):
+    """The submission of a run that starts from an empty logit cache."""
+    out = tmp_path / f"{name}.csv"
+    cache = tmp_path / f"{name}-cache" / "logit_cache.csv"
+    cache.parent.mkdir()
+    assert main(infer_argv(cfg, data, out, "--cache", str(cache))) == 0
+    return out.read_bytes()
+
+
+class TestCacheFingerprint:
+    def test_regenerated_corpus_gets_fresh_logits(self, tmp_path, capsys):
+        # gen seed 1 -> infer -> gen seed 2 into the same directory -> infer
+        gen_cfg = tmp_path / "gen.cfg"
+        gen_cfg.write_text(GEN_CFG)
+        data = tmp_path / "data"
+        cfg = run_cfg_file(tmp_path)
+        for seed in ("1", "2"):
+            assert main(["gen", "--config", str(gen_cfg), "--out", str(data), "--seed", seed]) == 0
+            capsys.readouterr()
+            assert main(infer_argv(cfg, data, tmp_path / f"seed{seed}.csv")) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: logit cache")
+        assert (tmp_path / "seed2.csv").read_bytes() == fresh_cache_submission(tmp_path, cfg, data)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            "sidecar_deleted", "cache_edited", "overlap_changed", "heads_regenerated",
+            "features_regenerated",
+        ],
+    )
+    def test_stale_cache_is_dropped(self, gen_dir, tmp_path, capsys, change):
+        cfg = run_cfg_file(tmp_path)
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
+        cache = gen_dir / "logit_cache.csv"
+        if change == "sidecar_deleted":
+            os.remove(str(cache) + ".fingerprint")
+        elif change == "cache_edited":
+            lines = cache.read_text().splitlines()
+            for i, line in enumerate(lines[1:], start=1):
+                head, values = line.rsplit(",", 1)
+                lines[i] = head + "," + ";".join("0" for _ in values.split(";"))
+            cache.write_text("\n".join(lines) + "\n")
+        elif change == "overlap_changed":
+            cfg = run_cfg_file(tmp_path, RUN_CFG + "overlap_frac = 0.25\n")
+        else:
+            gen_cfg = tmp_path / "gen.cfg"
+            gen_cfg.write_text(GEN_CFG)
+            other = tmp_path / "other"
+            assert main(["gen", "--config", str(gen_cfg), "--out", str(other), "--seed", "8"]) == 0
+            name = "heads.csv" if change == "heads_regenerated" else "quadrats.csv"
+            (gen_dir / name).write_bytes((other / name).read_bytes())
+        capsys.readouterr()
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "warm.csv")) == 0
+        warned = capsys.readouterr().err.splitlines()
+        assert len(warned) == 1 and warned[0].startswith(f"warning: logit cache {cache}")
+        fresh = fresh_cache_submission(tmp_path, cfg, gen_dir)
+        assert (tmp_path / "warm.csv").read_bytes() == fresh
+        # the rewritten cache is trusted by the next run
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "again.csv")) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+
+    def test_bad_feature_value_after_cold_run_fails(self, gen_dir, tmp_path):
+        cfg = run_cfg_file(tmp_path)
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
+        cache = gen_dir / "logit_cache.csv"
+        sidecar = gen_dir / "logit_cache.csv.fingerprint"
+        written = cache.read_bytes(), sidecar.read_bytes()
+        features = gen_dir / "quadrats.csv"
+        lines = features.read_text().splitlines(keepends=True)
+        head, values = lines[7].rsplit(",", 1)
+        lines[7] = head + ",nan;" + values.split(";", 1)[1]
+        features.write_text("".join(lines))
+        out = tmp_path / "warm.csv"
+        err = assert_cli_error(*infer_argv(cfg, gen_dir, out))
+        assert f"error: {features}:8: non-finite value" in err
+        assert not out.exists()
+        assert (cache.read_bytes(), sidecar.read_bytes()) == written
+
+    def test_warm_run_parses_no_features_and_writes_nothing(
+        self, gen_dir, tmp_path, monkeypatch
+    ):
+        from quadflora import formats, pipeline
+
+        parsed, heads = [], []
+        parse_values, head_logits = formats._parse_values, pipeline.head_logits
+
+        def counting_parse(field, where):
+            parsed.append(where)
+            return parse_values(field, where)
+
+        def counting_heads(*args):
+            heads.append(args[1])
+            return head_logits(*args)
+
+        monkeypatch.setattr(formats, "_parse_values", counting_parse)
+        monkeypatch.setattr(pipeline, "head_logits", counting_heads)
+        features = str(gen_dir / "quadrats.csv")
+        cfg = run_cfg_file(tmp_path)
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
+        assert any(where.startswith(features + ":") for where in parsed) and heads
+        files = [gen_dir / "logit_cache.csv", gen_dir / "logit_cache.csv.fingerprint"]
+        stats = [(os.stat(f).st_ino, os.stat(f).st_mtime_ns) for f in files]
+        parsed.clear()
+        heads.clear()
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "warm.csv")) == 0
+        assert not any(where.startswith(features + ":") for where in parsed)
+        assert heads == []
+        assert [(os.stat(f).st_ino, os.stat(f).st_mtime_ns) for f in files] == stats
+        assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+
+
 class TestEval:
     def test_perfect_score(self, gen_dir, tmp_path, capsys):
         gt = gen_dir / "groundtruth.csv"

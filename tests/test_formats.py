@@ -10,7 +10,7 @@ from quadflora import formats
 from quadflora._util import _canonical9_text, canonical9, fmt9_array
 from quadflora.cli import main
 from quadflora.ensemble import HeadSelection
-from quadflora.errors import ConfigError, DuplicatePredictionError, FormatError
+from quadflora.errors import ConfigError, DuplicatePredictionError, FormatError, ShapeError
 from quadflora.metric import GroundTruthTable
 from quadflora.selection import PredictionSet
 from quadflora.synthworld import SynthConfig, gen_world
@@ -27,13 +27,13 @@ class TestCanonicalFloats:
         )
         once = canonical9(v)
         np.testing.assert_array_equal(canonical9(once), once)
-        assert (fmt9_array(once) == fmt9_array(v)).all()
+        assert fmt9_array(once) == fmt9_array(v)
 
     def test_parse_of_rendering_recovers_canonical(self):
         rng = np.random.default_rng(1)
         v = rng.standard_normal(2000) * 1e6
         rendered = fmt9_array(canonical9(v))
-        np.testing.assert_array_equal(rendered.astype(np.float64), canonical9(v))
+        np.testing.assert_array_equal(np.array(rendered, dtype=np.float64), canonical9(v))
 
     def test_precision_within_nine_digits(self):
         v = np.array([123456789.123, -0.000123456789123, 3.141592653589793])
@@ -193,7 +193,7 @@ class TestFeatures:
         for a, b in zip(loaded, quads):
             assert a.transect_id == b.transect_id
             # written at 9 significant digits
-            np.testing.assert_allclose(a.cells, b.cells, rtol=1e-8)
+            np.testing.assert_allclose(a.features(), b.cells, rtol=1e-8)
 
     def test_loaded_features_are_canonical(self, world, tmp_path):
         _, quads, _ = world
@@ -202,6 +202,53 @@ class TestFeatures:
         once = formats.load_quadrat_features(path)
         formats.write_quadrat_features(once, tmp_path / "feat2.csv")
         assert path.read_bytes() == (tmp_path / "feat2.csv").read_bytes()
+
+    def test_values_parsed_on_first_use(self, tmp_path):
+        p = tmp_path / "feat.csv"
+        p.write_text(
+            "quadrat_id,transect_id,grid_cells,feature_dim,row,col,values\n"
+            "q0,t0,1,2,0,0,1.5;2\n"
+            "q1,t0,1,2,0,0,1.5;nan\n"
+        )
+        q0, q1 = formats.load_quadrat_features(p)
+        assert q0.cells is None and q1.cells is None
+        np.testing.assert_array_equal(q0.features(), [[[1.5, 2.0]]])
+        with pytest.raises(FormatError, match=f"^{p}:3: non-finite value$"):
+            q1.features()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("q0,t0,1,2,0,0,1.5", "expected 2 values, got 1"),
+            ("q0,t0,1,2,0,1,1;2", r"cell \(0,1\) outside 1x1 grid"),
+            ("q0,t0,0,2,0,0,1;2", "grid size and feature dim must be >= 1"),
+            ("q0,t0,1,x,0,0,1;2", "bad integer field"),
+        ],
+    )
+    def test_rows_checked_on_load(self, tmp_path, row, message):
+        p = tmp_path / "feat.csv"
+        p.write_text("quadrat_id,transect_id,grid_cells,feature_dim,row,col,values\n" + row + "\n")
+        with pytest.raises(FormatError, match=f"^{p}:2: {message}"):
+            formats.load_quadrat_features(p)
+
+    def test_digest_follows_each_quadrats_text(self, world, tmp_path):
+        _, quads, _ = world
+        path = tmp_path / "feat.csv"
+        formats.write_quadrat_features(quads, path)
+
+        def digests():
+            return [q.load_cells.digest for q in formats.load_quadrat_features(path)]
+
+        before = digests()
+        assert digests() == before and len(set(before)) == len(before)
+        lines = path.read_text().splitlines(keepends=True)
+        qid = quads[1].quadrat_id
+        i = next(i for i, line in enumerate(lines) if line.startswith(qid + ","))
+        head, values = lines[i].rsplit(",", 1)
+        lines[i] = head + "," + "0;" + values.split(";", 1)[1]
+        path.write_text("".join(lines))
+        after = digests()
+        assert [a != b for a, b in zip(after, before)] == [q.quadrat_id == qid for q in quads]
 
     def test_missing_cell_rejected(self, tmp_path):
         p = tmp_path / "feat.csv"
@@ -231,6 +278,24 @@ class TestHeadRegistry:
             two.w2, registry.heads["genus"]["mlp2"].w2, rtol=1e-8
         )
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["species,h,b,0,0;0", "species,h,w,0,1;2", "species,h,w,1,3"], "differ in length"),
+            (["species,h,b,0,0;0;0", "species,h,w,0,1;2", "species,h,w,1,3;4"], "inconsistent"),
+            (
+                ["genus,h,b1,0,0", "genus,h,w1,0,1;2", "genus,h,b2,0,0", "genus,h,w2,0,1;2"],
+                "inconsistent",
+            ),
+        ],
+    )
+    def test_mismatched_arrays_rejected(self, tmp_path, rows, message):
+        # these used to end in a numpy ValueError, at load or at inference
+        p = tmp_path / "heads.csv"
+        p.write_text("level,head_id,param,row,values\n" + "\n".join(rows) + "\n")
+        with pytest.raises(FormatError, match=message):
+            formats.load_head_registry(p)
+
     def test_unknown_param_rejected(self, tmp_path):
         p = tmp_path / "heads.csv"
         p.write_text("level,head_id,param,row,values\nspecies,h,w3,0,1.0\n")
@@ -243,18 +308,66 @@ class TestCache:
         path = tmp_path / "cache.csv"
         cache = formats.LogitCache(path)
         rng = np.random.default_rng(3)
-        from quadflora._util import canonical9
-
         for i in range(5):
-            key = ("m", f"q{i}", "10", 4, i % 4, i // 4, "species")
-            cache.put(key, canonical9(rng.standard_normal(7)))
+            key = ("m", f"q{i}", "10", 2, "species")
+            cache.put(key, canonical9(rng.standard_normal((4, 7))))
         cache.save()
         loaded = formats.LogitCache.load(path)
-        assert len(loaded) == 5
-        for key in cache._data:
-            np.testing.assert_array_equal(loaded.get(key), cache.get(key))
+        assert len(loaded) == 20
+        for key, block in cache._data.items():
+            np.testing.assert_array_equal(loaded.get(key), block)
         loaded.save(tmp_path / "cache2.csv")
         assert path.read_bytes() == (tmp_path / "cache2.csv").read_bytes()
+
+    def test_file_rows_sorted_by_tile_then_level(self, tmp_path):
+        path = tmp_path / "cache.csv"
+        cache = formats.LogitCache(path)
+        cache.put(("m", "q0", "0", 2, "species"), np.array([[1.0], [2.0], [3.0], [4.0]]))
+        cache.put(("m", "q0", "0", 2, "genus"), np.array([[5.0], [6.0], [7.0], [8.0]]))
+        cache.put(("m", "q0", "0", 1, "species"), np.array([[0.5, 0.25]]))
+        cache.save()
+        assert path.read_text().splitlines()[1:] == [
+            "m,q0,0,1,0,0,species,0.5;0.25",
+            "m,q0,0,2,0,0,genus,5",
+            "m,q0,0,2,0,0,species,1",
+            "m,q0,0,2,0,1,genus,6",
+            "m,q0,0,2,0,1,species,2",
+            "m,q0,0,2,1,0,genus,7",
+            "m,q0,0,2,1,0,species,3",
+            "m,q0,0,2,1,1,genus,8",
+            "m,q0,0,2,1,1,species,4",
+        ]
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["drop", "out_of_range", "wrong_length"],
+    )
+    def test_incomplete_grid_is_dropped_on_load(self, tmp_path, edit):
+        path = tmp_path / "cache.csv"
+        cache = formats.LogitCache(path)
+        cache.put(("m", "q0", "0", 2, "species"), np.arange(8.0).reshape(4, 2))
+        cache.put(("m", "q1", "0", 2, "species"), np.arange(8.0).reshape(4, 2))
+        cache.save()
+        lines = path.read_text().splitlines()
+        assert lines[1] == "m,q0,0,2,0,0,species,0;1"
+        lines[1] = {
+            "drop": "",
+            "out_of_range": "m,q0,0,2,2,0,species,0;1",
+            "wrong_length": "m,q0,0,2,0,0,species,0",
+        }[edit]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.warns(UserWarning, match=r"dropped 1 of 2 grids \(1 for missing rows\)"):
+            loaded = formats.LogitCache.load(path)
+        assert loaded.get(("m", "q0", "0", 2, "species")) is None
+        np.testing.assert_array_equal(
+            loaded.get(("m", "q1", "0", 2, "species")), np.arange(8.0).reshape(4, 2)
+        )
+
+    def test_block_must_fill_its_grid(self):
+        cache = formats.LogitCache()
+        for block in (np.zeros((3, 2)), np.zeros(4), np.zeros((4, 2, 1))):
+            with pytest.raises(ShapeError):
+                cache.put(("m", "q0", "0", 2, "species"), block)
 
     def test_missing_file_is_empty(self, tmp_path):
         assert len(formats.LogitCache.load(tmp_path / "nope.csv")) == 0
@@ -263,11 +376,11 @@ class TestCache:
         path = tmp_path / "cache.csv"
         cache = formats.LogitCache(path)
         row = canonical9(np.random.default_rng(4).standard_normal(11_000))
-        cache.put(("m", "q0", "0", 1, 0, 0, "species"), row)
+        cache.put(("m", "q0", "0", 1, "species"), row[None, :])
         cache.save()
         assert path.stat().st_size > 131072
         loaded = formats.LogitCache.load(path)
-        np.testing.assert_array_equal(loaded.get(("m", "q0", "0", 1, 0, 0, "species")), row)
+        np.testing.assert_array_equal(loaded.get(("m", "q0", "0", 1, "species")), [row])
         loaded.save(tmp_path / "cache2.csv")
         assert path.read_bytes() == (tmp_path / "cache2.csv").read_bytes()
 
@@ -291,13 +404,13 @@ class TestCache:
 
         path = tmp_path / "cache.csv"
         cache = formats.LogitCache(path)
-        cache.put(("m", "q0", "10", 4, 0, 0, "species"), np.array([1.0, 2.0]))
+        cache.put(("m", "q0", "10", 1, "species"), np.array([[1.0, 2.0]]))
         cache.save()
         inode = os.stat(path).st_ino
         warm = formats.LogitCache.load(path)
         warm.save()  # nothing changed: the file must not be replaced
         assert os.stat(path).st_ino == inode
-        warm.put(("m", "q0", "10", 4, 0, 1, "species"), np.array([3.0]))
+        warm.put(("m", "q1", "10", 1, "species"), np.array([[3.0]]))
         warm.save()
         assert os.stat(path).st_ino != inode
         assert len(formats.LogitCache.load(path)) == 2

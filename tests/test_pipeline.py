@@ -22,7 +22,14 @@ from quadflora.pipeline import (
     run,
     select_predictions,
 )
-from quadflora.selection import SelectionConfig
+from quadflora.selection import (
+    SelectionConfig,
+    apply_threshold,
+    bisect_threshold,
+    length_steps,
+    mean_prediction_length,
+    zscore_normalize,
+)
 from quadflora.synthworld import (
     LEVELS,
     Quadrat,
@@ -105,32 +112,32 @@ def two_models(registry):
 
 def per_row_cache(quads, cfg, models):
     """A cache filled by the per-row logit path: each tile's heads applied
-    to its feature vector (GEMV), each row rounded by its own canonical9.
+    to its feature vector (GEMV), each row rounded by its own canonical9,
+    the rows of a grid stacked into its block.
 
-    Inference that reads every row from this cache is that path's result,
-    so it serves as the oracle for the one-GEMM-per-grid path."""
+    Inference that reads every grid from this cache is that path's
+    result, so it serves as the oracle for the one-GEMM-per-grid path."""
     cache = LogitCache()
     for q in quads:
         image = Rect(0, 0, q.grid_cells, q.grid_cells)
         for crop_frac in cfg.crop_fracs:
             region = central_crop(image, CropSpec(crop_frac))
             for scale in set(cfg.scales):
-                for t in tile_grid(region, GridSpec(scale, cfg.overlap_frac)):
-                    f = tile_features(q, t)
-                    for model in models:
-                        for level in LEVELS:
-                            if model.head_for(level) is not None:
-                                key = (
-                                    model.model_id, q.quadrat_id, crop_key(crop_frac),
-                                    t.scale, t.row, t.col, level,
-                                )
-                                cache.put(key, canonical9(head_logits(model, level, f)))
+                grid = tile_grid(region, GridSpec(scale, cfg.overlap_frac))
+                features = [tile_features(q, t) for t in grid]
+                for model in models:
+                    for level in LEVELS:
+                        if model.head_for(level) is not None:
+                            key = (model.model_id, q.quadrat_id, crop_key(crop_frac), scale, level)
+                            rows = [canonical9(head_logits(model, level, f)) for f in features]
+                            cache.put(key, np.vstack(rows))
     return cache
 
 
 def per_tile_oracle(q, cfg, tax, models, cache):
     """The pipeline composed from the per-tile oracle functions over the
     cached logit rows, one tile at a time."""
+    rows = dict(cache.rows())
     image = Rect(0, 0, q.grid_cells, q.grid_cells)
     members = []
     for crop_frac in cfg.crop_fracs:
@@ -143,7 +150,7 @@ def per_tile_oracle(q, cfg, tax, models, cache):
                 grid = {}
                 for t in tile_grid(region, spec):
                     levels = {
-                        lvl: cache.get(
+                        lvl: rows.get(
                             (model.model_id, q.quadrat_id, crop, t.scale, t.row, t.col, lvl)
                         )
                         for lvl in ("species", "genus", "family")
@@ -298,7 +305,7 @@ class TestInferQuadrat:
             assert select_predictions(got, c, groups)[0] == want
 
     @pytest.mark.parametrize("rounding", ["canonical9", "none"])
-    def test_cached_rows_depend_on_key_alone(self, noisy_world, monkeypatch, rounding):
+    def test_cached_rows_depend_on_key_alone(self, noisy_world, monkeypatch, tmp_path, rounding):
         # GEMM bits can depend on the batch size, so each grid is always
         # one batch. Without rounding, any other batching shows in the bits.
         if rounding == "none":
@@ -308,14 +315,13 @@ class TestInferQuadrat:
         cfg = RunConfig(scales=(4, 5), crop_fracs=(0.0, 0.10), kernel_w=0.5)
         ref = LogitCache()
         infer_corpus(quads, cfg, tax, models, ref)
-        keys = sorted(ref._data)
+        ref_rows = dict(ref.rows())
 
-        def assert_rows_match_ref(cache, n_rows=len(keys)):
-            assert len(cache) == n_rows
-            for key in cache._data:
-                np.testing.assert_array_equal(
-                    cache.get(key).view(np.int64), ref.get(key).view(np.int64)
-                )
+        def assert_rows_match_ref(cache, n_rows=len(ref_rows)):
+            rows = cache.rows()
+            assert len(rows) == len(cache) == n_rows
+            for key, values in rows:
+                np.testing.assert_array_equal(values.view(np.int64), ref_rows[key].view(np.int64))
 
         for changed in (
             dict(scales=(4,)),
@@ -324,18 +330,27 @@ class TestInferQuadrat:
         ):
             cache = LogitCache()
             infer_corpus(quads, dataclasses.replace(cfg, **changed), tax, models, cache)
-            n_rows = sum(k[3] in changed.get("scales", (4, 5)) for k in keys)
+            n_rows = sum(k[3] in changed.get("scales", (4, 5)) for k in ref_rows)
             assert_rows_match_ref(cache, n_rows)
 
-        warm = LogitCache()
-        dropped = set(keys[::97])
-        for key in keys:
-            if key not in dropped:
-                warm.put(key, ref.get(key))
+        # A grid that lost a row in the file is dropped on load and
+        # recomputed whole, with the same bits; complete grids are used as read.
+        ref.save(tmp_path / "ref.csv")
+        lines = (tmp_path / "ref.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "warm.csv").write_text(
+            lines[0] + "".join(line for i, line in enumerate(lines[1:]) if i % 97)
+        )
+        with pytest.warns(UserWarning, match="missing rows"):
+            warm = LogitCache.load(tmp_path / "warm.csv")
+        loaded = dict(warm._data)
+        assert 0 < len(loaded) < len(ref._data)
         infer_corpus(quads, cfg, tax, models, warm)
-        assert_rows_match_ref(warm)
-        # hit rows are kept as they were; only missing rows are put
-        assert all(warm.get(k) is ref.get(k) for k in keys if k not in dropped)
+        assert warm._data.keys() == ref._data.keys()
+        for key, block in ref._data.items():
+            if key in loaded:
+                assert warm.get(key) is loaded[key]
+            else:
+                np.testing.assert_array_equal(warm.get(key).view(np.int64), block.view(np.int64))
 
     def test_models_with_different_levels_are_incongruent(self, world):
         tax, quads, registry = world
@@ -387,6 +402,40 @@ class TestBenchmarkHooks:
             for name in ("ensemble.bag", "selection.collect_candidates"):
                 assert calls[name] == len(quads), name
             assert calls["fusion.fuse"] == (len(quads) if channel == "fused" else 0)
+
+
+class TestSelectPredictions:
+    @pytest.mark.parametrize(
+        "sel",
+        [
+            SelectionConfig(target_mean_len=3.0, max_len=9),
+            SelectionConfig(target_mean_len=2.5, min_len=2, zscore=True),
+            SelectionConfig(min_logit=-9.0),
+            SelectionConfig(),
+        ],
+    )
+    def test_one_step_function_per_calibration(self, world, monkeypatch, sel):
+        tax, quads, registry = world
+        cfg = RunConfig(scales=(4, 5), crop_fracs=(0.0,), selection=sel)
+        candidates = infer_corpus(quads, cfg, tax, default_models(registry))
+        built = []
+
+        def counting_steps(corpus, c):
+            built.append(1)
+            return length_steps(corpus, c)
+
+        monkeypatch.setattr(pipeline, "length_steps", counting_steps)
+        preds, tau, achieved = select_predictions(candidates, cfg)
+        assert len(built) == 1
+        scored = [zscore_normalize(c) for c in candidates] if sel.zscore else candidates
+        if sel.target_mean_len is not None:
+            expected_tau = bisect_threshold(scored, sel.target_mean_len, sel)
+        else:
+            expected_tau = -np.inf if sel.min_logit is None else sel.min_logit
+        expected = mean_prediction_length(scored, expected_tau, sel)
+        assert np.float64(tau).view(np.int64) == np.float64(expected_tau).view(np.int64)
+        assert np.float64(achieved).view(np.int64) == np.float64(expected).view(np.int64)
+        assert preds == [apply_threshold(c, tau, sel) for c in scored]
 
 
 class TestRun:
@@ -512,11 +561,13 @@ class TestCache:
     def test_cached_row_of_wrong_length_fails(self, world):
         tax, quads, registry = world
         models = default_models(registry)
-        cfg = RunConfig(scales=(2,), selection=SelectionConfig(channel="raw"))
+        cfg = RunConfig(scales=(2, 3), selection=SelectionConfig(channel="raw"))
         cache = LogitCache()
         infer_quadrat(quads[0], cfg, tax, models, cache)
-        key = (models[0].model_id, quads[0].quadrat_id, "0", 2, 1, 1, "species")
-        cache.put(key, cache.get(key)[:-1])
+        key = (models[0].model_id, quads[0].quadrat_id, "0", 2, "species")
+        with pytest.raises(ShapeError):
+            cache.put(key, cache.get(key)[:-1])  # a row short of the 2 x 2 grid
+        cache.put(key, cache.get(key)[:, :-1])
         with pytest.raises(ShapeError):
             infer_quadrat(quads[0], cfg, tax, models, cache)
 

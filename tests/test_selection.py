@@ -179,6 +179,12 @@ class TestApplyThreshold:
         out = apply_threshold(c, float("-inf"), SelectionConfig(max_len=2))
         assert out.species == (2, 4)
 
+    def test_nan_threshold_is_config_error(self):
+        c = cands("a", {0: 1.0, 1: 0.5})
+        with pytest.raises(ConfigError, match="threshold must be a number, got nan"):
+            apply_threshold(c, math.nan, SelectionConfig())
+        assert apply_threshold(c, -math.inf, SelectionConfig()).species == (0, 1)
+
     def test_size_bounds_property(self):
         rng = np.random.default_rng(1)
         cfg = SelectionConfig(max_len=5, min_len=2)
@@ -226,6 +232,17 @@ class TestBisect:
             bisect_threshold(self.corpus(), math.nan, SelectionConfig())
         with pytest.raises(ConfigError, match="got nan"):
             bisect_threshold([cands("a", {0: 1.0, 1: 0.5})], float("nan"), SelectionConfig())
+
+    def test_infinite_target_is_config_error(self):
+        for target in (math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=f"finite number, got {target}"):
+                bisect_threshold([cands("a", {0: 1.0, 1: 0.5})], target, SelectionConfig())
+
+    def test_mean_length_at_nan_threshold_is_config_error(self):
+        corpus = [cands("a", {0: 1.0, 1: 0.5})]
+        with pytest.raises(ConfigError, match="threshold must be a number, got nan"):
+            mean_prediction_length(corpus, math.nan, SelectionConfig())
+        assert mean_prediction_length(corpus, -math.inf, SelectionConfig()) == 2.0
 
     def test_target_below_min_len(self):
         with pytest.raises(ConfigError):
