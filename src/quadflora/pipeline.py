@@ -38,10 +38,17 @@ from .selection import (
     CandidateSet,
     PredictionSet,
     SelectionConfig,
+    collect_candidates,
+    select_corpus,
+)
+
+# Bound here, though select_predictions runs the array path of
+# select_corpus, so that callers looking the per-step selection
+# functions up on this module (the benchmark's tracer patches them
+# here) still find them.
+from .selection import (  # noqa: F401
     apply_threshold,
     bisect_threshold,
-    collect_candidates,
-    length_steps,
     mean_prediction_length,
     metadata_merge,
     zscore_normalize,
@@ -177,23 +184,7 @@ def select_predictions(
 
     Returns (predictions, threshold, achieved mean prediction length).
     """
-    sel = cfg.selection
-    if sel.zscore:
-        candidates = [zscore_normalize(c) for c in candidates]
-    steps = length_steps(candidates, sel)
-    if sel.target_mean_len is not None:
-        tau = bisect_threshold(candidates, sel.target_mean_len, sel, steps)
-    elif sel.min_logit is not None:
-        tau = sel.min_logit
-    else:
-        tau = float("-inf")
-    preds = [apply_threshold(c, tau, sel) for c in candidates]
-    achieved = mean_prediction_length(candidates, tau, sel, steps)
-    if sel.merge_k is not None:
-        if groups is None:
-            raise ConfigError("metadata merging needs a quadrat -> group mapping")
-        preds = metadata_merge(preds, groups, sel.merge_k)
-    return preds, tau, achieved
+    return select_corpus(candidates, cfg.selection, groups)
 
 
 def run(

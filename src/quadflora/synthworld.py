@@ -17,6 +17,7 @@ depend on noise_sigma (it only scales it), so corpora generated from
 the same seed differ only in noise magnitude.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -50,8 +51,10 @@ class SynthConfig:
             raise ConfigError("need n_species >= n_genera >= n_families >= 1")
         if self.feature_dim < 1:
             raise ConfigError("feature_dim must be >= 1")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ConfigError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_quadrats < 1 or self.quadrats_per_transect < 1:
             raise ConfigError("need at least one quadrat and one per transect")
         if not 1 <= self.richness_min <= self.richness_max:

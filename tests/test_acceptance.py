@@ -14,6 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+import per_quadrat
 import quadflora as qf
 from quadflora.cli import main
 from quadflora.ensemble import bag, kernel_smooth
@@ -166,14 +167,21 @@ class TestCriterion4Calibration:
             elapsed = time.perf_counter() - start
             assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
+            # the sweep runs the per-quadrat apply_threshold, code apart
+            # from the library's array path
             def oracle_mean_length(t):
                 return float(
-                    np.mean([len(qf.apply_threshold(c, t, cfg).species) for c in corpus])
+                    np.mean(
+                        [len(per_quadrat.apply_threshold(c, t, cfg).species) for c in corpus]
+                    )
                 )
 
             achieved = oracle_mean_length(tau)
             assert achieved >= 4.0
             assert mean_prediction_length(corpus, tau, cfg) == achieved
+            assert [qf.apply_threshold(c, tau, cfg) for c in corpus] == [
+                per_quadrat.apply_threshold(c, tau, cfg) for c in corpus
+            ]
 
             scores = np.unique(
                 np.concatenate([c.scores() for c in corpus])

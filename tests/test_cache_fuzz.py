@@ -1,9 +1,12 @@
-"""Inputs mutated between a cold and a warm `infer`.
+"""Inputs mutated before `infer` and `eval`.
 
-Whatever happens to the features, the heads, the logit cache or its
-fingerprint, the warm run either fails with one `error:` line and
-writes nothing, or gives the submission of a fresh-cache run on the
-mutated data.
+Whatever happens to the features, the heads, the taxonomy, the logit
+cache or its fingerprint between a cold and a warm `infer`, the warm
+run either fails with one `error:` line and writes nothing, or gives
+the submission of a fresh-cache run on the mutated data. The same
+contract (exit 0 or 2, at most one `error:` line, no traceback, no
+partly written output) holds for `eval` after the ground truth or the
+submission is mutated, and for `infer` after the run config is.
 """
 
 import contextlib
@@ -16,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from quadflora import formats
 from quadflora.cli import main
 
 GEN_CFG = """\
@@ -41,8 +45,14 @@ target_mean_len = 2.0
 max_len = 5
 """
 
-FILES = ("quadrats.csv", "heads.csv", "logit_cache.csv", "logit_cache.csv.fingerprint")
-KINDS = ("truncate", "flip", "duplicate", "token")
+FILES = (
+    "quadrats.csv",
+    "heads.csv",
+    "taxonomy.csv",
+    "logit_cache.csv",
+    "logit_cache.csv.fingerprint",
+)
+KINDS = ("truncate", "flip", "duplicate", "token", "width")
 
 
 def run(argv):
@@ -74,6 +84,10 @@ def mutate(data: bytes, kind: str, pos: int, bit: int, token: bytes) -> bytes:
     i = pos % len(lines)
     if kind == "duplicate":
         return b"\n".join(lines[: i + 1] + lines[i:])
+    if kind == "width":  # one field more or one fewer on one line
+        line = lines[i]
+        lines[i] = line[: line.rfind(b",")] if bit % 2 and b"," in line else line + b"," + token
+        return b"\n".join(lines)
     # replace the text after one separator of a line with a non-finite token
     line = lines[i]
     cuts = [j for j, ch in enumerate(line) if ch in b",;:"]
@@ -84,8 +98,19 @@ def mutate(data: bytes, kind: str, pos: int, bit: int, token: bytes) -> bytes:
     return b"\n".join(lines)
 
 
+def holds_contract(code, err, tmp, output) -> bool:
+    """Assert the error contract; True if the command succeeded."""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert code in (0, 2)
+    assert len(errors) == (code == 2)
+    assert "Traceback" not in err
+    assert not list(tmp.rglob(".tmp-*"))
+    assert output.exists() == (code == 0)
+    return code == 0
+
+
 @settings(
-    max_examples=60,
+    max_examples=80,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
@@ -110,16 +135,87 @@ def test_warm_infer_after_mutation(cold, name, kind, pos, bit, token):
         infer = ["infer", "--config", cold / "run.cfg", "--data", data]
 
         code, err = run(infer + ["--out", tmp / "warm.csv"])
-        errors = [line for line in err.splitlines() if line.startswith("error:")]
-        assert code in (0, 2)
-        assert len(errors) == (code == 2)
-        assert "Traceback" not in err
-        assert not list(tmp.rglob(".tmp-*"))
-        if code == 2:
-            assert not (tmp / "warm.csv").exists()
+        if not holds_contract(code, err, tmp, tmp / "warm.csv"):
             return
         fresh = tmp / "fresh"
         fresh.mkdir()
         code, _ = run(infer + ["--out", tmp / "fresh.csv", "--cache", fresh / "cache.csv"])
         assert code == 0
         assert (tmp / "warm.csv").read_bytes() == (tmp / "fresh.csv").read_bytes()
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    name=st.sampled_from(["groundtruth.csv", "cold.csv"]),
+    kind=st.sampled_from(KINDS),
+    pos=st.integers(0, 2**32),
+    bit=st.integers(0, 7),
+    token=st.sampled_from([b"nan", b"-1", b"x", b""]),
+)
+def test_eval_after_mutation(cold, name, kind, pos, bit, token):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for path in (cold / "cold.csv", cold / "data" / "groundtruth.csv"):
+            shutil.copy(path, tmp)
+        target = tmp / name
+        target.write_bytes(mutate(target.read_bytes(), kind, pos, bit, token))
+        report = tmp / "report.json"
+        code, err = run(
+            ["eval", tmp / "cold.csv", tmp / "groundtruth.csv", "--report", report]
+        )
+        holds_contract(code, err, tmp, report)
+
+
+BAD_VALUES = ("", "nan", "inf", "-inf", "-1", "0", "1e400", "x", "2,,4", "+", "- 1")
+
+
+def infer_with_config(cold, tmp, text: bytes):
+    (tmp / "run.cfg").write_bytes(text)
+    shutil.copytree(cold / "data", tmp / "data")
+    out = tmp / "out.csv"
+    code, err = run(["infer", "--config", tmp / "run.cfg", "--data", tmp / "data", "--out", out])
+    holds_contract(code, err, tmp, out)
+
+
+@pytest.mark.parametrize("key", formats._RUN_KEYS + ("bisect_iters",))
+def test_every_run_config_key(cold, key):
+    lines = [line for line in RUN_CFG.splitlines() if not line.startswith(key + " ")]
+    for value in BAD_VALUES:
+        with tempfile.TemporaryDirectory() as tmp:
+            text = "\n".join(lines + [f"{key} = {value}"]) + "\n"
+            infer_with_config(cold, Path(tmp), text.encode())
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    kind=st.sampled_from(KINDS),
+    pos=st.integers(0, 2**32),
+    bit=st.integers(0, 7),
+    token=st.sampled_from([b"nan", b"-1", b"x", b"=", b""]),
+)
+def test_run_config_mutation(cold, kind, pos, bit, token):
+    with tempfile.TemporaryDirectory() as tmp:
+        infer_with_config(cold, Path(tmp), mutate(RUN_CFG.encode(), kind, pos, bit, token))
+
+
+@pytest.mark.parametrize("key", tuple(formats._SYNTH_KEYS))
+def test_every_gen_config_key(key):
+    # A corpus that gen writes must read back: infer on it succeeds.
+    lines = [line for line in GEN_CFG.splitlines() if not line.startswith(key + " ")]
+    for value in BAD_VALUES:
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "gen.cfg").write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+            (tmp / "run.cfg").write_text(RUN_CFG)
+            code, err = run(["gen", "--config", tmp / "gen.cfg", "--out", tmp / "data"])
+            if holds_contract(code, err, tmp, tmp / "data"):
+                infer = ["infer", "--config", tmp / "run.cfg", "--data", tmp / "data"]
+                assert run(infer + ["--out", tmp / "out.csv"])[0] == 0, (key, value)

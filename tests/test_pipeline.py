@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import per_tile
-from quadflora import pipeline
+from quadflora import pipeline, selection
 from quadflora._util import _canonical9_text, canonical9
 from quadflora.ensemble import HeadSelection, compose_model
 from quadflora.errors import ConfigError, IncongruentMembersError, QuadfloraError, ShapeError
@@ -26,7 +26,6 @@ from quadflora.selection import (
     SelectionConfig,
     apply_threshold,
     bisect_threshold,
-    length_steps,
     mean_prediction_length,
     zscore_normalize,
 )
@@ -404,6 +403,27 @@ class TestBenchmarkHooks:
             assert calls["fusion.fuse"] == (len(quads) if channel == "fused" else 0)
 
 
+    # Every name perfbench/tracer.py patches on the selection path. The
+    # tracer reads owner.__dict__[name], so an unbound name crashes every
+    # traced benchmark run, which tier-1 does not start.
+    TRACED_SELECTION_NAMES = {
+        pipeline: (
+            "zscore_normalize",
+            "bisect_threshold",
+            "mean_prediction_length",
+            "apply_threshold",
+            "metadata_merge",
+        ),
+        selection: ("mean_prediction_length", "apply_threshold"),
+    }
+
+    def test_traced_selection_names_bound(self):
+        for owner, names in self.TRACED_SELECTION_NAMES.items():
+            for name in names:
+                assert callable(owner.__dict__.get(name)), f"{owner.__name__}.{name}"
+                assert owner.__dict__[name] is selection.__dict__[name]
+
+
 class TestSelectPredictions:
     @pytest.mark.parametrize(
         "sel",
@@ -419,12 +439,13 @@ class TestSelectPredictions:
         cfg = RunConfig(scales=(4, 5), crop_fracs=(0.0,), selection=sel)
         candidates = infer_corpus(quads, cfg, tax, default_models(registry))
         built = []
+        ranking = selection._ranking
 
-        def counting_steps(corpus, c):
+        def counting_ranking(flat):
             built.append(1)
-            return length_steps(corpus, c)
+            return ranking(flat)
 
-        monkeypatch.setattr(pipeline, "length_steps", counting_steps)
+        monkeypatch.setattr(selection, "_ranking", counting_ranking)
         preds, tau, achieved = select_predictions(candidates, cfg)
         assert len(built) == 1
         scored = [zscore_normalize(c) for c in candidates] if sel.zscore else candidates

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import per_quadrat
 from quadflora.errors import (
     ConfigError,
     MissingGroupError,
@@ -15,21 +17,28 @@ from quadflora.selection import (
     CandidateSet,
     PredictionSet,
     SelectionConfig,
+    _flatten,
+    _zscored,
     apply_threshold,
     bisect_threshold,
     collect_candidates,
+    length_steps,
     mean_prediction_length,
     metadata_merge,
+    select_corpus,
     zscore_normalize,
 )
+
 
 def cands(qid, mapping):
     return CandidateSet(quadrat_id=qid, entries=dict(mapping))
 
 
 def oracle_mean_length(corpus, tau, cfg):
-    """Mean prediction length straight from apply_threshold."""
-    return float(np.mean([len(apply_threshold(c, tau, cfg).species) for c in corpus]))
+    """Mean prediction length straight from the per-quadrat apply_threshold."""
+    return float(
+        np.mean([len(per_quadrat.apply_threshold(c, tau, cfg).species) for c in corpus])
+    )
 
 
 def _halving_threshold(corpus, target, cfg, iters=64):
@@ -91,8 +100,8 @@ def calibration_cases(draw):
 
 
 def probe_levels(corpus, cfg):
-    """Oracle: the mean-length step function from apply_threshold, at
-    every candidate score and just below the minimum."""
+    """Oracle: the mean-length step function from the per-quadrat
+    apply_threshold, at every candidate score and just below the minimum."""
     scores = sorted({v for c in corpus for v in c.entries.values()})
     probes = [scores[0] - 1.0] + scores
     return {t: oracle_mean_length(corpus, t, cfg) for t in probes}
@@ -408,3 +417,150 @@ class TestConfig:
             PredictionSet("q", ())
         with pytest.raises(SelectionError):
             PredictionSet("q", (3, 1))
+
+
+def quantised_corpus(rng, n_quadrats, step=1 / 8):
+    """Candidate sets of 1-40 entries with keys in random order and
+    scores on a grid, so exact ties occur within and across quadrats."""
+    corpus = []
+    for i in range(n_quadrats):
+        n = int(rng.integers(1, 41))
+        ids = rng.choice(300, size=n, replace=False)
+        scores = np.round(rng.normal(0.0, rng.uniform(0.2, 3.0), n) / step) * step
+        corpus.append(cands(f"q{i:03d}", zip(ids.tolist(), scores.tolist())))
+    return corpus
+
+
+def assert_same_selection(corpus, sel, groups):
+    """select_corpus equals the per-quadrat oracle bit for bit: the
+    predictions, and tau and the achieved mean as float hex."""
+    try:
+        want_preds, want_tau, want_mean = per_quadrat.select_predictions(corpus, sel, groups)
+    except UnattainableTargetError:
+        with pytest.raises(UnattainableTargetError):
+            select_corpus(corpus, sel, groups)
+        return
+    preds, tau, achieved = select_corpus(corpus, sel, groups)
+    assert preds == want_preds
+    assert float(tau).hex() == float(want_tau).hex()
+    assert float(achieved).hex() == float(want_mean).hex()
+
+
+def selection_configs(min_len, max_len, zscore, merge_k):
+    common = dict(min_len=min_len, max_len=max_len, zscore=zscore, merge_k=merge_k)
+    yield SelectionConfig(**common)
+    yield SelectionConfig(min_logit=0.25, **common)
+    for target in (1.0, 2.5, 4.0, 5.5, 7.0, 9.5):
+        if target >= min_len:
+            yield SelectionConfig(target_mean_len=target, **common)
+
+
+class TestArrayPath:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_per_quadrat_oracle(self, seed):
+        corpus = quantised_corpus(np.random.default_rng(seed), 40)
+        groups = {c.quadrat_id: f"t{i // 5}" for i, c in enumerate(corpus)}
+        for min_len in (1, 2, 3):
+            for max_len in (None, min_len, 9):
+                for zscore in (False, True):
+                    for merge_k in (None, 1, 3):
+                        for sel in selection_configs(min_len, max_len, zscore, merge_k):
+                            assert_same_selection(corpus, sel, groups)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_quadrat_oracle_property(self, data):
+        n_quadrats = data.draw(st.integers(1, 10))
+        corpus, groups = [], {}
+        for i in range(n_quadrats):
+            ids = data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=40, unique=True))
+            scores = data.draw(
+                st.lists(st.integers(-12, 12), min_size=len(ids), max_size=len(ids))
+            )
+            corpus.append(cands(f"q{i}", {s: v / 4.0 for s, v in zip(ids, scores)}))
+            groups[f"q{i}"] = data.draw(st.sampled_from("abc"))
+        min_len = data.draw(st.integers(1, 3))
+        common = dict(
+            min_len=min_len,
+            max_len=data.draw(st.one_of(st.none(), st.integers(min_len, min_len + 4))),
+            zscore=data.draw(st.booleans()),
+            merge_k=data.draw(st.one_of(st.none(), st.integers(1, 3))),
+        )
+        threshold = data.draw(
+            st.one_of(
+                st.just({}),
+                st.builds(lambda t: {"min_logit": t / 4.0}, st.integers(-12, 12)),
+                st.builds(
+                    lambda t: {"target_mean_len": min_len + t / 8.0}, st.integers(0, 48)
+                ),
+            )
+        )
+        assert_same_selection(corpus, SelectionConfig(**common, **threshold), groups)
+
+    def test_grouped_zscores_bit_identical_to_one_dimensional(self):
+        # Rows of one length are reduced together; long rows cross
+        # numpy's pairwise-summation blocks.
+        rng = np.random.default_rng(3)
+        lengths = list(range(2, 41)) + [127, 128, 129, 300, 1000]
+        corpus = [
+            cands(f"q{n}-{j}", zip(range(n), (rng.normal(5.0, 10.0 ** j, n)).tolist()))
+            for n in lengths
+            for j in range(-2, 3)
+        ]
+        flat = _zscored(_flatten(corpus))
+        want = np.concatenate([per_quadrat.zscore_normalize(c).scores() for c in corpus])
+        assert flat.scores.view(np.int64).tolist() == want.view(np.int64).tolist()
+        for c in corpus[::7]:
+            got = zscore_normalize(c).entries
+            assert got == per_quadrat.zscore_normalize(c).entries
+
+    def test_wrappers_match_per_quadrat(self):
+        corpus = quantised_corpus(np.random.default_rng(5), 30)
+        groups = {c.quadrat_id: f"t{i % 4}" for i, c in enumerate(corpus)}
+        for cfg in (SelectionConfig(), SelectionConfig(min_len=2, max_len=3)):
+            for tau in (-np.inf, -0.5, 0.0, 1.0, 9.0):
+                preds = [apply_threshold(c, tau, cfg) for c in corpus]
+                assert preds == [per_quadrat.apply_threshold(c, tau, cfg) for c in corpus]
+                for k in (1, 2, 5):
+                    assert metadata_merge(preds, groups, k) == per_quadrat.metadata_merge(
+                        preds, groups, k
+                    )
+            want = per_quadrat.length_steps(corpus, cfg)
+            base, extra = length_steps(corpus, cfg)
+            assert base == want[0] and extra.tobytes() == want[1].tobytes()
+        assert metadata_merge([], {}, 1) == []
+        wide = [PredictionSet("a", (-5, 10**15, 2**62)), PredictionSet("b", (7,))]
+        assert metadata_merge(wide, {"a": "g", "b": "g"}, 0) == [
+            PredictionSet(q, (-5, 7, 10**15, 2**62)) for q in ("a", "b")
+        ]
+
+
+class TestNonFiniteScores:
+    """A non-finite candidate score is one SelectionError naming its quadrat."""
+
+    def corpus(self, bad=-math.inf):
+        return [cands("a", {1: -1.0, 2: bad, 3: -3.0}), cands("b", {1: -0.5, 4: -2.0, 5: -4.0})]
+
+    def test_infinite_score_with_target(self):
+        # the parent returned tau = -inf and a mean of 2.5, below target 3
+        with pytest.raises(SelectionError, match="non-finite candidate score for a"):
+            select_corpus(self.corpus(), SelectionConfig(target_mean_len=3.0))
+
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan])
+    def test_zscored_non_finite_score(self, bad):
+        # the parent warned from numpy, then raised "threshold must be a
+        # number, got nan"
+        sel = SelectionConfig(target_mean_len=3.0, zscore=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SelectionError, match="non-finite candidate score for a"):
+                select_corpus(self.corpus(bad), sel)
+
+    def test_nan_score_is_not_dropped(self):
+        # the parent silently left the NaN-scored species out
+        corpus = self.corpus(math.nan)[::-1]  # the NaN is in the second set
+        for sel in (SelectionConfig(), SelectionConfig(min_logit=-2.5)):
+            with pytest.raises(SelectionError, match="non-finite candidate score for a"):
+                select_corpus(corpus, sel)
+        with pytest.raises(SelectionError, match="non-finite candidate score for a"):
+            apply_threshold(corpus[1], 0.0, SelectionConfig())
