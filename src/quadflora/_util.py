@@ -1,4 +1,5 @@
-"""Small shared helpers: atomic file writes and canonical float text.
+"""Small shared helpers: the CSV line reader, atomic file writes and
+canonical float text.
 
 All numeric values that cross a file boundary are rendered with ``%.9g``
 (9 significant digits). ``canonical9`` rounds freshly computed arrays to
@@ -11,10 +12,14 @@ Accurately*) and sends only the rest through the text itself
 (``_canonical9_text``), which also serves as its test oracle.
 """
 
+import io
 import os
 import tempfile
+from typing import Optional
 
 import numpy as np
+
+from .errors import FormatError
 
 # 10**k for k in -22..22, split so that x * _MUL / _DIV and m / _MUL * _DIV
 # each do one rounded operation: a factor of 1.0 is exact. 10**22 is the
@@ -97,3 +102,59 @@ def atomic_write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+# Characters no quadflora file holds: fields are never quoted, and lines
+# end in LF or CRLF.
+_FORBIDDEN = (
+    ('"', "quote (fields are never quoted)"),
+    ("\0", "NUL character"),
+    ("\r", "carriage return inside a line"),
+)
+
+
+def _line(path, lineno: int, line: str) -> str:
+    """One line without its LF or CRLF end, checked for forbidden characters."""
+    if line.endswith("\n"):
+        line = line[:-1]
+    if line.endswith("\r"):
+        line = line[:-1]
+    for char, name in _FORBIDDEN:
+        if char in line:
+            raise FormatError(f"{path}:{lineno}: unexpected {name}")
+    return line
+
+
+def read_rows(path, expected_header: list[str], text: Optional[str] = None):
+    """Yield (line number, fields) for each non-empty row after the header.
+
+    The file is streamed line by line as UTF-8 and each line is split on
+    ','. A CR before the LF is dropped, so CRLF files read; a quote, a
+    NUL or any other CR is an error that names the file and line.
+    text, when given, is the file's content, already read.
+    """
+    if text is None:
+        opened = open(path, "r", encoding="utf-8", newline="\n")
+    else:
+        opened = io.StringIO(text, newline="\n")
+    n_fields = len(expected_header)
+    with opened as fh:
+        try:
+            header = next(fh, None)
+            if header is not None:
+                header = _line(path, 1, header)
+                header = header.split(",") if header else []
+            if header != expected_header:
+                raise FormatError(f"bad header {header!r} in {path}")
+            for lineno, line in enumerate(fh, start=2):
+                line = _line(path, lineno, line)
+                if not line:
+                    continue
+                # The split stops before the last (values) field, and a
+                # search for ',' is much faster than a split over it.
+                fields = line.split(",", n_fields - 1)
+                if len(fields) != n_fields or "," in fields[-1]:
+                    raise FormatError(f"{path}:{lineno}: expected {n_fields} fields")
+                yield lineno, fields
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc

@@ -2,7 +2,10 @@
 
 All CSVs are UTF-8 with LF line endings, carry a header row, and are
 written in sorted id order through an atomic temp-file rename, so
-reruns with identical inputs produce byte-identical files. Floating
+reruns with identical inputs produce byte-identical files. Fields are
+never quoted: readers (_util.read_rows) split each line on ',', also
+read CRLF files, and reject a quote, a NUL or any other CR with an
+error naming the file and line. Floating
 point values are rendered with 9 significant digits; the pipeline works
 on exactly those rounded values, so a file round-trip never changes a
 result.
@@ -20,11 +23,12 @@ config         flat "key = value" lines, '#' comments
 A features file is checked in full when it is read, but each quadrat's
 float values are parsed only when its features are first needed (a
 logit cache miss), so a run served entirely from a cache parses none.
+Values are parsed one block at a time (a quadrat's cells, a head
+parameter, a cached grid), each with one np.array call; a bad value
+still names its own line.
 """
 
-import csv
 import hashlib
-import io
 import json
 import os
 import warnings
@@ -34,7 +38,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text, fmt9_array
+from ._util import atomic_write_text, fmt9_array, read_rows
 from .ensemble import HeadSelection
 from .errors import (
     ConfigError,
@@ -66,43 +70,6 @@ CACHE_HEADER = [
 ]
 
 
-# The csv module refuses fields over 131072 characters by default. One
-# logit-cache row at the paper's 7,806 species is about 100k characters, and
-# wider taxonomies or feature vectors go past the default; every row
-# quadflora writes must read back.
-_FIELD_LIMIT = 2**31 - 1
-
-
-def _read_rows(path, expected_header: list[str], text: Optional[str] = None):
-    """Yield (line number, fields) for each non-empty row after the header.
-
-    text, when given, is the file's content, already read.
-    """
-    csv.field_size_limit(_FIELD_LIMIT)
-    if text is None:
-        opened = open(path, "r", encoding="utf-8", newline="")
-    else:
-        opened = io.StringIO(text, newline="")
-    with opened as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header != expected_header:
-                raise FormatError(f"bad header {header!r} in {path}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(expected_header):
-                    raise FormatError(
-                        f"{path}:{lineno}: expected {len(expected_header)} fields"
-                    )
-                yield lineno, row
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-        except csv.Error as exc:
-            raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
-
-
 def _parse_id_list(field: str, where: str) -> tuple[int, ...]:
     try:
         ids = tuple(int(part) for part in field.split(";"))
@@ -125,6 +92,23 @@ def _parse_values(field: str, where: str) -> np.ndarray:
     return values
 
 
+def _parse_block(rows: Sequence[tuple[str, str]]) -> Optional[np.ndarray]:
+    """The values fields of (where, field) rows as one (rows x values)
+    matrix, parsed by one np.array call; None if the rows differ in
+    length. If a value is bad or non-finite, the rows are parsed one by
+    one, so the error names that row's own line."""
+    try:
+        values = np.array([field.split(";") for _, field in rows], dtype=np.float64)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    parsed = [_parse_values(field, where) for where, field in rows]
+    if any(len(p) != len(parsed[0]) for p in parsed):
+        return None
+    return np.vstack(parsed)
+
+
 def _join_values(values: np.ndarray) -> str:
     return ";".join(fmt9_array(values))
 
@@ -141,7 +125,7 @@ def write_ground_truth(gt: GroundTruthTable, path) -> None:
 
 def load_ground_truth(path) -> GroundTruthTable:
     quadrats = {}
-    for lineno, (qid, tid, ids) in _read_rows(path, GROUND_TRUTH_HEADER):
+    for lineno, (qid, tid, ids) in read_rows(path, GROUND_TRUTH_HEADER):
         if qid in quadrats:
             raise FormatError(f"{path}:{lineno}: duplicate quadrat {qid}")
         quadrats[qid] = (tid, frozenset(_parse_id_list(ids, f"{path}:{lineno}")))
@@ -182,7 +166,7 @@ def write_submission(
 def load_submission(path) -> list[PredictionSet]:
     preds = []
     seen = set()
-    for lineno, (qid, ids) in _read_rows(path, SUBMISSION_HEADER):
+    for lineno, (qid, ids) in read_rows(path, SUBMISSION_HEADER):
         if qid in seen:
             raise DuplicatePredictionError(f"{path}:{lineno}: duplicate quadrat {qid}")
         seen.add(qid)
@@ -237,8 +221,9 @@ class _FeatureRows:
         if self.cells is None:
             _, grid, dim = self.meta
             cells = np.empty((grid, grid, dim))
-            for (r, c), (lineno, values) in self.rows.items():
-                cells[r, c] = _parse_values(values, f"{self.path}:{lineno}")
+            cells.reshape(-1, dim)[[r * grid + c for r, c in self.rows]] = _parse_block(
+                [(f"{self.path}:{lineno}", field) for lineno, field in self.rows.values()]
+            )
             self.cells, self.rows = cells, {}
         return self.cells
 
@@ -254,7 +239,7 @@ def load_quadrat_features(path) -> list[Quadrat]:
     its rows' text, which fingerprints logit caches computed from it.
     """
     sources: dict[str, _FeatureRows] = {}
-    for lineno, row in _read_rows(path, FEATURES_HEADER):
+    for lineno, row in read_rows(path, FEATURES_HEADER):
         qid, tid, grid_s, dim_s, r_s, c_s, values = row
         where = f"{path}:{lineno}"
         try:
@@ -318,8 +303,8 @@ def write_head_registry(registry: HeadRegistry, path) -> None:
 
 
 def load_head_registry(path) -> HeadRegistry:
-    grouped: dict[tuple[str, str], dict[str, dict[int, np.ndarray]]] = {}
-    for lineno, (level, head_id, param, row_s, values) in _read_rows(path, HEADS_HEADER):
+    grouped: dict[tuple[str, str], dict[str, dict[int, tuple[str, str]]]] = {}
+    for lineno, (level, head_id, param, row_s, values) in read_rows(path, HEADS_HEADER):
         where = f"{path}:{lineno}"
         if level not in LEVELS:
             raise FormatError(f"{where}: unknown level {level!r}")
@@ -332,16 +317,17 @@ def load_head_registry(path) -> HeadRegistry:
         rows = grouped.setdefault((level, head_id), {}).setdefault(param, {})
         if row in rows:
             raise FormatError(f"{where}: duplicate row {row} for {param}")
-        rows[row] = _parse_values(values, where)
+        rows[row] = (where, values)
     heads: dict[str, dict[str, object]] = {lvl: {} for lvl in LEVELS}
     for (level, head_id), params in grouped.items():
         matrices = {}
         for param, rows in params.items():
+            matrix = _parse_block([rows[i] for i in sorted(rows)])
             if sorted(rows) != list(range(len(rows))):
                 raise FormatError(f"{path}: {level}/{head_id}/{param} has missing rows")
-            if any(len(r) != len(rows[0]) for r in rows.values()):
+            if matrix is None:
                 raise FormatError(f"{path}: {level}/{head_id}/{param} rows differ in length")
-            matrices[param] = np.vstack([rows[i] for i in range(len(rows))])
+            matrices[param] = matrix
         if set(matrices) == {"w", "b"}:
             head = LinearHead(matrices["w"], matrices["b"][0])
             consistent = head.bias.shape == head.weight.shape[:1]
@@ -489,7 +475,7 @@ class LogitCache:
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
         grids: dict[tuple, dict] = {}
-        for lineno, (model_id, qid, crop, scale_s, row_s, col_s, level, values) in _read_rows(
+        for lineno, (model_id, qid, crop, scale_s, row_s, col_s, level, values) in read_rows(
             path, CACHE_HEADER, text
         ):
             where = f"{path}:{lineno}"
@@ -595,16 +581,13 @@ def _still_valid(record: dict, fingerprint: CacheFingerprint) -> dict:
 
 
 def _grid_block(rows: dict, scale: int) -> Optional[np.ndarray]:
-    """The (scale^2 x C) block of one grid's parsed rows, or None if any
-    row is missing, out of range or of another length."""
+    """The (scale^2 x C) block of one grid's rows, parsed as one block, or
+    None if any row is missing, out of range or of another length."""
     if len(rows) != scale * scale or not all(
         0 <= r < scale and 0 <= c < scale for r, c in rows
     ):
         return None
-    parsed = [_parse_values(values, where) for where, values in map(rows.get, sorted(rows))]
-    if any(len(p) != len(parsed[0]) for p in parsed):
-        return None
-    return np.vstack(parsed)
+    return _parse_block([rows[key] for key in sorted(rows)])
 
 
 # --------------------------------------------------------------- score report

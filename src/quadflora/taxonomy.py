@@ -7,12 +7,11 @@ labels are kept for serialization and for translating predictions back
 to the id space of the input files.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import atomic_write_text, read_rows
 from .errors import (
     DanglingReferenceError,
     FormatError,
@@ -132,37 +131,23 @@ def load_taxonomy(path) -> TaxonomyTable:
     """
     species_genus: dict[int, int] = {}
     genus_family: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    for lineno, row in read_rows(path, TAXONOMY_HEADER):
         try:
-            header = next(reader, None)
-            if header != TAXONOMY_HEADER:
-                raise FormatError(f"bad taxonomy header {header!r} in {path}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise FormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-                try:
-                    s, g, f = (int(field) for field in row)
-                except ValueError as exc:
-                    raise FormatError(f"{path}:{lineno}: non-integer field") from exc
-                if s < 0 or g < 0 or f < 0:
-                    raise FormatError(f"{path}:{lineno}: negative id")
-                if species_genus.get(s, g) != g:
-                    raise TaxonomyContradictionError(
-                        f"species {s} listed under genera {species_genus[s]} and {g}"
-                    )
-                if genus_family.get(g, f) != f:
-                    raise TaxonomyContradictionError(
-                        f"genus {g} listed under families {genus_family[g]} and {f}"
-                    )
-                species_genus[s] = g
-                genus_family[g] = f
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-        except csv.Error as exc:
-            raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
+            s, g, f = (int(field) for field in row)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: non-integer field") from exc
+        if s < 0 or g < 0 or f < 0:
+            raise FormatError(f"{path}:{lineno}: negative id")
+        if species_genus.get(s, g) != g:
+            raise TaxonomyContradictionError(
+                f"species {s} listed under genera {species_genus[s]} and {g}"
+            )
+        if genus_family.get(g, f) != f:
+            raise TaxonomyContradictionError(
+                f"genus {g} listed under families {genus_family[g]} and {f}"
+            )
+        species_genus[s] = g
+        genus_family[g] = f
     if not species_genus:
         raise FormatError(f"no taxonomy rows in {path}")
 

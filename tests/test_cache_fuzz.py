@@ -1,12 +1,13 @@
-"""Inputs mutated before `infer` and `eval`.
+"""Inputs mutated before `infer`, `sweep`, `eval` and `taxonomy-validate`.
 
 Whatever happens to the features, the heads, the taxonomy, the logit
-cache or its fingerprint between a cold and a warm `infer`, the warm
-run either fails with one `error:` line and writes nothing, or gives
-the submission of a fresh-cache run on the mutated data. The same
-contract (exit 0 or 2, at most one `error:` line, no traceback, no
-partly written output) holds for `eval` after the ground truth or the
-submission is mutated, and for `infer` after the run config is.
+cache or its fingerprint between a cold and a warm `infer` (or a
+`sweep`), the warm run either fails with one `error:` line and writes
+nothing, or gives the output of a fresh-cache run on the mutated data.
+The same contract (exit 0 or 2, at most one `error:` line, no traceback,
+no partly written output) holds for `eval` after the ground truth or the
+submission is mutated, for `taxonomy-validate` after the taxonomy is,
+for `infer` after the run config is, and for `sweep --targets` text.
 """
 
 import contextlib
@@ -98,14 +99,15 @@ def mutate(data: bytes, kind: str, pos: int, bit: int, token: bytes) -> bytes:
     return b"\n".join(lines)
 
 
-def holds_contract(code, err, tmp, output) -> bool:
+def holds_contract(code, err, tmp, output=None) -> bool:
     """Assert the error contract; True if the command succeeded."""
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert code in (0, 2)
     assert len(errors) == (code == 2)
     assert "Traceback" not in err
     assert not list(tmp.rglob(".tmp-*"))
-    assert output.exists() == (code == 0)
+    if output is not None:
+        assert output.exists() == (code == 0)
     return code == 0
 
 
@@ -142,6 +144,82 @@ def test_warm_infer_after_mutation(cold, name, kind, pos, bit, token):
         code, _ = run(infer + ["--out", tmp / "fresh.csv", "--cache", fresh / "cache.csv"])
         assert code == 0
         assert (tmp / "warm.csv").read_bytes() == (tmp / "fresh.csv").read_bytes()
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    name=st.sampled_from(FILES + ("groundtruth.csv",)),
+    kind=st.sampled_from(KINDS),
+    pos=st.integers(0, 2**32),
+    bit=st.integers(0, 7),
+    token=st.sampled_from([b"nan", b"inf", b"-1", b'"', b""]),
+)
+def test_sweep_after_mutation(cold, name, kind, pos, bit, token):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = tmp / "data"
+        shutil.copytree(cold / "data", data)
+        target = data / name
+        target.write_bytes(mutate(target.read_bytes(), kind, pos, bit, token))
+        sweep = ["sweep", "--config", cold / "run.cfg", "--data", data, "--targets", "1,2,3"]
+
+        code, err = run(sweep + ["--out", tmp / "warm.csv"])
+        if not holds_contract(code, err, tmp, tmp / "warm.csv"):
+            return
+        fresh = tmp / "fresh"
+        fresh.mkdir()
+        code, _ = run(sweep + ["--out", tmp / "fresh.csv", "--cache", fresh / "cache.csv"])
+        assert code == 0
+        assert (tmp / "warm.csv").read_bytes() == (tmp / "fresh.csv").read_bytes()
+
+
+TARGET_PARTS = ("", " ", "3", " 4 ", "2.5", "inf", "-inf", "1e999", "-1", "0", "nan",
+                "x", "+", "1_0", "\u0663", "\uff14", "1e308", "5e-324")
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(parts=st.lists(st.sampled_from(TARGET_PARTS), min_size=1, max_size=4))
+@example(parts=["3", "", "4"])
+@example(parts=["\u0663"])
+def test_sweep_targets(cold, parts):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        shutil.copytree(cold / "data", tmp / "data")
+        out = tmp / "sweep.csv"
+        # --targets=TEXT: a value that starts with '-' is not read as an option
+        code, err = run(["sweep", "--config", cold / "run.cfg", "--data", tmp / "data",
+                         "--targets=" + ",".join(parts), "--out", out])
+        holds_contract(code, err, tmp, out)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    kind=st.sampled_from(KINDS),
+    pos=st.integers(0, 2**32),
+    bit=st.integers(0, 7),
+    token=st.sampled_from([b"-1", b"x", b"1" * 5000, b'"', b"\r", b""]),
+)
+def test_taxonomy_validate_after_mutation(cold, kind, pos, bit, token):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        taxonomy = tmp / "taxonomy.csv"
+        taxonomy.write_bytes(
+            mutate((cold / "data" / "taxonomy.csv").read_bytes(), kind, pos, bit, token)
+        )
+        code, err = run(["taxonomy-validate", taxonomy])
+        holds_contract(code, err, tmp)
 
 
 @settings(

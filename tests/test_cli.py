@@ -276,17 +276,17 @@ class TestCacheFingerprint:
         from quadflora import formats, pipeline
 
         parsed, heads = [], []
-        parse_values, head_logits = formats._parse_values, pipeline.head_logits
+        parse_block, head_logits = formats._parse_block, pipeline.head_logits
 
-        def counting_parse(field, where):
-            parsed.append(where)
-            return parse_values(field, where)
+        def counting_parse(rows):
+            parsed.extend(where for where, _ in rows)
+            return parse_block(rows)
 
         def counting_heads(*args):
             heads.append(args[1])
             return head_logits(*args)
 
-        monkeypatch.setattr(formats, "_parse_values", counting_parse)
+        monkeypatch.setattr(formats, "_parse_block", counting_parse)
         monkeypatch.setattr(pipeline, "head_logits", counting_heads)
         features = str(gen_dir / "quadrats.csv")
         cfg = run_cfg_file(tmp_path)
@@ -483,8 +483,9 @@ class TestErrorContract:
         assert not out.exists()
 
     def test_csv_error_in_taxonomy(self, tmp_path):
+        # A field of any width is read; a quote is an error on its line.
         tax = tmp_path / "tax.csv"
         tax.write_text("species_id,genus_id,family_id\n0,0,0\n1,0," + "0" * 140_000 + "\n")
-        assert f"{tax}:3: field larger than field limit" in assert_cli_error(
-            "taxonomy-validate", tax
-        )
+        assert f"{tax}:3: non-integer field" in assert_cli_error("taxonomy-validate", tax)
+        tax.write_text('species_id,genus_id,family_id\n0,0,0\n1,0,"0"\n')
+        assert f"{tax}:3: unexpected quote" in assert_cli_error("taxonomy-validate", tax)

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -384,20 +382,23 @@ class TestCache:
         loaded.save(tmp_path / "cache2.csv")
         assert path.read_bytes() == (tmp_path / "cache2.csv").read_bytes()
 
-    def test_csv_error_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+    def test_csv_error_is_one_error_line(self, tmp_path, capsys):
+        # Fields are never quoted: a quote, a NUL or a CR inside a line ends
+        # in one error line naming the file and line. CRLF line ends read.
         gt = tmp_path / "gt.csv"
-        gt.write_text("quadrat_id,transect_id,species_ids\nq0,t0,1\n")
+        gt.write_text("quadrat_id,transect_id,species_ids\nq0,t0,1\nq1,t0,2\n")
         sub = tmp_path / "sub.csv"
-        ids = ";".join(str(i) for i in range(100))
-        sub.write_text(f"quadrat_id,species_ids\nq0,{ids}\n")
-        default_limit = csv.field_size_limit()
-        monkeypatch.setattr(formats, "_FIELD_LIMIT", 64)
-        try:
+        for field, what in [
+            ('"2"', "quote"), ("2\0", "NUL character"), ("2\r;3", "carriage return"),
+        ]:
+            sub.write_bytes(f"quadrat_id,species_ids\r\nq0,1\r\nq1,{field}\r\n".encode())
             assert main(["eval", str(sub), str(gt)]) == 2
-        finally:
-            csv.field_size_limit(default_limit)
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: {sub}:2: field larger than field limit (64)"]
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert err[0].startswith(f"error: {sub}:3: unexpected {what}")
+        sub.write_bytes(b"quadrat_id,species_ids\r\nq0,1\r\nq1,2\r\n")
+        assert main(["eval", str(sub), str(gt)]) == 0
+        assert "final 1.00000" in capsys.readouterr().out
 
     def test_clean_save_skips_rewrite(self, tmp_path):
         import os

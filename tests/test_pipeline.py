@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import importlib
+import io
 from collections import Counter
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 import per_tile
-from quadflora import pipeline, selection
+from quadflora import cli, pipeline, selection
 from quadflora._util import _canonical9_text, canonical9
 from quadflora.ensemble import HeadSelection, compose_model
 from quadflora.errors import ConfigError, IncongruentMembersError, QuadfloraError, ShapeError
@@ -422,6 +424,62 @@ class TestBenchmarkHooks:
             for name in names:
                 assert callable(owner.__dict__.get(name)), f"{owner.__name__}.{name}"
                 assert owner.__dict__[name] is selection.__dict__[name]
+
+    # Spans per file-layer name the tracer patches in cli and formats, over
+    # gen, a cold and a warm infer, and eval. Only the traced cli-cache
+    # benchmark goes through these names, and tier-1 does not start it.
+    TRACED_FILE_SPANS = {
+        "cli.gen": 1,
+        "cli.infer": 2,
+        "cli.eval": 1,
+        "taxonomy.load_taxonomy": 2,
+        "formats.load_quadrat_features": 2,
+        "formats.load_head_registry": 2,
+        "formats.write_submission": 2,
+        "formats.write_quadrat_features": 1,
+        "formats.LogitCache.load": 2,
+        "formats.LogitCache.save": 2,
+    }
+
+    def test_traced_cli_records_every_file_layer(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        tracer_mod = importlib.import_module("tracer")
+
+        def commands(work, tracer=None):
+            work.mkdir()
+            (work / "gen.cfg").write_text(
+                "n_species = 12\nn_genera = 4\nn_families = 2\nn_quadrats = 4\n"
+                "quadrats_per_transect = 2\ngrid_cells = 6\nfeature_dim = 5\nseed = 2\n"
+            )
+            (work / "run.cfg").write_text("scales = 2,3\ncrop_fracs = 0.1\ntarget_mean_len = 2\n")
+            data = str(work / "data")
+            infer = ["infer", "--config", str(work / "run.cfg"), "--data", data, "--out"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["gen", "--config", str(work / "gen.cfg"), "--out", data]) == 0
+                for phase in ("cold", "warm"):
+                    if tracer is not None:
+                        tracer.phase = phase
+                    assert cli.main(infer + [str(work / f"{phase}.csv")]) == 0
+                assert cli.main(["eval", str(work / "cold.csv"), data + "/groundtruth.csv",
+                                 "--report", str(work / "report.json")]) == 0
+            return {p.relative_to(work): p.read_bytes() for p in work.rglob("*") if p.is_file()}
+
+        expected = commands(tmp_path / "untraced")
+        tracer = tracer_mod.Tracer()
+        tracer.install()
+        try:
+            got = commands(tmp_path / "traced", tracer)
+        finally:
+            tracer.uninstall()
+        assert got == expected
+        calls = Counter(span[0] for span in tracer.spans)
+        assert {name: calls[name] for name in self.TRACED_FILE_SPANS} == self.TRACED_FILE_SPANS
+        # LogitCache.get is counted, not spanned: every cold lookup misses,
+        # every warm one hits.
+        counts = tracer.counts
+        assert counts["formats.cache_lookups.cold"] > 0
+        assert counts["formats.cache_hits.cold"] == 0
+        assert counts["formats.cache_hits.warm"] == counts["formats.cache_lookups.warm"] > 0
 
 
 class TestSelectPredictions:
