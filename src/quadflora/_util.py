@@ -6,12 +6,16 @@ All numeric values that cross a file boundary are rendered with ``%.9g``
 exactly the double that parsing that text gives back, so a value read
 back from a file is bit-identical to the value used in memory.
 
-``canonical9`` rounds numerically wherever that is provably exact
+Both directions work numerically wherever that is provably exact
 (Clinger's fast path, 1990, *How to Read Floating Point Numbers
-Accurately*) and sends only the rest through the text itself
-(``_canonical9_text``), which also serves as its test oracle.
+Accurately*): ``_digits9`` finds the nine digits ``%.9g`` prints,
+``canonical9`` divides them back into a double, and ``fmt9_rows`` writes
+their text with array arithmetic. Every other value goes through
+``'%.9g'`` itself (``fmt9_array``, ``_canonical9_text``), which is both
+the fallback and the test oracle.
 """
 
+import functools
 import io
 import os
 import tempfile
@@ -45,6 +49,38 @@ def _canonical9_text(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(float, fmt9_array(x)), np.float64, count=x.size).reshape(x.shape)
 
 
+def _digits9(flat: np.ndarray):
+    """The nine digits %.9g prints for each value of a 1-d array.
+
+    Returns (m, p, mul, div, exact): m = rint(x * 10**k) as a float,
+    with k = 8 - floor(log10|x|); p = k + 22, the index of 10**|k| in
+    _MUL and _DIV; mul and div, the factors at p (so that m / mul * div
+    undoes the scaling); and the mask of values where m is provably those
+    digits.
+
+    For |k| <= 22, 10**|k| is an exact double, so s = x * 10**k
+    (x / 10**-k when k < 0) takes one IEEE rounding, at most 6e-8 when
+    |s| < 1e9. Away from half-integers that rounding cannot change rint,
+    so m is the exact 9-digit integer %.9g prints, and %.9g's exponent
+    is 8 - k. exact is False for non-finite values and zeros; for
+    |k| > 22 (|x| < 1e-14 or |x| >= 1e31), which run with k = 0 and so
+    fail the next check; for |s| outside [1e8, 1e9 - 0.5), which catches
+    a log10 that is off by one and a round-up to ten digits; and for s
+    within 1e-6 of a half-integer, which holds every exact tie (%.9g
+    breaks those half-even on the binary value of x, not of s) with a
+    wide margin over the rounding of s.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = 8 - np.floor(np.log10(np.abs(flat)))
+        p = np.where(np.abs(k) <= _EXACT_POW10, k, 0).astype(np.intp) + _EXACT_POW10
+        mul, div = _MUL.take(p), _DIV.take(p)
+        s = flat * mul / div
+        m = np.rint(s)
+        size = np.abs(s)
+        exact = (size >= 1e8) & (size < 1e9 - 0.5) & (np.abs(s - m) < 0.5 - 1e-6)
+    return m, p, mul, div, exact
+
+
 def canonical9(values: np.ndarray) -> np.ndarray:
     """Round an array to its 9-significant-digit text representation.
 
@@ -52,41 +88,171 @@ def canonical9(values: np.ndarray) -> np.ndarray:
     fmt9_array(canonical9(v)) == fmt9_array(v), and parsing the rendered
     text recovers canonical9(v) exactly.
 
-    Numeric path: with e = floor(log10|x|) and k = 8 - e, the nine digits
-    are m = rint(s), s = x * 10**k (x / 10**-k when k < 0), and the result
-    is m / 10**k (m * 10**-k). For |k| <= 22, 10**|k| is an exact double,
-    so s is x * 10**k with one IEEE rounding (at most 6e-8 when |s| < 1e9).
-    Away from half-integers that rounding cannot change rint, so m is the
-    exact 9-digit integer %.9g prints, and the result is the correctly
-    rounded quotient or product of two exact doubles: the value strtod
-    returns for the text.
-
-    The text path takes every value where that argument may not hold:
-    non-finite values and zeros; |k| > 22 (|x| < 1e-14 or |x| >= 1e31),
-    which runs with k = 0 and so fails the next check; |s| outside
-    [1e8, 1e9 - 0.5), which catches a log10 that is off by one and a
-    round-up to ten digits; and s within 1e-6 of a half-integer, which
-    holds every exact tie (%.9g breaks those half-even on the binary
-    value of x, not of s) with a wide margin over the rounding of s.
+    Where _digits9 finds the digits m exactly, the result is m / 10**k
+    (m * 10**-k): the correctly rounded quotient or product of two exact
+    doubles, which is the value strtod returns for the text. Every other
+    value takes the text path, _canonical9_text.
     """
     x = np.asarray(values, dtype=np.float64)
     flat = x.reshape(-1)
     # Allocated before the temporaries, so that rows kept in a logit cache
     # sit together on the heap; warm runs over the cache read them faster.
     out = np.empty_like(flat)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = 8 - np.floor(np.log10(np.abs(flat)))
-        idx = np.where(np.abs(k) <= _EXACT_POW10, k, 0).astype(np.intp) + _EXACT_POW10
-        mul, div = _MUL[idx], _DIV[idx]
-        s = flat * mul / div
-        m = np.rint(s)
-        np.divide(m, mul, out=out)
-        out *= div
-        size = np.abs(s)
-        slow = ~((size >= 1e8) & (size < 1e9 - 0.5) & (np.abs(s - m) < 0.5 - 1e-6))
+    m, _, mul, div, exact = _digits9(flat)
+    np.divide(m, mul, out=out)
+    out *= div
+    slow = ~exact
     if slow.any():
         out[slow] = _canonical9_text(flat[slow])
     return out.reshape(x.shape)
+
+
+# fmt9_rows writes each value into a slot of 16 bytes, held as two
+# little-endian uint64 words: its text, at most 15 characters where
+# _digits9 is exact (as in -1.23456789e-14 or -0.000123456789), then its
+# separator, padded with NULs. A slot's layout depends only on the sign,
+# the exponent and the number of trailing zero digits, so every layout is
+# tabulated (_layouts). Its digits form at most two runs, split by the
+# point; each run is cut from the 9 ASCII digits with a mask and shifted
+# into place, by less than 64 bits, so that no shift depends on what
+# numpy does for shifts of 64 bits or more.
+_E_MIN, _E_MAX = 8 - _EXACT_POW10, 8 + _EXACT_POW10
+_N_E = _E_MAX - _E_MIN + 1
+_ZERO = 2 * _N_E * 9  # the layouts of 0 and -0 follow the numeric ones,
+_SPLICE = _ZERO + 2  # then that of _MARK,
+_MARK = "\x01"  # which stands in the text for a value rendered by '%.9g'
+_CHUNK_VALUES = 16384  # values per pass, so that temporaries stay in cache
+
+
+def _pattern(negative: bool, e: int, zeros: int) -> str:
+    """The %.9g text (C99 %g, precision 9) of a value whose 9 digits end
+    in `zeros` zeros and whose decimal exponent is e, with 'D' for each
+    digit: exponent form when e < -4 or e >= 9, trailing zeros stripped,
+    no point when no fraction is left."""
+    sign = "-" if negative else ""
+    digits = "D" * (9 - zeros)
+    if not -4 <= e < 9:
+        fraction = "." + digits[1:] if zeros < 8 else ""
+        return f"{sign}D{fraction}e{e:+03d}"
+    if e < 0:
+        return f"{sign}0.{'0' * (-e - 1)}{digits}"
+    fraction = digits[e + 1 :]
+    return sign + "D" * (e + 1) + ("." + fraction if fraction else "")
+
+
+def _byte_mask(n: int) -> tuple[int, int]:
+    """The low n bytes of a 16-byte slot, as (low word, high word) masks."""
+    mask = (1 << 8 * n) - 1
+    return mask & (2**64 - 1), mask >> 64
+
+
+@functools.lru_cache(maxsize=None)
+def _layouts(sep: str):
+    """Per layout: the text followed by sep, with NULs where digits go, as
+    two little-endian words; the length of the text; the masks of the
+    digits of the runs before and after the point; and the shift in bits
+    that moves the first run into place (the second moves 8 bits more,
+    past the point). Built on first use, once per separator."""
+    patterns = [
+        _pattern(negative, e, zeros)
+        for negative in (False, True)
+        for e in range(_E_MIN, _E_MAX + 1)
+        for zeros in range(9)
+    ] + ["0", "-0", _MARK]
+    text = b"".join((p.replace("D", "\0") + sep).encode().ljust(16, b"\0") for p in patterns)
+    masks, shift = [], []
+    for pattern in patterns:
+        runs = [n for n in (part.count("D") for part in pattern.split(".")) if n] + [0, 0]
+        before, after = _byte_mask(runs[0]), _byte_mask(runs[0] + runs[1])
+        masks.append([*before, after[0] & ~before[0], after[1] & ~before[1]])
+        shift.append(8 * pattern.find("D") if runs[0] else 0)
+    tables = (
+        np.frombuffer(text, "<u8").reshape(-1, 2),
+        np.array([len(p) for p in patterns]),
+        np.array(masks, np.uint64),
+        np.array(shift, np.uint64),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+# The four ASCII digits of 0..9999 as the bytes of a little-endian word,
+# and how many of them are trailing zeros
+_FOUR = np.arange(10000)
+_DIGITS4 = sum((_FOUR // 10**j % 10 + ord("0")).astype(np.uint64) << 8 * (3 - j) for j in range(4))
+_ZEROS4 = sum(_FOUR % 10**j == 0 for j in range(1, 5))
+
+
+def fmt9_rows(matrix: np.ndarray, sep: str = ";") -> list[str]:
+    """One string per row of a 2-d array: sep.join('%.9g' % v for v in row).
+
+    Values where _digits9 is exact, and zeros, are written numerically
+    from their digits; the rest (non-finite values, |x| < 1e-14 or
+    >= 1e31, near-ties) are rendered by '%.9g' and spliced in one by one.
+    Rows are processed in chunks of about 16k values.
+    """
+    x = np.asarray(matrix, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"fmt9_rows needs a 2-d array, got shape {x.shape}")
+    if len(sep) != 1 or not sep.isascii() or sep in "\n\0" + _MARK:
+        raise ValueError(f"bad separator {sep!r}")
+    n_rows, n_cols = x.shape
+    if n_cols == 0:
+        return [""] * n_rows
+    layouts = _layouts(sep)
+    step = max(1, _CHUNK_VALUES // n_cols)
+    out: list[str] = []
+    for start in range(0, n_rows, step):
+        out += _fmt9_chunk(x[start : start + step].ravel(), n_cols, layouts)
+    return out
+
+
+def _fmt9_chunk(flat: np.ndarray, n_cols: int, layouts) -> list[str]:
+    text, length, all_masks, all_shifts = layouts
+    m, p, _, _, exact = _digits9(flat)
+    m = np.where(exact, np.abs(m), 0).astype(np.int64)
+    high, low = np.divmod(m, 10000)
+    first, middle = np.divmod(high, 10000)
+    zeros = _ZEROS4.take(low) + np.where(low == 0, _ZEROS4.take(middle), 0)
+    # p = k + 22 and e = 8 - k, so e - _E_MIN = 2 * 22 - p
+    layout = (np.signbit(flat) * _N_E + 2 * _EXACT_POW10 - p) * 9 + zeros
+    layout[~exact] = _SPLICE
+    is_zero = flat == 0
+    layout[is_zero] = _ZERO + np.signbit(flat[is_zero])
+    # The 9 digits as bytes 0..8 of two words, cut into the two runs
+    # and ORed into the layout's text
+    low4 = _DIGITS4.take(low)
+    digits_lo = (
+        first.astype(np.uint64) + ord("0") | _DIGITS4.take(middle) << 8 | (low4 & 0xFFFFFF) << 40
+    )
+    digits_hi = low4 >> 24
+    masks = all_masks.take(layout, axis=0)
+    run1_lo, run1_hi = digits_lo & masks[:, 0], digits_hi & masks[:, 1]
+    run2_lo, run2_hi = digits_lo & masks[:, 2], digits_hi & masks[:, 3]
+    shift1 = all_shifts.take(layout)
+    shift2 = shift1 + 8
+    slots = text.take(layout, axis=0)
+    slots[:, 0] |= run1_lo << shift1 | run2_lo << shift2
+    slots[:, 1] |= (
+        run1_hi << shift1 | run1_lo >> 1 >> (63 - shift1)
+        | run2_hi << shift2 | run2_lo >> 1 >> (63 - shift2)
+    )
+    # The separator after each row's last value becomes the line break
+    # that splits the text into rows.
+    slots = slots.view(np.uint8)
+    row_ends = np.arange(n_cols - 1, len(flat), n_cols)
+    slots[row_ends, length[layout[row_ends]]] = ord("\n")
+    joined = slots.tobytes().translate(None, b"\0").decode("ascii")
+    # Each _MARK, in order, gives way to the text of one value left to '%.9g'.
+    fallback = layout == _SPLICE
+    if fallback.any():
+        pieces = joined.split(_MARK)
+        spliced = [""] * (2 * len(pieces) - 1)
+        spliced[::2] = pieces
+        spliced[1::2] = fmt9_array(flat[fallback])
+        joined = "".join(spliced)
+    return joined.split("\n")[:-1]
 
 
 def atomic_write_text(path, text: str) -> None:

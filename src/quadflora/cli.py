@@ -1,8 +1,9 @@
 """Command-line entry points: gen, infer, eval, sweep, taxonomy-validate.
 
-Every failure path prints a single `error: ...` line to stderr and
-exits 2; warnings go to stderr prefixed `warning:` and do not change
-the exit code.
+Every failure path, a command line argparse rejects included, prints a
+single `error: ...` line to stderr and exits 2; warnings go to stderr
+prefixed `warning:` and do not change the exit code. `-h` prints help
+and exits 0.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import warnings
 from . import formats
 from ._util import atomic_write_text
 from .ensemble import compose_model
-from .errors import QuadfloraError, UnattainableTargetError
+from .errors import QuadfloraError, UnattainableTargetError, UsageError
 from .metric import GroundTruthTable, score
 from .pipeline import RunConfig, infer_corpus, select_predictions
 from .synthworld import gen_world, synth_summary
@@ -153,8 +154,16 @@ def cmd_taxonomy_validate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a UsageError where argparse would print its usage text and
+    exit; subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadflora",
         description="Multi-label quadrat species prediction toolkit.",
     )
@@ -196,9 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _run(args)
+        return _run(build_parser().parse_args(argv))
     except (QuadfloraError, OSError) as exc:
         return _fail(str(exc))
 

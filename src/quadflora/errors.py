@@ -17,6 +17,10 @@ class ConfigError(QuadfloraError):
     """A configuration object violates its invariants."""
 
 
+class UsageError(QuadfloraError):
+    """The command line could not be parsed."""
+
+
 class TaxonomyError(QuadfloraError):
     """Base for hierarchy-table errors."""
 

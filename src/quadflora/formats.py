@@ -25,7 +25,9 @@ float values are parsed only when its features are first needed (a
 logit cache miss), so a run served entirely from a cache parses none.
 Values are parsed one block at a time (a quadrat's cells, a head
 parameter, a cached grid), each with one np.array call; a bad value
-still names its own line.
+still names its own line. They are written one block at a time too,
+by one _util.fmt9_rows call each: rendered numerically where that is
+provably exact, and by '%.9g', the fallback and the oracle, elsewhere.
 """
 
 import hashlib
@@ -38,7 +40,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text, fmt9_array, read_rows
+from ._util import atomic_write_text, fmt9_rows, read_rows
 from .ensemble import HeadSelection
 from .errors import (
     ConfigError,
@@ -107,10 +109,6 @@ def _parse_block(rows: Sequence[tuple[str, str]]) -> Optional[np.ndarray]:
     if any(len(p) != len(parsed[0]) for p in parsed):
         return None
     return np.vstack(parsed)
-
-
-def _join_values(values: np.ndarray) -> str:
-    return ";".join(fmt9_array(values))
 
 
 # ---------------------------------------------------------------- ground truth
@@ -187,13 +185,10 @@ def write_quadrat_features(quadrats: Sequence[Quadrat], path) -> None:
         if cells is None:
             raise FormatError(f"quadrat {q.quadrat_id} has no features to write")
         dim = cells.shape[2]
-        text = fmt9_array(cells)
-        for i in range(q.grid_cells * q.grid_cells):
+        prefix = f"{q.quadrat_id},{q.transect_id},{q.grid_cells},{dim},"
+        for i, values in enumerate(fmt9_rows(cells.reshape(-1, dim))):
             row, col = divmod(i, q.grid_cells)
-            lines.append(
-                f"{q.quadrat_id},{q.transect_id},{q.grid_cells},{dim},"
-                f"{row},{col}," + ";".join(text[i * dim : (i + 1) * dim])
-            )
+            lines.append(f"{prefix}{row},{col},{values}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -294,11 +289,8 @@ def write_head_registry(registry: HeadRegistry, path) -> None:
     for level in LEVELS:
         for head_id in sorted(registry.heads.get(level, {})):
             for param, array in sorted(_head_params(registry.heads[level][head_id]).items()):
-                matrix = np.atleast_2d(array)
-                for row in range(matrix.shape[0]):
-                    lines.append(
-                        f"{level},{head_id},{param},{row},{_join_values(matrix[row])}"
-                    )
+                for row, values in enumerate(fmt9_rows(np.atleast_2d(array))):
+                    lines.append(f"{level},{head_id},{param},{row},{values}")
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -523,9 +515,8 @@ class LogitCache:
     def rows(self) -> list[tuple[tuple, np.ndarray]]:
         """Every (model, quadrat, crop, scale, row, col, level) row, sorted."""
         out = []
-        for (model_id, qid, crop, scale, level), block in self._data.items():
-            for i, values in enumerate(block):
-                out.append(((model_id, qid, crop, scale, i // scale, i % scale, level), values))
+        for key, block in self._data.items():
+            out.extend((_row_key(key, i), values) for i, values in enumerate(block))
         out.sort(key=lambda item: item[0])
         return out
 
@@ -538,10 +529,14 @@ class LogitCache:
                 raise FormatError("cache has no path to save to")
             if not self._dirty:
                 return
-        lines = [",".join(CACHE_HEADER)]
-        for key, values in self.rows():
-            lines.append(",".join(map(str, key)) + "," + _join_values(values))
-        text = "\n".join(lines) + "\n"
+        # One fmt9_rows call per grid; the lines sort as rows() does.
+        keyed = []
+        for grid_key, block in self._data.items():
+            for i, values in enumerate(fmt9_rows(block)):
+                key = _row_key(grid_key, i)
+                keyed.append((key, ",".join(map(str, key)) + "," + values))
+        keyed.sort(key=lambda item: item[0])
+        text = "\n".join([",".join(CACHE_HEADER)] + [line for _, line in keyed]) + "\n"
         atomic_write_text(path, text)
         if self._fingerprint is not None:
             atomic_write_text(fingerprint_path(path), self._sidecar_text(text))
@@ -561,6 +556,12 @@ class LogitCache:
             "cache_sha256": hashlib.sha256(cache_text.encode("utf-8")).hexdigest(),
         }
         return json.dumps(record, indent=1, sort_keys=True) + "\n"
+
+
+def _row_key(grid_key: tuple, i: int) -> tuple:
+    """The (model, quadrat, crop, scale, row, col, level) key of row i of a grid."""
+    model_id, qid, crop, scale, level = grid_key
+    return (model_id, qid, crop, scale, i // scale, i % scale, level)
 
 
 def _still_valid(record: dict, fingerprint: CacheFingerprint) -> dict:

@@ -7,6 +7,7 @@ labels are kept for serialization and for translating predictions back
 to the id space of the input files.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,21 @@ def family_of(table: TaxonomyTable, species: int) -> int:
     return table.family_of(species)
 
 
+def _bad_id(fields) -> str:
+    """Why int() refuses the first of these fields that it refuses."""
+    # int() refuses decimal strings longer than this limit (Python >= 3.11)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for field in fields:
+        try:
+            int(field)
+        except ValueError:
+            digits = field.strip().lstrip("+-").replace("_", "")
+            if digits.isdecimal() and 0 < limit < len(digits):
+                return f"id longer than {limit} digits"
+            break
+    return "non-integer field"
+
+
 def load_taxonomy(path) -> TaxonomyTable:
     """Load and validate a taxonomy CSV (header species_id,genus_id,family_id).
 
@@ -135,7 +151,7 @@ def load_taxonomy(path) -> TaxonomyTable:
         try:
             s, g, f = (int(field) for field in row)
         except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: non-integer field") from exc
+            raise FormatError(f"{path}:{lineno}: {_bad_id(row)}") from exc
         if s < 0 or g < 0 or f < 0:
             raise FormatError(f"{path}:{lineno}: negative id")
         if species_genus.get(s, g) != g:

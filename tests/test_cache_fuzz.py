@@ -7,7 +7,8 @@ nothing, or gives the output of a fresh-cache run on the mutated data.
 The same contract (exit 0 or 2, at most one `error:` line, no traceback,
 no partly written output) holds for `eval` after the ground truth or the
 submission is mutated, for `taxonomy-validate` after the taxonomy is,
-for `infer` after the run config is, and for `sweep --targets` text.
+for `infer` after the run config is, and for `sweep --targets` text,
+given as `--targets=TEXT` or as a separate argument.
 """
 
 import contextlib
@@ -186,17 +187,25 @@ TARGET_PARTS = ("", " ", "3", " 4 ", "2.5", "inf", "-inf", "1e999", "-1", "0", "
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(parts=st.lists(st.sampled_from(TARGET_PARTS), min_size=1, max_size=4))
-@example(parts=["3", "", "4"])
-@example(parts=["\u0663"])
-def test_sweep_targets(cold, parts):
+@given(
+    parts=st.lists(st.sampled_from(TARGET_PARTS), min_size=1, max_size=4),
+    separate=st.booleans(),
+)
+@example(parts=["3", "", "4"], separate=False)
+@example(parts=["\u0663"], separate=False)
+@example(parts=["-inf"], separate=True)
+@example(parts=["-0.5", "2"], separate=True)
+def test_sweep_targets(cold, parts, separate):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         shutil.copytree(cold / "data", tmp / "data")
         out = tmp / "sweep.csv"
-        # --targets=TEXT: a value that starts with '-' is not read as an option
+        # --targets=TEXT, or --targets TEXT, where argparse reads a TEXT that
+        # starts with '-' (and is not a plain negative number) as an option
+        text = ",".join(parts)
+        targets = ["--targets", text] if separate else ["--targets=" + text]
         code, err = run(["sweep", "--config", cold / "run.cfg", "--data", tmp / "data",
-                         "--targets=" + ",".join(parts), "--out", out])
+                         *targets, "--out", out])
         holds_contract(code, err, tmp, out)
 
 

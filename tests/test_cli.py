@@ -433,6 +433,50 @@ class TestErrorContract:
         )
         assert "targets" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--targets", "-inf"], "argument --targets: expected one argument"),
+            (["--targets", "-0.5,2"], "argument --targets: expected one argument"),
+            (["--data"], "argument --data: expected one argument"),
+        ],
+        ids=["-inf", "-0.5,2", "no-value"],
+    )
+    def test_usage_error_in_sweep(self, gen_dir, tmp_path, capsys, argv, message):
+        # a separate argument that starts with '-' is read as an option
+        cfg = run_cfg_file(tmp_path)
+        args = ["sweep", "--config", cfg, "--data", gen_dir, *argv]
+        assert message in assert_cli_error(*args)
+        assert main([str(a) for a in args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: quadflora sweep: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["infer", "--config", "run.cfg"], "quadflora infer: the following arguments are "
+             "required: --data, --out"),
+            (["bogus"], "quadflora: argument command: invalid choice: 'bogus'"),
+            ([], "quadflora: the following arguments are required: command"),
+            (["gen", "--config", "g.cfg", "--out", "x", "--seed", "1.5"],
+             "quadflora gen: argument --seed: invalid int value: '1.5'"),
+            (["eval", "a.csv", "b.csv", "--extra"], "quadflora: unrecognized arguments: --extra"),
+        ],
+        ids=["missing-option", "unknown-command", "no-command", "bad-int", "unknown-option"],
+    )
+    def test_usage_error(self, capsys, args, message):
+        assert message in assert_cli_error(*args)
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "-h"])
+        assert exc.value.code == 0
+        assert "--targets" in capsys.readouterr().out
+
     def test_non_utf8_csv(self, tmp_path):
         gt = tmp_path / "gt.csv"
         gt.write_text("quadrat_id,transect_id,species_ids\nq0,t0,1\n")
@@ -486,6 +530,10 @@ class TestErrorContract:
         # A field of any width is read; a quote is an error on its line.
         tax = tmp_path / "tax.csv"
         tax.write_text("species_id,genus_id,family_id\n0,0,0\n1,0," + "0" * 140_000 + "\n")
+        limit = sys.get_int_max_str_digits()
+        err = assert_cli_error("taxonomy-validate", tax)
+        assert f"{tax}:3: id longer than {limit} digits" in err
+        tax.write_text("species_id,genus_id,family_id\n0,0,0\n1,0,x" + "0" * 140_000 + "\n")
         assert f"{tax}:3: non-integer field" in assert_cli_error("taxonomy-validate", tax)
         tax.write_text('species_id,genus_id,family_id\n0,0,0\n1,0,"0"\n')
         assert f"{tax}:3: unexpected quote" in assert_cli_error("taxonomy-validate", tax)
