@@ -109,10 +109,10 @@ def canonical9(values: np.ndarray) -> np.ndarray:
 
 # fmt9_rows writes each value into a slot of 16 bytes, held as two
 # little-endian uint64 words: its text, at most 15 characters where
-# _digits9 is exact (as in -1.23456789e-14 or -0.000123456789), then its
-# separator, padded with NULs. A slot's layout depends only on the sign,
+# _digits9 is exact (as in -1.23456789e-14 or -0.000123456789), then the
+# separator ';', padded with NULs. A slot's layout depends only on the sign,
 # the exponent and the number of trailing zero digits, so every layout is
-# tabulated (_layouts). Its digits form at most two runs, split by the
+# tabulated (_tables). Its digits form at most two runs, split by the
 # point; each run is cut from the 9 ASCII digits with a mask and shifted
 # into place, by less than 64 bits, so that no shift depends on what
 # numpy does for shifts of 64 bits or more.
@@ -146,46 +146,46 @@ def _byte_mask(n: int) -> tuple[int, int]:
     return mask & (2**64 - 1), mask >> 64
 
 
-@functools.lru_cache(maxsize=None)
-def _layouts(sep: str):
-    """Per layout: the text followed by sep, with NULs where digits go, as
+@functools.cache
+def _tables():
+    """The tables of fmt9_rows, built on first use.
+
+    Per layout: the text followed by ';', with NULs where digits go, as
     two little-endian words; the length of the text; the masks of the
     digits of the runs before and after the point; and the shift in bits
     that moves the first run into place (the second moves 8 bits more,
-    past the point). Built on first use, once per separator."""
+    past the point). Then, for 0..9999, its four ASCII digits as the
+    bytes of a little-endian word and how many of them are trailing zeros.
+    """
     patterns = [
         _pattern(negative, e, zeros)
         for negative in (False, True)
         for e in range(_E_MIN, _E_MAX + 1)
         for zeros in range(9)
     ] + ["0", "-0", _MARK]
-    text = b"".join((p.replace("D", "\0") + sep).encode().ljust(16, b"\0") for p in patterns)
+    text = b"".join((p.replace("D", "\0") + ";").encode().ljust(16, b"\0") for p in patterns)
     masks, shift = [], []
     for pattern in patterns:
         runs = [n for n in (part.count("D") for part in pattern.split(".")) if n] + [0, 0]
         before, after = _byte_mask(runs[0]), _byte_mask(runs[0] + runs[1])
         masks.append([*before, after[0] & ~before[0], after[1] & ~before[1]])
         shift.append(8 * pattern.find("D") if runs[0] else 0)
+    four = np.arange(10000)
     tables = (
         np.frombuffer(text, "<u8").reshape(-1, 2),
         np.array([len(p) for p in patterns]),
         np.array(masks, np.uint64),
         np.array(shift, np.uint64),
+        sum((four // 10**j % 10 + ord("0")).astype(np.uint64) << 8 * (3 - j) for j in range(4)),
+        sum(four % 10**j == 0 for j in range(1, 5)),
     )
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-# The four ASCII digits of 0..9999 as the bytes of a little-endian word,
-# and how many of them are trailing zeros
-_FOUR = np.arange(10000)
-_DIGITS4 = sum((_FOUR // 10**j % 10 + ord("0")).astype(np.uint64) << 8 * (3 - j) for j in range(4))
-_ZEROS4 = sum(_FOUR % 10**j == 0 for j in range(1, 5))
-
-
-def fmt9_rows(matrix: np.ndarray, sep: str = ";") -> list[str]:
-    """One string per row of a 2-d array: sep.join('%.9g' % v for v in row).
+def fmt9_rows(matrix: np.ndarray) -> list[str]:
+    """One string per row of a 2-d array: ';'.join('%.9g' % v for v in row).
 
     Values where _digits9 is exact, and zeros, are written numerically
     from their digits; the rest (non-finite values, |x| < 1e-14 or
@@ -195,26 +195,23 @@ def fmt9_rows(matrix: np.ndarray, sep: str = ";") -> list[str]:
     x = np.asarray(matrix, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"fmt9_rows needs a 2-d array, got shape {x.shape}")
-    if len(sep) != 1 or not sep.isascii() or sep in "\n\0" + _MARK:
-        raise ValueError(f"bad separator {sep!r}")
     n_rows, n_cols = x.shape
     if n_cols == 0:
         return [""] * n_rows
-    layouts = _layouts(sep)
     step = max(1, _CHUNK_VALUES // n_cols)
     out: list[str] = []
     for start in range(0, n_rows, step):
-        out += _fmt9_chunk(x[start : start + step].ravel(), n_cols, layouts)
+        out += _fmt9_chunk(x[start : start + step].ravel(), n_cols)
     return out
 
 
-def _fmt9_chunk(flat: np.ndarray, n_cols: int, layouts) -> list[str]:
-    text, length, all_masks, all_shifts = layouts
+def _fmt9_chunk(flat: np.ndarray, n_cols: int) -> list[str]:
+    text, length, all_masks, all_shifts, digits4, zeros4 = _tables()
     m, p, _, _, exact = _digits9(flat)
     m = np.where(exact, np.abs(m), 0).astype(np.int64)
     high, low = np.divmod(m, 10000)
     first, middle = np.divmod(high, 10000)
-    zeros = _ZEROS4.take(low) + np.where(low == 0, _ZEROS4.take(middle), 0)
+    zeros = zeros4.take(low) + np.where(low == 0, zeros4.take(middle), 0)
     # p = k + 22 and e = 8 - k, so e - _E_MIN = 2 * 22 - p
     layout = (np.signbit(flat) * _N_E + 2 * _EXACT_POW10 - p) * 9 + zeros
     layout[~exact] = _SPLICE
@@ -222,9 +219,9 @@ def _fmt9_chunk(flat: np.ndarray, n_cols: int, layouts) -> list[str]:
     layout[is_zero] = _ZERO + np.signbit(flat[is_zero])
     # The 9 digits as bytes 0..8 of two words, cut into the two runs
     # and ORed into the layout's text
-    low4 = _DIGITS4.take(low)
+    low4 = digits4.take(low)
     digits_lo = (
-        first.astype(np.uint64) + ord("0") | _DIGITS4.take(middle) << 8 | (low4 & 0xFFFFFF) << 40
+        first.astype(np.uint64) + ord("0") | digits4.take(middle) << 8 | (low4 & 0xFFFFFF) << 40
     )
     digits_hi = low4 >> 24
     masks = all_masks.take(layout, axis=0)
@@ -238,7 +235,7 @@ def _fmt9_chunk(flat: np.ndarray, n_cols: int, layouts) -> list[str]:
         run1_hi << shift1 | run1_lo >> 1 >> (63 - shift1)
         | run2_hi << shift2 | run2_lo >> 1 >> (63 - shift2)
     )
-    # The separator after each row's last value becomes the line break
+    # The ';' after each row's last value becomes the line break
     # that splits the text into rows.
     slots = slots.view(np.uint8)
     row_ends = np.arange(n_cols - 1, len(flat), n_cols)

@@ -25,9 +25,11 @@ float values are parsed only when its features are first needed (a
 logit cache miss), so a run served entirely from a cache parses none.
 Values are parsed one block at a time (a quadrat's cells, a head
 parameter, a cached grid), each with one np.array call; a bad value
-still names its own line. They are written one block at a time too,
-by one _util.fmt9_rows call each: rendered numerically where that is
-provably exact, and by '%.9g', the fallback and the oracle, elsewhere.
+still names its own line. They are written in blocks too, through
+_util.fmt9_rows: a quadrat's cells per call, and all head parameters or
+cached grids of one width per call. Values are rendered numerically
+where that is provably exact, and by '%.9g', the fallback and the
+oracle, elsewhere.
 """
 
 import hashlib
@@ -109,6 +111,20 @@ def _parse_block(rows: Sequence[tuple[str, str]]) -> Optional[np.ndarray]:
     if any(len(p) != len(parsed[0]) for p in parsed):
         return None
     return np.vstack(parsed)
+
+
+def _format_blocks(blocks: Sequence[np.ndarray]) -> list[list[str]]:
+    """fmt9_rows of each 2-d block, with one call for all blocks of equal
+    width, so that small blocks share its fixed cost."""
+    by_width: dict[int, list[int]] = {}
+    for i, block in enumerate(blocks):
+        by_width.setdefault(block.shape[1], []).append(i)
+    out: list[list[str]] = [[] for _ in blocks]
+    for indices in by_width.values():
+        lines = iter(fmt9_rows(np.vstack([blocks[i] for i in indices])))
+        for i in indices:
+            out[i] = [next(lines) for _ in range(len(blocks[i]))]
+    return out
 
 
 # ---------------------------------------------------------------- ground truth
@@ -286,11 +302,14 @@ def _head_params(head) -> dict[str, np.ndarray]:
 
 def write_head_registry(registry: HeadRegistry, path) -> None:
     lines = [",".join(HEADS_HEADER)]
-    for level in LEVELS:
-        for head_id in sorted(registry.heads.get(level, {})):
-            for param, array in sorted(_head_params(registry.heads[level][head_id]).items()):
-                for row, values in enumerate(fmt9_rows(np.atleast_2d(array))):
-                    lines.append(f"{level},{head_id},{param},{row},{values}")
+    params = [
+        (f"{level},{head_id},{param}", np.atleast_2d(array))
+        for level in LEVELS
+        for head_id in sorted(registry.heads.get(level, {}))
+        for param, array in sorted(_head_params(registry.heads[level][head_id]).items())
+    ]
+    for (prefix, _), rows in zip(params, _format_blocks([m for _, m in params])):
+        lines.extend(f"{prefix},{row},{values}" for row, values in enumerate(rows))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -529,10 +548,10 @@ class LogitCache:
                 raise FormatError("cache has no path to save to")
             if not self._dirty:
                 return
-        # One fmt9_rows call per grid; the lines sort as rows() does.
+        # The grids are formatted together; the lines sort as rows() does.
         keyed = []
-        for grid_key, block in self._data.items():
-            for i, values in enumerate(fmt9_rows(block)):
+        for grid_key, rows in zip(self._data, _format_blocks(list(self._data.values()))):
+            for i, values in enumerate(rows):
                 key = _row_key(grid_key, i)
                 keyed.append((key, ",".join(map(str, key)) + "," + values))
         keyed.sort(key=lambda item: item[0])

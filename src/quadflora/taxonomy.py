@@ -7,6 +7,7 @@ labels are kept for serialization and for translating predictions back
 to the id space of the input files.
 """
 
+import re
 import sys
 from dataclasses import dataclass
 
@@ -132,8 +133,10 @@ def _bad_id(fields) -> str:
         try:
             int(field)
         except ValueError:
-            digits = field.strip().lstrip("+-").replace("_", "")
-            if digits.isdecimal() and 0 < limit < len(digits):
+            text = field.strip()
+            # int()'s syntax: one optional sign, single underscores between digits
+            syntax_ok = re.fullmatch(r"[+-]?\d+(_\d+)*", text)
+            if syntax_ok and 0 < limit < len(text.lstrip("+-").replace("_", "")):
                 return f"id longer than {limit} digits"
             break
     return "non-integer field"

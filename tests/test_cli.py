@@ -535,5 +535,11 @@ class TestErrorContract:
         assert f"{tax}:3: id longer than {limit} digits" in err
         tax.write_text("species_id,genus_id,family_id\n0,0,0\n1,0,x" + "0" * 140_000 + "\n")
         assert f"{tax}:3: non-integer field" in assert_cli_error("taxonomy-validate", tax)
+        # long digit runs that int() refuses for their syntax, not their length
+        for field in ["--" + "5" * 5000, "+-" + "5" * 5000, "5__5" * 2000, "5" * 5000 + "_"]:
+            tax.write_text(f"species_id,genus_id,family_id\n0,0,0\n1,0,{field}\n")
+            assert f"{tax}:3: non-integer field" in assert_cli_error("taxonomy-validate", tax)
+        tax.write_text("species_id,genus_id,family_id\n0,0,0\n1,0,-" + "5_5" * 3000 + "\n")
+        assert f"{tax}:3: id longer than {limit} digits" in assert_cli_error("taxonomy-validate", tax)
         tax.write_text('species_id,genus_id,family_id\n0,0,0\n1,0,"0"\n')
         assert f"{tax}:3: unexpected quote" in assert_cli_error("taxonomy-validate", tax)

@@ -68,12 +68,6 @@ class TestFmt9Rows:
         assert fmt9_rows(np.array([[-0.0]])) == ["-0"]
         with pytest.raises(ValueError):
             fmt9_rows(np.zeros(3))
-        with pytest.raises(ValueError):
-            fmt9_rows(np.zeros((1, 2)), sep="\n")
-
-    def test_other_separator(self):
-        m = np.array([[1.5, np.nan, -2e-20, 0.0]])
-        assert fmt9_rows(m, sep=",") == [",".join(fmt9_array(m))]
 
     def test_every_layout(self):
         # every sign, exponent of the numeric path and count of trailing zeros
