@@ -33,13 +33,13 @@ from .synthworld import (
     head_logits,
     tile_features,
 )
-from .taxonomy import TaxonomyTable, family_of, genus_of, load_taxonomy, write_taxonomy_csv
+from .taxonomy import TaxonomyTable, load_taxonomy, write_taxonomy_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
     "QuadfloraError",
-    "TaxonomyTable", "load_taxonomy", "write_taxonomy_csv", "genus_of", "family_of",
+    "TaxonomyTable", "load_taxonomy", "write_taxonomy_csv",
     "Rect", "CropSpec", "GridSpec", "TileRef", "central_crop", "tile_grid",
     "SynthConfig", "Quadrat", "ToyModel", "LinearHead", "TwoLayerHead", "HeadRegistry",
     "gen_world", "tile_features", "head_logits",

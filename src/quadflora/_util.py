@@ -1,5 +1,5 @@
-"""Small shared helpers: the CSV line reader, atomic file writes and
-canonical float text.
+"""Small shared helpers: the CSV line reader, the naming of a bad id,
+atomic file writes and canonical float text.
 
 All numeric values that cross a file boundary are rendered with ``%.9g``
 (9 significant digits). ``canonical9`` rounds freshly computed arrays to
@@ -18,6 +18,8 @@ the fallback and the test oracle.
 import functools
 import io
 import os
+import re
+import sys
 import tempfile
 from typing import Optional
 
@@ -321,3 +323,22 @@ def read_rows(path, expected_header: list[str], text: Optional[str] = None):
                 yield lineno, fields
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def bad_id(fields) -> str:
+    """Why int() refuses the first of these fields that it refuses,
+    naming that field by a short prefix."""
+    # int() refuses decimal strings longer than this limit (Python >= 3.11)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for field in fields:
+        try:
+            int(field)
+        except ValueError:
+            text = field.strip()
+            shown = repr(text[:20]) + ("..." if len(text) > 20 else "")
+            # int()'s syntax: one optional sign, single underscores between digits
+            syntax_ok = re.fullmatch(r"[+-]?\d+(_\d+)*", text)
+            if syntax_ok and 0 < limit < len(text.lstrip("+-").replace("_", "")):
+                return f"id longer than {limit} digits: {shown}"
+            return f"non-integer field: {shown}"
+    return "non-integer field"

@@ -42,7 +42,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text, fmt9_rows, read_rows
+from ._util import atomic_write_text, bad_id, fmt9_rows, read_rows
 from .ensemble import HeadSelection
 from .errors import (
     ConfigError,
@@ -75,10 +75,11 @@ CACHE_HEADER = [
 
 
 def _parse_id_list(field: str, where: str) -> tuple[int, ...]:
+    parts = field.split(";")
     try:
-        ids = tuple(int(part) for part in field.split(";"))
+        ids = tuple(map(int, parts))
     except ValueError as exc:
-        raise FormatError(f"{where}: bad species id list {field!r}") from exc
+        raise FormatError(f"{where}: species id list: {bad_id(parts)}") from exc
     if not ids:
         raise FormatError(f"{where}: empty species id list")
     if any(b <= a for a, b in zip(ids, ids[1:])):
@@ -730,18 +731,14 @@ def run_config_from(mapping: Mapping[str, str]) -> RunConfig:
         if part.strip()
     )
     max_len_text = mapping.get("max_len", "inf").lower()
+
+    def optional(kind, key):
+        return _convert(kind, key, mapping[key]) if key in mapping else None
+
     selection = SelectionConfig(
         channel=mapping.get("channel", "fused"),
-        min_logit=(
-            _convert(float, "min_logit", mapping["min_logit"])
-            if "min_logit" in mapping
-            else None
-        ),
-        target_mean_len=(
-            _convert(float, "target_mean_len", mapping["target_mean_len"])
-            if "target_mean_len" in mapping
-            else None
-        ),
+        min_logit=optional(float, "min_logit"),
+        target_mean_len=optional(float, "target_mean_len"),
         max_len=(
             None
             if max_len_text in ("inf", "none", "unbounded")
@@ -749,20 +746,14 @@ def run_config_from(mapping: Mapping[str, str]) -> RunConfig:
         ),
         min_len=_convert(int, "min_len", mapping.get("min_len", "1")),
         zscore=_convert(bool, "zscore", mapping.get("zscore", "0")),
-        merge_k=(
-            _convert(int, "merge_k", mapping["merge_k"]) if "merge_k" in mapping else None
-        ),
+        merge_k=optional(int, "merge_k"),
     )
     return RunConfig(
         scales=scales,
         crop_fracs=crop_fracs,
         overlap_frac=_convert(float, "overlap_frac", mapping.get("overlap_frac", "0")),
         head_combos=combos,
-        kernel_w=(
-            _convert(float, "kernel_w", mapping["kernel_w"])
-            if "kernel_w" in mapping
-            else None
-        ),
+        kernel_w=optional(float, "kernel_w"),
         selection=selection,
         seed=_convert(int, "seed", mapping.get("seed", "0")),
     )

@@ -27,9 +27,6 @@ class GroundTruthTable:
             if not isinstance(tid, str) or not tid:
                 raise MetricError(f"quadrat {qid} has no transect id")
 
-    def transect_ids(self) -> list[str]:
-        return sorted({tid for tid, _ in self.quadrats.values()})
-
 
 @dataclass(frozen=True)
 class ScoreReport:

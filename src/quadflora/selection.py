@@ -21,15 +21,20 @@ ordered by (quadrat, id), and each step is a few numpy passes over them:
   first min(n_q, max(min_len, min(#{s > tau}, max_len))) candidates in
   that order.
 - calibration needs no search: the ranks list every step of the mean
-  prediction length (length_steps), so tau comes in closed form.
+  prediction length, so tau comes in closed form.
 - merging counts (group, species) keys with np.unique.
 
-zscore_normalize, apply_threshold, length_steps and metadata_merge are
-thin wrappers over the same array code, for one set or one corpus.
+Everything but tau is built once (_Ranked): the flat arrays, the
+z-scores, the ranks and, when a mean length or a calibrated threshold
+needs them, the length steps. select_corpus and the per-set
+functions zscore_normalize, apply_threshold, mean_prediction_length,
+bisect_threshold and metadata_merge are a few lines over that array
+code, for one set or one corpus.
 """
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
 from typing import Mapping, Optional, Sequence
 
@@ -137,10 +142,6 @@ class _Flat:
     ids: np.ndarray  # (N,) species ids
     scores: np.ndarray  # (N,)
 
-    def positions(self) -> np.ndarray:
-        """Each entry's offset within its quadrat."""
-        return np.arange(len(self.ids)) - self.starts[self.quadrat]
-
 
 def _flatten(corpus: Sequence[CandidateSet]) -> _Flat:
     if not corpus:
@@ -185,34 +186,75 @@ def _ranking(flat: _Flat) -> np.ndarray:
     """Entry order by quadrat, then descending score, then ascending id.
 
     Each quadrat's entries keep their place in the flat arrays, so the
-    entry at flat position i has rank positions()[i] in its quadrat.
-    Dense ranks of the negated scores (equal scores, -0.0 and 0.0
-    included, share one) make (quadrat, -score) a single integer key,
-    and a stable sort keeps tied entries in id order. It gives the
+    entry at position i of the order has rank i - starts[q] in its
+    quadrat q. Dense ranks of the negated scores (equal scores, -0.0 and
+    0.0 included, share one) make (quadrat, -score) a single integer
+    key, and a stable sort keeps tied entries in id order. It gives the
     order of np.lexsort((ids, -scores, quadrat)) in a third of the time.
     """
     dense = np.unique(-flat.scores, return_inverse=True)[1]
     return np.argsort(flat.quadrat * (dense.max() + 1) + dense, kind="stable")
 
 
-def _steps(flat: _Flat, order: np.ndarray, cfg: SelectionConfig):
-    rank = flat.positions()
-    extra = rank >= cfg.min_len
-    if cfg.max_len is not None:
-        extra &= rank < cfg.max_len
-    base = int(np.minimum(flat.counts, cfg.min_len).sum())
-    return base, np.sort(flat.scores[order][extra])
+class _Ranked:
+    """Everything in selection that does not depend on tau, built once.
 
+    flat holds the candidates (z-scored, if asked); order sorts its
+    entries by (quadrat, -score, id), and rank is each sorted entry's
+    place in its quadrat (0 = best).
+    """
 
-def _kept(flat: _Flat, order: np.ndarray, tau: float, cfg: SelectionConfig) -> np.ndarray:
-    """Mask of the kept entries, in flat order."""
-    above = np.bincount(flat.quadrat[flat.scores > tau], minlength=len(flat.quadrat_ids))
-    if cfg.max_len is not None:
-        above = np.minimum(above, cfg.max_len)
-    keep = np.minimum(flat.counts, np.maximum(above, cfg.min_len))
-    kept = np.empty(len(order), dtype=bool)
-    kept[order] = flat.positions() < keep[flat.quadrat]
-    return kept
+    def __init__(self, corpus: Sequence[CandidateSet], cfg: SelectionConfig, zscore=False):
+        flat = _flatten(corpus)
+        self.flat = _zscored(flat) if zscore else flat
+        self.cfg = cfg
+        self.order = _ranking(self.flat)
+        self.rank = np.arange(len(flat.ids)) - flat.starts[flat.quadrat]
+
+    @cached_property
+    def steps(self) -> tuple[int, np.ndarray]:
+        """The steps of the mean prediction length, as (base, extra).
+
+        A quadrat keeps min(n_q, max(min_len, min(max_len, #{s > tau})))
+        species, so the corpus keeps base = sum_q min(n_q, min_len)
+        entries at any tau, plus the extra scores above tau: those of
+        rank in [min_len, max_len), here sorted ascending.
+        """
+        rank, cfg = self.rank, self.cfg
+        extra = rank >= cfg.min_len
+        if cfg.max_len is not None:
+            extra &= rank < cfg.max_len
+        base = int(np.minimum(self.flat.counts, cfg.min_len).sum())
+        return base, np.sort(self.flat.scores[self.order][extra])
+
+    def selected(self, tau: float):
+        """(quadrat, ids) of the entries kept at tau, in flat order."""
+        flat, cfg = self.flat, self.cfg
+        above = np.bincount(flat.quadrat[flat.scores > tau], minlength=len(flat.quadrat_ids))
+        if cfg.max_len is not None:
+            above = np.minimum(above, cfg.max_len)
+        keep = np.minimum(flat.counts, np.maximum(above, cfg.min_len))
+        kept = np.empty(len(self.order), dtype=bool)
+        kept[self.order] = self.rank < keep[flat.quadrat]
+        return flat.quadrat[kept], flat.ids[kept]
+
+    def mean_length(self, tau: float) -> float:
+        base, extra = self.steps
+        above = len(extra) - int(np.searchsorted(extra, tau, side="right"))
+        return (base + above) / len(self.flat.quadrat_ids)
+
+    def threshold(self, target: float) -> float:
+        """The calibrated threshold: see bisect_threshold."""
+        base, extra = self.steps
+        levels = (base + np.arange(len(extra) + 1)) / len(self.flat.quadrat_ids)
+        k = int(np.searchsorted(levels, target, side="left"))
+        if k > len(extra):
+            raise UnattainableTargetError(
+                f"target mean length {target} exceeds what keeping all candidates yields"
+            )
+        if k == 0:
+            return float(self.flat.scores.max())
+        return float(np.nextafter(extra[len(extra) - k], -np.inf))
 
 
 def _group_index(quadrat_ids, groups: Mapping[str, str]) -> np.ndarray:
@@ -255,25 +297,6 @@ def _predictions(quadrat_ids, quadrat, ids) -> list[PredictionSet]:
     return out
 
 
-def _mean_length(steps, n_quadrats: int, tau: float) -> float:
-    base, extra = steps
-    above = len(extra) - int(np.searchsorted(extra, tau, side="right"))
-    return (base + above) / n_quadrats
-
-
-def _closed_form(steps, n_quadrats: int, target: float, scores: np.ndarray) -> float:
-    base, extra = steps
-    levels = (base + np.arange(len(extra) + 1)) / n_quadrats
-    k = int(np.searchsorted(levels, target, side="left"))
-    if k > len(extra):
-        raise UnattainableTargetError(
-            f"target mean length {target} exceeds what keeping all candidates yields"
-        )
-    if k == 0:
-        return float(scores.max())
-    return float(np.nextafter(extra[len(extra) - k], -np.inf))
-
-
 def select_corpus(
     corpus: Sequence[CandidateSet],
     cfg: SelectionConfig,
@@ -285,26 +308,20 @@ def select_corpus(
     Raises SelectionError, naming the quadrat, for an empty candidate
     set or a non-finite score.
     """
-    flat = _flatten(corpus)
-    if cfg.zscore:
-        flat = _zscored(flat)
-    order = _ranking(flat)
-    steps = _steps(flat, order, cfg)
+    ranked = _Ranked(corpus, cfg, cfg.zscore)
     if cfg.target_mean_len is not None:
-        tau = _closed_form(steps, len(corpus), cfg.target_mean_len, flat.scores)
+        tau = ranked.threshold(cfg.target_mean_len)
     elif cfg.min_logit is not None:
         tau = cfg.min_logit
     else:
         tau = float("-inf")
-    kept = _kept(flat, order, tau, cfg)
-    quadrat, ids = flat.quadrat[kept], flat.ids[kept]
+    quadrat, ids = ranked.selected(tau)
+    quadrat_ids = ranked.flat.quadrat_ids
     if cfg.merge_k is not None:
         if groups is None:
             raise ConfigError("metadata merging needs a quadrat -> group mapping")
-        group = _group_index(flat.quadrat_ids, groups)
-        quadrat, ids = _merge(quadrat, ids, group, cfg.merge_k)
-    preds = _predictions(flat.quadrat_ids, quadrat, ids)
-    return preds, tau, _mean_length(steps, len(corpus), tau)
+        quadrat, ids = _merge(quadrat, ids, _group_index(quadrat_ids, groups), cfg.merge_k)
+    return _predictions(quadrat_ids, quadrat, ids), tau, ranked.mean_length(tau)
 
 
 # ------------------------------------------- per-set and per-step wrappers
@@ -332,9 +349,7 @@ def apply_threshold(c: CandidateSet, tau: float, cfg: SelectionConfig) -> Predic
     (keep everything), not NaN.
     """
     _check_threshold(tau)
-    flat = _flatten([c])
-    kept = _kept(flat, _ranking(flat), tau, cfg)
-    return _predictions(flat.quadrat_ids, flat.quadrat[kept], flat.ids[kept])[0]
+    return _predictions([c.quadrat_id], *_Ranked([c], cfg).selected(tau))[0]
 
 
 def _check_threshold(tau: float) -> None:
@@ -342,34 +357,15 @@ def _check_threshold(tau: float) -> None:
         raise ConfigError("threshold must be a number, got nan")
 
 
-def length_steps(corpus: Sequence[CandidateSet], cfg: SelectionConfig):
-    """The corpus's prediction-length step function, as (base, extra).
-
-    A quadrat keeps min(n_q, max(min_len, min(max_len, #{s > tau})))
-    species, so the corpus keeps base = sum_q min(n_q, min_len) plus the
-    extra scores above tau: those whose rank in their quadrat (1 = best)
-    lies in (min_len, max_len], here sorted ascending.
-    """
-    flat = _flatten(corpus)
-    return _steps(flat, _ranking(flat), cfg)
-
-
 def mean_prediction_length(
-    corpus: Sequence[CandidateSet], tau: float, cfg: SelectionConfig, steps=None
+    corpus: Sequence[CandidateSet], tau: float, cfg: SelectionConfig
 ) -> float:
-    """Mean over quadrats of the selected species count at threshold tau.
-
-    steps is length_steps(corpus, cfg), if the caller already built it.
-    """
+    """Mean over quadrats of the selected species count at threshold tau."""
     _check_threshold(tau)
-    return _mean_length(
-        length_steps(corpus, cfg) if steps is None else steps, len(corpus), tau
-    )
+    return _Ranked(corpus, cfg).mean_length(tau)
 
 
-def bisect_threshold(
-    corpus: Sequence[CandidateSet], target: float, cfg: SelectionConfig, steps=None
-) -> float:
+def bisect_threshold(corpus: Sequence[CandidateSet], target: float, cfg: SelectionConfig) -> float:
     """Find a threshold whose mean prediction length best meets target.
 
     The mean length is a non-increasing step function of the threshold,
@@ -378,20 +374,17 @@ def bisect_threshold(
     predictions rather than fewer). Raises if even keeping every
     candidate is too few.
 
-    With k the fewest extra scores (see length_steps) that lift the
+    With k the fewest extra scores (see _Ranked.steps) that lift the
     mean to the target, tau is the float just below the k-th largest of
     them (so exactly the extra scores >= that one are kept); with k = 0
-    it is the largest candidate score. steps is length_steps(corpus,
-    cfg), if the caller already built it.
+    it is the largest candidate score.
     """
     if not math.isfinite(target):
         raise ConfigError(f"target_mean_len must be a finite number, got {target}")
-    flat = _flatten(corpus)
-    if steps is None:
-        steps = _steps(flat, _ranking(flat), cfg)
+    ranked = _Ranked(corpus, cfg)
     if target < cfg.min_len:
         raise ConfigError(f"target {target} below min_len {cfg.min_len}")
-    return _closed_form(steps, len(corpus), target, flat.scores)
+    return ranked.threshold(target)
 
 
 def metadata_merge(

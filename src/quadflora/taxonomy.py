@@ -7,13 +7,11 @@ labels are kept for serialization and for translating predictions back
 to the id space of the input files.
 """
 
-import re
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text, read_rows
+from ._util import atomic_write_text, bad_id, read_rows
 from .errors import (
     DanglingReferenceError,
     FormatError,
@@ -117,31 +115,6 @@ class TaxonomyTable:
         )
 
 
-def genus_of(table: TaxonomyTable, species: int) -> int:
-    return table.genus_of(species)
-
-
-def family_of(table: TaxonomyTable, species: int) -> int:
-    return table.family_of(species)
-
-
-def _bad_id(fields) -> str:
-    """Why int() refuses the first of these fields that it refuses."""
-    # int() refuses decimal strings longer than this limit (Python >= 3.11)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    for field in fields:
-        try:
-            int(field)
-        except ValueError:
-            text = field.strip()
-            # int()'s syntax: one optional sign, single underscores between digits
-            syntax_ok = re.fullmatch(r"[+-]?\d+(_\d+)*", text)
-            if syntax_ok and 0 < limit < len(text.lstrip("+-").replace("_", "")):
-                return f"id longer than {limit} digits"
-            break
-    return "non-integer field"
-
-
 def load_taxonomy(path) -> TaxonomyTable:
     """Load and validate a taxonomy CSV (header species_id,genus_id,family_id).
 
@@ -154,7 +127,7 @@ def load_taxonomy(path) -> TaxonomyTable:
         try:
             s, g, f = (int(field) for field in row)
         except ValueError as exc:
-            raise FormatError(f"{path}:{lineno}: {_bad_id(row)}") from exc
+            raise FormatError(f"{path}:{lineno}: {bad_id(row)}") from exc
         if s < 0 or g < 0 or f < 0:
             raise FormatError(f"{path}:{lineno}: negative id")
         if species_genus.get(s, g) != g:

@@ -526,6 +526,32 @@ class TestErrorContract:
         assert "warning:" not in err
         assert not out.exists()
 
+    def test_bad_id_in_long_id_list(self, tmp_path):
+        # The error names the first bad id by a short prefix, not the field.
+        gt = tmp_path / "gt.csv"
+        gt.write_text("quadrat_id,transect_id,species_ids\nq0,t0,1\n")
+        ids = ";".join(map(str, range(1, 2000))) + ";x" + "7" * 100 + ";"
+        ids += ";".join(map(str, range(3000, 6000))) + ";zz"
+        assert len(ids) > 20_000
+        sub = tmp_path / "sub.csv"
+        sub.write_text(f"quadrat_id,species_ids\nq0,{ids}\n")
+        err = assert_cli_error("eval", sub, gt)
+        assert f"{sub}:2: species id list: non-integer field: 'x7777777777777777777'..." in err
+        assert "zz" not in err and len(err) < len(str(sub)) + 100
+
+    def test_over_long_id_in_id_list(self, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        gt = tmp_path / "gt.csv"
+        gt.write_text("quadrat_id,transect_id,species_ids\nq0,t0,1\n")
+        sub = tmp_path / "sub.csv"
+        sub.write_text("quadrat_id,species_ids\nq0,1;" + "9" * (limit + 1) + ";x\n")
+        err = assert_cli_error("eval", sub, gt)
+        assert f"{sub}:2: species id list: id longer than {limit} digits: '9999" in err
+        gt.write_text("quadrat_id,transect_id,species_ids\nq0,t0," + "8" * 20_000 + "\n")
+        sub.write_text("quadrat_id,species_ids\nq0,1\n")
+        err = assert_cli_error("eval", sub, gt)
+        assert f"{gt}:2: species id list: id longer than {limit} digits: '8888" in err
+
     def test_csv_error_in_taxonomy(self, tmp_path):
         # A field of any width is read; a quote is an error on its line.
         tax = tmp_path / "tax.csv"

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import importlib
 import io
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -369,6 +370,15 @@ class TestInferQuadrat:
 
 
 class TestBenchmarkHooks:
+    @pytest.mark.parametrize("module", ["candgen", "workloads"])
+    def test_benchmark_modules_import(self, monkeypatch, module):
+        # perfbench imports library names at module level; a deleted name
+        # must fail here, not only in the benchmark's own smoke test
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        for name in ("candgen", "workloads"):
+            monkeypatch.delitem(sys.modules, name, raising=False)
+        importlib.import_module(module)
+
     def test_traced_run_records_every_stage(self, noisy_world, monkeypatch):
         # perfbench's tracer wraps names bound in pipeline; each must be
         # the one the pipeline calls, and wrapping must not change results

@@ -22,7 +22,6 @@ from quadflora.selection import (
     apply_threshold,
     bisect_threshold,
     collect_candidates,
-    length_steps,
     mean_prediction_length,
     metadata_merge,
     select_corpus,
@@ -525,9 +524,11 @@ class TestArrayPath:
                     assert metadata_merge(preds, groups, k) == per_quadrat.metadata_merge(
                         preds, groups, k
                     )
-            want = per_quadrat.length_steps(corpus, cfg)
-            base, extra = length_steps(corpus, cfg)
-            assert base == want[0] and extra.tobytes() == want[1].tobytes()
+            # every step of the mean length, and the level below them all
+            scores = sorted({s for c in corpus for s in c.entries.values()})
+            for tau in [scores[0] - 1.0] + scores:
+                got = mean_prediction_length(corpus, tau, cfg)
+                assert got.hex() == per_quadrat.mean_prediction_length(corpus, tau, cfg).hex()
         assert metadata_merge([], {}, 1) == []
         wide = [PredictionSet("a", (-5, 10**15, 2**62)), PredictionSet("b", (7,))]
         assert metadata_merge(wide, {"a": "g", "b": "g"}, 0) == [
