@@ -1,5 +1,5 @@
 """Small shared helpers: the CSV line reader, the naming of a bad id,
-atomic file writes and canonical float text.
+atomic file writes, canonical float text and the BLAS in use.
 
 All numeric values that cross a file boundary are rendered with ``%.9g``
 (9 significant digits). ``canonical9`` rounds freshly computed arrays to
@@ -15,8 +15,10 @@ their text with array arithmetic. Every other value goes through
 the fallback and the test oracle.
 """
 
+import contextlib
+import ctypes
 import functools
-import io
+import glob
 import os
 import re
 import sys
@@ -290,8 +292,26 @@ def _line(path, lineno: int, line: str) -> str:
     return line
 
 
-def read_rows(path, expected_header: list[str], text: Optional[str] = None):
-    """Yield (line number, fields) for each non-empty row after the header.
+def decode_text(path, data: bytes) -> str:
+    """A file's bytes as UTF-8 text; a FormatError naming the file if they are not."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _text_lines(text: str):
+    """The lines of a text, each with its LF end (the last may lack one)."""
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start) + 1 or end
+        yield text[start:stop]
+        start = stop
+
+
+def read_row_lines(path, expected_header: list[str], text: Optional[str] = None):
+    """Yield (line number, fields, line) for each non-empty row after the
+    header, where line is the row's line as read, with its line end.
 
     The file is streamed line by line as UTF-8 and each line is split on
     ','. A CR before the LF is dropped, so CRLF files read; a quote, a
@@ -301,18 +321,18 @@ def read_rows(path, expected_header: list[str], text: Optional[str] = None):
     if text is None:
         opened = open(path, "r", encoding="utf-8", newline="\n")
     else:
-        opened = io.StringIO(text, newline="\n")
+        opened = contextlib.nullcontext(_text_lines(text))
     n_fields = len(expected_header)
-    with opened as fh:
+    with opened as lines:
         try:
-            header = next(fh, None)
+            header = next(lines, None)
             if header is not None:
                 header = _line(path, 1, header)
                 header = header.split(",") if header else []
             if header != expected_header:
                 raise FormatError(f"bad header {header!r} in {path}")
-            for lineno, line in enumerate(fh, start=2):
-                line = _line(path, lineno, line)
+            for lineno, raw in enumerate(lines, start=2):
+                line = _line(path, lineno, raw)
                 if not line:
                     continue
                 # The split stops before the last (values) field, and a
@@ -320,9 +340,16 @@ def read_rows(path, expected_header: list[str], text: Optional[str] = None):
                 fields = line.split(",", n_fields - 1)
                 if len(fields) != n_fields or "," in fields[-1]:
                     raise FormatError(f"{path}:{lineno}: expected {n_fields} fields")
-                yield lineno, fields
+                yield lineno, fields, raw
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def read_rows(path, expected_header: list[str], text: Optional[str] = None):
+    """Yield (line number, fields) for each non-empty row after the
+    header: read_row_lines without the lines."""
+    for lineno, fields, _ in read_row_lines(path, expected_header, text):
+        yield lineno, fields
 
 
 def bad_id(fields) -> str:
@@ -342,3 +369,35 @@ def bad_id(fields) -> str:
                 return f"id longer than {limit} digits: {shown}"
             return f"non-integer field: {shown}"
     return "non-integer field"
+
+
+@functools.cache
+def _openblas():
+    """The thread-count and config getters of the OpenBLAS that numpy's
+    wheel bundles (numpy.libs/libscipy_openblas*), or None without it."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            threads = lib.scipy_openblas_get_num_threads64_
+            config = lib.scipy_openblas_get_config64_
+        except (OSError, AttributeError):
+            continue
+        threads.argtypes, threads.restype = [], ctypes.c_int
+        config.argtypes, config.restype = [], ctypes.c_char_p
+        return threads, config
+    return None
+
+
+def blas_record() -> str:
+    """The BLAS build and thread count in use, e.g. 'OpenBLAS 0.3.31
+    ... SkylakeX MAX_THREADS=64; 2 threads', or 'unknown'.
+
+    A product's last bits can depend on both, so logits computed under
+    another BLAS setting need not match these to the digit.
+    """
+    getters = _openblas()
+    if getters is None:
+        return "unknown"
+    threads, config = getters
+    return f"{' '.join(config().decode('ascii', 'replace').split())}; threads={threads()}"

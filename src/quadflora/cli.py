@@ -18,7 +18,7 @@ from .ensemble import compose_model
 from .errors import QuadfloraError, UnattainableTargetError, UsageError
 from .metric import GroundTruthTable, score
 from .pipeline import RunConfig, infer_corpus, select_predictions
-from .synthworld import gen_world, synth_summary
+from .synthworld import LEVELS, gen_world, synth_summary
 from .taxonomy import load_taxonomy, write_taxonomy_csv
 
 
@@ -38,22 +38,32 @@ def _run(args) -> int:
                 print(f"warning: {w.message}", file=sys.stderr)
 
 
-def _load_world(data_dir: str):
-    tax = load_taxonomy(os.path.join(data_dir, "taxonomy.csv"))
-    quadrats = formats.load_quadrat_features(os.path.join(data_dir, "quadrats.csv"))
-    registry = formats.load_head_registry(os.path.join(data_dir, "heads.csv"))
-    return tax, quadrats, registry
+def _load_world(args, cfg: RunConfig):
+    """The taxonomy, quadrats, models and logit cache of an infer or sweep run.
 
-
-def _models_for(cfg: RunConfig, registry):
-    return [compose_model(registry, sel) for sel in cfg.head_combos]
-
-
-def _load_cache(args, cfg: RunConfig, models, quadrats):
-    """The logit cache, checked against its fingerprint for this run."""
-    path = args.cache or os.path.join(args.data, "logit_cache.csv")
+    The cache and its sidecar are read first: feature lines the sidecar
+    vouches for are then taken unchecked, and of the heads only those the
+    run's models use are parsed.
+    """
+    cache_path = args.cache or os.path.join(args.data, "logit_cache.csv")
+    stored = formats.StoredCache.read(cache_path)
+    tax = load_taxonomy(os.path.join(args.data, "taxonomy.csv"))
+    quadrats = formats.load_quadrat_features(
+        os.path.join(args.data, "quadrats.csv"), stored.quadrats
+    )
+    used = {
+        (level, head_id)
+        for sel in cfg.head_combos
+        for level, head_id in zip(
+            LEVELS, (sel.species_head_id, sel.genus_head_id, sel.family_head_id)
+        )
+        if head_id is not None
+    }
+    registry = formats.load_head_registry(os.path.join(args.data, "heads.csv"), used)
+    models = [compose_model(registry, sel) for sel in cfg.head_combos]
     fingerprint = formats.CacheFingerprint.of(cfg.overlap_frac, models, quadrats)
-    return formats.LogitCache.load(path, fingerprint)
+    cache = formats.LogitCache.load(cache_path, fingerprint, stored)
+    return tax, quadrats, models, cache
 
 
 def cmd_gen(args) -> int:
@@ -77,9 +87,7 @@ def cmd_infer(args) -> int:
     cfg = formats.run_config_from(formats.load_config(args.config))
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    tax, quadrats, registry = _load_world(args.data)
-    models = _models_for(cfg, registry)
-    cache = _load_cache(args, cfg, models, quadrats)
+    tax, quadrats, models, cache = _load_world(args, cfg)
     candidates = infer_corpus(quadrats, cfg, tax, models, cache)
     groups = {q.quadrat_id: q.transect_id for q in quadrats}
     preds, tau, achieved = select_predictions(candidates, cfg, groups)
@@ -113,11 +121,9 @@ def cmd_sweep(args) -> int:
         dataclasses.replace(cfg.selection, target_mean_len=target, min_logit=None)
         for target in targets
     ]
-    tax, quadrats, registry = _load_world(args.data)
+    tax, quadrats, models, cache = _load_world(args, cfg)
     gt_path = args.groundtruth or os.path.join(args.data, "groundtruth.csv")
     gt = formats.load_ground_truth(gt_path)
-    models = _models_for(cfg, registry)
-    cache = _load_cache(args, cfg, models, quadrats)
     candidates = infer_corpus(quadrats, cfg, tax, models, cache)
     groups = {q.quadrat_id: q.transect_id for q in quadrats}
     print(f"{'target':>8} {'threshold':>14} {'mean_len':>9} {'score':>8}")

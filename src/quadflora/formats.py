@@ -20,9 +20,15 @@ logit cache    model_id,quadrat_id,crop_pct,scale,row,col,level,values
 fingerprint    JSON sidecar <logit cache>.fingerprint   see LogitCache
 config         flat "key = value" lines, '#' comments
 
-A features file is checked in full when it is read, but each quadrat's
-float values are parsed only when its features are first needed (a
-logit cache miss), so a run served entirely from a cache parses none.
+A features file is checked line by line, but for its float values,
+unless a logit cache's sidecar vouches for it: the sidecar records the
+byte count and sha256 of each quadrat's lines once they have been
+checked and parsed, and a file whose quadrats' lines hash to those
+records (each quadrat's lines in one run) is taken as it is, one hash
+per quadrat. Its lines are then checked only when some quadrat's
+features are first needed. Each quadrat's float values are parsed only
+then too (a logit cache miss), so a run served entirely from a cache
+parses none. Of a head registry, only the heads a run uses are parsed.
 Values are parsed one block at a time (a quadrat's cells, a head
 parameter, a cached grid), each with one np.array call; a bad value
 still names its own line. They are written in blocks too, through
@@ -38,11 +44,19 @@ import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text, bad_id, fmt9_rows, read_rows
+from ._util import (
+    atomic_write_text,
+    bad_id,
+    blas_record,
+    decode_text,
+    fmt9_rows,
+    read_row_lines,
+    read_rows,
+)
 from .ensemble import HeadSelection
 from .errors import (
     ConfigError,
@@ -210,78 +224,163 @@ def write_quadrat_features(quadrats: Sequence[Quadrat], path) -> None:
 
 
 class _FeatureRows:
-    """One quadrat's rows of a features file.
+    """One quadrat's lines of a features file.
 
-    Each row is checked when the file is read, except for its float
-    values, and added to the quadrat's digest. Calling the object parses
-    the values (once) into the (grid, grid, dim) cell array.
+    record is the byte count and sha256 of those lines, in file order and
+    with their line ends, which fingerprints logit caches computed from
+    them. rows maps each (row, col) to its line number and values field,
+    once the lines are checked; it is None while they stand accepted by a
+    recorded digest (_FeatureLines.recorded). Calling the object checks
+    them then, if need be, and parses the values, once, into the
+    (grid, grid, dim) cell array.
     """
 
-    def __init__(self, path, transect_id: str, grid: int, dim: int):
-        self.path = path
+    def __init__(self, lines: "_FeatureLines", qid: str, transect_id: str, grid: int, dim: int):
+        self.lines, self.qid = lines, qid
         self.meta = (transect_id, grid, dim)
-        self.rows: dict[tuple[int, int], tuple[int, str]] = {}  # (row, col) -> (line, values)
-        self.sha = hashlib.sha256(f"{transect_id!r},{grid},{dim}\n".encode())
+        self.rows: Optional[dict[tuple[int, int], tuple[int, str]]] = None
+        self.record: dict = {}
         self.cells: Optional[np.ndarray] = None
-
-    @property
-    def digest(self) -> str:
-        """sha256 of the quadrat's metadata and its rows' text, in file order."""
-        return self.sha.hexdigest()
 
     def __call__(self) -> np.ndarray:
         if self.cells is None:
+            if self.rows is None:
+                self.rows = self.lines.checked_rows(self.qid)
             _, grid, dim = self.meta
+            path = self.lines.path
             cells = np.empty((grid, grid, dim))
             cells.reshape(-1, dim)[[r * grid + c for r, c in self.rows]] = _parse_block(
-                [(f"{self.path}:{lineno}", field) for lineno, field in self.rows.values()]
+                [(f"{path}:{lineno}", field) for lineno, field in self.rows.values()]
             )
             self.cells, self.rows = cells, {}
         return self.cells
 
 
-def load_quadrat_features(path) -> list[Quadrat]:
+class _FeatureLines:
+    """A features file, shared by the _FeatureRows of its quadrats.
+
+    check() is the one reader of its lines. recorded() only finds, by
+    their digests, lines that an earlier check() has accepted.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.data: Optional[bytes] = None  # the bytes recorded() accepted
+        self._rows: Optional[dict] = None  # quadrat id -> rows, for checked_rows
+
+    def checked_rows(self, qid: str) -> dict:
+        """The rows of a quadrat that recorded() accepted; the first call
+        checks every line."""
+        if self._rows is None:
+            self._rows = {q: source.rows for q, source in self.check().items()}
+        return self._rows.pop(qid)
+
+    def recorded(self, records: Mapping[str, dict]) -> Optional[dict[str, _FeatureRows]]:
+        """Every quadrat, its lines unchecked, if the file after its header
+        is one run of lines per quadrat, each run of the byte count and
+        sha256 recorded for that quadrat; else None.
+
+        The records come from a logit cache's sidecar, which holds them
+        only for lines that check() accepted and whose values were parsed.
+        A quadrat's transect, grid and dim are read from its first line.
+        """
+        with open(self.path, "rb") as fh:
+            data = fh.read()
+        header = (",".join(FEATURES_HEADER) + "\n").encode()
+        if not data.startswith(header):
+            return None
+        view = memoryview(data)
+        sources: dict[str, _FeatureRows] = {}
+        start = len(header)
+        while start < len(data):
+            qid = data[start : data.find(b",", start)].decode("utf-8", "replace")
+            record = records.get(qid)
+            if record is None or qid in sources:
+                return None
+            stop = start + record["bytes"]
+            if stop > len(data) or (stop < len(data) and data[stop - 1] != ord("\n")):
+                return None
+            if hashlib.sha256(view[start:stop]).hexdigest() != record["sha256"]:
+                return None
+            # the first line (or, with no LF, all but the last byte) holds the metadata
+            _, tid, grid, dim, _ = data[start : data.find(b"\n", start, stop)].split(b",", 4)
+            source = sources[qid] = _FeatureRows(self, qid, tid.decode(), int(grid), int(dim))
+            source.record = dict(record)
+            start = stop
+        if not sources:
+            return None
+        self.data = data
+        return sources
+
+    def check(self) -> dict[str, _FeatureRows]:
+        """Every quadrat, each line checked, but for the float parse:
+        header, field count, UTF-8, integer fields, bounds, value count,
+        duplicate and missing cells, metadata consistency. The lines are
+        the bytes recorded() accepted, if it did, else streamed from the
+        file."""
+        path, data, self.data = self.path, self.data, None
+        text = None if data is None else decode_text(path, data)
+        del data
+        sources: dict[str, _FeatureRows] = {}
+        digests: dict[str, list] = {}  # quadrat id -> [sha256 of its lines, their bytes]
+        for lineno, row, line in read_row_lines(path, FEATURES_HEADER, text):
+            qid, tid, grid_s, dim_s, r_s, c_s, values = row
+            where = f"{path}:{lineno}"
+            try:
+                grid, dim, r, c = int(grid_s), int(dim_s), int(r_s), int(c_s)
+            except ValueError as exc:
+                raise FormatError(f"{where}: bad integer field") from exc
+            source = sources.get(qid)
+            if source is None:
+                if grid < 1 or dim < 1:
+                    raise FormatError(f"{where}: grid size and feature dim must be >= 1")
+                source = sources[qid] = _FeatureRows(self, qid, tid, grid, dim)
+                source.rows = {}
+                digests[qid] = [hashlib.sha256(), 0]
+            elif source.meta != (tid, grid, dim):
+                raise FormatError(f"{where}: inconsistent metadata for {qid}")
+            if not (0 <= r < grid and 0 <= c < grid):
+                raise FormatError(f"{where}: cell ({r},{c}) outside {grid}x{grid} grid")
+            n_values = values.count(";") + 1
+            if n_values != dim:
+                raise FormatError(f"{where}: expected {dim} values, got {n_values}")
+            if (r, c) in source.rows:
+                raise FormatError(f"{where}: duplicate cell ({r},{c}) for {qid}")
+            source.rows[r, c] = (lineno, values)
+            line = line.encode("utf-8")
+            digests[qid][0].update(line)
+            digests[qid][1] += len(line)
+        if not sources:
+            raise FormatError(f"no feature rows in {path}")
+        for qid in sorted(sources):
+            source = sources[qid]
+            if len(source.rows) != source.meta[1] ** 2:
+                raise FormatError(f"{path}: quadrat {qid} is missing cells")
+            sha, size = digests[qid]
+            source.record = {"bytes": size, "sha256": sha.hexdigest()}
+        return sources
+
+
+def load_quadrat_features(path, records: Optional[Mapping[str, dict]] = None) -> list[Quadrat]:
     """Rebuild quadrats (without truth sets) from a features file.
 
-    Every check but the float parse happens here: header, field count,
-    UTF-8, integer fields, bounds, value count, duplicate and missing
-    cells, metadata consistency. A quadrat's values are parsed the first
-    time its features are needed (Quadrat.features), and a parse error
-    names the file and line then. Each quadrat also gets the sha256 of
-    its rows' text, which fingerprints logit caches computed from it.
+    Every line is checked but for the float parse (_FeatureLines.check),
+    unless records, the per-quadrat records of a logit cache's sidecar,
+    vouch for the whole file: then no line is checked until a quadrat's
+    features are first needed. A quadrat's values are parsed the first
+    time its features are needed (Quadrat.features), and a check or parse
+    error names the file and line then. Each quadrat's _FeatureRows holds
+    the byte count and sha256 of its lines, which fingerprint logit
+    caches computed from it.
     """
-    sources: dict[str, _FeatureRows] = {}
-    for lineno, row in read_rows(path, FEATURES_HEADER):
-        qid, tid, grid_s, dim_s, r_s, c_s, values = row
-        where = f"{path}:{lineno}"
-        try:
-            grid, dim, r, c = int(grid_s), int(dim_s), int(r_s), int(c_s)
-        except ValueError as exc:
-            raise FormatError(f"{where}: bad integer field") from exc
-        source = sources.get(qid)
-        if source is None:
-            if grid < 1 or dim < 1:
-                raise FormatError(f"{where}: grid size and feature dim must be >= 1")
-            source = sources[qid] = _FeatureRows(path, tid, grid, dim)
-        elif source.meta != (tid, grid, dim):
-            raise FormatError(f"{where}: inconsistent metadata for {qid}")
-        if not (0 <= r < grid and 0 <= c < grid):
-            raise FormatError(f"{where}: cell ({r},{c}) outside {grid}x{grid} grid")
-        n_values = values.count(";") + 1
-        if n_values != dim:
-            raise FormatError(f"{where}: expected {dim} values, got {n_values}")
-        if (r, c) in source.rows:
-            raise FormatError(f"{where}: duplicate cell ({r},{c}) for {qid}")
-        source.rows[r, c] = (lineno, values)
-        source.sha.update(f"{r},{c},{values}\n".encode())
-    if not sources:
-        raise FormatError(f"no feature rows in {path}")
+    lines = _FeatureLines(path)
+    sources = lines.recorded(records) if records else None
+    if sources is None:
+        sources = lines.check()
     out = []
     for qid in sorted(sources):
         source = sources[qid]
         tid, grid, _ = source.meta
-        if len(source.rows) != grid * grid:
-            raise FormatError(f"{path}: quadrat {qid} is missing cells")
         out.append(
             Quadrat(
                 quadrat_id=qid, transect_id=tid, grid_cells=grid, cells=None,
@@ -314,7 +413,11 @@ def write_head_registry(registry: HeadRegistry, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_head_registry(path) -> HeadRegistry:
+def load_head_registry(path, used: Optional[Collection[tuple[str, str]]] = None) -> HeadRegistry:
+    """The heads of a registry file; only the (level, head id) pairs in
+    used, when given. Every row is checked for its level, param, row index
+    and duplicates, but only the heads returned are parsed and checked
+    for missing rows, lengths and shapes."""
     grouped: dict[tuple[str, str], dict[str, dict[int, tuple[str, str]]]] = {}
     for lineno, (level, head_id, param, row_s, values) in read_rows(path, HEADS_HEADER):
         where = f"{path}:{lineno}"
@@ -332,6 +435,8 @@ def load_head_registry(path) -> HeadRegistry:
         rows[row] = (where, values)
     heads: dict[str, dict[str, object]] = {lvl: {} for lvl in LEVELS}
     for (level, head_id), params in grouped.items():
+        if used is not None and (level, head_id) not in used:
+            continue
         matrices = {}
         for param, rows in params.items():
             matrix = _parse_block([rows[i] for i in sorted(rows)])
@@ -359,14 +464,14 @@ def load_head_registry(path) -> HeadRegistry:
         if not consistent:
             raise FormatError(f"{path}: head {level}/{head_id} has inconsistent shapes")
         heads[level][head_id] = head
-    if not any(heads.values()):
+    if not grouped:
         raise FormatError(f"no head rows in {path}")
     return HeadRegistry(heads=heads)
 
 
 # ---------------------------------------------------------------- logit cache
 
-FINGERPRINT_VERSION = 1
+FINGERPRINT_VERSION = 2
 
 
 def fingerprint_path(cache_path) -> str:
@@ -395,7 +500,7 @@ class CacheFingerprint:
 
     overlap_frac: float
     models: dict  # model id -> model_digest
-    features: dict  # quadrat id -> its _FeatureRows (digest, parsed cells)
+    features: dict  # quadrat id -> its _FeatureRows (record, parsed cells)
 
     @classmethod
     def of(cls, overlap_frac: float, models, quadrats: Sequence[Quadrat]) -> "CacheFingerprint":
@@ -409,9 +514,20 @@ class CacheFingerprint:
         )
 
 
-def _read_sidecar(cache_path, data: bytes, overlap_frac: float) -> tuple[Optional[dict], str]:
-    """The sidecar's record if it describes these cache bytes, computed
-    with this overlap_frac; else (None, why not)."""
+def _is_line_record(value) -> bool:
+    """A sidecar's record of one quadrat's feature lines: their byte count and sha256."""
+    return (
+        isinstance(value, dict)
+        and value.keys() == {"bytes", "sha256"}
+        and type(value["bytes"]) is int
+        and value["bytes"] >= 1
+        and isinstance(value["sha256"], str)
+    )
+
+
+def _read_sidecar(cache_path, data: bytes) -> tuple[Optional[dict], str]:
+    """The sidecar's record if it describes these cache bytes; else
+    (None, why not)."""
     try:
         with open(fingerprint_path(cache_path), "r", encoding="utf-8") as fh:
             record = json.load(fh)
@@ -421,19 +537,47 @@ def _read_sidecar(cache_path, data: bytes, overlap_frac: float) -> tuple[Optiona
         return None, "its fingerprint file is unreadable"
     if not isinstance(record, dict) or record.get("version") != FINGERPRINT_VERSION:
         return None, f"its fingerprint is not format version {FINGERPRINT_VERSION}"
-    overlap = record.get("overlap_frac")
-    digests = [record.get("models"), record.get("quadrats")]
+    models, quadrats = record.get("models"), record.get("quadrats")
     if (
-        type(overlap) not in (int, float)
-        or not all(isinstance(d, dict) for d in digests)
-        or not all(isinstance(v, str) for d in digests for v in d.values())
+        type(record.get("overlap_frac")) not in (int, float)
+        or not isinstance(record.get("blas"), str)
+        or not isinstance(models, dict)
+        or not all(isinstance(v, str) for v in models.values())
+        or not isinstance(quadrats, dict)
+        or not all(map(_is_line_record, quadrats.values()))
     ):
         return None, "its fingerprint file is unreadable"
     if record.get("cache_sha256") != hashlib.sha256(data).hexdigest():
         return None, "it was changed after its fingerprint was written"
-    if overlap != overlap_frac:
-        return None, f"it holds logits for overlap_frac {overlap}"
     return record, ""
+
+
+@dataclass(frozen=True)
+class StoredCache:
+    """A logit cache file's bytes (None if there is no file), read once,
+    and its sidecar's record if that describes these bytes, else why not.
+
+    Read before the features file, so that load_quadrat_features can
+    take the quadrats whose lines the record vouches for unchecked.
+    """
+
+    data: Optional[bytes]
+    record: Optional[dict]
+    why_not: str
+
+    @classmethod
+    def read(cls, path) -> "StoredCache":
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
+            return cls(None, None, "")
+        return cls(data, *_read_sidecar(path, data))
+
+    @property
+    def quadrats(self) -> dict:
+        """The recorded feature lines, quadrat id -> {"bytes", "sha256"}."""
+        return self.record["quadrats"] if self.record is not None else {}
 
 
 class LogitCache:
@@ -449,15 +593,19 @@ class LogitCache:
 
     Loaded with a CacheFingerprint (as `infer` and `sweep` do), the cache
     is checked against its sidecar, fingerprint_path(path): a JSON record
-    of the format version, overlap_frac, one digest per model's heads and
-    per quadrat's feature text, and the sha256 of the cache bytes. Grids
-    it cannot vouch for are dropped with one warning: all of them when
-    the sidecar is missing or unreadable, or the version, the cache
-    bytes or overlap_frac differ; else those of changed models and
-    quadrats. Entries for models and quadrats outside the run are kept
-    with their recorded digests. A quadrat's digest is recorded only
-    once its text has been parsed and checked, in this run or an earlier
-    one. save() writes the sidecar after the cache, and only then.
+    of the format version, overlap_frac, the BLAS in use (blas_record),
+    one digest per model's heads, the byte count and sha256 of each
+    quadrat's feature lines, and the sha256 of the cache bytes. Grids it
+    cannot vouch for are dropped with one warning: all of them when the
+    sidecar is missing or unreadable, or the version, the cache bytes or
+    overlap_frac differ; else those of changed models and quadrats.
+    Another BLAS record only warns: the grids are kept, though a product
+    computed under another BLAS setting can differ in a last digit.
+    Entries for models and quadrats outside the run are kept with their
+    recorded digests. A quadrat's lines are recorded only once they have
+    been checked and their values parsed, in this run or an earlier one,
+    which is what lets a later load_quadrat_features take them unchecked.
+    save() writes the sidecar after the cache, and only then.
     """
 
     def __init__(self, path=None):
@@ -468,24 +616,34 @@ class LogitCache:
         self._recorded = {"models": {}, "quadrats": {}}
 
     @classmethod
-    def load(cls, path, fingerprint: Optional[CacheFingerprint] = None) -> "LogitCache":
+    def load(
+        cls,
+        path,
+        fingerprint: Optional[CacheFingerprint] = None,
+        stored: Optional[StoredCache] = None,
+    ) -> "LogitCache":
+        """The cache at path, from stored if given (StoredCache.read(path))."""
         cache = cls(path)
         cache._fingerprint = fingerprint
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
+        if stored is None:
+            stored = StoredCache.read(path)
+        if stored.data is None:
             return cache
         if fingerprint is not None:
-            record, why_not = _read_sidecar(path, data, fingerprint.overlap_frac)
-            if record is None:
+            record, why_not = stored.record, stored.why_not
+            if record is not None and record["overlap_frac"] != fingerprint.overlap_frac:
+                why_not = f"it holds logits for overlap_frac {record['overlap_frac']}"
+            if why_not:
                 warnings.warn(f"logit cache {path} not used: {why_not}")
                 return cache
+            blas = blas_record()
+            if record["blas"] != blas:
+                warnings.warn(
+                    f"logit cache {path} was computed under BLAS {record['blas']!r}, "
+                    f"this run has {blas!r}; its logits are kept"
+                )
             cache._recorded = _still_valid(record, fingerprint)
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+        text = decode_text(path, stored.data)
         grids: dict[tuple, dict] = {}
         for lineno, (model_id, qid, crop, scale_s, row_s, col_s, level, values) in read_rows(
             path, CACHE_HEADER, text
@@ -566,11 +724,12 @@ class LogitCache:
         fp = self._fingerprint
         quadrats = dict(self._recorded["quadrats"])
         quadrats.update(
-            (qid, rows.digest) for qid, rows in fp.features.items() if rows.cells is not None
+            (qid, rows.record) for qid, rows in fp.features.items() if rows.cells is not None
         )
         record = {
             "version": FINGERPRINT_VERSION,
             "overlap_frac": fp.overlap_frac,
+            "blas": blas_record(),
             "models": {**self._recorded["models"], **fp.models},
             "quadrats": quadrats,
             "cache_sha256": hashlib.sha256(cache_text.encode("utf-8")).hexdigest(),
@@ -589,7 +748,7 @@ def _still_valid(record: dict, fingerprint: CacheFingerprint) -> dict:
     and those of models and quadrats the run does not have."""
     current = {
         "models": fingerprint.models,
-        "quadrats": {qid: rows.digest for qid, rows in fingerprint.features.items()},
+        "quadrats": {qid: rows.record for qid, rows in fingerprint.features.items()},
     }
     return {
         kind: {

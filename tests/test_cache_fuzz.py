@@ -54,7 +54,7 @@ FILES = (
     "logit_cache.csv",
     "logit_cache.csv.fingerprint",
 )
-KINDS = ("truncate", "flip", "duplicate", "token", "width")
+KINDS = ("truncate", "flip", "duplicate", "token", "width", "swap")
 
 
 def run(argv):
@@ -86,6 +86,10 @@ def mutate(data: bytes, kind: str, pos: int, bit: int, token: bytes) -> bytes:
     i = pos % len(lines)
     if kind == "duplicate":
         return b"\n".join(lines[: i + 1] + lines[i:])
+    if kind == "swap":  # two lines exchanged: reordered rows, interleaved quadrats
+        j = (pos // len(lines)) % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+        return b"\n".join(lines)
     if kind == "width":  # one field more or one fewer on one line
         line = lines[i]
         lines[i] = line[: line.rfind(b",")] if bit % 2 and b"," in line else line + b"," + token
@@ -128,6 +132,9 @@ def holds_contract(code, err, tmp, output=None) -> bool:
 # header, 4 x 8 x 8 rows and the empty tail). The quadrat's text no longer
 # matches its fingerprint, so it is parsed, and the run fails.
 @example(name="quadrats.csv", kind="token", pos=6 * 258 + 5, bit=0, token=b"nan")
+# Rows 10 and 100 exchanged, so the first two quadrats' lines interleave:
+# both quadrats' lines are read again, and their grids recomputed.
+@example(name="quadrats.csv", kind="swap", pos=258 * 100 + 10, bit=0, token=b"nan")
 def test_warm_infer_after_mutation(cold, name, kind, pos, bit, token):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -199,6 +200,27 @@ def fresh_cache_submission(tmp_path, cfg, data, name="fresh"):
     return out.read_bytes()
 
 
+def write_version_1_sidecar(cache, features):
+    """Rewrite the cache's sidecar as format version 1 wrote it: no BLAS
+    record, and per quadrat the sha256 of its metadata and of its rows
+    rejoined without their line ends."""
+    sidecar = Path(str(cache) + ".fingerprint")
+    record = json.loads(sidecar.read_text())
+    digests = {}
+    for line in features.read_text().splitlines()[1:]:
+        qid, tid, grid, dim, r, c, values = line.split(",")
+        if qid not in digests:
+            digests[qid] = hashlib.sha256(f"{tid!r},{grid},{dim}\n".encode())
+        digests[qid].update(f"{r},{c},{values}\n".encode())
+    del record["blas"]
+    record.update(version=1, quadrats={qid: sha.hexdigest() for qid, sha in digests.items()})
+    sidecar.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+
+
+def file_states(*paths):
+    return [(p.read_bytes(), os.stat(p).st_ino, os.stat(p).st_mtime_ns) for p in paths]
+
+
 class TestCacheFingerprint:
     def test_regenerated_corpus_gets_fresh_logits(self, tmp_path, capsys):
         # gen seed 1 -> infer -> gen seed 2 into the same directory -> infer
@@ -217,8 +239,8 @@ class TestCacheFingerprint:
     @pytest.mark.parametrize(
         "change",
         [
-            "sidecar_deleted", "cache_edited", "overlap_changed", "heads_regenerated",
-            "features_regenerated",
+            "sidecar_deleted", "sidecar_version_1", "cache_edited", "overlap_changed",
+            "heads_regenerated", "features_regenerated",
         ],
     )
     def test_stale_cache_is_dropped(self, gen_dir, tmp_path, capsys, change):
@@ -227,6 +249,8 @@ class TestCacheFingerprint:
         cache = gen_dir / "logit_cache.csv"
         if change == "sidecar_deleted":
             os.remove(str(cache) + ".fingerprint")
+        elif change == "sidecar_version_1":
+            write_version_1_sidecar(cache, gen_dir / "quadrats.csv")
         elif change == "cache_edited":
             lines = cache.read_text().splitlines()
             for i, line in enumerate(lines[1:], start=1):
@@ -275,7 +299,7 @@ class TestCacheFingerprint:
     ):
         from quadflora import formats, pipeline
 
-        parsed, heads = [], []
+        parsed, heads, read = [], [], []
         parse_block, head_logits = formats._parse_block, pipeline.head_logits
 
         def counting_parse(rows):
@@ -288,18 +312,77 @@ class TestCacheFingerprint:
 
         monkeypatch.setattr(formats, "_parse_block", counting_parse)
         monkeypatch.setattr(pipeline, "head_logits", counting_heads)
+        # every row reader formats holds: a file read through none of them
+        # had no line checked
+        for name in ("read_rows", "read_row_lines"):
+            def counting_reader(path, *args, reader=getattr(formats, name)):
+                read.append(str(path))
+                return reader(path, *args)
+
+            monkeypatch.setattr(formats, name, counting_reader)
         features = str(gen_dir / "quadrats.csv")
+        # the rows of heads the run's models (lin1+mlp2+mlp2) do not use
+        heads_csv = gen_dir / "heads.csv"
+        used = {("species", "lin1"), ("genus", "mlp2"), ("family", "mlp2")}
+        unused_rows = {
+            f"{heads_csv}:{lineno}"
+            for lineno, line in enumerate(heads_csv.read_text().splitlines()[1:], start=2)
+            if tuple(line.split(",")[:2]) not in used
+        }
+        assert unused_rows
         cfg = run_cfg_file(tmp_path)
         assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
         assert any(where.startswith(features + ":") for where in parsed) and heads
+        assert features in read and not unused_rows & set(parsed)
         files = [gen_dir / "logit_cache.csv", gen_dir / "logit_cache.csv.fingerprint"]
         stats = [(os.stat(f).st_ino, os.stat(f).st_mtime_ns) for f in files]
         parsed.clear()
         heads.clear()
+        read.clear()
         assert main(infer_argv(cfg, gen_dir, tmp_path / "warm.csv")) == 0
         assert not any(where.startswith(features + ":") for where in parsed)
         assert heads == []
+        assert features not in read and not unused_rows & set(parsed)
         assert [(os.stat(f).st_ino, os.stat(f).st_mtime_ns) for f in files] == stats
+        assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+
+    def test_interleaved_features_keep_the_cache(self, gen_dir, tmp_path, capsys):
+        # Two quadrats' lines interleaved, each in its own order, and a blank
+        # line: each quadrat's lines, taken in file order, are unchanged.
+        cfg = run_cfg_file(tmp_path)
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
+        features = gen_dir / "quadrats.csv"
+        header, *rows = features.read_bytes().splitlines(keepends=True)
+        qids = [row.split(b",")[0] for row in rows]
+        first, second = list(dict.fromkeys(qids))[:2]
+        a = [row for row, qid in zip(rows, qids) if qid == first]
+        b = [row for row, qid in zip(rows, qids) if qid == second]
+        rest = [row for row, qid in zip(rows, qids) if qid not in (first, second)]
+        mixed = [row for pair in zip(a, b) for row in pair]
+        features.write_bytes(b"".join([header, *mixed[:5], b"\n", *mixed[5:], *rest]))
+        files = [gen_dir / "logit_cache.csv", gen_dir / "logit_cache.csv.fingerprint"]
+        before = file_states(*files)
+        capsys.readouterr()
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "warm.csv")) == 0
+        assert capsys.readouterr().err == ""
+        assert file_states(*files) == before
+        assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+
+    def test_other_blas_warns_and_keeps_the_cache(self, gen_dir, tmp_path, capsys, monkeypatch):
+        from quadflora import formats
+
+        cfg = run_cfg_file(tmp_path)
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
+        files = [gen_dir / "logit_cache.csv", gen_dir / "logit_cache.csv.fingerprint"]
+        assert json.loads(files[1].read_text())["blas"] == formats.blas_record()
+        before = file_states(*files)
+        capsys.readouterr()
+        monkeypatch.setattr(formats, "blas_record", lambda: "OtherBLAS 1.0 Haswell; 64 threads")
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "warm.csv")) == 0
+        warned = capsys.readouterr().err.splitlines()
+        assert len(warned) == 1 and warned[0].startswith(f"warning: logit cache {files[0]}")
+        assert "OtherBLAS" in warned[0]
+        assert file_states(*files) == before
         assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,18 +237,100 @@ class TestFeatures:
         formats.write_quadrat_features(quads, path)
 
         def digests():
-            return [q.load_cells.digest for q in formats.load_quadrat_features(path)]
+            return [q.load_cells.record["sha256"] for q in formats.load_quadrat_features(path)]
 
         before = digests()
         assert digests() == before and len(set(before)) == len(before)
         lines = path.read_text().splitlines(keepends=True)
         qid = quads[1].quadrat_id
+        # the sha256 and byte count of the quadrat's lines, with their line ends
+        raw = "".join(line for line in lines if line.startswith(qid + ",")).encode()
+        record = formats.load_quadrat_features(path)[1].load_cells.record
+        assert record == {"bytes": len(raw), "sha256": hashlib.sha256(raw).hexdigest()}
         i = next(i for i, line in enumerate(lines) if line.startswith(qid + ","))
         head, values = lines[i].rsplit(",", 1)
         lines[i] = head + "," + "0;" + values.split(";", 1)[1]
         path.write_text("".join(lines))
         after = digests()
         assert [a != b for a, b in zip(after, before)] == [q.quadrat_id == qid for q in quads]
+
+    @pytest.mark.parametrize(
+        "change, unchecked, same_records",
+        [
+            ("none", True, True),
+            ("quadrats_reordered", True, True),
+            ("blank_line", False, True),
+            ("interleaved", False, True),
+            ("crlf", False, False),
+            ("value_changed", False, False),
+            ("digits_changed", False, False),
+        ],
+    )
+    def test_recorded_lines_are_taken_unchecked(
+        self, world, tmp_path, change, unchecked, same_records
+    ):
+        _, quads, _ = world
+        path = tmp_path / "feat.csv"
+        formats.write_quadrat_features(quads, path)
+        checked = formats.load_quadrat_features(path)
+        records = {q.quadrat_id: q.load_cells.record for q in checked}
+        header, *rows = path.read_bytes().splitlines(keepends=True)
+        n = len(rows) // len(quads)
+        blocks = [rows[i : i + n] for i in range(0, len(rows), n)]
+        if change == "quadrats_reordered":
+            rows = [row for block in blocks[::-1] for row in block]
+        elif change == "blank_line":
+            rows.insert(n + 3, b"\n")
+        elif change == "interleaved":
+            rows = [row for pair in zip(*blocks[:2]) for row in pair] + rows[2 * n :]
+        elif change == "crlf":
+            rows = [row.replace(b"\n", b"\r\n") for row in rows]
+        elif change == "value_changed":
+            head, values = rows[n].rsplit(b",", 1)
+            rows[n] = head + b",0;" + values.split(b";", 1)[1]
+        elif change == "digits_changed":  # the same byte count
+            head, values = rows[n].rsplit(b",", 1)
+            rows[n] = head + b"," + values.translate(bytes.maketrans(b"0123456789", b"1234567890"))
+        path.write_bytes(b"".join([header, *rows]))
+        loaded = formats.load_quadrat_features(path, records)
+        assert [q.load_cells.rows is None for q in loaded] == [unchecked] * len(quads)
+        assert ({q.quadrat_id: q.load_cells.record for q in loaded} == records) == same_records
+        for q, expected in zip(loaded, checked):
+            assert (q.quadrat_id, q.transect_id) == (expected.quadrat_id, expected.transect_id)
+            if change not in ("value_changed", "digits_changed"):
+                np.testing.assert_array_equal(q.features(), expected.features())
+        # the first use checks every line, so unchecked quadrats get rows
+        assert all(q.load_cells.rows is not None for q in loaded)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ("quadrat_duplicated", r"duplicate cell \(0,0\)"),
+            # the last quadrat written without a final LF, then moved first:
+            # its span hashes to its record but ends inside a line
+            ("line_end_dropped", "expected 7 fields"),
+        ],
+    )
+    def test_recorded_spans_that_break_the_file_are_checked(
+        self, world, tmp_path, change, message
+    ):
+        _, quads, _ = world
+        path = tmp_path / "feat.csv"
+        formats.write_quadrat_features(quads, path)
+        header, *rows = path.read_bytes().splitlines(keepends=True)
+        n = len(rows) // len(quads)
+        if change == "line_end_dropped":
+            rows = rows[n:] + rows[:n]
+            rows[-1] = rows[-1].rstrip(b"\n")
+        path.write_bytes(b"".join([header, *rows]))
+        records = {q.quadrat_id: q.load_cells.record for q in formats.load_quadrat_features(path)}
+        if change == "quadrat_duplicated":
+            rows += rows[:n]
+        else:
+            rows = rows[-n:] + rows[:-n]
+        path.write_bytes(b"".join([header, *rows]))
+        with pytest.raises(FormatError, match=message):
+            formats.load_quadrat_features(path, records)
 
     def test_missing_cell_rejected(self, tmp_path):
         p = tmp_path / "feat.csv"
@@ -299,6 +383,25 @@ class TestHeadRegistry:
         p.write_text("level,head_id,param,row,values\nspecies,h,w3,0,1.0\n")
         with pytest.raises(FormatError):
             formats.load_head_registry(p)
+
+    def test_only_used_heads_are_parsed(self, world, tmp_path):
+        _, _, registry = world
+        path = tmp_path / "heads.csv"
+        formats.write_head_registry(registry, path)
+        lines = path.read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.startswith("genus,lin1,w,"))
+        lines[i] = lines[i].rsplit(";", 1)[0] + ";x"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f":{i + 1}: bad values field$"):
+            formats.load_head_registry(path)
+        used = {("species", "lin1"), ("genus", "mlp2")}
+        loaded = formats.load_head_registry(path, used)
+        assert {(level, h) for level, heads in loaded.heads.items() for h in heads} == used
+        # an unused head's rows still get the row checks
+        lines[i] = lines[i].replace(",w,", ",w3,", 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f":{i + 1}: unknown param 'w3'$"):
+            formats.load_head_registry(path, used)
 
 
 class TestCache:
