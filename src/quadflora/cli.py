@@ -85,8 +85,6 @@ def cmd_gen(args) -> int:
 
 def cmd_infer(args) -> int:
     cfg = formats.run_config_from(formats.load_config(args.config))
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
     tax, quadrats, models, cache = _load_world(args, cfg)
     candidates = infer_corpus(quadrats, cfg, tax, models, cache)
     groups = {q.quadrat_id: q.transect_id for q in quadrats}
@@ -186,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="corpus directory from gen")
     p.add_argument("--out", required=True, help="submission CSV to write")
     p.add_argument("--cache", default=None, help="logit cache path (default in data dir)")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("eval", help="score a submission against ground truth")

@@ -12,11 +12,12 @@ result.
 
 Formats
 -------
+taxonomy       species_id,genus_id,family_id            see taxonomy
 ground truth   quadrat_id,transect_id,species_ids       ids ;-separated, ascending
 submission     quadrat_id,species_ids                   ids ;-separated, ascending
 features       quadrat_id,transect_id,grid_cells,feature_dim,row,col,values
 head registry  level,head_id,param,row,values           param in w,b,w1,b1,w2,b2
-logit cache    model_id,quadrat_id,crop_pct,scale,row,col,level,values
+logit cache    model_id,quadrat_id,crop_pct,scale,level,values   one line per grid
 fingerprint    JSON sidecar <logit cache>.fingerprint   see LogitCache
 config         flat "key = value" lines, '#' comments
 
@@ -32,10 +33,10 @@ parses none. Of a head registry, only the heads a run uses are parsed.
 Values are parsed one block at a time (a quadrat's cells, a head
 parameter, a cached grid), each with one np.array call; a bad value
 still names its own line. They are written in blocks too, through
-_util.fmt9_rows: a quadrat's cells per call, and all head parameters or
-cached grids of one width per call. Values are rendered numerically
-where that is provably exact, and by '%.9g', the fallback and the
-oracle, elsewhere.
+_util.fmt9_rows: a quadrat's cells per call, and all head parameters of
+one width, or all cached grids of one value count, per call. Values are
+rendered numerically where that is provably exact, and by '%.9g', the
+fallback and the oracle, elsewhere.
 """
 
 import hashlib
@@ -83,9 +84,7 @@ FEATURES_HEADER = [
     "quadrat_id", "transect_id", "grid_cells", "feature_dim", "row", "col", "values",
 ]
 HEADS_HEADER = ["level", "head_id", "param", "row", "values"]
-CACHE_HEADER = [
-    "model_id", "quadrat_id", "crop_pct", "scale", "row", "col", "level", "values",
-]
+CACHE_HEADER = ["model_id", "quadrat_id", "crop_pct", "scale", "level", "values"]
 
 
 def _parse_id_list(field: str, where: str) -> tuple[int, ...]:
@@ -471,7 +470,7 @@ def load_head_registry(path, used: Optional[Collection[tuple[str, str]]] = None)
 
 # ---------------------------------------------------------------- logit cache
 
-FINGERPRINT_VERSION = 2
+FINGERPRINT_VERSION = 3
 
 
 def fingerprint_path(cache_path) -> str:
@@ -584,12 +583,12 @@ class LogitCache:
     """Logits of whole tile grids, keyed by (model, quadrat, crop, scale, level).
 
     Each entry is one (scale^2 x classes) block, its rows in the grid's
-    row-major tile order. The file holds one row per tile and level,
-    sorted by (model, quadrat, crop, scale, row, col, level); a grid with
-    a missing or out-of-range row in a loaded file is dropped, so it is
-    recomputed whole. Values are stored in their canonical
-    9-significant-digit form, so a cache round-trip reproduces in-memory
-    results exactly. len() counts rows.
+    row-major tile order. The file holds one line per grid, the block's
+    values row-major, sorted by grid key. A loaded line whose value count
+    is not a positive multiple of scale^2, or whose key is on another
+    line too, is dropped, so its grid is recomputed. Values are stored in
+    their canonical 9-significant-digit form, so a cache round-trip
+    reproduces in-memory results exactly. len() counts tile rows.
 
     Loaded with a CacheFingerprint (as `infer` and `sweep` do), the cache
     is checked against its sidecar, fingerprint_path(path): a JSON record
@@ -644,29 +643,32 @@ class LogitCache:
                 )
             cache._recorded = _still_valid(record, fingerprint)
         text = decode_text(path, stored.data)
-        grids: dict[tuple, dict] = {}
-        for lineno, (model_id, qid, crop, scale_s, row_s, col_s, level, values) in read_rows(
+        grids: dict[tuple, Optional[tuple[str, str]]] = {}  # None: key on two lines
+        for lineno, (model_id, qid, crop, scale_s, level, values) in read_rows(
             path, CACHE_HEADER, text
         ):
             where = f"{path}:{lineno}"
             if level not in LEVELS:
                 raise FormatError(f"{where}: unknown level {level!r}")
             try:
-                scale, row, col = int(scale_s), int(row_s), int(col_s)
+                scale = int(scale_s)
             except ValueError as exc:
-                raise FormatError(f"{where}: bad tile index") from exc
-            grids.setdefault((model_id, qid, crop, scale, level), {})[row, col] = (where, values)
+                raise FormatError(f"{where}: bad scale") from exc
+            key = (model_id, qid, crop, scale, level)
+            grids[key] = None if key in grids else (where, values)
         dropped = Counter()
-        for key, rows in grids.items():
+        for key, line in grids.items():
             model_id, qid, _, scale, _ = key
             if fingerprint is not None and model_id not in cache._recorded["models"]:
                 dropped["changed heads"] += 1
             elif fingerprint is not None and qid not in cache._recorded["quadrats"]:
                 dropped["changed features"] += 1
+            elif line is None:
+                dropped["repeated keys"] += 1
             else:
-                block = _grid_block(rows, scale)
+                block = _grid_block(*line, scale)
                 if block is None:
-                    dropped["missing rows"] += 1
+                    dropped["wrong value counts"] += 1
                 else:
                     cache._data[key] = block
         if dropped:
@@ -690,14 +692,6 @@ class LogitCache:
         self._data[key] = block
         self._dirty = True
 
-    def rows(self) -> list[tuple[tuple, np.ndarray]]:
-        """Every (model, quadrat, crop, scale, row, col, level) row, sorted."""
-        out = []
-        for key, block in self._data.items():
-            out.extend((_row_key(key, i), values) for i, values in enumerate(block))
-        out.sort(key=lambda item: item[0])
-        return out
-
     def save(self, path=None) -> None:
         # Rewriting an unchanged cache would produce the same bytes; skip it
         # so warm reruns stay fast.
@@ -707,14 +701,12 @@ class LogitCache:
                 raise FormatError("cache has no path to save to")
             if not self._dirty:
                 return
-        # The grids are formatted together; the lines sort as rows() does.
-        keyed = []
-        for grid_key, rows in zip(self._data, _format_blocks(list(self._data.values()))):
-            for i, values in enumerate(rows):
-                key = _row_key(grid_key, i)
-                keyed.append((key, ",".join(map(str, key)) + "," + values))
-        keyed.sort(key=lambda item: item[0])
-        text = "\n".join([",".join(CACHE_HEADER)] + [line for _, line in keyed]) + "\n"
+        # One line per grid, in key order; the grids are formatted together.
+        keys = sorted(self._data)
+        rows = _format_blocks([self._data[key].reshape(1, -1) for key in keys])
+        lines = [",".join(CACHE_HEADER)]
+        lines.extend(",".join(map(str, key)) + "," + row for key, (row,) in zip(keys, rows))
+        text = "\n".join(lines) + "\n"
         atomic_write_text(path, text)
         if self._fingerprint is not None:
             atomic_write_text(fingerprint_path(path), self._sidecar_text(text))
@@ -737,12 +729,6 @@ class LogitCache:
         return json.dumps(record, indent=1, sort_keys=True) + "\n"
 
 
-def _row_key(grid_key: tuple, i: int) -> tuple:
-    """The (model, quadrat, crop, scale, row, col, level) key of row i of a grid."""
-    model_id, qid, crop, scale, level = grid_key
-    return (model_id, qid, crop, scale, i // scale, i % scale, level)
-
-
 def _still_valid(record: dict, fingerprint: CacheFingerprint) -> dict:
     """The recorded digests that still hold: those equal to the run's,
     and those of models and quadrats the run does not have."""
@@ -760,14 +746,14 @@ def _still_valid(record: dict, fingerprint: CacheFingerprint) -> dict:
     }
 
 
-def _grid_block(rows: dict, scale: int) -> Optional[np.ndarray]:
-    """The (scale^2 x C) block of one grid's rows, parsed as one block, or
-    None if any row is missing, out of range or of another length."""
-    if len(rows) != scale * scale or not all(
-        0 <= r < scale and 0 <= c < scale for r, c in rows
-    ):
+def _grid_block(where: str, values: str, scale: int) -> Optional[np.ndarray]:
+    """The (scale^2 x C) block of one grid's line, its values parsed by one
+    np.array call, or None if their count is not a positive multiple of
+    scale^2."""
+    block = _parse_values(values, where)
+    if scale < 1 or len(block) % (scale * scale):
         return None
-    return _parse_block([rows[key] for key in sorted(rows)])
+    return block.reshape(scale * scale, -1)
 
 
 # --------------------------------------------------------------- score report
@@ -851,8 +837,13 @@ def synth_config_from(mapping: Mapping[str, str]) -> SynthConfig:
 
 _RUN_KEYS = (
     "scales", "crop_fracs", "overlap_frac", "models", "kernel_w", "channel",
-    "min_logit", "target_mean_len", "max_len", "min_len", "zscore", "merge_k", "seed",
+    "min_logit", "target_mean_len", "max_len", "min_len", "zscore", "merge_k",
 )
+# Keys that no longer do anything: accepted, each with one warning.
+_RETIRED_RUN_KEYS = {
+    "bisect_iters": "the threshold is calibrated in closed form",
+    "seed": "inference draws no random numbers",
+}
 
 DEFAULT_MODELS = "lin1+mlp2+mlp2"
 
@@ -870,11 +861,12 @@ def _parse_head_combo(text: str) -> HeadSelection:
 
 
 def run_config_from(mapping: Mapping[str, str]) -> RunConfig:
-    unknown = set(mapping) - set(_RUN_KEYS) - {"bisect_iters"}
+    unknown = set(mapping) - set(_RUN_KEYS) - set(_RETIRED_RUN_KEYS)
     if unknown:
         raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
-    if "bisect_iters" in mapping:
-        warnings.warn("bisect_iters is ignored: the threshold is calibrated in closed form")
+    for key, why in _RETIRED_RUN_KEYS.items():
+        if key in mapping:
+            warnings.warn(f"{key} is ignored: {why}")
     if "scales" not in mapping:
         raise ConfigError("run config needs scales (e.g. scales = 4,5)")
     scales = tuple(
@@ -914,5 +906,4 @@ def run_config_from(mapping: Mapping[str, str]) -> RunConfig:
         head_combos=combos,
         kernel_w=optional(float, "kernel_w"),
         selection=selection,
-        seed=_convert(int, "seed", mapping.get("seed", "0")),
     )

@@ -62,8 +62,7 @@ class RunConfig:
     """Full inference configuration for one run.
 
     head_combos names registry variants to assemble into models; leave
-    None when passing ready-made models to run(). seed is carried for
-    provenance, the pipeline itself draws no random numbers.
+    None when passing ready-made models to run().
     """
 
     scales: tuple
@@ -72,7 +71,6 @@ class RunConfig:
     head_combos: Optional[tuple] = None
     kernel_w: Optional[float] = None
     selection: SelectionConfig = field(default_factory=SelectionConfig)
-    seed: int = 0
 
     def __post_init__(self):
         if not self.scales:

@@ -3,7 +3,8 @@
 Each tile is its own record, keyed on (scale, row, col), and bagging,
 kernel smoothing, neighbour lookup and top-1 run one tile at a time.
 The library works on (tiles x classes) blocks instead; tests compare
-its block functions against these.
+its block functions against these. cache_rows gives a logit cache's
+blocks in the same per-tile form.
 """
 
 from dataclasses import dataclass
@@ -45,6 +46,16 @@ class ModelOutput:
 
     model_id: str
     tiles: dict  # TileKey -> PerTileLogits
+
+
+def cache_rows(cache) -> dict:
+    """A logit cache's blocks as one row per tile and level, keyed on
+    (model, quadrat, crop, scale, row, col, level)."""
+    rows = {}
+    for (model_id, qid, crop, scale, level), block in cache._data.items():
+        for i, values in enumerate(block):
+            rows[model_id, qid, crop, scale, i // scale, i % scale, level] = values
+    return rows
 
 
 def neighbors(tile: TileRef, spec: GridSpec) -> list[tuple[int, int]]:

@@ -3,8 +3,10 @@
 quadflora's writers once rendered every float with its own '%.9g' call
 and joined each row's strings. They now render whole value blocks with
 ``_util.fmt9_rows``; tests compare the files both write. The bodies
-below are those writers unchanged. ``install`` puts them in place of the
-library's, so that a CLI run writes its files through them.
+below are those writers unchanged, but for ``save``, which writes the
+cache's one line per grid, still with one '%.9g' call per value.
+``install`` puts them in place of the library's, so that a CLI run
+writes its files through them.
 """
 
 from typing import Sequence
@@ -69,8 +71,8 @@ def save(self, path=None) -> None:
         if not self._dirty:
             return
     lines = [",".join(CACHE_HEADER)]
-    for key, values in self.rows():
-        lines.append(",".join(map(str, key)) + "," + _join_values(values))
+    for key in sorted(self._data):
+        lines.append(",".join(map(str, key)) + "," + _join_values(self._data[key].ravel()))
     text = "\n".join(lines) + "\n"
     atomic_write_text(path, text)
     if self._fingerprint is not None:

@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
+import per_tile
 import quadflora
+from quadflora import formats
+from quadflora._util import fmt9_array
 from quadflora.cli import main
 
 SRC = str(Path(quadflora.__file__).resolve().parents[1])
@@ -162,9 +165,10 @@ class TestInfer:
         assert sub.exists()
 
     def test_retired_bisect_iters_warns_once(self, gen_dir, tmp_path, capsys):
+        # bisect_iters and seed: each retired key warns once and changes nothing
         plain = run_cfg_file(tmp_path)
         retired = tmp_path / "retired.cfg"
-        retired.write_text(RUN_CFG + "bisect_iters = 64\n")
+        retired.write_text(RUN_CFG + "bisect_iters = 64\nseed = 5\n")
         outputs = {}
         for cfg in (plain, retired):
             sub = tmp_path / f"{cfg.stem}.csv"
@@ -182,8 +186,9 @@ class TestInfer:
         assert outputs["retired"][:2] == outputs["run"][:2]
         for captured in outputs["retired"][2:]:
             warned = [line for line in captured.err.splitlines() if line.startswith("warning:")]
-            assert len(warned) == 1
+            assert len(warned) == 2
             assert warned[0].startswith("warning: bisect_iters is ignored")
+            assert warned[1].startswith("warning: seed is ignored")
         assert all(captured.err == "" for captured in outputs["run"][2:])
 
 
@@ -200,20 +205,34 @@ def fresh_cache_submission(tmp_path, cfg, data, name="fresh"):
     return out.read_bytes()
 
 
-def write_version_1_sidecar(cache, features):
-    """Rewrite the cache's sidecar as format version 1 wrote it: no BLAS
-    record, and per quadrat the sha256 of its metadata and of its rows
-    rejoined without their line ends."""
+def write_old_format(cache, features, version):
+    """Rewrite the cache's sidecar as format version 1 or 2 wrote it.
+
+    Version 1: no BLAS record, and per quadrat the sha256 of its metadata
+    and of its rows rejoined without their line ends. Version 2: the cache
+    file rewritten with one row per tile and level, and the sidecar's
+    cache_sha256 of those bytes.
+    """
     sidecar = Path(str(cache) + ".fingerprint")
     record = json.loads(sidecar.read_text())
-    digests = {}
-    for line in features.read_text().splitlines()[1:]:
-        qid, tid, grid, dim, r, c, values = line.split(",")
-        if qid not in digests:
-            digests[qid] = hashlib.sha256(f"{tid!r},{grid},{dim}\n".encode())
-        digests[qid].update(f"{r},{c},{values}\n".encode())
-    del record["blas"]
-    record.update(version=1, quadrats={qid: sha.hexdigest() for qid, sha in digests.items()})
+    if version == 1:
+        digests = {}
+        for line in features.read_text().splitlines()[1:]:
+            qid, tid, grid, dim, r, c, values = line.split(",")
+            if qid not in digests:
+                digests[qid] = hashlib.sha256(f"{tid!r},{grid},{dim}\n".encode())
+            digests[qid].update(f"{r},{c},{values}\n".encode())
+        del record["blas"]
+        record["quadrats"] = {qid: sha.hexdigest() for qid, sha in digests.items()}
+    else:
+        rows = sorted(per_tile.cache_rows(formats.LogitCache.load(cache)).items())
+        cache.write_text(
+            "model_id,quadrat_id,crop_pct,scale,row,col,level,values\n"
+            + "".join(",".join(map(str, key)) + "," + ";".join(fmt9_array(values)) + "\n"
+                      for key, values in rows)
+        )
+        record["cache_sha256"] = hashlib.sha256(cache.read_bytes()).hexdigest()
+    record["version"] = version
     sidecar.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
 
 
@@ -239,8 +258,8 @@ class TestCacheFingerprint:
     @pytest.mark.parametrize(
         "change",
         [
-            "sidecar_deleted", "sidecar_version_1", "cache_edited", "overlap_changed",
-            "heads_regenerated", "features_regenerated",
+            "sidecar_deleted", "sidecar_version_1", "previous_format", "cache_edited",
+            "overlap_changed", "heads_regenerated", "features_regenerated",
         ],
     )
     def test_stale_cache_is_dropped(self, gen_dir, tmp_path, capsys, change):
@@ -250,7 +269,9 @@ class TestCacheFingerprint:
         if change == "sidecar_deleted":
             os.remove(str(cache) + ".fingerprint")
         elif change == "sidecar_version_1":
-            write_version_1_sidecar(cache, gen_dir / "quadrats.csv")
+            write_old_format(cache, gen_dir / "quadrats.csv", 1)
+        elif change == "previous_format":
+            write_old_format(cache, gen_dir / "quadrats.csv", 2)
         elif change == "cache_edited":
             lines = cache.read_text().splitlines()
             for i, line in enumerate(lines[1:], start=1):
@@ -270,8 +291,11 @@ class TestCacheFingerprint:
         assert main(infer_argv(cfg, gen_dir, tmp_path / "warm.csv")) == 0
         warned = capsys.readouterr().err.splitlines()
         assert len(warned) == 1 and warned[0].startswith(f"warning: logit cache {cache}")
+        if change.startswith(("sidecar_version", "previous")):
+            assert warned[0].endswith("its fingerprint is not format version 3")
         fresh = fresh_cache_submission(tmp_path, cfg, gen_dir)
         assert (tmp_path / "warm.csv").read_bytes() == fresh
+        assert cache.read_bytes() == (tmp_path / "fresh-cache" / "logit_cache.csv").read_bytes()
         # the rewritten cache is trusted by the next run
         assert main(infer_argv(cfg, gen_dir, tmp_path / "again.csv")) == 0
         assert capsys.readouterr().err == ""
@@ -297,7 +321,7 @@ class TestCacheFingerprint:
     def test_warm_run_parses_no_features_and_writes_nothing(
         self, gen_dir, tmp_path, monkeypatch
     ):
-        from quadflora import formats, pipeline
+        from quadflora import pipeline
 
         parsed, heads, read = [], [], []
         parse_block, head_logits = formats._parse_block, pipeline.head_logits
@@ -369,8 +393,6 @@ class TestCacheFingerprint:
         assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
 
     def test_other_blas_warns_and_keeps_the_cache(self, gen_dir, tmp_path, capsys, monkeypatch):
-        from quadflora import formats
-
         cfg = run_cfg_file(tmp_path)
         assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
         files = [gen_dir / "logit_cache.csv", gen_dir / "logit_cache.csv.fingerprint"]

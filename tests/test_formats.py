@@ -1,4 +1,6 @@
 import hashlib
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from quadflora.errors import ConfigError, DuplicatePredictionError, FormatError,
 from quadflora.metric import GroundTruthTable
 from quadflora.selection import PredictionSet
 from quadflora.synthworld import SynthConfig, gen_world
+from quadflora.taxonomy import TAXONOMY_HEADER
 
 
 class TestCanonicalFloats:
@@ -420,29 +423,24 @@ class TestCache:
         loaded.save(tmp_path / "cache2.csv")
         assert path.read_bytes() == (tmp_path / "cache2.csv").read_bytes()
 
-    def test_file_rows_sorted_by_tile_then_level(self, tmp_path):
+    def test_file_lines_sorted_by_grid_key(self, tmp_path):
         path = tmp_path / "cache.csv"
         cache = formats.LogitCache(path)
         cache.put(("m", "q0", "0", 2, "species"), np.array([[1.0], [2.0], [3.0], [4.0]]))
         cache.put(("m", "q0", "0", 2, "genus"), np.array([[5.0], [6.0], [7.0], [8.0]]))
         cache.put(("m", "q0", "0", 1, "species"), np.array([[0.5, 0.25]]))
+        cache.put(("a", "q1", "0", 1, "species"), np.array([[0.0, -1.0]]))
         cache.save()
-        assert path.read_text().splitlines()[1:] == [
-            "m,q0,0,1,0,0,species,0.5;0.25",
-            "m,q0,0,2,0,0,genus,5",
-            "m,q0,0,2,0,0,species,1",
-            "m,q0,0,2,0,1,genus,6",
-            "m,q0,0,2,0,1,species,2",
-            "m,q0,0,2,1,0,genus,7",
-            "m,q0,0,2,1,0,species,3",
-            "m,q0,0,2,1,1,genus,8",
-            "m,q0,0,2,1,1,species,4",
+        assert path.read_text().splitlines() == [
+            "model_id,quadrat_id,crop_pct,scale,level,values",
+            "a,q1,0,1,species,0;-1",
+            "m,q0,0,1,species,0.5;0.25",
+            "m,q0,0,2,genus,5;6;7;8",
+            "m,q0,0,2,species,1;2;3;4",
         ]
+        assert len(formats.LogitCache.load(path)) == 10
 
-    @pytest.mark.parametrize(
-        "edit",
-        ["drop", "out_of_range", "wrong_length"],
-    )
+    @pytest.mark.parametrize("edit", ["drop", "duplicate", "wrong_length", "bad_scale"])
     def test_incomplete_grid_is_dropped_on_load(self, tmp_path, edit):
         path = tmp_path / "cache.csv"
         cache = formats.LogitCache(path)
@@ -450,16 +448,24 @@ class TestCache:
         cache.put(("m", "q1", "0", 2, "species"), np.arange(8.0).reshape(4, 2))
         cache.save()
         lines = path.read_text().splitlines()
-        assert lines[1] == "m,q0,0,2,0,0,species,0;1"
-        lines[1] = {
-            "drop": "",
-            "out_of_range": "m,q0,0,2,2,0,species,0;1",
-            "wrong_length": "m,q0,0,2,0,0,species,0",
+        assert lines[1] == "m,q0,0,2,species,0;1;2;3;4;5;6;7"
+        lines[1:2] = {
+            "drop": [],  # an absent grid is a plain miss
+            "duplicate": [lines[1], "m,q0,0,2,species,7;6;5;4;3;2;1;0"],
+            "wrong_length": ["m,q0,0,2,species,0;1;2;3;4;5;6"],
+            "bad_scale": ["m,q0,0,0,species,0;1;2;3;4;5;6;7"],
         }[edit]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.warns(UserWarning, match=r"dropped 1 of 2 grids \(1 for missing rows\)"):
-            loaded = formats.LogitCache.load(path)
+        if edit == "drop":
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                loaded = formats.LogitCache.load(path)
+        else:
+            why = "repeated keys" if edit == "duplicate" else "wrong value counts"
+            with pytest.warns(UserWarning, match=rf"dropped 1 of 2 grids \(1 for {why}\)"):
+                loaded = formats.LogitCache.load(path)
         assert loaded.get(("m", "q0", "0", 2, "species")) is None
+        assert len(loaded) == 4 and loaded._dirty == (edit != "drop")
         np.testing.assert_array_equal(
             loaded.get(("m", "q1", "0", 2, "species")), np.arange(8.0).reshape(4, 2)
         )
@@ -588,3 +594,19 @@ class TestConfigs:
     def test_run_config_needs_scales(self):
         with pytest.raises(ConfigError):
             formats.run_config_from({})
+
+
+def test_every_header_is_documented():
+    # Each *_HEADER, comma-joined, is in README's "File formats" table and
+    # in the table of the formats module docstring.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## File formats\n", 1)[1].split("\n## ", 1)[0]
+    readme_table = [line for line in section.splitlines() if line.startswith("|")]
+    doc_table = formats.__doc__.split("Formats\n-------\n", 1)[1].split("\n\n", 1)[0]
+    headers = {name: value for name, value in vars(formats).items() if name.endswith("_HEADER")}
+    headers["TAXONOMY_HEADER"] = TAXONOMY_HEADER
+    assert len(headers) >= 6
+    for name, header in headers.items():
+        joined = ",".join(header)
+        assert any(f"| `{joined}`" in line for line in readme_table), name
+        assert any(joined in line.split() for line in doc_table.splitlines()), name

@@ -139,7 +139,7 @@ def per_row_cache(quads, cfg, models):
 def per_tile_oracle(q, cfg, tax, models, cache):
     """The pipeline composed from the per-tile oracle functions over the
     cached logit rows, one tile at a time."""
-    rows = dict(cache.rows())
+    rows = per_tile.cache_rows(cache)
     image = Rect(0, 0, q.grid_cells, q.grid_cells)
     members = []
     for crop_frac in cfg.crop_fracs:
@@ -317,12 +317,12 @@ class TestInferQuadrat:
         cfg = RunConfig(scales=(4, 5), crop_fracs=(0.0, 0.10), kernel_w=0.5)
         ref = LogitCache()
         infer_corpus(quads, cfg, tax, models, ref)
-        ref_rows = dict(ref.rows())
+        ref_rows = per_tile.cache_rows(ref)
 
         def assert_rows_match_ref(cache, n_rows=len(ref_rows)):
-            rows = cache.rows()
+            rows = per_tile.cache_rows(cache)
             assert len(rows) == len(cache) == n_rows
-            for key, values in rows:
+            for key, values in rows.items():
                 np.testing.assert_array_equal(values.view(np.int64), ref_rows[key].view(np.int64))
 
         for changed in (
@@ -335,14 +335,16 @@ class TestInferQuadrat:
             n_rows = sum(k[3] in changed.get("scales", (4, 5)) for k in ref_rows)
             assert_rows_match_ref(cache, n_rows)
 
-        # A grid that lost a row in the file is dropped on load and
-        # recomputed whole, with the same bits; complete grids are used as read.
+        # A grid whose line lost its last value is dropped on load and
+        # recomputed whole, with the same bits; whole lines are used as read.
         ref.save(tmp_path / "ref.csv")
         lines = (tmp_path / "ref.csv").read_text().splitlines(keepends=True)
         (tmp_path / "warm.csv").write_text(
-            lines[0] + "".join(line for i, line in enumerate(lines[1:]) if i % 97)
+            lines[0]
+            + "".join(line if i % 7 else line.rsplit(";", 1)[0] + "\n"
+                      for i, line in enumerate(lines[1:]))
         )
-        with pytest.warns(UserWarning, match="missing rows"):
+        with pytest.warns(UserWarning, match="wrong value counts"):
             warm = LogitCache.load(tmp_path / "warm.csv")
         loaded = dict(warm._data)
         assert 0 < len(loaded) < len(ref._data)
