@@ -37,11 +37,6 @@ _MUL = np.array([1.0] * _EXACT_POW10 + [float(10**k) for k in range(_EXACT_POW10
 _DIV = _MUL[::-1].copy()
 
 
-def fmt9(x: float) -> str:
-    """Render one float with 9 significant digits."""
-    return "%.9g" % x
-
-
 def fmt9_array(values: np.ndarray) -> list[str]:
     """%.9g rendering of every value, flattened, as a list of strings."""
     return list(map("%.9g".__mod__, np.asarray(values, dtype=np.float64).ravel().tolist()))

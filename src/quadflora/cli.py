@@ -18,7 +18,7 @@ from .ensemble import compose_model
 from .errors import QuadfloraError, UnattainableTargetError, UsageError
 from .metric import GroundTruthTable, score
 from .pipeline import RunConfig, infer_corpus, select_predictions
-from .synthworld import LEVELS, gen_world, synth_summary
+from .synthworld import gen_world, synth_summary
 from .taxonomy import load_taxonomy, write_taxonomy_csv
 
 
@@ -41,27 +41,22 @@ def _run(args) -> int:
 def _load_world(args, cfg: RunConfig):
     """The taxonomy, quadrats, models and logit cache of an infer or sweep run.
 
-    The cache and its sidecar are read first: feature lines the sidecar
-    vouches for are then taken unchecked, and of the heads only those the
-    run's models use are parsed.
+    The cache and its sidecar are read first, so that feature lines the
+    sidecar vouches for are taken unchecked and heads it vouches for
+    unparsed; of the heads only those the run's models use are read.
     """
     cache_path = args.cache or os.path.join(args.data, "logit_cache.csv")
     stored = formats.StoredCache.read(cache_path)
     tax = load_taxonomy(os.path.join(args.data, "taxonomy.csv"))
     quadrats = formats.load_quadrat_features(
-        os.path.join(args.data, "quadrats.csv"), stored.quadrats
+        os.path.join(args.data, "quadrats.csv"), stored.records("quadrats")
     )
-    used = {
-        (level, head_id)
-        for sel in cfg.head_combos
-        for level, head_id in zip(
-            LEVELS, (sel.species_head_id, sel.genus_head_id, sel.family_head_id)
-        )
-        if head_id is not None
-    }
-    registry = formats.load_head_registry(os.path.join(args.data, "heads.csv"), used)
+    used = {head for sel in cfg.head_combos for head in sel.heads()}
+    registry = formats.load_head_registry(
+        os.path.join(args.data, "heads.csv"), used, stored.records("heads")
+    )
     models = [compose_model(registry, sel) for sel in cfg.head_combos]
-    fingerprint = formats.CacheFingerprint.of(cfg.overlap_frac, models, quadrats)
+    fingerprint = formats.CacheFingerprint.of(cfg.overlap_frac, registry, quadrats)
     cache = formats.LogitCache.load(cache_path, fingerprint, stored)
     return tax, quadrats, models, cache
 
@@ -125,26 +120,20 @@ def cmd_sweep(args) -> int:
     candidates = infer_corpus(quadrats, cfg, tax, models, cache)
     groups = {q.quadrat_id: q.transect_id for q in quadrats}
     print(f"{'target':>8} {'threshold':>14} {'mean_len':>9} {'score':>8}")
-    rows = []
+    lines = ["target,threshold,mean_len,score"]  # of the --out CSV
     for target, sel in zip(targets, selections):
         per_target = dataclasses.replace(cfg, selection=sel)
         try:
             preds, tau, achieved = select_predictions(candidates, per_target, groups)
         except UnattainableTargetError:
             print(f"{target:>8.4g} {'unattainable':>14} {'-':>9} {'-':>8}")
-            rows.append((target, "", "", ""))
+            lines.append(f"{target:g},unattainable,,")
             continue
         final = score(preds, gt).final
         print(f"{target:>8.4g} {tau:>14.6g} {achieved:>9.4f} {final:>8.5f}")
-        rows.append((target, tau, achieved, final))
+        lines.append(f"{target:g},{tau:.9g},{achieved:.9g},{final:.9g}")
     cache.save()
     if args.out:
-        lines = ["target,threshold,mean_len,score"]
-        for target, tau, achieved, final in rows:
-            if tau == "":
-                lines.append(f"{target:g},unattainable,,")
-            else:
-                lines.append(f"{target:g},{tau:.9g},{achieved:.9g},{final:.9g}")
         atomic_write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

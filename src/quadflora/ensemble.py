@@ -31,23 +31,16 @@ class HeadSelection:
             for part in (self.species_head_id, self.genus_head_id, self.family_head_id)
         )
 
+    def heads(self) -> list[tuple[str, str]]:
+        """(level, head id) of each head selected, in level order."""
+        ids = (self.species_head_id, self.genus_head_id, self.family_head_id)
+        return [(level, head_id) for level, head_id in zip(LEVELS, ids) if head_id is not None]
+
 
 def compose_model(registry: HeadRegistry, sel: HeadSelection) -> ToyModel:
     """Assemble a model from registry head variants, one per level."""
-    return ToyModel(
-        model_id=sel.model_id(),
-        species_head=registry.get("species", sel.species_head_id),
-        genus_head=(
-            registry.get("genus", sel.genus_head_id)
-            if sel.genus_head_id is not None
-            else None
-        ),
-        family_head=(
-            registry.get("family", sel.family_head_id)
-            if sel.family_head_id is not None
-            else None
-        ),
-    )
+    heads = {f"{level}_head": registry.get(level, head_id) for level, head_id in sel.heads()}
+    return ToyModel(model_id=sel.model_id(), **heads)
 
 
 def _anchored_mean(arrays: list[np.ndarray]) -> np.ndarray:

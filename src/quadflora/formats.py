@@ -21,15 +21,16 @@ logit cache    model_id,quadrat_id,crop_pct,scale,level,values   one line per gr
 fingerprint    JSON sidecar <logit cache>.fingerprint   see LogitCache
 config         flat "key = value" lines, '#' comments
 
+A logit cache's sidecar records the byte count and sha256 of the lines
+of each quadrat and each head once they have been checked and parsed.
 A features file is checked line by line, but for its float values,
-unless a logit cache's sidecar vouches for it: the sidecar records the
-byte count and sha256 of each quadrat's lines once they have been
-checked and parsed, and a file whose quadrats' lines hash to those
-records (each quadrat's lines in one run) is taken as it is, one hash
-per quadrat. Its lines are then checked only when some quadrat's
-features are first needed. Each quadrat's float values are parsed only
-then too (a logit cache miss), so a run served entirely from a cache
-parses none. Of a head registry, only the heads a run uses are parsed.
+unless its quadrats' lines hash to those records (each quadrat's lines
+in one run): then its lines are checked only when some quadrat's
+features are first needed. Each quadrat's values are parsed only then
+(a logit cache miss). Every line of a head registry is checked; the
+heads a run uses are parsed at load, except those whose lines hash to
+their records: a cache miss parses these. So a run served entirely
+from a cache parses no value.
 Values are parsed one block at a time (a quadrat's cells, a head
 parameter, a cached grid), each with one np.array call; a bad value
 still names its own line. They are written in blocks too, through
@@ -39,13 +40,14 @@ rendered numerically where that is provably exact, and by '%.9g', the
 fallback and the oracle, elsewhere.
 """
 
+import functools
 import hashlib
 import json
 import os
 import warnings
 from collections import Counter
-from dataclasses import dataclass
-from typing import Collection, Mapping, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -71,6 +73,7 @@ from .pipeline import RunConfig
 from .selection import PredictionSet, SelectionConfig
 from .synthworld import (
     LEVELS,
+    Head,
     HeadRegistry,
     LinearHead,
     Quadrat,
@@ -88,13 +91,13 @@ CACHE_HEADER = ["model_id", "quadrat_id", "crop_pct", "scale", "level", "values"
 
 
 def _parse_id_list(field: str, where: str) -> tuple[int, ...]:
+    if not field:
+        raise FormatError(f"{where}: empty species id list")
     parts = field.split(";")
     try:
         ids = tuple(map(int, parts))
     except ValueError as exc:
         raise FormatError(f"{where}: species id list: {bad_id(parts)}") from exc
-    if not ids:
-        raise FormatError(f"{where}: empty species id list")
     if any(b <= a for a, b in zip(ids, ids[1:])):
         raise FormatError(f"{where}: species ids must be strictly ascending")
     return ids
@@ -391,7 +394,25 @@ def load_quadrat_features(path, records: Optional[Mapping[str, dict]] = None) ->
 
 # -------------------------------------------------------------- head registry
 
+class _RecordedHead:
+    """A head whose lines hash to their record in a logit cache's sidecar,
+    so they passed _head_of before: parsed on first use, from those lines."""
+
+    def __init__(self, build: Callable[[], Head]):
+        self._build = build
+
+    @functools.cached_property
+    def head(self) -> Head:
+        return self._build()
+
+    # what pipeline uses of a head, taken from the parsed one
+    in_dim = property(lambda self: self.head.in_dim)
+    apply = property(lambda self: self.head.apply)
+
+
 def _head_params(head) -> dict[str, np.ndarray]:
+    if isinstance(head, _RecordedHead):
+        head = head.head
     if isinstance(head, LinearHead):
         return {"w": head.weight, "b": head.bias}
     if isinstance(head, TwoLayerHead):
@@ -412,13 +433,51 @@ def write_head_registry(registry: HeadRegistry, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_head_registry(path, used: Optional[Collection[tuple[str, str]]] = None) -> HeadRegistry:
+def _head_of(path, name: str, params: dict[str, dict[int, tuple[str, str]]]) -> Head:
+    """A head from its rows, parsed and checked for missing rows, lengths,
+    bias rows and shapes; name is "level/head_id"."""
+    matrices = {}
+    for param, rows in params.items():
+        matrix = _parse_block([rows[i] for i in sorted(rows)])
+        if sorted(rows) != list(range(len(rows))):
+            raise FormatError(f"{path}: {name}/{param} has missing rows")
+        if matrix is None:
+            raise FormatError(f"{path}: {name}/{param} rows differ in length")
+        if param.startswith("b") and len(matrix) != 1:
+            raise FormatError(f"{path}: head {name} has {len(matrix)} rows of bias {param}")
+        matrices[param] = matrix
+    if set(matrices) == {"w", "b"}:
+        head = LinearHead(matrices["w"], matrices["b"][0])
+        consistent = head.bias.shape == head.weight.shape[:1]
+    elif set(matrices) == {"w1", "b1", "w2", "b2"}:
+        head = TwoLayerHead(matrices["w1"], matrices["b1"][0], matrices["w2"], matrices["b2"][0])
+        consistent = (
+            head.b1.shape == head.w1.shape[:1]
+            and head.w2.shape[1:] == head.w1.shape[:1]
+            and head.b2.shape == head.w2.shape[:1]
+        )
+    else:
+        raise FormatError(f"{path}: head {name} has params {sorted(matrices)}")
+    if not consistent:
+        raise FormatError(f"{path}: head {name} has inconsistent shapes")
+    return head
+
+
+def load_head_registry(
+    path, used: Optional[Collection[tuple[str, str]]] = None, records: Optional[Mapping] = None
+) -> HeadRegistry:
     """The heads of a registry file; only the (level, head id) pairs in
     used, when given. Every row is checked for its level, param, row index
-    and duplicates, but only the heads returned are parsed and checked
-    for missing rows, lengths and shapes."""
+    and duplicates, and the heads returned are parsed and checked at load.
+
+    With records (a logit cache's sidecar's), the byte count and sha256 of
+    each returned head's lines, in file order with their line ends, go
+    into the registry's records by "level/head_id"; a head whose lines
+    hash to its record is returned as a _RecordedHead, parsed on first use.
+    """
     grouped: dict[tuple[str, str], dict[str, dict[int, tuple[str, str]]]] = {}
-    for lineno, (level, head_id, param, row_s, values) in read_rows(path, HEADS_HEADER):
+    lines: dict[tuple[str, str], list[str]] = {}  # each head's lines, as read
+    for lineno, (level, head_id, param, row_s, values), line in read_row_lines(path, HEADS_HEADER):
         where = f"{path}:{lineno}"
         if level not in LEVELS:
             raise FormatError(f"{where}: unknown level {level!r}")
@@ -432,45 +491,29 @@ def load_head_registry(path, used: Optional[Collection[tuple[str, str]]] = None)
         if row in rows:
             raise FormatError(f"{where}: duplicate row {row} for {param}")
         rows[row] = (where, values)
+        lines.setdefault((level, head_id), []).append(line)
+    if not grouped:
+        raise FormatError(f"no head rows in {path}")
     heads: dict[str, dict[str, object]] = {lvl: {} for lvl in LEVELS}
+    kept: dict[str, dict] = {}
     for (level, head_id), params in grouped.items():
         if used is not None and (level, head_id) not in used:
             continue
-        matrices = {}
-        for param, rows in params.items():
-            matrix = _parse_block([rows[i] for i in sorted(rows)])
-            if sorted(rows) != list(range(len(rows))):
-                raise FormatError(f"{path}: {level}/{head_id}/{param} has missing rows")
-            if matrix is None:
-                raise FormatError(f"{path}: {level}/{head_id}/{param} rows differ in length")
-            matrices[param] = matrix
-        if set(matrices) == {"w", "b"}:
-            head = LinearHead(matrices["w"], matrices["b"][0])
-            consistent = head.bias.shape == head.weight.shape[:1]
-        elif set(matrices) == {"w1", "b1", "w2", "b2"}:
-            head = TwoLayerHead(
-                matrices["w1"], matrices["b1"][0], matrices["w2"], matrices["b2"][0]
-            )
-            consistent = (
-                head.b1.shape == head.w1.shape[:1]
-                and head.w2.shape[1:] == head.w1.shape[:1]
-                and head.b2.shape == head.w2.shape[:1]
-            )
-        else:
-            raise FormatError(
-                f"{path}: head {level}/{head_id} has params {sorted(matrices)}"
-            )
-        if not consistent:
-            raise FormatError(f"{path}: head {level}/{head_id} has inconsistent shapes")
-        heads[level][head_id] = head
-    if not grouped:
-        raise FormatError(f"no head rows in {path}")
-    return HeadRegistry(heads=heads)
+        name = f"{level}/{head_id}"
+        build = functools.partial(_head_of, path, name, params)
+        if records is not None:
+            text = "".join(lines[level, head_id]).encode("utf-8")
+            kept[name] = {"bytes": len(text), "sha256": hashlib.sha256(text).hexdigest()}
+            if records.get(name) == kept[name]:
+                heads[level][head_id] = _RecordedHead(build)
+                continue
+        heads[level][head_id] = build()
+    return HeadRegistry(heads=heads, records=None if records is None else kept)
 
 
 # ---------------------------------------------------------------- logit cache
 
-FINGERPRINT_VERSION = 3
+FINGERPRINT_VERSION = 4
 
 
 def fingerprint_path(cache_path) -> str:
@@ -478,43 +521,38 @@ def fingerprint_path(cache_path) -> str:
     return os.fspath(cache_path) + ".fingerprint"
 
 
-def model_digest(model) -> str:
-    """sha256 of a model's head arrays, level by level."""
-    sha = hashlib.sha256()
-    for level in LEVELS:
-        head = model.head_for(level)
-        sha.update(f"{level}:{type(head).__name__}\n".encode())
-        if head is not None:
-            for param, array in sorted(_head_params(head).items()):
-                array = np.ascontiguousarray(array, dtype=np.float64)
-                sha.update(f"{param}{array.shape}\n".encode())
-                sha.update(array.tobytes())
-    return sha.hexdigest()
-
-
 @dataclass(frozen=True)
 class CacheFingerprint:
     """What a run's cached logits depend on beyond their keys: the tile
-    overlap, each model's head arrays and each quadrat's feature text."""
+    overlap, the text of each head the run uses and of each quadrat's
+    features."""
 
     overlap_frac: float
-    models: dict  # model id -> model_digest
+    heads: dict  # "level/head_id" -> record of its lines (HeadRegistry.records)
     features: dict  # quadrat id -> its _FeatureRows (record, parsed cells)
 
     @classmethod
-    def of(cls, overlap_frac: float, models, quadrats: Sequence[Quadrat]) -> "CacheFingerprint":
+    def of(cls, overlap_frac: float, registry, quadrats: Sequence[Quadrat]) -> "CacheFingerprint":
+        if registry.records is None:
+            raise QuadfloraError("head registry was not read from a heads file with records")
         features = {}
         for q in quadrats:
             if not isinstance(q.load_cells, _FeatureRows):
                 raise QuadfloraError(f"quadrat {q.quadrat_id} was not read from a features file")
             features[q.quadrat_id] = q.load_cells
-        return cls(
-            float(overlap_frac), {m.model_id: model_digest(m) for m in models}, features
-        )
+        return cls(float(overlap_frac), registry.records, features)
+
+
+def _heads_recorded(model_id: str, heads: Mapping[str, dict]) -> bool:
+    """Whether each head of a model id (species+genus+family, '-' = none) is in heads."""
+    ids = model_id.split("+")
+    return len(ids) == len(LEVELS) and all(
+        f"{level}/{head_id}" in heads for level, head_id in zip(LEVELS, ids) if head_id != "-"
+    )
 
 
 def _is_line_record(value) -> bool:
-    """A sidecar's record of one quadrat's feature lines: their byte count and sha256."""
+    """A sidecar's record of a head's or quadrat's lines: byte count and sha256."""
     return (
         isinstance(value, dict)
         and value.keys() == {"bytes", "sha256"}
@@ -536,14 +574,13 @@ def _read_sidecar(cache_path, data: bytes) -> tuple[Optional[dict], str]:
         return None, "its fingerprint file is unreadable"
     if not isinstance(record, dict) or record.get("version") != FINGERPRINT_VERSION:
         return None, f"its fingerprint is not format version {FINGERPRINT_VERSION}"
-    models, quadrats = record.get("models"), record.get("quadrats")
     if (
         type(record.get("overlap_frac")) not in (int, float)
         or not isinstance(record.get("blas"), str)
-        or not isinstance(models, dict)
-        or not all(isinstance(v, str) for v in models.values())
-        or not isinstance(quadrats, dict)
-        or not all(map(_is_line_record, quadrats.values()))
+        or not all(
+            isinstance(record.get(kind), dict) and all(map(_is_line_record, record[kind].values()))
+            for kind in ("heads", "quadrats")
+        )
     ):
         return None, "its fingerprint file is unreadable"
     if record.get("cache_sha256") != hashlib.sha256(data).hexdigest():
@@ -556,8 +593,9 @@ class StoredCache:
     """A logit cache file's bytes (None if there is no file), read once,
     and its sidecar's record if that describes these bytes, else why not.
 
-    Read before the features file, so that load_quadrat_features can
-    take the quadrats whose lines the record vouches for unchecked.
+    Read before the features and heads files, so that
+    load_quadrat_features and load_head_registry can take the quadrats
+    and heads whose lines the record vouches for unchecked and unparsed.
     """
 
     data: Optional[bytes]
@@ -573,10 +611,9 @@ class StoredCache:
             return cls(None, None, "")
         return cls(data, *_read_sidecar(path, data))
 
-    @property
-    def quadrats(self) -> dict:
-        """The recorded feature lines, quadrat id -> {"bytes", "sha256"}."""
-        return self.record["quadrats"] if self.record is not None else {}
+    def records(self, kind: str) -> dict:
+        """The records of "quadrats" or "heads": name -> {"bytes", "sha256"}."""
+        return self.record[kind] if self.record is not None else {}
 
 
 class LogitCache:
@@ -593,17 +630,18 @@ class LogitCache:
     Loaded with a CacheFingerprint (as `infer` and `sweep` do), the cache
     is checked against its sidecar, fingerprint_path(path): a JSON record
     of the format version, overlap_frac, the BLAS in use (blas_record),
-    one digest per model's heads, the byte count and sha256 of each
-    quadrat's feature lines, and the sha256 of the cache bytes. Grids it
-    cannot vouch for are dropped with one warning: all of them when the
-    sidecar is missing or unreadable, or the version, the cache bytes or
-    overlap_frac differ; else those of changed models and quadrats.
+    the byte count and sha256 of each head's lines, by "level/head_id",
+    and of each quadrat's feature lines, and the sha256 of the cache
+    bytes. Grids it cannot vouch for are dropped with one warning: all of
+    them when the sidecar is missing or unreadable, or the version, the
+    cache bytes or overlap_frac differ; else those of changed quadrats and
+    of models (species+genus+family head ids) with a changed head.
     Another BLAS record only warns: the grids are kept, though a product
     computed under another BLAS setting can differ in a last digit.
-    Entries for models and quadrats outside the run are kept with their
-    recorded digests. A quadrat's lines are recorded only once they have
-    been checked and their values parsed, in this run or an earlier one,
-    which is what lets a later load_quadrat_features take them unchecked.
+    Records of heads and quadrats outside the run are kept as they are.
+    A head's or quadrat's lines are recorded only once they have been
+    checked and their values parsed, in this run or an earlier one, which
+    is what lets a later load take them unchecked and unparsed.
     save() writes the sidecar after the cache, and only then.
     """
 
@@ -612,7 +650,7 @@ class LogitCache:
         self._data: dict[tuple, np.ndarray] = {}
         self._dirty = True
         self._fingerprint: Optional[CacheFingerprint] = None
-        self._recorded = {"models": {}, "quadrats": {}}
+        self._recorded = {"heads": {}, "quadrats": {}}
 
     @classmethod
     def load(
@@ -659,7 +697,7 @@ class LogitCache:
         dropped = Counter()
         for key, line in grids.items():
             model_id, qid, _, scale, _ = key
-            if fingerprint is not None and model_id not in cache._recorded["models"]:
+            if fingerprint is not None and not _heads_recorded(model_id, cache._recorded["heads"]):
                 dropped["changed heads"] += 1
             elif fingerprint is not None and qid not in cache._recorded["quadrats"]:
                 dropped["changed features"] += 1
@@ -722,7 +760,7 @@ class LogitCache:
             "version": FINGERPRINT_VERSION,
             "overlap_frac": fp.overlap_frac,
             "blas": blas_record(),
-            "models": {**self._recorded["models"], **fp.models},
+            "heads": {**self._recorded["heads"], **fp.heads},
             "quadrats": quadrats,
             "cache_sha256": hashlib.sha256(cache_text.encode("utf-8")).hexdigest(),
         }
@@ -730,10 +768,10 @@ class LogitCache:
 
 
 def _still_valid(record: dict, fingerprint: CacheFingerprint) -> dict:
-    """The recorded digests that still hold: those equal to the run's,
-    and those of models and quadrats the run does not have."""
+    """The sidecar records that still hold: those equal to the run's,
+    and those of heads and quadrats the run does not have."""
     current = {
-        "models": fingerprint.models,
+        "heads": fingerprint.heads,
         "quadrats": {qid: rows.record for qid, rows in fingerprint.features.items()},
     }
     return {
@@ -742,7 +780,7 @@ def _still_valid(record: dict, fingerprint: CacheFingerprint) -> dict:
             for name, digest in record[kind].items()
             if current[kind].get(name, digest) == digest
         }
-        for kind in ("models", "quadrats")
+        for kind in ("heads", "quadrats")
     }
 
 
@@ -788,11 +826,8 @@ def parse_config_text(text: str, where: str = "<config>") -> dict[str, str]:
 
 
 def load_config(path) -> dict[str, str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    with open(path, "rb") as fh:
+        text = decode_text(path, fh.read())
     return parse_config_text(text, where=str(path))
 
 
@@ -810,21 +845,7 @@ def _convert(kind, key, value):
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
 
-_SYNTH_KEYS = {
-    "n_species": int,
-    "n_genera": int,
-    "n_families": int,
-    "n_quadrats": int,
-    "quadrats_per_transect": int,
-    "grid_cells": int,
-    "feature_dim": int,
-    "noise_sigma": float,
-    "richness_min": int,
-    "richness_max": int,
-    "patch_align": int,
-    "orthogonal_prototypes": bool,
-    "seed": int,
-}
+_SYNTH_KEYS = {f.name: f.type for f in fields(SynthConfig)}  # each an int, float or bool
 
 
 def synth_config_from(mapping: Mapping[str, str]) -> SynthConfig:

@@ -16,11 +16,12 @@ before use, so runs that read a warm cache are bit-identical to the
 runs that filled it. The logit cache holds whole grids, keyed by
 (model, quadrat, crop, scale, level), so a cached grid does not depend
 on which other scales, crops or grids a run computes. What else a grid
-depends on (heads, feature text, tile overlap) is recorded in the
-cache's fingerprint sidecar, which `infer` and `sweep` check on load
-(formats.LogitCache). A quadrat read from a features file parses its
-feature values only when one of its grids misses the cache, so a fully
-warm run parses none.
+depends on (the text of its model's heads and of its quadrat's
+features, the tile overlap) is recorded in the cache's fingerprint
+sidecar, which `infer` and `sweep` check on load (formats.LogitCache).
+A quadrat read from a file parses its features, and a head the sidecar
+vouches for its values, only when a grid that needs them misses the
+cache, so a fully warm run parses none.
 """
 
 import math
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import canonical9, fmt9
+from ._util import canonical9
 from .ensemble import HeadSelection, bag, compose_model, kernel_smooth
 from .errors import ConfigError, QuadfloraError, ShapeError
 from .fusion import TileLogits, fuse
@@ -87,7 +88,7 @@ class RunConfig:
 
 def crop_key(crop_frac: float) -> str:
     """Canonical cache key text for a crop fraction, as a percentage."""
-    return fmt9(100.0 * crop_frac)
+    return "%.9g" % (100.0 * crop_frac)
 
 
 def _logit_block(model, level, quadrat, crop, grids, cache, features) -> np.ndarray:

@@ -175,6 +175,7 @@ class HeadRegistry:
     """Pool of trained head variants, by level and variant id."""
 
     heads: dict  # level -> {head_id: Head}
+    records: Optional[dict] = None  # "level/head_id" -> its lines' record (formats)
 
     def get(self, level: str, head_id: str) -> Head:
         try:

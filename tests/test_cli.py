@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import per_tile
@@ -13,6 +14,7 @@ import quadflora
 from quadflora import formats
 from quadflora._util import fmt9_array
 from quadflora.cli import main
+from quadflora.synthworld import LEVELS
 
 SRC = str(Path(quadflora.__file__).resolve().parents[1])
 
@@ -205,16 +207,37 @@ def fresh_cache_submission(tmp_path, cfg, data, name="fresh"):
     return out.read_bytes()
 
 
-def write_old_format(cache, features, version):
-    """Rewrite the cache's sidecar as format version 1 or 2 wrote it.
+def old_model_digest(registry, model_id):
+    """The sha256 of a model's head arrays that sidecar versions 1 to 3
+    recorded per model."""
+    sha = hashlib.sha256()
+    for level, head_id in zip(LEVELS, model_id.split("+")):
+        head = None if head_id == "-" else registry.get(level, head_id)
+        sha.update(f"{level}:{type(head).__name__}\n".encode())
+        if head is not None:
+            for param, array in sorted(formats._head_params(head).items()):
+                sha.update(f"{param}{array.shape}\n".encode())
+                sha.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    return sha.hexdigest()
 
-    Version 1: no BLAS record, and per quadrat the sha256 of its metadata
-    and of its rows rejoined without their line ends. Version 2: the cache
-    file rewritten with one row per tile and level, and the sidecar's
-    cache_sha256 of those bytes.
+
+def write_old_format(cache, features, version):
+    """Rewrite the cache's sidecar as format version 1, 2 or 3 wrote it.
+
+    Versions 1 to 3: per model the sha256 of its head arrays, in place of
+    the per-head line records. Version 1: no BLAS record, and per quadrat
+    the sha256 of its metadata and of its rows rejoined without their
+    line ends. Version 2: the cache file rewritten with one row per tile
+    and level, and the sidecar's cache_sha256 of those bytes.
     """
     sidecar = Path(str(cache) + ".fingerprint")
     record = json.loads(sidecar.read_text())
+    registry = formats.load_head_registry(features.with_name("heads.csv"))
+    del record["heads"]
+    record["models"] = {
+        model_id: old_model_digest(registry, model_id)
+        for model_id in {line.split(",", 1)[0] for line in cache.read_text().splitlines()[1:]}
+    }
     if version == 1:
         digests = {}
         for line in features.read_text().splitlines()[1:]:
@@ -224,7 +247,7 @@ def write_old_format(cache, features, version):
             digests[qid].update(f"{r},{c},{values}\n".encode())
         del record["blas"]
         record["quadrats"] = {qid: sha.hexdigest() for qid, sha in digests.items()}
-    else:
+    elif version == 2:
         rows = sorted(per_tile.cache_rows(formats.LogitCache.load(cache)).items())
         cache.write_text(
             "model_id,quadrat_id,crop_pct,scale,row,col,level,values\n"
@@ -234,6 +257,15 @@ def write_old_format(cache, features, version):
         record["cache_sha256"] = hashlib.sha256(cache.read_bytes()).hexdigest()
     record["version"] = version
     sidecar.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+
+
+def edit_head_value(path, prefix):
+    """Set the first value of the first line that starts with prefix to 0.125."""
+    lines = path.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    head, values = lines[i].rsplit(",", 1)
+    lines[i] = head + ",0.125;" + values.split(";", 1)[1]
+    path.write_text("".join(lines))
 
 
 def file_states(*paths):
@@ -258,8 +290,9 @@ class TestCacheFingerprint:
     @pytest.mark.parametrize(
         "change",
         [
-            "sidecar_deleted", "sidecar_version_1", "previous_format", "cache_edited",
-            "overlap_changed", "heads_regenerated", "features_regenerated",
+            "sidecar_deleted", "sidecar_version_1", "previous_format", "sidecar_version_3",
+            "cache_edited", "overlap_changed", "heads_regenerated", "used_head_edited",
+            "features_regenerated",
         ],
     )
     def test_stale_cache_is_dropped(self, gen_dir, tmp_path, capsys, change):
@@ -268,9 +301,9 @@ class TestCacheFingerprint:
         cache = gen_dir / "logit_cache.csv"
         if change == "sidecar_deleted":
             os.remove(str(cache) + ".fingerprint")
-        elif change == "sidecar_version_1":
-            write_old_format(cache, gen_dir / "quadrats.csv", 1)
-        elif change == "previous_format":
+        elif change.startswith("sidecar_version"):
+            write_old_format(cache, gen_dir / "quadrats.csv", int(change[-1]))
+        elif change == "previous_format":  # the last format with one row per tile
             write_old_format(cache, gen_dir / "quadrats.csv", 2)
         elif change == "cache_edited":
             lines = cache.read_text().splitlines()
@@ -280,6 +313,8 @@ class TestCacheFingerprint:
             cache.write_text("\n".join(lines) + "\n")
         elif change == "overlap_changed":
             cfg = run_cfg_file(tmp_path, RUN_CFG + "overlap_frac = 0.25\n")
+        elif change == "used_head_edited":
+            edit_head_value(gen_dir / "heads.csv", "genus,mlp2,w2,")
         else:
             gen_cfg = tmp_path / "gen.cfg"
             gen_cfg.write_text(GEN_CFG)
@@ -292,7 +327,9 @@ class TestCacheFingerprint:
         warned = capsys.readouterr().err.splitlines()
         assert len(warned) == 1 and warned[0].startswith(f"warning: logit cache {cache}")
         if change.startswith(("sidecar_version", "previous")):
-            assert warned[0].endswith("its fingerprint is not format version 3")
+            assert warned[0].endswith("its fingerprint is not format version 4")
+        if change == "used_head_edited":
+            assert re.search(r": dropped (\d+) of \1 grids \(\1 for changed heads\)$", warned[0])
         fresh = fresh_cache_submission(tmp_path, cfg, gen_dir)
         assert (tmp_path / "warm.csv").read_bytes() == fresh
         assert cache.read_bytes() == (tmp_path / "fresh-cache" / "logit_cache.csv").read_bytes()
@@ -364,10 +401,22 @@ class TestCacheFingerprint:
         heads.clear()
         read.clear()
         assert main(infer_argv(cfg, gen_dir, tmp_path / "warm.csv")) == 0
-        assert not any(where.startswith(features + ":") for where in parsed)
+        assert parsed == []  # no feature or head value
         assert heads == []
         assert features not in read and not unused_rows & set(parsed)
         assert [(os.stat(f).st_ino, os.stat(f).st_mtime_ns) for f in files] == stats
+        assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+
+    def test_unused_head_edit_keeps_the_cache(self, gen_dir, tmp_path, capsys):
+        cfg = run_cfg_file(tmp_path)
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
+        files = [gen_dir / "logit_cache.csv", gen_dir / "logit_cache.csv.fingerprint"]
+        before = file_states(*files)
+        edit_head_value(gen_dir / "heads.csv", "species,lin1c,w,")
+        capsys.readouterr()
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "warm.csv")) == 0
+        assert capsys.readouterr().err == ""
+        assert file_states(*files) == before
         assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
 
     def test_interleaved_features_keep_the_cache(self, gen_dir, tmp_path, capsys):
@@ -630,6 +679,16 @@ class TestErrorContract:
         assert key in err
         assert "warning:" not in err
         assert not out.exists()
+
+    def test_empty_id_list(self, tmp_path):
+        gt = tmp_path / "gt.csv"
+        gt.write_text("quadrat_id,transect_id,species_ids\nq0,t0,1\nq1,t0,2\n")
+        sub = tmp_path / "sub.csv"
+        sub.write_text("quadrat_id,species_ids\nq0,1\nq1,\n")
+        assert f"error: {sub}:3: empty species id list\n" in assert_cli_error("eval", sub, gt)
+        sub.write_text("quadrat_id,species_ids\nq0,1\nq1,2\n")
+        gt.write_text("quadrat_id,transect_id,species_ids\nq0,t0,\n")
+        assert f"error: {gt}:2: empty species id list\n" in assert_cli_error("eval", sub, gt)
 
     def test_bad_id_in_long_id_list(self, tmp_path):
         # The error names the first bad id by a short prefix, not the field.

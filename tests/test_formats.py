@@ -372,6 +372,17 @@ class TestHeadRegistry:
                 ["genus,h,b1,0,0", "genus,h,w1,0,1;2", "genus,h,b2,0,0", "genus,h,w2,0,1;2"],
                 "inconsistent",
             ),
+            # extra bias rows used to be dropped silently
+            (
+                ["species,h,b,0,0;0", "species,h,b,1,5;5",
+                 "species,h,w,0,1;2", "species,h,w,1,3;4"],
+                "head species/h has 2 rows of bias b$",
+            ),
+            (
+                ["genus,h,b1,0,0", "genus,h,b1,1,0", "genus,h,b1,2,0", "genus,h,w1,0,1;2",
+                 "genus,h,b2,0,0", "genus,h,w2,0,1"],
+                "head genus/h has 3 rows of bias b1$",
+            ),
         ],
     )
     def test_mismatched_arrays_rejected(self, tmp_path, rows, message):
@@ -405,6 +416,80 @@ class TestHeadRegistry:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=f":{i + 1}: unknown param 'w3'$"):
             formats.load_head_registry(path, used)
+
+    def test_records_are_each_heads_lines(self, world, tmp_path):
+        _, _, registry = world
+        path = tmp_path / "heads.csv"
+        formats.write_head_registry(registry, path)
+        # one head's rows interleaved with another's: its lines in file order
+        header, *lines = path.read_text().splitlines(keepends=True)
+        lines[0], lines[-1] = lines[-1], lines[0]
+        path.write_text("".join([header, *lines]))
+        assert formats.load_head_registry(path).records is None
+        used = {("species", "lin1"), ("genus", "mlp2"), ("family", "lin1")}
+        for heads in (used, None):
+            records = formats.load_head_registry(path, heads, {}).records
+            expected = {}
+            for line in lines:
+                level, head_id = line.split(",")[:2]
+                if heads is None or (level, head_id) in heads:
+                    expected[f"{level}/{head_id}"] = expected.get(f"{level}/{head_id}", "") + line
+            expected = {name: text.encode() for name, text in expected.items()}
+            assert records == {
+                name: {"bytes": len(raw), "sha256": hashlib.sha256(raw).hexdigest()}
+                for name, raw in expected.items()
+            }
+
+    def test_recorded_heads_are_parsed_on_first_apply(self, world, tmp_path, monkeypatch):
+        _, quads, registry = world
+        path = tmp_path / "heads.csv"
+        formats.write_head_registry(registry, path)
+        used = {("species", "lin1"), ("genus", "mlp2"), ("family", "lin1")}
+        eager = formats.load_head_registry(path, used)
+        records = formats.load_head_registry(path, used, {}).records
+        # one value of genus/mlp2 changed: its record no longer holds
+        lines = path.read_text().splitlines(keepends=True)
+        i = next(i for i, line in enumerate(lines) if line.startswith("genus,mlp2,w2,0,"))
+        head, values = lines[i].rsplit(",", 1)
+        lines[i] = head + ",0.125;" + values.split(";", 1)[1]
+        path.write_text("".join(lines))
+        parsed = []
+        parse_block = formats._parse_block
+
+        def counting_parse(rows):
+            parsed.extend(where for where, _ in rows)
+            return parse_block(rows)
+
+        monkeypatch.setattr(formats, "_parse_block", counting_parse)
+        loaded = formats.load_head_registry(path, used, records)
+        assert parsed and all(
+            lines[int(where.rsplit(":", 1)[1]) - 1].startswith("genus,mlp2,") for where in parsed
+        )
+        assert loaded.records["genus/mlp2"] != records["genus/mlp2"]
+        assert {k: v for k, v in loaded.records.items() if k != "genus/mlp2"} == {
+            k: v for k, v in records.items() if k != "genus/mlp2"
+        }
+        parsed.clear()
+        features = quads[0].features().reshape(-1, quads[0].features().shape[-1])
+        for level, head_id in sorted(used - {("genus", "mlp2")}):
+            lazy = loaded.heads[level][head_id]
+            assert parsed == []
+            logits = lazy.apply(features)
+            assert parsed and all(f"{path}:" in where for where in parsed)
+            parsed.clear()
+            assert logits.tobytes() == eager.heads[level][head_id].apply(features).tobytes()
+            lazy.apply(features)
+            assert parsed == []  # parsed once
+
+    def test_recorded_registry_round_trips(self, world, tmp_path):
+        _, _, registry = world
+        path = tmp_path / "heads.csv"
+        formats.write_head_registry(registry, path)
+        records = formats.load_head_registry(path, None, {}).records
+        loaded = formats.load_head_registry(path, None, records)
+        assert isinstance(loaded.heads["genus"]["mlp2"], formats._RecordedHead)
+        formats.write_head_registry(loaded, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 class TestCache:
