@@ -6,19 +6,22 @@ All numeric values that cross a file boundary are rendered with ``%.9g``
 exactly the double that parsing that text gives back, so a value read
 back from a file is bit-identical to the value used in memory.
 
-Both directions work numerically wherever that is provably exact
-(Clinger's fast path, 1990, *How to Read Floating Point Numbers
-Accurately*): ``_digits9`` finds the nine digits ``%.9g`` prints,
-``canonical9`` divides them back into a double, and ``fmt9_rows`` writes
-their text with array arithmetic. Every other value goes through
-``'%.9g'`` itself (``fmt9_array``, ``_canonical9_text``), which is both
-the fallback and the test oracle.
+Both directions work numerically wherever that is provably exact:
+for zeros and for 1e-36 <= |x| < 1e53, all but values within 1e-6 of a
+9-digit tie. ``_digits9`` finds the nine digits ``%.9g`` prints,
+``canonical9`` scales them back into the correctly rounded double (one
+IEEE operation, Clinger's fast path, up to 10**22; a sum of three exact
+or nearly exact products beyond), and ``fmt9_rows`` writes their text
+with array arithmetic. Every other value goes through ``'%.9g'`` itself
+(``fmt9_array``, ``_canonical9_text``), which is both the fallback and
+the test oracle.
 """
 
 import contextlib
 import ctypes
 import functools
 import glob
+import math
 import os
 import re
 import sys
@@ -29,12 +32,40 @@ import numpy as np
 
 from .errors import FormatError
 
-# 10**k for k in -22..22, split so that x * _MUL / _DIV and m / _MUL * _DIV
-# each do one rounded operation: a factor of 1.0 is exact. 10**22 is the
-# largest power of ten that is an exact double.
-_EXACT_POW10 = 22
-_MUL = np.array([1.0] * _EXACT_POW10 + [float(10**k) for k in range(_EXACT_POW10 + 1)])
-_DIV = _MUL[::-1].copy()
+# %.9g prints the nine digits m = round(x * 10**k), k = 8 - e, where e is
+# the decimal exponent of x. Both directions are exact numerically for
+# |k| <= _K_MAX, which keeps every exponent at two digits, and every table
+# below is indexed by i = e - _E_MIN, so k = _K_MAX - i.
+_K_MAX = 44
+_E_MIN, _E_MAX = 8 - _K_MAX, 8 + _K_MAX
+_N_E = _E_MAX - _E_MIN + 1
+_EXACT_POW10 = 22  # 10**22 is the largest power of ten that is an exact double
+# i where k = 0, and the ends of |k| <= 22, where one IEEE operation on two
+# exact doubles (m * _MUL, m / _DIV) scales m back
+_I_ONE = _K_MAX
+_I_LO, _I_HI = _K_MAX - _EXACT_POW10, _K_MAX + _EXACT_POW10
+
+
+def _pow10_parts(k: int) -> tuple[float, float, float]:
+    """10**-k as a + b + c, within 2**-97 |10**-k|: a and b of 23 significant
+    bits, so that m * a and m * b are exact for |m| < 2**30, and c the
+    double nearest the rest. Each part is cut from 10**-k * 2**shift,
+    truncated to an integer."""
+    shift = 300 if k > 0 else 0
+    v = (1 << shift) // 10**k if k > 0 else 10**-k
+    parts = []
+    for _ in range(2):
+        drop = max(v.bit_length() - 23, 0)
+        parts.append(v >> drop << drop)
+        v -= parts[-1]
+    return tuple(math.ldexp(float(part), -shift) for part in (*parts, v))
+
+
+_K = range(_K_MAX, -_K_MAX - 1, -1)
+_SCALE = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in _K])  # fl(10**k)
+_DIV = np.array([float(10**k) if 0 <= k <= _EXACT_POW10 else 1.0 for k in _K])
+_MUL = np.array([float(10**-k) if -_EXACT_POW10 <= k < 0 else 1.0 for k in _K])
+_PARTS = np.array([_pow10_parts(k) for k in _K]).T.copy()
 
 
 def fmt9_array(values: np.ndarray) -> list[str]:
@@ -48,36 +79,80 @@ def _canonical9_text(values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(float, fmt9_array(x)), np.float64, count=x.size).reshape(x.shape)
 
 
-def _digits9(flat: np.ndarray):
+def _digits9(flat: np.ndarray, m: np.ndarray):
     """The nine digits %.9g prints for each value of a 1-d array.
 
-    Returns (m, p, mul, div, exact): m = rint(x * 10**k) as a float,
-    with k = 8 - floor(log10|x|); p = k + 22, the index of 10**|k| in
-    _MUL and _DIV; mul and div, the factors at p (so that m / mul * div
-    undoes the scaling); and the mask of values where m is provably those
-    digits.
+    Fills m with rint(x * 10**k), k = 8 - floor(log10|x|), and returns
+    (i, scale, exact): i = e - _E_MIN, the table index of the exponent
+    e = 8 - k; scale = fl(10**k); and the mask of values where m is
+    provably the digits, or None when all are. Zeros count as exact,
+    with m = x and k = 0.
 
-    For |k| <= 22, 10**|k| is an exact double, so s = x * 10**k
-    (x / 10**-k when k < 0) takes one IEEE rounding, at most 6e-8 when
-    |s| < 1e9. Away from half-integers that rounding cannot change rint,
-    so m is the exact 9-digit integer %.9g prints, and %.9g's exponent
-    is 8 - k. exact is False for non-finite values and zeros; for
-    |k| > 22 (|x| < 1e-14 or |x| >= 1e31), which run with k = 0 and so
-    fail the next check; for |s| outside [1e8, 1e9 - 0.5), which catches
-    a log10 that is off by one and a round-up to ten digits; and for s
-    within 1e-6 of a half-integer, which holds every exact tie (%.9g
-    breaks those half-even on the binary value of x, not of s) with a
-    wide margin over the rounding of s.
+    s = x * fl(10**k) takes two roundings, within 2.3e-7 of x * 10**k
+    when |s| < 1e9 + 0.5, so rint(s) is exact for s at least 1e-6 from
+    a half-integer. That margin also holds every tie, which %.9g breaks
+    half-even on the binary value of x, not of s. |s| must also lie in
+    [1e8 - 0.04, 1e9 + 0.5): the digits of |s| just below 1e8 (log10
+    rounded up to the next decade) are 1e8, and from 1e9 - 0.5 they
+    round up to 1e8 of the next decade. Non-finite values and |k| > 44
+    (|x| < 1e-36 or >= 1e53, clipped to the ends of the tables) fail.
+
+    Three reductions check a whole block (min and max of |s|, max of
+    |s - m|); only a block that fails them builds the mask. Temporaries
+    are few and written in place: in a run, fresh pages cost more than
+    the arithmetic.
     """
+    scale = np.abs(flat)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = 8 - np.floor(np.log10(np.abs(flat)))
-        p = np.where(np.abs(k) <= _EXACT_POW10, k, 0).astype(np.intp) + _EXACT_POW10
-        mul, div = _MUL.take(p), _DIV.take(p)
-        s = flat * mul / div
-        m = np.rint(s)
+        np.log10(scale, out=scale)
+        scale -= _E_MIN
+        i = scale.astype(np.intp)  # truncation: floor for the indices in range
+        if i.min(initial=0) < 0 or i.max(initial=0) >= _N_E:
+            np.clip(i, 0, _N_E - 1, out=i)
+        # mode="clip" (i is in range) lets take write to out unbuffered
+        _SCALE.take(i, out=scale, mode="clip")
+        s = scale * flat
+        np.rint(s, out=m)
         size = np.abs(s)
-        exact = (size >= 1e8) & (size < 1e9 - 0.5) & (np.abs(s - m) < 0.5 - 1e-6)
-    return m, p, mul, div, exact
+        s -= m
+        np.abs(s, out=s)
+        low, high, tie = size.min(initial=1e8), size.max(initial=0), s.max(initial=0)
+        if low >= 1e8 - 0.04 and high < 1e9 - 0.5 and tie < 0.5 - 1e-6:
+            return i, scale, None
+        exact = (size >= 1e8 - 0.04) & (size < 1e9 + 0.5) & (s < 0.5 - 1e-6)
+    up = np.flatnonzero(exact & (size >= 1e9 - 0.5))
+    exact[up[i[up] == _N_E - 1]] = False
+    up = up[i[up] < _N_E - 1]
+    m[up] /= 10
+    i[up] += 1
+    zero = np.flatnonzero(flat == 0)
+    exact[zero] = True
+    i[zero] = _I_ONE
+    _SCALE.take(i, out=scale, mode="clip")
+    return i, scale, exact
+
+
+def _times_pow10(m: np.ndarray, i: np.ndarray):
+    """m * 10**-k (k = _K_MAX - i) for 9-digit integers m, correctly
+    rounded, and the mask of values where that is proven: all but those
+    within 2**-30 of a step of a midpoint between two doubles. Exact ties
+    are among these; they occur only for k = -23 and m a power of two.
+
+    With 10**-k = a + b + c (_PARTS), m * a and m * b are exact and their
+    sum is split into s + e1 exactly (Fast2Sum). r = s + (e1 + m * c) is
+    then within 2**-95 |r| of m * 10**-k, and e2, the exact rounding
+    error of that last sum, tells how far m * 10**-k lies from the
+    midpoints around r.
+    """
+    a, b, c = (part.take(i) * m for part in _PARTS)
+    s = a + b
+    e1 = b - (s - a)
+    t = e1 + c
+    r = s + t
+    e2 = t - (r - s)
+    size = np.abs(r)
+    gap = size - np.nextafter(size, 0)  # the step below r, the smaller
+    return r, np.abs(e2) < (0.5 - 2.0**-30) * gap
 
 
 def canonical9(values: np.ndarray) -> np.ndarray:
@@ -87,36 +162,51 @@ def canonical9(values: np.ndarray) -> np.ndarray:
     fmt9_array(canonical9(v)) == fmt9_array(v), and parsing the rendered
     text recovers canonical9(v) exactly.
 
-    Where _digits9 finds the digits m exactly, the result is m / 10**k
-    (m * 10**-k): the correctly rounded quotient or product of two exact
-    doubles, which is the value strtod returns for the text. Every other
-    value takes the text path, _canonical9_text.
+    Where _digits9 finds the digits m exactly, the result is m * 10**-k,
+    which is the value strtod returns for the text, correctly rounded:
+    for |k| <= 22, m / 10**k or m * 10**-k, one IEEE operation on two
+    exact doubles (Clinger 1990, *How to Read Floating Point Numbers
+    Accurately*); for 22 < |k| <= 44, _times_pow10. Zeros keep their
+    sign. Every other value takes the text path, _canonical9_text.
     """
     x = np.asarray(values, dtype=np.float64)
     flat = x.reshape(-1)
     # Allocated before the temporaries, so that rows kept in a logit cache
     # sit together on the heap; warm runs over the cache read them faster.
     out = np.empty_like(flat)
-    m, _, mul, div, exact = _digits9(flat)
-    np.divide(m, mul, out=out)
-    out *= div
-    slow = ~exact
-    if slow.any():
+    i, scale, exact = _digits9(flat, out)
+    low, high = i.min(initial=_I_ONE), i.max(initial=_I_ONE)
+    far = None
+    if low < _I_LO or high > _I_HI:
+        far = (i < _I_LO) | (i > _I_HI)
+        far = np.flatnonzero(far if exact is None else far & exact)
+        far_values, proven = _times_pow10(out[far], i[far])
+    # out holds m: m * 10**-k for k < 0, then m / 10**k for k >= 0
+    if high > _I_ONE:
+        out *= _MUL.take(i)
+        scale = _DIV.take(i)
+    out /= scale
+    if far is not None:
+        out[far] = far_values
+        if exact is None:
+            exact = np.ones(flat.size, bool)
+        exact[far[~proven]] = False
+    if exact is not None and not exact.all():
+        slow = ~exact
         out[slow] = _canonical9_text(flat[slow])
     return out.reshape(x.shape)
 
 
 # fmt9_rows writes each value into a slot of 16 bytes, held as two
 # little-endian uint64 words: its text, at most 15 characters where
-# _digits9 is exact (as in -1.23456789e-14 or -0.000123456789), then the
+# _digits9 is exact (as in -1.23456789e-36 or -0.000123456789), then the
 # separator ';', padded with NULs. A slot's layout depends only on the sign,
 # the exponent and the number of trailing zero digits, so every layout is
 # tabulated (_tables). Its digits form at most two runs, split by the
 # point; each run is cut from the 9 ASCII digits with a mask and shifted
 # into place, by less than 64 bits, so that no shift depends on what
-# numpy does for shifts of 64 bits or more.
-_E_MIN, _E_MAX = 8 - _EXACT_POW10, 8 + _EXACT_POW10
-_N_E = _E_MAX - _E_MIN + 1
+# numpy does for shifts of 64 bits or more. The exponents are those of
+# _digits9's tables, _E_MIN.._E_MAX.
 _ZERO = 2 * _N_E * 9  # the layouts of 0 and -0 follow the numeric ones,
 _SPLICE = _ZERO + 2  # then that of _MARK,
 _MARK = "\x01"  # which stands in the text for a value rendered by '%.9g'
@@ -186,9 +276,10 @@ def _tables():
 def fmt9_rows(matrix: np.ndarray) -> list[str]:
     """One string per row of a 2-d array: ';'.join('%.9g' % v for v in row).
 
-    Values where _digits9 is exact, and zeros, are written numerically
-    from their digits; the rest (non-finite values, |x| < 1e-14 or
-    >= 1e31, near-ties) are rendered by '%.9g' and spliced in one by one.
+    Values where _digits9 is exact, zeros included, are written
+    numerically from their digits; the rest (non-finite values,
+    |x| < 1e-36 or >= 1e53, near-ties) are rendered by '%.9g' and spliced
+    in one by one.
     Rows are processed in chunks of about 16k values.
     """
     x = np.asarray(matrix, dtype=np.float64)
@@ -206,14 +297,17 @@ def fmt9_rows(matrix: np.ndarray) -> list[str]:
 
 def _fmt9_chunk(flat: np.ndarray, n_cols: int) -> list[str]:
     text, length, all_masks, all_shifts, digits4, zeros4 = _tables()
-    m, p, _, _, exact = _digits9(flat)
-    m = np.where(exact, np.abs(m), 0).astype(np.int64)
+    m = np.empty_like(flat)
+    i, _, exact = _digits9(flat, m)
+    if exact is not None:
+        m = np.where(exact, m, 0)
+    m = np.abs(m).astype(np.int64)
     high, low = np.divmod(m, 10000)
     first, middle = np.divmod(high, 10000)
     zeros = zeros4.take(low) + np.where(low == 0, zeros4.take(middle), 0)
-    # p = k + 22 and e = 8 - k, so e - _E_MIN = 2 * 22 - p
-    layout = (np.signbit(flat) * _N_E + 2 * _EXACT_POW10 - p) * 9 + zeros
-    layout[~exact] = _SPLICE
+    layout = (np.signbit(flat) * _N_E + i) * 9 + zeros
+    if exact is not None:
+        layout[~exact] = _SPLICE
     is_zero = flat == 0
     layout[is_zero] = _ZERO + np.signbit(flat[is_zero])
     # The 9 digits as bytes 0..8 of two words, cut into the two runs

@@ -36,7 +36,8 @@ parameter, a cached grid), each with one np.array call; a bad value
 still names its own line. They are written in blocks too, through
 _util.fmt9_rows: a quadrat's cells per call, and all head parameters of
 one width, or all cached grids of one value count, per call. Values are
-rendered numerically where that is provably exact, and by '%.9g', the
+rendered numerically where that is provably exact (zeros, and
+1e-36 <= |x| < 1e53 away from 9-digit ties), and by '%.9g', the
 fallback and the oracle, elsewhere.
 """
 

@@ -50,7 +50,7 @@ class TestCanonicalFloats:
         n = np.arange(-50_000, 50_000)
         rng = np.random.default_rng(5)
         nine_digit_ties = (rng.integers(10**8, 10**9, 2000) + 0.5) * 10.0 ** rng.integers(
-            -20, 20, 2000
+            -45, 45, 2000
         )
         v = np.concatenate(
             [
@@ -60,6 +60,8 @@ class TestCanonicalFloats:
                 (n + 0.5) / 2**10,
                 [123456789.5, 999999999.5, 99999999.5, 100000000.5, 0.1234567895],
                 nine_digit_ties,
+                # m * 10**23 halfway between two doubles, for m = 2**27..2**29
+                [134217728e23, 268435456e23, 536870912e23],
             ]
         )
         v = np.concatenate([v, -v])
@@ -67,7 +69,7 @@ class TestCanonicalFloats:
 
     def test_bit_identical_to_text_on_random_magnitudes(self):
         rng = np.random.default_rng(6)
-        for scale in 10.0 ** np.arange(-30, 31, 2):
+        for scale in 10.0 ** np.arange(-46, 56, 2):
             v = rng.standard_normal(20_000) * scale
             assert_same_bits(canonical9(v), _canonical9_text(v))
 
@@ -81,7 +83,7 @@ class TestCanonicalFloats:
                 st.builds(
                     lambda digits, exp: (digits + 0.5) * 10.0**exp,
                     st.integers(-(10**9), 10**9),
-                    st.integers(-30, 30),
+                    st.integers(-50, 55),
                 ),
             ),
         )

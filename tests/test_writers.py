@@ -4,6 +4,9 @@ files the writers produce against the per-value writers they replaced
 
 import contextlib
 import io
+import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import per_value_writers
-from quadflora import _util, formats
+from quadflora import _util, formats, pipeline
 from quadflora._util import fmt9_array, fmt9_rows
 from quadflora.cli import main
 from quadflora.ensemble import HeadSelection, compose_model
@@ -49,14 +52,14 @@ ADVERSARIAL = np.array(
         # non-finite
         np.nan, np.inf, -np.inf,
     ]
-    + [10.0**p for p in range(-14, 32)]
+    + [10.0**p for p in range(-37, 54)]
 )
 
 
 class TestFmt9Rows:
     def test_adversarial_values(self):
         values = np.concatenate([ADVERSARIAL, -ADVERSARIAL])
-        powers = np.array([10.0**p for p in range(-14, 32)])
+        powers = np.array([10.0**p for p in range(-37, 54)])
         values = np.concatenate([values, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
         assert_renders_like_oracle(values[None, :])
         assert_renders_like_oracle(values[:, None])
@@ -75,7 +78,7 @@ class TestFmt9Rows:
         values = [
             sign * float(f"{(rng.integers(10**8, 10**9) // 10**zeros) * 10**zeros}e{e - 8}")
             for sign in (1, -1)
-            for e in range(-14, 31)
+            for e in range(_util._E_MIN, _util._E_MAX + 1)
             for zeros in range(9)
         ]
         assert_renders_like_oracle(np.array(values).reshape(-1, 9))
@@ -88,7 +91,7 @@ class TestFmt9Rows:
 
     def test_random_magnitudes(self):
         rng = np.random.default_rng(10)
-        m = rng.standard_normal((60, 50)) * 10.0 ** rng.integers(-20, 35, (60, 50))
+        m = rng.standard_normal((60, 50)) * 10.0 ** rng.integers(-45, 55, (60, 50))
         m[rng.random(m.shape) < 0.1] = 0.0
         assert_renders_like_oracle(m)
 
@@ -116,6 +119,21 @@ class TestFmt9Rows:
         )
     )
     def test_values_from_1e_minus16_to_1e32(self, m):
+        assert_renders_like_oracle(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 12)),
+            elements=st.builds(
+                lambda sign, exponent: sign * 10.0**exponent,
+                st.sampled_from([1.0, -1.0]),
+                st.floats(-40, 56),
+            ),
+        )
+    )
+    def test_values_from_1e_minus40_to_1e56(self, m):
         assert_renders_like_oracle(m)
 
 
@@ -189,8 +207,9 @@ def gen_and_cold_infer(base, gen_cfg):
 
 
 # Features on both sides of the numeric path: noise below one ulp of the
-# prototypes, and noise that puts a third of them at or above 1e31.
-SIGMAS = ("1e-20", "1e-6", "1e30", "1e31")
+# prototypes, and noise that puts a third of them at or above 1e31 (the
+# old end of the numeric path) or 1e53.
+SIGMAS = ("1e-20", "1e-6", "1e30", "1e31", "1e53")
 
 
 @pytest.mark.parametrize(
@@ -209,8 +228,8 @@ def test_files_match_per_value_writers(tmp_path, monkeypatch, gen_cfg):
 
 def test_cache_of_round_off_zeros_matches_per_value_save(tmp_path):
     # Logits of a noiseless orthogonal world inferred from in-memory
-    # features: most are round-off zeros below 1e-14, rendered by '%.9g'
-    # and spliced in between numerically written values.
+    # features: most are round-off zeros below 1e-14, written numerically
+    # since |k| <= 44 is exact, beside exact zeros.
     cfg = formats.synth_config_from(formats.parse_config_text(NOISELESS_GEN))
     tax, quadrats, registry = gen_world(cfg)
     model = compose_model(registry, HeadSelection("lin1", "mlp2", "mlp2"))
@@ -222,3 +241,38 @@ def test_cache_of_round_off_zeros_matches_per_value_save(tmp_path):
     cache.save()
     per_value_writers.save(cache, tmp_path / "per_value.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "per_value.csv").read_bytes()
+
+
+def on_numeric_path(x: float) -> bool:
+    """Whether x is zero, or finite with |k| <= 44 (k = 8 - e, e its exact
+    decimal exponent) and x * 10**k at least 1e-6 from a half-integer."""
+    if x == 0:
+        return True
+    if not math.isfinite(x):
+        return False
+    k = 8 - Decimal(x).adjusted()
+    t = Fraction(x) * Fraction(10) ** k
+    return abs(k) <= 44 and abs(t - math.floor(t) - Fraction(1, 2)) >= Fraction(1, 10**6)
+
+
+def test_round_off_zeros_take_no_text_path(monkeypatch):
+    # The raw logits of a noiseless orthogonal world: round-off zeros
+    # (|x| of about 1e-16 to 1e-20), exact zeros, and values near 1.
+    cfg = formats.synth_config_from(formats.parse_config_text(NOISELESS_GEN))
+    tax, quadrats, registry = gen_world(cfg)
+    model = compose_model(registry, HeadSelection("lin1", "mlp2", "mlp2"))
+    run_cfg = formats.run_config_from(formats.parse_config_text(RUN_CFG))
+    raw = []
+    with monkeypatch.context() as patched:
+        patched.setattr(pipeline, "canonical9", lambda x: raw.append(x) or _util.canonical9(x))
+        infer_corpus(quadrats, run_cfg, tax, [model], formats.LogitCache())
+    values = np.concatenate([block.ravel() for block in raw])
+    assert all(map(on_numeric_path, values.tolist()))
+    assert (values == 0).any() and np.mean(np.abs(values) < 1e-14) > 0.5
+    expected = _util._canonical9_text(values), oracle(values[None])
+    calls = []
+    monkeypatch.setattr(_util, "_canonical9_text", lambda v: calls.append(v) or v)
+    monkeypatch.setattr(_util, "fmt9_array", lambda v: calls.append(v) or [])
+    got = _util.canonical9(values), fmt9_rows(values[None])
+    assert len(calls) == 0
+    assert got[0].tobytes() == expected[0].tobytes() and got[1] == expected[1]
