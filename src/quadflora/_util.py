@@ -398,14 +398,15 @@ def _text_lines(text: str):
         start = stop
 
 
-def read_row_lines(path, expected_header: list[str], text: Optional[str] = None):
+def read_row_lines(path, expected_header: list[str], text: Optional[str] = None, first_line=1):
     """Yield (line number, fields, line) for each non-empty row after the
     header, where line is the row's line as read, with its line end.
 
     The file is streamed line by line as UTF-8 and each line is split on
     ','. A CR before the LF is dropped, so CRLF files read; a quote, a
     NUL or any other CR is an error that names the file and line.
-    text, when given, is the file's content, already read.
+    text, when given, is the file's content, already read; from a
+    first_line past 1, it is the file's lines from that one on, no header.
     """
     if text is None:
         opened = open(path, "r", encoding="utf-8", newline="\n")
@@ -414,13 +415,14 @@ def read_row_lines(path, expected_header: list[str], text: Optional[str] = None)
     n_fields = len(expected_header)
     with opened as lines:
         try:
-            header = next(lines, None)
-            if header is not None:
-                header = _line(path, 1, header)
-                header = header.split(",") if header else []
-            if header != expected_header:
-                raise FormatError(f"bad header {header!r} in {path}")
-            for lineno, raw in enumerate(lines, start=2):
+            if first_line == 1:
+                header = next(lines, None)
+                if header is not None:
+                    header = _line(path, 1, header)
+                    header = header.split(",") if header else []
+                if header != expected_header:
+                    raise FormatError(f"bad header {header!r} in {path}")
+            for lineno, raw in enumerate(lines, start=max(first_line, 2)):
                 line = _line(path, lineno, raw)
                 if not line:
                     continue
@@ -480,7 +482,7 @@ def _openblas():
 
 def blas_record() -> str:
     """The BLAS build and thread count in use, e.g. 'OpenBLAS 0.3.31
-    ... SkylakeX MAX_THREADS=64; 2 threads', or 'unknown'.
+    ... SkylakeX MAX_THREADS=64; threads=2', or 'unknown'.
 
     A product's last bits can depend on both, so logits computed under
     another BLAS setting need not match these to the digit.

@@ -25,9 +25,9 @@ A logit cache's sidecar records the byte count and sha256 of the lines
 of each quadrat and each head once they have been checked and parsed.
 A features file is checked line by line, but for its float values,
 unless its quadrats' lines hash to those records (each quadrat's lines
-in one run): then its lines are checked only when some quadrat's
-features are first needed. Each quadrat's values are parsed only then
-(a logit cache miss). Every line of a head registry is checked; the
+in one run): then a quadrat's lines, and only its own, are checked when
+its features are first needed. Each quadrat's values are parsed only
+then (a logit cache miss). Every line of a head registry is checked; the
 heads a run uses are parsed at load, except those whose lines hash to
 their records: a cache miss parses these. So a run served entirely
 from a cache parses no value.
@@ -226,171 +226,169 @@ def write_quadrat_features(quadrats: Sequence[Quadrat], path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+class _LineRecords(dict):
+    """The byte count and sha256 of each key's lines, streamed: add(key,
+    line) each line, in file order with its line end, then record(key).
+    A logit cache's sidecar holds these records of quadrats and heads."""
+
+    def add(self, key, line: str) -> None:
+        data = line.encode("utf-8")
+        sha, size = self.get(key) or (hashlib.sha256(), 0)
+        sha.update(data)
+        self[key] = (sha, size + len(data))
+
+    def record(self, key) -> dict:
+        sha, size = self[key]
+        return {"bytes": size, "sha256": sha.hexdigest()}
+
+
 class _FeatureRows:
     """One quadrat's lines of a features file.
 
     record is the byte count and sha256 of those lines, in file order and
     with their line ends, which fingerprints logit caches computed from
     them. rows maps each (row, col) to its line number and values field,
-    once the lines are checked; it is None while they stand accepted by a
-    recorded digest (_FeatureLines.recorded). Calling the object checks
-    them then, if need be, and parses the values, once, into the
-    (grid, grid, dim) cell array.
+    once the lines are checked. While a recorded digest vouches for them
+    (_recorded), span holds instead the file's bytes, the start and stop
+    of the lines in them, and a function that finds the file's LF offsets,
+    once for all its quadrats, to number the lines. Calling the object
+    checks those lines then, and only those, and parses the values, once,
+    into the (grid, grid, dim) cell array.
     """
 
-    def __init__(self, lines: "_FeatureLines", qid: str, transect_id: str, grid: int, dim: int):
-        self.lines, self.qid = lines, qid
-        self.meta = (transect_id, grid, dim)
-        self.rows: Optional[dict[tuple[int, int], tuple[int, str]]] = None
+    def __init__(self, path, qid: str, meta: tuple[str, int, int]):
+        self.path, self.qid, self.meta = path, qid, meta  # meta: transect, grid, dim
+        self.rows: dict[tuple[int, int], tuple[int, str]] = {}
+        self.span: Optional[tuple[bytes, int, int, Callable[[], np.ndarray]]] = None
         self.record: dict = {}
         self.cells: Optional[np.ndarray] = None
 
     def __call__(self) -> np.ndarray:
         if self.cells is None:
-            if self.rows is None:
-                self.rows = self.lines.checked_rows(self.qid)
+            if self.span is not None:
+                data, start, stop, newlines = self.span
+                first_line = int(np.searchsorted(newlines(), start)) + 1
+                text = decode_text(self.path, data[start:stop])
+                self.rows = _check_features(self.path, text, first_line)[self.qid].rows
+                self.span = None
             _, grid, dim = self.meta
-            path = self.lines.path
             cells = np.empty((grid, grid, dim))
             cells.reshape(-1, dim)[[r * grid + c for r, c in self.rows]] = _parse_block(
-                [(f"{path}:{lineno}", field) for lineno, field in self.rows.values()]
+                [(f"{self.path}:{lineno}", field) for lineno, field in self.rows.values()]
             )
             self.cells, self.rows = cells, {}
         return self.cells
 
 
-class _FeatureLines:
-    """A features file, shared by the _FeatureRows of its quadrats.
+def _recorded(path, records: Mapping[str, dict]) -> Optional[dict[str, _FeatureRows]]:
+    """Every quadrat of a features file, its lines unchecked, if the file
+    after its header is one run of lines per quadrat, each run of the byte
+    count and sha256 recorded for that quadrat; else None.
 
-    check() is the one reader of its lines. recorded() only finds, by
-    their digests, lines that an earlier check() has accepted.
+    The records come from a logit cache's sidecar, which holds them only
+    for lines that _check_features accepted and whose values were parsed.
+    A quadrat's transect, grid and dim are read from its first line; a
+    grid or dim that is not an integer >= 1 there is a mismatch, which
+    _check_features then reports.
     """
-
-    def __init__(self, path):
-        self.path = path
-        self.data: Optional[bytes] = None  # the bytes recorded() accepted
-        self._rows: Optional[dict] = None  # quadrat id -> rows, for checked_rows
-
-    def checked_rows(self, qid: str) -> dict:
-        """The rows of a quadrat that recorded() accepted; the first call
-        checks every line."""
-        if self._rows is None:
-            self._rows = {q: source.rows for q, source in self.check().items()}
-        return self._rows.pop(qid)
-
-    def recorded(self, records: Mapping[str, dict]) -> Optional[dict[str, _FeatureRows]]:
-        """Every quadrat, its lines unchecked, if the file after its header
-        is one run of lines per quadrat, each run of the byte count and
-        sha256 recorded for that quadrat; else None.
-
-        The records come from a logit cache's sidecar, which holds them
-        only for lines that check() accepted and whose values were parsed.
-        A quadrat's transect, grid and dim are read from its first line.
-        """
-        with open(self.path, "rb") as fh:
-            data = fh.read()
-        header = (",".join(FEATURES_HEADER) + "\n").encode()
-        if not data.startswith(header):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header = (",".join(FEATURES_HEADER) + "\n").encode()
+    if not data.startswith(header):
+        return None
+    view = memoryview(data)
+    newlines = functools.cache(lambda: np.flatnonzero(np.frombuffer(data, np.uint8) == 10))
+    sources: dict[str, _FeatureRows] = {}
+    start = len(header)
+    while start < len(data):
+        qid = data[start : data.find(b",", start)].decode("utf-8", "replace")
+        record = records.get(qid)
+        if record is None or qid in sources:
             return None
-        view = memoryview(data)
-        sources: dict[str, _FeatureRows] = {}
-        start = len(header)
-        while start < len(data):
-            qid = data[start : data.find(b",", start)].decode("utf-8", "replace")
-            record = records.get(qid)
-            if record is None or qid in sources:
-                return None
-            stop = start + record["bytes"]
-            if stop > len(data) or (stop < len(data) and data[stop - 1] != ord("\n")):
-                return None
-            if hashlib.sha256(view[start:stop]).hexdigest() != record["sha256"]:
-                return None
-            # the first line (or, with no LF, all but the last byte) holds the metadata
-            _, tid, grid, dim, _ = data[start : data.find(b"\n", start, stop)].split(b",", 4)
-            source = sources[qid] = _FeatureRows(self, qid, tid.decode(), int(grid), int(dim))
-            source.record = dict(record)
-            start = stop
-        if not sources:
+        stop = start + record["bytes"]
+        if stop > len(data) or (stop < len(data) and data[stop - 1] != ord("\n")):
             return None
-        self.data = data
-        return sources
+        if hashlib.sha256(view[start:stop]).hexdigest() != record["sha256"]:
+            return None
+        # the first line (or, with no LF, all but the last byte) holds the metadata
+        first = data[start : data.find(b"\n", start, stop)]
+        try:
+            _, tid, grid, dim, _ = first.decode().split(",", 4)
+            grid, dim = int(grid), int(dim)
+        except ValueError:  # UnicodeDecodeError included
+            return None
+        if grid < 1 or dim < 1:
+            return None
+        source = sources[qid] = _FeatureRows(path, qid, (tid, grid, dim))
+        source.record, source.span = dict(record), (data, start, stop, newlines)
+        start = stop
+    return sources or None
 
-    def check(self) -> dict[str, _FeatureRows]:
-        """Every quadrat, each line checked, but for the float parse:
-        header, field count, UTF-8, integer fields, bounds, value count,
-        duplicate and missing cells, metadata consistency. The lines are
-        the bytes recorded() accepted, if it did, else streamed from the
-        file."""
-        path, data, self.data = self.path, self.data, None
-        text = None if data is None else decode_text(path, data)
-        del data
-        sources: dict[str, _FeatureRows] = {}
-        digests: dict[str, list] = {}  # quadrat id -> [sha256 of its lines, their bytes]
-        for lineno, row, line in read_row_lines(path, FEATURES_HEADER, text):
-            qid, tid, grid_s, dim_s, r_s, c_s, values = row
-            where = f"{path}:{lineno}"
-            try:
-                grid, dim, r, c = int(grid_s), int(dim_s), int(r_s), int(c_s)
-            except ValueError as exc:
-                raise FormatError(f"{where}: bad integer field") from exc
-            source = sources.get(qid)
-            if source is None:
-                if grid < 1 or dim < 1:
-                    raise FormatError(f"{where}: grid size and feature dim must be >= 1")
-                source = sources[qid] = _FeatureRows(self, qid, tid, grid, dim)
-                source.rows = {}
-                digests[qid] = [hashlib.sha256(), 0]
-            elif source.meta != (tid, grid, dim):
-                raise FormatError(f"{where}: inconsistent metadata for {qid}")
-            if not (0 <= r < grid and 0 <= c < grid):
-                raise FormatError(f"{where}: cell ({r},{c}) outside {grid}x{grid} grid")
-            n_values = values.count(";") + 1
-            if n_values != dim:
-                raise FormatError(f"{where}: expected {dim} values, got {n_values}")
-            if (r, c) in source.rows:
-                raise FormatError(f"{where}: duplicate cell ({r},{c}) for {qid}")
-            source.rows[r, c] = (lineno, values)
-            line = line.encode("utf-8")
-            digests[qid][0].update(line)
-            digests[qid][1] += len(line)
-        if not sources:
-            raise FormatError(f"no feature rows in {path}")
-        for qid in sorted(sources):
-            source = sources[qid]
-            if len(source.rows) != source.meta[1] ** 2:
-                raise FormatError(f"{path}: quadrat {qid} is missing cells")
-            sha, size = digests[qid]
-            source.record = {"bytes": size, "sha256": sha.hexdigest()}
-        return sources
+
+def _check_features(path, text: Optional[str] = None, first_line: int = 1) -> dict:
+    """Every quadrat, each line checked, but for the float parse: header,
+    field count, UTF-8, integer fields, bounds, value count, duplicate and
+    missing cells, metadata consistency. The lines are streamed from the
+    file, or are those of text: the file's lines from first_line on, the
+    span of one quadrat that _recorded accepted."""
+    sources: dict[str, _FeatureRows] = {}
+    records = _LineRecords()
+    for lineno, row, line in read_row_lines(path, FEATURES_HEADER, text, first_line):
+        qid, tid, grid_s, dim_s, r_s, c_s, values = row
+        where = f"{path}:{lineno}"
+        try:
+            grid, dim, r, c = int(grid_s), int(dim_s), int(r_s), int(c_s)
+        except ValueError as exc:
+            raise FormatError(f"{where}: bad integer field") from exc
+        source = sources.get(qid)
+        if source is None:
+            if sources and first_line > 1:  # text is the lines recorded for one quadrat
+                raise FormatError(f"{where}: quadrat {qid} inside another's recorded lines")
+            if grid < 1 or dim < 1:
+                raise FormatError(f"{where}: grid size and feature dim must be >= 1")
+            source = sources[qid] = _FeatureRows(path, qid, (tid, grid, dim))
+        elif source.meta != (tid, grid, dim):
+            raise FormatError(f"{where}: inconsistent metadata for {qid}")
+        if not (0 <= r < grid and 0 <= c < grid):
+            raise FormatError(f"{where}: cell ({r},{c}) outside {grid}x{grid} grid")
+        n_values = values.count(";") + 1
+        if n_values != dim:
+            raise FormatError(f"{where}: expected {dim} values, got {n_values}")
+        if (r, c) in source.rows:
+            raise FormatError(f"{where}: duplicate cell ({r},{c}) for {qid}")
+        source.rows[r, c] = (lineno, values)
+        records.add(qid, line)
+    if not sources:
+        raise FormatError(f"no feature rows in {path}")
+    for qid, source in sorted(sources.items()):
+        if len(source.rows) != source.meta[1] ** 2:
+            raise FormatError(f"{path}: quadrat {qid} is missing cells")
+        source.record = records.record(qid)
+    return sources
 
 
 def load_quadrat_features(path, records: Optional[Mapping[str, dict]] = None) -> list[Quadrat]:
     """Rebuild quadrats (without truth sets) from a features file.
 
-    Every line is checked but for the float parse (_FeatureLines.check),
+    Every line is checked but for the float parse (_check_features),
     unless records, the per-quadrat records of a logit cache's sidecar,
-    vouch for the whole file: then no line is checked until a quadrat's
-    features are first needed. A quadrat's values are parsed the first
-    time its features are needed (Quadrat.features), and a check or parse
-    error names the file and line then. Each quadrat's _FeatureRows holds
-    the byte count and sha256 of its lines, which fingerprint logit
+    vouch for the whole file (_recorded): then a quadrat's lines are
+    checked, and only its own, the first time its features are needed. A
+    quadrat's values are parsed then (Quadrat.features), and a check or
+    parse error names the file and line then. Each quadrat's _FeatureRows
+    holds the byte count and sha256 of its lines, which fingerprint logit
     caches computed from it.
     """
-    lines = _FeatureLines(path)
-    sources = lines.recorded(records) if records else None
+    sources = _recorded(path, records) if records else None
     if sources is None:
-        sources = lines.check()
-    out = []
-    for qid in sorted(sources):
-        source = sources[qid]
-        tid, grid, _ = source.meta
-        out.append(
-            Quadrat(
-                quadrat_id=qid, transect_id=tid, grid_cells=grid, cells=None,
-                load_cells=source,
-            )
+        sources = _check_features(path)
+    return [
+        Quadrat(
+            quadrat_id=qid, transect_id=rows.meta[0], grid_cells=rows.meta[1], cells=None,
+            load_cells=rows,
         )
-    return out
+        for qid, rows in sorted(sources.items())
+    ]
 
 
 # -------------------------------------------------------------- head registry
@@ -477,7 +475,7 @@ def load_head_registry(
     hash to its record is returned as a _RecordedHead, parsed on first use.
     """
     grouped: dict[tuple[str, str], dict[str, dict[int, tuple[str, str]]]] = {}
-    lines: dict[tuple[str, str], list[str]] = {}  # each head's lines, as read
+    hashed = _LineRecords()
     for lineno, (level, head_id, param, row_s, values), line in read_row_lines(path, HEADS_HEADER):
         where = f"{path}:{lineno}"
         if level not in LEVELS:
@@ -492,7 +490,8 @@ def load_head_registry(
         if row in rows:
             raise FormatError(f"{where}: duplicate row {row} for {param}")
         rows[row] = (where, values)
-        lines.setdefault((level, head_id), []).append(line)
+        if records is not None and (used is None or (level, head_id) in used):
+            hashed.add((level, head_id), line)
     if not grouped:
         raise FormatError(f"no head rows in {path}")
     heads: dict[str, dict[str, object]] = {lvl: {} for lvl in LEVELS}
@@ -503,8 +502,7 @@ def load_head_registry(
         name = f"{level}/{head_id}"
         build = functools.partial(_head_of, path, name, params)
         if records is not None:
-            text = "".join(lines[level, head_id]).encode("utf-8")
-            kept[name] = {"bytes": len(text), "sha256": hashlib.sha256(text).hexdigest()}
+            kept[name] = hashed.record((level, head_id))
             if records.get(name) == kept[name]:
                 heads[level][head_id] = _RecordedHead(build)
                 continue
@@ -731,24 +729,22 @@ class LogitCache:
         self._data[key] = block
         self._dirty = True
 
-    def save(self, path=None) -> None:
+    def save(self) -> None:
+        if self.path is None:
+            raise FormatError("cache has no path to save to")
         # Rewriting an unchanged cache would produce the same bytes; skip it
         # so warm reruns stay fast.
-        if path is None or path == self.path:
-            path = self.path
-            if path is None:
-                raise FormatError("cache has no path to save to")
-            if not self._dirty:
-                return
+        if not self._dirty:
+            return
         # One line per grid, in key order; the grids are formatted together.
         keys = sorted(self._data)
         rows = _format_blocks([self._data[key].reshape(1, -1) for key in keys])
         lines = [",".join(CACHE_HEADER)]
         lines.extend(",".join(map(str, key)) + "," + row for key, (row,) in zip(keys, rows))
         text = "\n".join(lines) + "\n"
-        atomic_write_text(path, text)
+        atomic_write_text(self.path, text)
         if self._fingerprint is not None:
-            atomic_write_text(fingerprint_path(path), self._sidecar_text(text))
+            atomic_write_text(fingerprint_path(self.path), self._sidecar_text(text))
         self._dirty = False
 
     def _sidecar_text(self, cache_text: str) -> str:

@@ -1,6 +1,6 @@
 """Species -> genus -> family hierarchy: loading, validation, lookups.
 
-The table is immutable after load and safe to share across workers.
+The table is immutable after load.
 External ids are remapped to dense 0..n-1 indices per level at load time
 so that classifier logit vectors can be indexed directly; the original
 labels are kept for serialization and for translating predictions back

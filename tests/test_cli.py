@@ -680,6 +680,37 @@ class TestErrorContract:
         assert "warning:" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            (2, "x", "bad integer field"),
+            (3, "x", "bad integer field"),
+            (2, "0", "grid size and feature dim must be >= 1"),
+        ],
+        ids=["grid", "dim", "grid=0"],
+    )
+    def test_recorded_features_with_bad_metadata(self, gen_dir, tmp_path, field, value, message):
+        # A sidecar record edited by hand to vouch for a quadrat whose first
+        # line has a bad grid or dim: the file is checked line by line.
+        cfg = run_cfg_file(tmp_path)
+        out = tmp_path / "sub.csv"
+        assert main(infer_argv(cfg, gen_dir, out)) == 0
+        features = gen_dir / "quadrats.csv"
+        header, *rows = features.read_bytes().splitlines(keepends=True)
+        fields = rows[0].split(b",")
+        fields[field] = value.encode()
+        rows[0] = b",".join(fields)
+        features.write_bytes(b"".join([header, *rows]))
+        own = b"".join(row for row in rows if row.split(b",")[0] == fields[0])
+        sidecar = gen_dir / "logit_cache.csv.fingerprint"
+        record = json.loads(sidecar.read_text())
+        record["quadrats"][fields[0].decode()] = {
+            "bytes": len(own), "sha256": hashlib.sha256(own).hexdigest()
+        }
+        sidecar.write_text(json.dumps(record))
+        err = assert_cli_error(*infer_argv(cfg, gen_dir, out))
+        assert err == f"error: {features}:2: {message}\n"
+
     def test_empty_id_list(self, tmp_path):
         gt = tmp_path / "gt.csv"
         gt.write_text("quadrat_id,transect_id,species_ids\nq0,t0,1\nq1,t0,2\n")

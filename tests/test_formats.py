@@ -298,14 +298,59 @@ class TestFeatures:
             rows[n] = head + b"," + values.translate(bytes.maketrans(b"0123456789", b"1234567890"))
         path.write_bytes(b"".join([header, *rows]))
         loaded = formats.load_quadrat_features(path, records)
-        assert [q.load_cells.rows is None for q in loaded] == [unchecked] * len(quads)
+        assert [q.load_cells.span is not None for q in loaded] == [unchecked] * len(quads)
         assert ({q.quadrat_id: q.load_cells.record for q in loaded} == records) == same_records
         for q, expected in zip(loaded, checked):
             assert (q.quadrat_id, q.transect_id) == (expected.quadrat_id, expected.transect_id)
             if change not in ("value_changed", "digits_changed"):
                 np.testing.assert_array_equal(q.features(), expected.features())
-        # the first use checks every line, so unchecked quadrats get rows
-        assert all(q.load_cells.rows is not None for q in loaded)
+        # each quadrat's first use checks its lines
+        assert all(q.load_cells.span is None for q in loaded)
+
+    def test_a_recorded_quadrat_checks_only_its_own_lines(self, world, tmp_path, monkeypatch):
+        _, quads, _ = world
+        path = tmp_path / "feat.csv"
+        formats.write_quadrat_features(quads, path)
+        checked = formats.load_quadrat_features(path)
+        records = {q.quadrat_id: q.load_cells.record for q in checked}
+        read, read_row_lines = [], formats.read_row_lines
+
+        def counting_reader(*args):
+            for lineno, fields, line in read_row_lines(*args):
+                read.append(lineno)
+                yield lineno, fields, line
+
+        monkeypatch.setattr(formats, "read_row_lines", counting_reader)
+        loaded = formats.load_quadrat_features(path, records)
+        assert read == []
+        q = loaded[1]
+        np.testing.assert_array_equal(q.features(), checked[1].features())
+        lines = path.read_text().splitlines()
+        assert read == [
+            lineno for lineno, line in enumerate(lines, start=1)
+            if line.startswith(q.quadrat_id + ",")
+        ]
+        assert [p.load_cells.span is not None for p in loaded] == [p is not q for p in loaded]
+
+    def test_recorded_lines_holding_another_quadrat_are_an_error(self, world, tmp_path):
+        # Records edited by hand: the first quadrat's vouches for its lines
+        # and the second quadrat's first line, the second's for the rest.
+        _, quads, _ = world
+        path = tmp_path / "feat.csv"
+        formats.write_quadrat_features(quads, path)
+        header, *rows = path.read_bytes().splitlines(keepends=True)
+        n = len(rows) // len(quads)
+        records = {q.quadrat_id: q.load_cells.record for q in formats.load_quadrat_features(path)}
+        a, b = sorted(records)[:2]
+        for qid, lines in ((a, rows[: n + 1]), (b, rows[n + 1 : 2 * n])):
+            data = b"".join(lines)
+            records[qid] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+        loaded = formats.load_quadrat_features(path, records)
+        assert all(q.load_cells.span is not None for q in loaded)
+        with pytest.raises(FormatError, match=f"^{path}:{n + 2}: quadrat {b} inside another's"):
+            loaded[0].features()
+        with pytest.raises(FormatError, match=f"^{path}: quadrat {b} is missing cells"):
+            loaded[1].features()
 
     @pytest.mark.parametrize(
         "change, message",
@@ -507,7 +552,10 @@ class TestCache:
         assert len(loaded) == 20
         for key, block in cache._data.items():
             np.testing.assert_array_equal(loaded.get(key), block)
-        loaded.save(tmp_path / "cache2.csv")
+        copy = formats.LogitCache(tmp_path / "cache2.csv")
+        for key in cache._data:
+            copy.put(key, loaded.get(key))
+        copy.save()
         assert path.read_bytes() == (tmp_path / "cache2.csv").read_bytes()
 
     def test_file_lines_sorted_by_grid_key(self, tmp_path):
@@ -575,7 +623,9 @@ class TestCache:
         assert path.stat().st_size > 131072
         loaded = formats.LogitCache.load(path)
         np.testing.assert_array_equal(loaded.get(("m", "q0", "0", 1, "species")), [row])
-        loaded.save(tmp_path / "cache2.csv")
+        copy = formats.LogitCache(tmp_path / "cache2.csv")
+        copy.put(("m", "q0", "0", 1, "species"), loaded.get(("m", "q0", "0", 1, "species")))
+        copy.save()
         assert path.read_bytes() == (tmp_path / "cache2.csv").read_bytes()
 
     def test_csv_error_is_one_error_line(self, tmp_path, capsys):

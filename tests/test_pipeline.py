@@ -315,7 +315,7 @@ class TestInferQuadrat:
         tax, quads, registry = noisy_world
         models = two_models(registry)
         cfg = RunConfig(scales=(4, 5), crop_fracs=(0.0, 0.10), kernel_w=0.5)
-        ref = LogitCache()
+        ref = LogitCache(tmp_path / "ref.csv")
         infer_corpus(quads, cfg, tax, models, ref)
         ref_rows = per_tile.cache_rows(ref)
 
@@ -337,7 +337,7 @@ class TestInferQuadrat:
 
         # A grid whose line lost its last value is dropped on load and
         # recomputed whole, with the same bits; whole lines are used as read.
-        ref.save(tmp_path / "ref.csv")
+        ref.save()
         lines = (tmp_path / "ref.csv").read_text().splitlines(keepends=True)
         (tmp_path / "warm.csv").write_text(
             lines[0]
