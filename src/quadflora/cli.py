@@ -41,23 +41,23 @@ def _run(args) -> int:
 def _load_world(args, cfg: RunConfig):
     """The taxonomy, quadrats, models and logit cache of an infer or sweep run.
 
-    The cache and its sidecar are read first, so that feature lines the
-    sidecar vouches for are taken unchecked and heads it vouches for
-    unparsed; of the heads only those the run's models use are read.
+    The sidecar's records are read first, so that feature lines they vouch
+    for are taken unchecked and heads unparsed, even if the cache is then
+    dropped; of the heads only those the run's models use are read.
     """
     cache_path = args.cache or os.path.join(args.data, "logit_cache.csv")
-    stored = formats.StoredCache.read(cache_path)
+    records = formats.sidecar_records(cache_path)
     tax = load_taxonomy(os.path.join(args.data, "taxonomy.csv"))
     quadrats = formats.load_quadrat_features(
-        os.path.join(args.data, "quadrats.csv"), stored.records("quadrats")
+        os.path.join(args.data, "quadrats.csv"), records["quadrats"]
     )
     used = {head for sel in cfg.head_combos for head in sel.heads()}
     registry = formats.load_head_registry(
-        os.path.join(args.data, "heads.csv"), used, stored.records("heads")
+        os.path.join(args.data, "heads.csv"), used, records["heads"]
     )
     models = [compose_model(registry, sel) for sel in cfg.head_combos]
     fingerprint = formats.CacheFingerprint.of(cfg.overlap_frac, registry, quadrats)
-    cache = formats.LogitCache.load(cache_path, fingerprint, stored)
+    cache = formats.LogitCache.load(cache_path, fingerprint)
     return tax, quadrats, models, cache
 
 

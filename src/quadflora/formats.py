@@ -23,14 +23,17 @@ config         flat "key = value" lines, '#' comments
 
 A logit cache's sidecar records the byte count and sha256 of the lines
 of each quadrat and each head once they have been checked and parsed.
-A features file is checked line by line, but for its float values,
-unless its quadrats' lines hash to those records (each quadrat's lines
-in one run): then a quadrat's lines, and only its own, are checked when
-its features are first needed. Each quadrat's values are parsed only
-then (a logit cache miss). Every line of a head registry is checked; the
-heads a run uses are parsed at load, except those whose lines hash to
-their records: a cache miss parses these. So a run served entirely
-from a cache parses no value.
+They are read first (sidecar_records), and vouch for those lines even
+if the cache is then dropped. A features file is checked line by line,
+but for its float values, unless its quadrats' lines hash to those
+records, each quadrat's lines in one run (so interleaved quadrats or a
+blank line are checked line by line on every run): then a quadrat's
+lines, and only its own, are checked when its features are first
+needed. Each quadrat's values are parsed only then (a logit cache
+miss). Every line of a head registry is checked; the heads a run uses
+are parsed at load, except those whose lines hash to their records: a
+cache miss parses these. So a run served entirely from a cache parses
+no value.
 Values are parsed one block at a time (a quadrat's cells, a head
 parameter, a cached grid), each with one np.array call; a bad value
 still names its own line. They are written in blocks too, through
@@ -371,13 +374,13 @@ def load_quadrat_features(path, records: Optional[Mapping[str, dict]] = None) ->
     """Rebuild quadrats (without truth sets) from a features file.
 
     Every line is checked but for the float parse (_check_features),
-    unless records, the per-quadrat records of a logit cache's sidecar,
-    vouch for the whole file (_recorded): then a quadrat's lines are
-    checked, and only its own, the first time its features are needed. A
-    quadrat's values are parsed then (Quadrat.features), and a check or
-    parse error names the file and line then. Each quadrat's _FeatureRows
-    holds the byte count and sha256 of its lines, which fingerprint logit
-    caches computed from it.
+    unless records (sidecar_records(cache)["quadrats"]) vouch for the
+    whole file (_recorded): then a quadrat's lines are checked, and only
+    its own, the first time its features are needed. A quadrat's values
+    are parsed then (Quadrat.features), and a check or parse error names
+    the file and line then. Each quadrat's _FeatureRows holds the byte
+    count and sha256 of its lines, which fingerprint logit caches
+    computed from it.
     """
     sources = _recorded(path, records) if records else None
     if sources is None:
@@ -469,10 +472,11 @@ def load_head_registry(
     used, when given. Every row is checked for its level, param, row index
     and duplicates, and the heads returned are parsed and checked at load.
 
-    With records (a logit cache's sidecar's), the byte count and sha256 of
-    each returned head's lines, in file order with their line ends, go
-    into the registry's records by "level/head_id"; a head whose lines
-    hash to its record is returned as a _RecordedHead, parsed on first use.
+    With records (sidecar_records(cache)["heads"]), the byte count and
+    sha256 of each returned head's lines, in file order with their line
+    ends, go into the registry's records by "level/head_id"; a head whose
+    lines hash to its record is returned as a _RecordedHead, parsed on
+    first use.
     """
     grouped: dict[tuple[str, str], dict[str, dict[int, tuple[str, str]]]] = {}
     hashed = _LineRecords()
@@ -513,6 +517,7 @@ def load_head_registry(
 # ---------------------------------------------------------------- logit cache
 
 FINGERPRINT_VERSION = 4
+_RECORD_KINDS = ("heads", "quadrats")  # the line records a sidecar holds
 
 
 def fingerprint_path(cache_path) -> str:
@@ -523,23 +528,23 @@ def fingerprint_path(cache_path) -> str:
 @dataclass(frozen=True)
 class CacheFingerprint:
     """What a run's cached logits depend on beyond their keys: the tile
-    overlap, the text of each head the run uses and of each quadrat's
-    features."""
+    overlap, and the records of the lines of each head the run uses and
+    of each quadrat's features."""
 
     overlap_frac: float
     heads: dict  # "level/head_id" -> record of its lines (HeadRegistry.records)
-    features: dict  # quadrat id -> its _FeatureRows (record, parsed cells)
+    quadrats: dict  # quadrat id -> record of its feature lines
 
     @classmethod
     def of(cls, overlap_frac: float, registry, quadrats: Sequence[Quadrat]) -> "CacheFingerprint":
         if registry.records is None:
             raise QuadfloraError("head registry was not read from a heads file with records")
-        features = {}
+        records = {}
         for q in quadrats:
             if not isinstance(q.load_cells, _FeatureRows):
                 raise QuadfloraError(f"quadrat {q.quadrat_id} was not read from a features file")
-            features[q.quadrat_id] = q.load_cells
-        return cls(float(overlap_frac), registry.records, features)
+            records[q.quadrat_id] = q.load_cells.record
+        return cls(float(overlap_frac), registry.records, records)
 
 
 def _heads_recorded(model_id: str, heads: Mapping[str, dict]) -> bool:
@@ -561,9 +566,9 @@ def _is_line_record(value) -> bool:
     )
 
 
-def _read_sidecar(cache_path, data: bytes) -> tuple[Optional[dict], str]:
-    """The sidecar's record if it describes these cache bytes; else
-    (None, why not)."""
+def _read_sidecar(cache_path) -> tuple[Optional[dict], str]:
+    """The record of a logit cache's sidecar if it is of this format
+    version and has every field; else (None, why not)."""
     try:
         with open(fingerprint_path(cache_path), "r", encoding="utf-8") as fh:
             record = json.load(fh)
@@ -578,41 +583,21 @@ def _read_sidecar(cache_path, data: bytes) -> tuple[Optional[dict], str]:
         or not isinstance(record.get("blas"), str)
         or not all(
             isinstance(record.get(kind), dict) and all(map(_is_line_record, record[kind].values()))
-            for kind in ("heads", "quadrats")
+            for kind in _RECORD_KINDS
         )
     ):
         return None, "its fingerprint file is unreadable"
-    if record.get("cache_sha256") != hashlib.sha256(data).hexdigest():
-        return None, "it was changed after its fingerprint was written"
     return record, ""
 
 
-@dataclass(frozen=True)
-class StoredCache:
-    """A logit cache file's bytes (None if there is no file), read once,
-    and its sidecar's record if that describes these bytes, else why not.
-
-    Read before the features and heads files, so that
-    load_quadrat_features and load_head_registry can take the quadrats
-    and heads whose lines the record vouches for unchecked and unparsed.
-    """
-
-    data: Optional[bytes]
-    record: Optional[dict]
-    why_not: str
-
-    @classmethod
-    def read(cls, path) -> "StoredCache":
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
-            return cls(None, None, "")
-        return cls(data, *_read_sidecar(path, data))
-
-    def records(self, kind: str) -> dict:
-        """The records of "quadrats" or "heads": name -> {"bytes", "sha256"}."""
-        return self.record[kind] if self.record is not None else {}
+def sidecar_records(cache_path) -> dict[str, dict]:
+    """The "heads" and "quadrats" line records of a logit cache's sidecar,
+    for load_head_registry and load_quadrat_features; empty if there is
+    no cache file, or the sidecar is missing, unreadable or of another
+    version. The cache is not hashed: a record vouches for lines that an
+    earlier run checked and parsed, whatever the cache holds now."""
+    record = _read_sidecar(cache_path)[0] if os.path.exists(cache_path) else None
+    return {kind: record[kind] if record else {} for kind in _RECORD_KINDS}
 
 
 class LogitCache:
@@ -637,10 +622,12 @@ class LogitCache:
     of models (species+genus+family head ids) with a changed head.
     Another BLAS record only warns: the grids are kept, though a product
     computed under another BLAS setting can differ in a last digit.
+    Loaded without one, every grid is kept and the sidecar is not read.
     Records of heads and quadrats outside the run are kept as they are.
     A head's or quadrat's lines are recorded only once they have been
     checked and their values parsed, in this run or an earlier one, which
-    is what lets a later load take them unchecked and unparsed.
+    is what lets a later load (sidecar_records) take them unchecked and
+    unparsed, even when the cache itself is dropped.
     save() writes the sidecar after the cache, and only then.
     """
 
@@ -649,26 +636,24 @@ class LogitCache:
         self._data: dict[tuple, np.ndarray] = {}
         self._dirty = True
         self._fingerprint: Optional[CacheFingerprint] = None
-        self._recorded = {"heads": {}, "quadrats": {}}
+        self._recorded: dict[str, dict] = {kind: {} for kind in _RECORD_KINDS}
 
     @classmethod
-    def load(
-        cls,
-        path,
-        fingerprint: Optional[CacheFingerprint] = None,
-        stored: Optional[StoredCache] = None,
-    ) -> "LogitCache":
-        """The cache at path, from stored if given (StoredCache.read(path))."""
+    def load(cls, path, fingerprint: Optional[CacheFingerprint] = None) -> "LogitCache":
         cache = cls(path)
         cache._fingerprint = fingerprint
-        if stored is None:
-            stored = StoredCache.read(path)
-        if stored.data is None:
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except FileNotFoundError:
             return cache
         if fingerprint is not None:
-            record, why_not = stored.record, stored.why_not
-            if record is not None and record["overlap_frac"] != fingerprint.overlap_frac:
-                why_not = f"it holds logits for overlap_frac {record['overlap_frac']}"
+            record, why_not = _read_sidecar(path)
+            if record is not None:
+                if record.get("cache_sha256") != hashlib.sha256(data).hexdigest():
+                    why_not = "it was changed after its fingerprint was written"
+                elif record["overlap_frac"] != fingerprint.overlap_frac:
+                    why_not = f"it holds logits for overlap_frac {record['overlap_frac']}"
             if why_not:
                 warnings.warn(f"logit cache {path} not used: {why_not}")
                 return cache
@@ -679,7 +664,7 @@ class LogitCache:
                     f"this run has {blas!r}; its logits are kept"
                 )
             cache._recorded = _still_valid(record, fingerprint)
-        text = decode_text(path, stored.data)
+        text = decode_text(path, data)
         grids: dict[tuple, Optional[tuple[str, str]]] = {}  # None: key on two lines
         for lineno, (model_id, qid, crop, scale_s, level, values) in read_rows(
             path, CACHE_HEADER, text
@@ -749,35 +734,27 @@ class LogitCache:
 
     def _sidecar_text(self, cache_text: str) -> str:
         fp = self._fingerprint
-        quadrats = dict(self._recorded["quadrats"])
-        quadrats.update(
-            (qid, rows.record) for qid, rows in fp.features.items() if rows.cells is not None
-        )
         record = {
             "version": FINGERPRINT_VERSION,
             "overlap_frac": fp.overlap_frac,
             "blas": blas_record(),
-            "heads": {**self._recorded["heads"], **fp.heads},
-            "quadrats": quadrats,
             "cache_sha256": hashlib.sha256(cache_text.encode("utf-8")).hexdigest(),
         }
+        for kind in _RECORD_KINDS:
+            record[kind] = {**self._recorded[kind], **getattr(fp, kind)}
         return json.dumps(record, indent=1, sort_keys=True) + "\n"
 
 
 def _still_valid(record: dict, fingerprint: CacheFingerprint) -> dict:
     """The sidecar records that still hold: those equal to the run's,
     and those of heads and quadrats the run does not have."""
-    current = {
-        "heads": fingerprint.heads,
-        "quadrats": {qid: rows.record for qid, rows in fingerprint.features.items()},
-    }
     return {
         kind: {
             name: digest
             for name, digest in record[kind].items()
-            if current[kind].get(name, digest) == digest
+            if getattr(fingerprint, kind).get(name, digest) == digest
         }
-        for kind in ("heads", "quadrats")
+        for kind in _RECORD_KINDS
     }
 
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -333,10 +334,63 @@ class TestCacheFingerprint:
         fresh = fresh_cache_submission(tmp_path, cfg, gen_dir)
         assert (tmp_path / "warm.csv").read_bytes() == fresh
         assert cache.read_bytes() == (tmp_path / "fresh-cache" / "logit_cache.csv").read_bytes()
+        fresh_sidecar = tmp_path / "fresh-cache" / "logit_cache.csv.fingerprint"
+        assert Path(str(cache) + ".fingerprint").read_bytes() == fresh_sidecar.read_bytes()
         # the rewritten cache is trusted by the next run
         assert main(infer_argv(cfg, gen_dir, tmp_path / "again.csv")) == 0
         assert capsys.readouterr().err == ""
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+
+    def test_stale_sidecar_without_cache_vouches_for_nothing(self, gen_dir, tmp_path, monkeypatch):
+        # A deleted cache next to its sidecar, as the benchmark's cold passes
+        # leave it: every feature line is checked, and every used head
+        # parsed, at load.
+        cfg = run_cfg_file(tmp_path)
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
+        cache = gen_dir / "logit_cache.csv"
+        assert all(formats.sidecar_records(cache).values())
+        os.remove(cache)
+        assert formats.sidecar_records(cache) == {"heads": {}, "quadrats": {}}
+        at_load = {}
+        load_features, load_heads = formats.load_quadrat_features, formats.load_head_registry
+
+        def features_at_load(*args):
+            quadrats = load_features(*args)
+            at_load["unchecked"] = [q.load_cells.span is not None for q in quadrats]
+            return quadrats
+
+        def heads_at_load(*args):
+            registry = load_heads(*args)
+            at_load["heads"] = [h for by_id in registry.heads.values() for h in by_id.values()]
+            return registry
+
+        monkeypatch.setattr(formats, "load_quadrat_features", features_at_load)
+        monkeypatch.setattr(formats, "load_head_registry", heads_at_load)
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "again.csv")) == 0
+        assert at_load["unchecked"] and not any(at_load["unchecked"])
+        assert len(at_load["heads"]) == 3
+        assert not any(isinstance(h, formats._RecordedHead) for h in at_load["heads"])
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+
+    def test_library_load_keeps_every_grid_whatever_the_sidecar(self, gen_dir, tmp_path):
+        # A load without a fingerprint does not read the sidecar, even one
+        # that no longer matches the cache.
+        cfg = run_cfg_file(tmp_path)
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
+        cache = gen_dir / "logit_cache.csv"
+        cold = formats.LogitCache.load(cache)
+        lines = cache.read_text().splitlines(keepends=True)
+        cache.write_text("".join(lines[:-1]))
+        record = json.loads(Path(str(cache) + ".fingerprint").read_text())
+        assert record["cache_sha256"] != hashlib.sha256(cache.read_bytes()).hexdigest()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = formats.LogitCache.load(cache)
+        keys = [line.split(",")[:5] for line in lines[1:-1]]
+        keys = [(model, qid, crop, int(scale), level) for model, qid, crop, scale, level in keys]
+        assert len(keys) > 1 and sorted(loaded._data) == sorted(keys)
+        for key in keys:
+            np.testing.assert_array_equal(loaded.get(key), cold.get(key))
 
     def test_bad_feature_value_after_cold_run_fails(self, gen_dir, tmp_path):
         cfg = run_cfg_file(tmp_path)
