@@ -1,27 +1,21 @@
 """Small shared helpers: the CSV line reader, the naming of a bad id,
-atomic file writes, canonical float text and the BLAS in use.
+atomic file writes, 9-digit float text and the BLAS in use.
 
-All numeric values that cross a file boundary are rendered with ``%.9g``
-(9 significant digits). ``canonical9`` rounds freshly computed arrays to
-exactly the double that parsing that text gives back, so a value read
-back from a file is bit-identical to the value used in memory.
-
-Both directions work numerically wherever that is provably exact:
-for zeros and for 1e-36 <= |x| < 1e53, all but values within 1e-6 of a
-9-digit tie. ``_digits9`` finds the nine digits ``%.9g`` prints,
-``canonical9`` scales them back into the correctly rounded double (one
-IEEE operation, Clinger's fast path, up to 10**22; a sum of three exact
-or nearly exact products beyond), and ``fmt9_rows`` writes their text
-with array arithmetic. Every other value goes through ``'%.9g'`` itself
-(``fmt9_array``, ``_canonical9_text``), which is both the fallback and
-the test oracle.
+Features and head parameters are written as text with ``%.9g`` (9
+significant digits); the pipeline computes on float64 and the logit
+cache stores each grid's exact bits, so no value is rounded in memory.
+``fmt9_rows`` writes the text of whole blocks with array arithmetic
+wherever that is provably exact: for zeros and for 1e-36 <= |x| < 1e53,
+all but values within 1e-6 of a 9-digit tie. ``_digits9`` finds the nine
+digits ``%.9g`` prints; every other value goes through ``'%.9g'`` itself
+(``fmt9_array``). ``canonical9``, the value that parsing a ``%.9g`` text
+gives back, is defined by that text and serves tests as an oracle.
 """
 
 import contextlib
 import ctypes
 import functools
 import glob
-import math
 import os
 import re
 import sys
@@ -33,39 +27,15 @@ import numpy as np
 from .errors import FormatError
 
 # %.9g prints the nine digits m = round(x * 10**k), k = 8 - e, where e is
-# the decimal exponent of x. Both directions are exact numerically for
-# |k| <= _K_MAX, which keeps every exponent at two digits, and every table
-# below is indexed by i = e - _E_MIN, so k = _K_MAX - i.
+# the decimal exponent of x. _digits9 finds them numerically for
+# |k| <= _K_MAX, which keeps every exponent at two digits, and its table
+# is indexed by i = e - _E_MIN, so k = _K_MAX - i.
 _K_MAX = 44
 _E_MIN, _E_MAX = 8 - _K_MAX, 8 + _K_MAX
 _N_E = _E_MAX - _E_MIN + 1
-_EXACT_POW10 = 22  # 10**22 is the largest power of ten that is an exact double
-# i where k = 0, and the ends of |k| <= 22, where one IEEE operation on two
-# exact doubles (m * _MUL, m / _DIV) scales m back
-_I_ONE = _K_MAX
-_I_LO, _I_HI = _K_MAX - _EXACT_POW10, _K_MAX + _EXACT_POW10
-
-
-def _pow10_parts(k: int) -> tuple[float, float, float]:
-    """10**-k as a + b + c, within 2**-97 |10**-k|: a and b of 23 significant
-    bits, so that m * a and m * b are exact for |m| < 2**30, and c the
-    double nearest the rest. Each part is cut from 10**-k * 2**shift,
-    truncated to an integer."""
-    shift = 300 if k > 0 else 0
-    v = (1 << shift) // 10**k if k > 0 else 10**-k
-    parts = []
-    for _ in range(2):
-        drop = max(v.bit_length() - 23, 0)
-        parts.append(v >> drop << drop)
-        v -= parts[-1]
-    return tuple(math.ldexp(float(part), -shift) for part in (*parts, v))
-
-
+_I_ONE = _K_MAX  # i where k = 0
 _K = range(_K_MAX, -_K_MAX - 1, -1)
 _SCALE = np.array([float(10**k) if k >= 0 else 1 / 10**-k for k in _K])  # fl(10**k)
-_DIV = np.array([float(10**k) if 0 <= k <= _EXACT_POW10 else 1.0 for k in _K])
-_MUL = np.array([float(10**-k) if -_EXACT_POW10 <= k < 0 else 1.0 for k in _K])
-_PARTS = np.array([_pow10_parts(k) for k in _K]).T.copy()
 
 
 def fmt9_array(values: np.ndarray) -> list[str]:
@@ -73,8 +43,9 @@ def fmt9_array(values: np.ndarray) -> list[str]:
     return list(map("%.9g".__mod__, np.asarray(values, dtype=np.float64).ravel().tolist()))
 
 
-def _canonical9_text(values: np.ndarray) -> np.ndarray:
-    """canonical9 by definition: render with %.9g and parse back."""
+def canonical9(values: np.ndarray) -> np.ndarray:
+    """Round an array to its 9-significant-digit text: float('%.9g' % x)
+    element-wise, by rendering with %.9g and parsing back."""
     x = np.asarray(values, dtype=np.float64)
     return np.fromiter(map(float, fmt9_array(x)), np.float64, count=x.size).reshape(x.shape)
 
@@ -83,10 +54,9 @@ def _digits9(flat: np.ndarray, m: np.ndarray):
     """The nine digits %.9g prints for each value of a 1-d array.
 
     Fills m with rint(x * 10**k), k = 8 - floor(log10|x|), and returns
-    (i, scale, exact): i = e - _E_MIN, the table index of the exponent
-    e = 8 - k; scale = fl(10**k); and the mask of values where m is
-    provably the digits, or None when all are. Zeros count as exact,
-    with m = x and k = 0.
+    (i, exact): i = e - _E_MIN, the table index of the exponent e = 8 - k,
+    and the mask of values where m is provably the digits, or None when
+    all are. Zeros count as exact, with m = x and k = 0.
 
     s = x * fl(10**k) takes two roundings, within 2.3e-7 of x * 10**k
     when |s| < 1e9 + 0.5, so rint(s) is exact for s at least 1e-6 from
@@ -118,7 +88,7 @@ def _digits9(flat: np.ndarray, m: np.ndarray):
         np.abs(s, out=s)
         low, high, tie = size.min(initial=1e8), size.max(initial=0), s.max(initial=0)
         if low >= 1e8 - 0.04 and high < 1e9 - 0.5 and tie < 0.5 - 1e-6:
-            return i, scale, None
+            return i, None
         exact = (size >= 1e8 - 0.04) & (size < 1e9 + 0.5) & (s < 0.5 - 1e-6)
     up = np.flatnonzero(exact & (size >= 1e9 - 0.5))
     exact[up[i[up] == _N_E - 1]] = False
@@ -128,73 +98,7 @@ def _digits9(flat: np.ndarray, m: np.ndarray):
     zero = np.flatnonzero(flat == 0)
     exact[zero] = True
     i[zero] = _I_ONE
-    _SCALE.take(i, out=scale, mode="clip")
-    return i, scale, exact
-
-
-def _times_pow10(m: np.ndarray, i: np.ndarray):
-    """m * 10**-k (k = _K_MAX - i) for 9-digit integers m, correctly
-    rounded, and the mask of values where that is proven: all but those
-    within 2**-30 of a step of a midpoint between two doubles. Exact ties
-    are among these; they occur only for k = -23 and m a power of two.
-
-    With 10**-k = a + b + c (_PARTS), m * a and m * b are exact and their
-    sum is split into s + e1 exactly (Fast2Sum). r = s + (e1 + m * c) is
-    then within 2**-95 |r| of m * 10**-k, and e2, the exact rounding
-    error of that last sum, tells how far m * 10**-k lies from the
-    midpoints around r.
-    """
-    a, b, c = (part.take(i) * m for part in _PARTS)
-    s = a + b
-    e1 = b - (s - a)
-    t = e1 + c
-    r = s + t
-    e2 = t - (r - s)
-    size = np.abs(r)
-    gap = size - np.nextafter(size, 0)  # the step below r, the smaller
-    return r, np.abs(e2) < (0.5 - 2.0**-30) * gap
-
-
-def canonical9(values: np.ndarray) -> np.ndarray:
-    """Round an array to its 9-significant-digit text representation.
-
-    Bit-identical to ``float('%.9g' % x)`` element-wise, so
-    fmt9_array(canonical9(v)) == fmt9_array(v), and parsing the rendered
-    text recovers canonical9(v) exactly.
-
-    Where _digits9 finds the digits m exactly, the result is m * 10**-k,
-    which is the value strtod returns for the text, correctly rounded:
-    for |k| <= 22, m / 10**k or m * 10**-k, one IEEE operation on two
-    exact doubles (Clinger 1990, *How to Read Floating Point Numbers
-    Accurately*); for 22 < |k| <= 44, _times_pow10. Zeros keep their
-    sign. Every other value takes the text path, _canonical9_text.
-    """
-    x = np.asarray(values, dtype=np.float64)
-    flat = x.reshape(-1)
-    # Allocated before the temporaries, so that rows kept in a logit cache
-    # sit together on the heap; warm runs over the cache read them faster.
-    out = np.empty_like(flat)
-    i, scale, exact = _digits9(flat, out)
-    low, high = i.min(initial=_I_ONE), i.max(initial=_I_ONE)
-    far = None
-    if low < _I_LO or high > _I_HI:
-        far = (i < _I_LO) | (i > _I_HI)
-        far = np.flatnonzero(far if exact is None else far & exact)
-        far_values, proven = _times_pow10(out[far], i[far])
-    # out holds m: m * 10**-k for k < 0, then m / 10**k for k >= 0
-    if high > _I_ONE:
-        out *= _MUL.take(i)
-        scale = _DIV.take(i)
-    out /= scale
-    if far is not None:
-        out[far] = far_values
-        if exact is None:
-            exact = np.ones(flat.size, bool)
-        exact[far[~proven]] = False
-    if exact is not None and not exact.all():
-        slow = ~exact
-        out[slow] = _canonical9_text(flat[slow])
-    return out.reshape(x.shape)
+    return i, exact
 
 
 # fmt9_rows writes each value into a slot of 16 bytes, held as two
@@ -298,7 +202,7 @@ def fmt9_rows(matrix: np.ndarray) -> list[str]:
 def _fmt9_chunk(flat: np.ndarray, n_cols: int) -> list[str]:
     text, length, all_masks, all_shifts, digits4, zeros4 = _tables()
     m = np.empty_like(flat)
-    i, _, exact = _digits9(flat, m)
+    i, exact = _digits9(flat, m)
     if exact is not None:
         m = np.where(exact, m, 0)
     m = np.abs(m).astype(np.int64)

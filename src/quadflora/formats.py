@@ -5,10 +5,10 @@ written in sorted id order through an atomic temp-file rename, so
 reruns with identical inputs produce byte-identical files. Fields are
 never quoted: readers (_util.read_rows) split each line on ',', also
 read CRLF files, and reject a quote, a NUL or any other CR with an
-error naming the file and line. Floating
-point values are rendered with 9 significant digits; the pipeline works
-on exactly those rounded values, so a file round-trip never changes a
-result.
+error naming the file and line. Features and head parameters are
+rendered with 9 significant digits, and the pipeline works on the
+values parsed from that text; the logit cache stores each grid's exact
+float64 bits, so a cache round-trip never changes a result.
 
 Formats
 -------
@@ -17,7 +17,7 @@ ground truth   quadrat_id,transect_id,species_ids       ids ;-separated, ascendi
 submission     quadrat_id,species_ids                   ids ;-separated, ascending
 features       quadrat_id,transect_id,grid_cells,feature_dim,row,col,values
 head registry  level,head_id,param,row,values           param in w,b,w1,b1,w2,b2
-logit cache    model_id,quadrat_id,crop_pct,scale,level,values   one line per grid
+logit cache    model_id,quadrat_id,crop_pct,scale,level,values_f64le_b64   one line per grid
 fingerprint    JSON sidecar <logit cache>.fingerprint   see LogitCache
 config         flat "key = value" lines, '#' comments
 
@@ -34,16 +34,18 @@ miss). Every line of a head registry is checked; the heads a run uses
 are parsed at load, except those whose lines hash to their records: a
 cache miss parses these. So a run served entirely from a cache parses
 no value.
-Values are parsed one block at a time (a quadrat's cells, a head
-parameter, a cached grid), each with one np.array call; a bad value
-still names its own line. They are written in blocks too, through
-_util.fmt9_rows: a quadrat's cells per call, and all head parameters of
-one width, or all cached grids of one value count, per call. Values are
-rendered numerically where that is provably exact (zeros, and
-1e-36 <= |x| < 1e53 away from 9-digit ties), and by '%.9g', the
-fallback and the oracle, elsewhere.
+Text values are parsed one block at a time (a quadrat's cells, a head
+parameter), each with one np.array call; a bad value still names its
+own line. They are written in blocks too, through _util.fmt9_rows: a
+quadrat's cells per call, and all head parameters of one width per
+call. Values are rendered numerically where that is provably exact
+(zeros, and 1e-36 <= |x| < 1e53 away from 9-digit ties), and by
+'%.9g', the fallback and the oracle, elsewhere. A cached grid is the
+base64 of its little-endian float64 bytes, decoded with one b64decode
+and one np.frombuffer call.
 """
 
+import base64
 import functools
 import hashlib
 import json
@@ -91,7 +93,7 @@ FEATURES_HEADER = [
     "quadrat_id", "transect_id", "grid_cells", "feature_dim", "row", "col", "values",
 ]
 HEADS_HEADER = ["level", "head_id", "param", "row", "values"]
-CACHE_HEADER = ["model_id", "quadrat_id", "crop_pct", "scale", "level", "values"]
+CACHE_HEADER = ["model_id", "quadrat_id", "crop_pct", "scale", "level", "values_f64le_b64"]
 
 
 def _parse_id_list(field: str, where: str) -> tuple[int, ...]:
@@ -516,7 +518,7 @@ def load_head_registry(
 
 # ---------------------------------------------------------------- logit cache
 
-FINGERPRINT_VERSION = 4
+FINGERPRINT_VERSION = 5
 _RECORD_KINDS = ("heads", "quadrats")  # the line records a sidecar holds
 
 
@@ -604,12 +606,14 @@ class LogitCache:
     """Logits of whole tile grids, keyed by (model, quadrat, crop, scale, level).
 
     Each entry is one (scale^2 x classes) block, its rows in the grid's
-    row-major tile order. The file holds one line per grid, the block's
-    values row-major, sorted by grid key. A loaded line whose value count
-    is not a positive multiple of scale^2, or whose key is on another
-    line too, is dropped, so its grid is recomputed. Values are stored in
-    their canonical 9-significant-digit form, so a cache round-trip
-    reproduces in-memory results exactly. len() counts tile rows.
+    row-major tile order. The file holds one line per grid, sorted by grid
+    key; its last field is the base64 (RFC 4648, with padding) of the
+    block's little-endian float64 bytes, row-major. Values are stored
+    bit for bit, so a cache round-trip reproduces in-memory results
+    exactly. A loaded line whose byte count is not a positive multiple
+    of 8 scale^2, or whose key is on another line too, is dropped, so its
+    grid is recomputed; a field that is not base64, or that holds a
+    non-finite value, is an error naming its line. len() counts tile rows.
 
     Loaded with a CacheFingerprint (as `infer` and `sweep` do), the cache
     is checked against its sidecar, fingerprint_path(path): a JSON record
@@ -721,11 +725,12 @@ class LogitCache:
         # so warm reruns stay fast.
         if not self._dirty:
             return
-        # One line per grid, in key order; the grids are formatted together.
-        keys = sorted(self._data)
-        rows = _format_blocks([self._data[key].reshape(1, -1) for key in keys])
+        # One line per grid, in key order.
         lines = [",".join(CACHE_HEADER)]
-        lines.extend(",".join(map(str, key)) + "," + row for key, (row,) in zip(keys, rows))
+        for key in sorted(self._data):
+            data = self._data[key].astype("<f8", copy=False).tobytes()
+            field = base64.b64encode(data).decode("ascii")
+            lines.append(",".join(map(str, key)) + "," + field)
         text = "\n".join(lines) + "\n"
         atomic_write_text(self.path, text)
         if self._fingerprint is not None:
@@ -758,14 +763,21 @@ def _still_valid(record: dict, fingerprint: CacheFingerprint) -> dict:
     }
 
 
-def _grid_block(where: str, values: str, scale: int) -> Optional[np.ndarray]:
-    """The (scale^2 x C) block of one grid's line, its values parsed by one
-    np.array call, or None if their count is not a positive multiple of
-    scale^2."""
-    block = _parse_values(values, where)
-    if scale < 1 or len(block) % (scale * scale):
+def _grid_block(where: str, field: str, scale: int) -> Optional[np.ndarray]:
+    """The (scale^2 x C) block of one grid's line, its field decoded by one
+    b64decode and one np.frombuffer call, or None if its byte count is
+    not a positive multiple of 8 scale^2. A character outside the base64
+    alphabet or misplaced padding is an error (validate=True)."""
+    try:
+        data = base64.b64decode(field, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise FormatError(f"{where}: bad values field") from exc
+    if scale < 1 or not data or len(data) % (8 * scale * scale):
         return None
-    return block.reshape(scale * scale, -1)
+    block = np.frombuffer(data, "<f8").reshape(scale * scale, -1)
+    if not np.isfinite(block).all():
+        raise FormatError(f"{where}: non-finite value")
+    return block
 
 
 # --------------------------------------------------------------- score report

@@ -10,10 +10,10 @@ candidate, max-merged across the quadrat. Threshold calibration is
 corpus-global: one threshold serves the whole test set.
 
 Each head runs once per (crop, scale) grid, as one GEMM over the
-grid's pooled tile features, and every freshly computed block is
-rounded to 9 significant digits (the logit cache's text precision)
-before use, so runs that read a warm cache are bit-identical to the
-runs that filled it. The logit cache holds whole grids, keyed by
+grid's pooled tile features, and its block is used as computed, not
+rounded: the logit cache stores each grid's exact float64 bits, so
+runs that read a warm cache are bit-identical to the runs that filled
+it. The logit cache holds whole grids, keyed by
 (model, quadrat, crop, scale, level), so a cached grid does not depend
 on which other scales, crops or grids a run computes. What else a grid
 depends on (the text of its model's heads and of its quadrat's
@@ -31,7 +31,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._util import canonical9
 from .ensemble import HeadSelection, bag, compose_model, kernel_smooth
 from .errors import ConfigError, QuadfloraError, ShapeError
 from .fusion import TileLogits, fuse
@@ -45,9 +44,10 @@ from .selection import (
 )
 
 # Bound here, though select_predictions runs the array path of
-# select_corpus, so that callers looking the per-step selection
-# functions up on this module (the benchmark's tracer patches them
-# here) still find them.
+# select_corpus and the pipeline rounds no logit, so that callers
+# looking canonical9 and the per-step selection functions up on this
+# module (the benchmark's tracer patches them here) still find them.
+from ._util import canonical9  # noqa: F401
 from .selection import (  # noqa: F401
     apply_threshold,
     bisect_threshold,
@@ -96,10 +96,10 @@ def _logit_block(model, level, quadrat, crop, grids, cache, features) -> np.ndar
     """(tiles x classes) logits of one model level over the crop's grids.
 
     Each (crop, scale) grid is one cache entry. On a miss the head runs
-    once on the whole grid (one GEMM), the result is rounded by one
-    canonical9 call and put whole. GEMM's last bits can depend on the
-    batch size, so the batch is always one grid, and a grid's values
-    depend on its cache key alone, whatever else a run asks for.
+    once on the whole grid (one GEMM), and the result is put whole, as
+    computed. GEMM's last bits can depend on the batch size, so the batch
+    is always one grid, and a grid's values depend on its cache key
+    alone, whatever else a run asks for.
 
     features is the crop's list, shared by every model and level; the
     first miss puts the crop's (tiles x D) pooled features in it, which
@@ -118,7 +118,7 @@ def _logit_block(model, level, quadrat, crop, grids, cache, features) -> np.ndar
                         f"lacks {key}"
                     )
                 features.append(np.array([tile_features(quadrat, t) for g in grids for t in g]))
-            block = canonical9(head_logits(model, level, features[0][start : start + len(grid)]))
+            block = head_logits(model, level, features[0][start : start + len(grid)])
             if cache is not None:
                 cache.put(key, block)
         blocks.append(block)

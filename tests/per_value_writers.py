@@ -4,11 +4,12 @@ quadflora's writers once rendered every float with its own '%.9g' call
 and joined each row's strings. They now render whole value blocks with
 ``_util.fmt9_rows``; tests compare the files both write. The bodies
 below are those writers unchanged, but for ``save``, which writes the
-cache's one line per grid, still with one '%.9g' call per value.
-``install`` puts them in place of the library's, so that a CLI run
-writes its files through them.
+logit cache's one line per grid, each grid's float64 bytes encoded by
+``binascii``. ``install`` puts them in place of the library's, so that
+a CLI run writes its files through them.
 """
 
+import binascii
 from typing import Sequence
 
 import numpy as np
@@ -72,7 +73,9 @@ def save(self, path=None) -> None:
             return
     lines = [",".join(CACHE_HEADER)]
     for key in sorted(self._data):
-        lines.append(",".join(map(str, key)) + "," + _join_values(self._data[key].ravel()))
+        data = np.ascontiguousarray(self._data[key], dtype="<f8").tobytes()
+        field = binascii.b2a_base64(data, newline=False).decode("ascii")
+        lines.append(",".join(map(str, key)) + "," + field)
     text = "\n".join(lines) + "\n"
     atomic_write_text(path, text)
     if self._fingerprint is not None:

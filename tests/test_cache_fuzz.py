@@ -8,15 +8,22 @@ The same contract (exit 0 or 2, at most one `error:` line, no traceback,
 no partly written output) holds for `eval` after the ground truth or the
 submission is mutated, for `taxonomy-validate` after the taxonomy is,
 for `infer` after the run config is, and for `sweep --targets` text,
-given as `--targets=TEXT` or as a separate argument.
+given as `--targets=TEXT` or as a separate argument. A logit cache
+whose base64 values field is damaged byte by byte holds it too, also
+when its sidecar is rewritten to vouch for the damaged bytes, so that
+the cache's own checks see them.
 """
 
+import base64
 import contextlib
+import hashlib
 import io
+import json
 import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -147,6 +154,77 @@ def test_warm_infer_after_mutation(cold, name, kind, pos, bit, token):
         code, err = run(infer + ["--out", tmp / "warm.csv"])
         if not holds_contract(code, err, tmp, tmp / "warm.csv"):
             return
+        fresh = tmp / "fresh"
+        fresh.mkdir()
+        code, _ = run(infer + ["--out", tmp / "fresh.csv", "--cache", fresh / "cache.csv"])
+        assert code == 0
+        assert (tmp / "warm.csv").read_bytes() == (tmp / "fresh.csv").read_bytes()
+
+
+VALUE_DAMAGE = ("alphabet", "padding", "bytes", "grid", "nan", "inf", "-inf", "truncate")
+
+
+def damage_values(data: bytes, kind: str, pos: int) -> bytes:
+    """A cache file with one grid line's base64 values field damaged: a
+    character outside the alphabet, a padding '=' dropped, a byte count
+    that is not a multiple of 8 or of 8 scale^2, a NaN or an infinity's
+    bit pattern, or the last line truncated."""
+    lines = data.split(b"\n")  # the header, the grid lines, and b"" after the last LF
+    if kind == "truncate":
+        return b"\n".join(lines[:-2]) + b"\n" + lines[-2][: -1 - pos % 200]
+    grids = range(1, len(lines) - 1)
+    if kind == "padding":
+        grids = [i for i in grids if lines[i].endswith(b"=")]
+    i = grids[pos % len(grids)]
+    head, field = lines[i].rsplit(b",", 1)
+    raw = base64.b64decode(field, validate=True)
+    if kind == "alphabet":
+        j = pos % len(field)
+        field = field[:j] + b"!" + field[j + 1 :]
+    elif kind == "padding":
+        field = field[:-1]
+    else:
+        if kind == "bytes":
+            raw = raw[: -1 - pos % 7]
+        elif kind == "grid":  # one value fewer: scales 2 and 4 leave a part row
+            raw = raw[:-8]
+        else:
+            values = np.frombuffer(raw, "<f8").copy()
+            values[pos % len(values)] = float(kind)
+            raw = values.tobytes()
+        field = base64.b64encode(raw)
+    lines[i] = head + b"," + field
+    return b"\n".join(lines)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(kind=st.sampled_from(VALUE_DAMAGE), pos=st.integers(0, 2**32), vouched=st.booleans())
+@example(kind="nan", pos=0, vouched=True)
+@example(kind="alphabet", pos=0, vouched=True)
+@example(kind="grid", pos=0, vouched=True)
+@example(kind="truncate", pos=2, vouched=False)
+def test_warm_infer_after_values_damage(cold, kind, pos, vouched):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = tmp / "data"
+        shutil.copytree(cold / "data", data)
+        cache = data / "logit_cache.csv"
+        cache.write_bytes(damage_values(cache.read_bytes(), kind, pos))
+        if vouched:
+            sidecar = data / "logit_cache.csv.fingerprint"
+            record = json.loads(sidecar.read_text())
+            record["cache_sha256"] = hashlib.sha256(cache.read_bytes()).hexdigest()
+            sidecar.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        infer = ["infer", "--config", cold / "run.cfg", "--data", data]
+
+        code, err = run(infer + ["--out", tmp / "warm.csv"])
+        if not holds_contract(code, err, tmp, tmp / "warm.csv"):
+            return
+        assert err.startswith("warning: logit cache")
         fresh = tmp / "fresh"
         fresh.mkdir()
         code, _ = run(infer + ["--out", tmp / "fresh.csv", "--cache", fresh / "cache.csv"])

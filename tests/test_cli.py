@@ -223,22 +223,24 @@ def old_model_digest(registry, model_id):
 
 
 def write_old_format(cache, features, version):
-    """Rewrite the cache's sidecar as format version 1, 2 or 3 wrote it.
+    """Rewrite the cache's sidecar as format version 1, 2, 3 or 4 wrote it.
 
     Versions 1 to 3: per model the sha256 of its head arrays, in place of
     the per-head line records. Version 1: no BLAS record, and per quadrat
     the sha256 of its metadata and of its rows rejoined without their
-    line ends. Version 2: the cache file rewritten with one row per tile
-    and level, and the sidecar's cache_sha256 of those bytes.
+    line ends. Versions 2 and 4: the cache file rewritten as '%.9g' text,
+    with one row per tile and level (2) or one line per grid (4), and the
+    sidecar's cache_sha256 of those bytes.
     """
     sidecar = Path(str(cache) + ".fingerprint")
     record = json.loads(sidecar.read_text())
-    registry = formats.load_head_registry(features.with_name("heads.csv"))
-    del record["heads"]
-    record["models"] = {
-        model_id: old_model_digest(registry, model_id)
-        for model_id in {line.split(",", 1)[0] for line in cache.read_text().splitlines()[1:]}
-    }
+    if version < 4:
+        registry = formats.load_head_registry(features.with_name("heads.csv"))
+        del record["heads"]
+        record["models"] = {
+            model_id: old_model_digest(registry, model_id)
+            for model_id in {line.split(",", 1)[0] for line in cache.read_text().splitlines()[1:]}
+        }
     if version == 1:
         digests = {}
         for line in features.read_text().splitlines()[1:]:
@@ -248,10 +250,16 @@ def write_old_format(cache, features, version):
             digests[qid].update(f"{r},{c},{values}\n".encode())
         del record["blas"]
         record["quadrats"] = {qid: sha.hexdigest() for qid, sha in digests.items()}
-    elif version == 2:
-        rows = sorted(per_tile.cache_rows(formats.LogitCache.load(cache)).items())
+    elif version in (2, 4):
+        blocks = formats.LogitCache.load(cache)
+        if version == 2:
+            header = "model_id,quadrat_id,crop_pct,scale,row,col,level,values\n"
+            rows = sorted(per_tile.cache_rows(blocks).items())
+        else:
+            header = "model_id,quadrat_id,crop_pct,scale,level,values\n"
+            rows = sorted(blocks._data.items())
         cache.write_text(
-            "model_id,quadrat_id,crop_pct,scale,row,col,level,values\n"
+            header
             + "".join(",".join(map(str, key)) + "," + ";".join(fmt9_array(values)) + "\n"
                       for key, values in rows)
         )
@@ -292,7 +300,7 @@ class TestCacheFingerprint:
         "change",
         [
             "sidecar_deleted", "sidecar_version_1", "previous_format", "sidecar_version_3",
-            "cache_edited", "overlap_changed", "heads_regenerated", "used_head_edited",
+            "sidecar_version_4", "cache_edited", "overlap_changed", "heads_regenerated", "used_head_edited",
             "features_regenerated",
         ],
     )
@@ -328,7 +336,9 @@ class TestCacheFingerprint:
         warned = capsys.readouterr().err.splitlines()
         assert len(warned) == 1 and warned[0].startswith(f"warning: logit cache {cache}")
         if change.startswith(("sidecar_version", "previous")):
-            assert warned[0].endswith("its fingerprint is not format version 4")
+            assert warned[0].endswith(
+                f"its fingerprint is not format version {formats.FINGERPRINT_VERSION}"
+            )
         if change == "used_head_edited":
             assert re.search(r": dropped (\d+) of \1 grids \(\1 for changed heads\)$", warned[0])
         fresh = fresh_cache_submission(tmp_path, cfg, gen_dir)
@@ -340,6 +350,29 @@ class TestCacheFingerprint:
         assert main(infer_argv(cfg, gen_dir, tmp_path / "again.csv")) == 0
         assert capsys.readouterr().err == ""
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+
+    def test_text_cache_of_format_4(self, gen_dir, tmp_path, capsys):
+        # The 9-digit text cache of format 4: beside its sidecar, infer and
+        # sweep drop it with one warning and recompute; loaded without a
+        # fingerprint, its header is one FormatError.
+        cfg = run_cfg_file(tmp_path)
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
+        cache = gen_dir / "logit_cache.csv"
+        sweep = ["sweep", "--config", str(cfg), "--data", str(gen_dir), "--targets", "2,3"]
+        for argv in (infer_argv(cfg, gen_dir, tmp_path / "warm.csv"),
+                     sweep + ["--out", str(tmp_path / "sweep.csv")]):
+            write_old_format(cache, gen_dir / "quadrats.csv", 4)
+            with pytest.raises(formats.FormatError, match="^bad header .*'values'"):
+                formats.LogitCache.load(cache)
+            capsys.readouterr()
+            assert main(argv) == 0
+            warned = capsys.readouterr().err.splitlines()
+            assert warned == [f"warning: logit cache {cache} not used: its fingerprint is not "
+                              f"format version {formats.FINGERPRINT_VERSION}"]
+            assert cache.read_text().startswith(",".join(formats.CACHE_HEADER) + "\n")
+        assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+        assert main(sweep + ["--out", str(tmp_path / "again.csv")]) == 0
+        assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
 
     def test_stale_sidecar_without_cache_vouches_for_nothing(self, gen_dir, tmp_path, monkeypatch):
         # A deleted cache next to its sidecar, as the benchmark's cold passes

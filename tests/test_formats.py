@@ -1,4 +1,6 @@
+import base64
 import hashlib
+import re
 import warnings
 from pathlib import Path
 
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from quadflora import formats
-from quadflora._util import _canonical9_text, canonical9, fmt9_array
+from quadflora._util import canonical9, fmt9_array, fmt9_rows
 from quadflora.cli import main
 from quadflora.ensemble import HeadSelection
 from quadflora.errors import ConfigError, DuplicatePredictionError, FormatError, ShapeError
@@ -20,6 +22,9 @@ from quadflora.taxonomy import TAXONOMY_HEADER
 
 
 class TestCanonicalFloats:
+    """canonical9, float('%.9g' % x), and the block writer fmt9_rows against
+    per-value '%.9g' text where its digits come from _digits9."""
+
     def test_round_trip_is_fixed_point(self):
         rng = np.random.default_rng(0)
         v = np.concatenate(
@@ -65,13 +70,13 @@ class TestCanonicalFloats:
             ]
         )
         v = np.concatenate([v, -v])
-        assert_same_bits(canonical9(v), _canonical9_text(v))
+        assert_renders_as_text(v)
 
     def test_bit_identical_to_text_on_random_magnitudes(self):
         rng = np.random.default_rng(6)
         for scale in 10.0 ** np.arange(-46, 56, 2):
             v = rng.standard_normal(20_000) * scale
-            assert_same_bits(canonical9(v), _canonical9_text(v))
+            assert_renders_as_text(v)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -89,13 +94,12 @@ class TestCanonicalFloats:
         )
     )
     def test_bit_identical_to_text_property(self, v):
-        assert_same_bits(canonical9(v), _canonical9_text(v))
+        assert_renders_as_text(v)
 
 
-def assert_same_bits(got, expected):
-    """Equal float64 bit patterns, any NaN matching any NaN."""
-    same = got.view(np.int64) == expected.view(np.int64)
-    assert (same | (np.isnan(got) & np.isnan(expected))).all()
+def assert_renders_as_text(v):
+    """fmt9_rows writes the values as one row, as '%.9g' does each value."""
+    assert fmt9_rows(v.reshape(1, -1)) == [";".join(fmt9_array(v))]
 
 
 @pytest.fixture(scope="module")
@@ -539,6 +543,11 @@ class TestHeadRegistry:
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
+def b64(values) -> str:
+    """A cache line's values field: base64 of the little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+
+
 class TestCache:
     def test_round_trip_and_stability(self, tmp_path):
         path = tmp_path / "cache.csv"
@@ -567,11 +576,11 @@ class TestCache:
         cache.put(("a", "q1", "0", 1, "species"), np.array([[0.0, -1.0]]))
         cache.save()
         assert path.read_text().splitlines() == [
-            "model_id,quadrat_id,crop_pct,scale,level,values",
-            "a,q1,0,1,species,0;-1",
-            "m,q0,0,1,species,0.5;0.25",
-            "m,q0,0,2,genus,5;6;7;8",
-            "m,q0,0,2,species,1;2;3;4",
+            "model_id,quadrat_id,crop_pct,scale,level,values_f64le_b64",
+            f"a,q1,0,1,species,{b64([0, -1])}",
+            f"m,q0,0,1,species,{b64([0.5, 0.25])}",
+            f"m,q0,0,2,genus,{b64([5, 6, 7, 8])}",
+            f"m,q0,0,2,species,{b64([1, 2, 3, 4])}",
         ]
         assert len(formats.LogitCache.load(path)) == 10
 
@@ -583,12 +592,12 @@ class TestCache:
         cache.put(("m", "q1", "0", 2, "species"), np.arange(8.0).reshape(4, 2))
         cache.save()
         lines = path.read_text().splitlines()
-        assert lines[1] == "m,q0,0,2,species,0;1;2;3;4;5;6;7"
+        assert lines[1] == f"m,q0,0,2,species,{b64(range(8))}"
         lines[1:2] = {
             "drop": [],  # an absent grid is a plain miss
-            "duplicate": [lines[1], "m,q0,0,2,species,7;6;5;4;3;2;1;0"],
-            "wrong_length": ["m,q0,0,2,species,0;1;2;3;4;5;6"],
-            "bad_scale": ["m,q0,0,0,species,0;1;2;3;4;5;6;7"],
+            "duplicate": [lines[1], f"m,q0,0,2,species,{b64(range(7, -1, -1))}"],
+            "wrong_length": [f"m,q0,0,2,species,{b64(range(7))}"],
+            "bad_scale": [f"m,q0,0,0,species,{b64(range(8))}"],
         }[edit]
         path.write_text("\n".join(lines) + "\n")
         if edit == "drop":
@@ -605,6 +614,55 @@ class TestCache:
             loaded.get(("m", "q1", "0", 2, "species")), np.arange(8.0).reshape(4, 2)
         )
 
+    @pytest.mark.parametrize(
+        "damage, outcome",
+        [
+            ("alphabet", "bad values field"),  # a character outside base64's alphabet
+            ("padding", "bad values field"),  # one '=' of two dropped
+            ("not_8_bytes", "dropped"),  # 63 bytes
+            ("not_8_scale2_bytes", "dropped"),  # 5 values for a 2 x 2 grid
+            ("nan", "non-finite value"),
+            ("inf", "non-finite value"),
+            ("-inf", "non-finite value"),
+            ("truncated", "bad values field"),  # the last line cut mid-quantum
+            ("truncated_at_quantum", "dropped"),  # ... or after a whole one
+        ],
+    )
+    def test_damaged_values_field(self, tmp_path, damage, outcome):
+        path = tmp_path / "cache.csv"
+        cache = formats.LogitCache(path)
+        keys = [("m", "q0", "0", 2, "species"), ("m", "q1", "0", 2, "species")]
+        for i, key in enumerate(keys):
+            cache.put(key, np.arange(8.0 * i, 8.0 * i + 8).reshape(4, 2))
+        cache.save()
+        text = path.read_text()
+        field = text.splitlines()[2].rsplit(",", 1)[1]
+        assert field == b64(range(8, 16)) and field.endswith("==")
+        if damage in ("nan", "inf", "-inf"):
+            damaged = text.replace(field, b64([8, float(damage)] + list(range(10, 16))))
+        else:
+            damaged = {
+                "alphabet": text.replace(field, field[:5] + "!" + field[6:]),
+                "padding": text.replace(field, field[:-1]),
+                "not_8_bytes": text.replace(
+                    field, base64.b64encode(np.arange(8.0, 16).tobytes()[:-1]).decode()
+                ),
+                "not_8_scale2_bytes": text.replace(field, b64(range(5))),
+                "truncated": text[:-6],
+                "truncated_at_quantum": text[:-5],
+            }[damage]
+        assert damaged != text
+        path.write_text(damaged)
+        if outcome == "dropped":
+            why = r"dropped 1 of 2 grids \(1 for wrong value counts\)"
+            with pytest.warns(UserWarning, match=why):
+                loaded = formats.LogitCache.load(path)
+            assert loaded.get(keys[1]) is None
+            assert loaded.get(keys[0]).tobytes() == np.arange(8.0).tobytes()
+        else:
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:3: {outcome}$"):
+                formats.LogitCache.load(path)
+
     def test_block_must_fill_its_grid(self):
         cache = formats.LogitCache()
         for block in (np.zeros((3, 2)), np.zeros(4), np.zeros((4, 2, 1))):
@@ -617,12 +675,13 @@ class TestCache:
     def test_row_over_csv_default_field_limit_round_trips(self, tmp_path):
         path = tmp_path / "cache.csv"
         cache = formats.LogitCache(path)
-        row = canonical9(np.random.default_rng(4).standard_normal(11_000))
+        row = np.random.default_rng(4).standard_normal(13_000)
         cache.put(("m", "q0", "0", 1, "species"), row[None, :])
         cache.save()
         assert path.stat().st_size > 131072
         loaded = formats.LogitCache.load(path)
-        np.testing.assert_array_equal(loaded.get(("m", "q0", "0", 1, "species")), [row])
+        got = loaded.get(("m", "q0", "0", 1, "species"))
+        np.testing.assert_array_equal(got.view(np.int64), row[None, :].view(np.int64))
         copy = formats.LogitCache(tmp_path / "cache2.csv")
         copy.put(("m", "q0", "0", 1, "species"), loaded.get(("m", "q0", "0", 1, "species")))
         copy.save()

@@ -1,7 +1,9 @@
+import base64
 import contextlib
 import dataclasses
 import importlib
 import io
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 
 import per_tile
 from quadflora import cli, pipeline, selection
-from quadflora._util import _canonical9_text, canonical9
+from quadflora._util import canonical9
 from quadflora.ensemble import HeadSelection, compose_model
 from quadflora.errors import ConfigError, IncongruentMembersError, QuadfloraError, ShapeError
 from quadflora.formats import LogitCache
@@ -306,12 +308,10 @@ class TestInferQuadrat:
             want, _, _ = select_predictions(expected, c, groups)
             assert select_predictions(got, c, groups)[0] == want
 
-    @pytest.mark.parametrize("rounding", ["canonical9", "none"])
-    def test_cached_rows_depend_on_key_alone(self, noisy_world, monkeypatch, tmp_path, rounding):
+    def test_cached_rows_depend_on_key_alone(self, noisy_world, tmp_path):
         # GEMM bits can depend on the batch size, so each grid is always
-        # one batch. Without rounding, any other batching shows in the bits.
-        if rounding == "none":
-            monkeypatch.setattr(pipeline, "canonical9", lambda x: x)
+        # one batch. Logits are not rounded: any other batching shows in
+        # the bits.
         tax, quads, registry = noisy_world
         models = two_models(registry)
         cfg = RunConfig(scales=(4, 5), crop_fracs=(0.0, 0.10), kernel_w=0.5)
@@ -338,10 +338,15 @@ class TestInferQuadrat:
         # A grid whose line lost its last value is dropped on load and
         # recomputed whole, with the same bits; whole lines are used as read.
         ref.save()
+
+        def without_last_value(line):
+            head, field = line.rsplit(",", 1)
+            return f"{head},{base64.b64encode(base64.b64decode(field)[:-8]).decode()}\n"
+
         lines = (tmp_path / "ref.csv").read_text().splitlines(keepends=True)
         (tmp_path / "warm.csv").write_text(
             lines[0]
-            + "".join(line if i % 7 else line.rsplit(";", 1)[0] + "\n"
+            + "".join(line if i % 7 else without_last_value(line)
                       for i, line in enumerate(lines[1:]))
         )
         with pytest.warns(UserWarning, match="wrong value counts"):
@@ -615,26 +620,33 @@ class TestCache:
         assert len(cache) == len(quads) * 41 * 3
 
     @pytest.mark.parametrize("channel", ["fused", "raw"])
-    def test_numeric_rounding_matches_text_rounding(
-        self, noisy_world, tmp_path, monkeypatch, channel
-    ):
+    def test_raw_logits_match_rounded_oracle(self, noisy_world, monkeypatch, channel):
+        # The oracle rounds each head's logits to their '%.9g' value, as
+        # the pipeline did while the cache held 9-digit text.
         tax, quads, registry = noisy_world
         models = two_models(registry)
         cfg = RunConfig(
             scales=(2, 3),
             crop_fracs=(0.0, 0.10),
             kernel_w=0.5,
-            selection=SelectionConfig(channel=channel),
+            selection=SelectionConfig(channel=channel, target_mean_len=2.0),
         )
-        numeric = LogitCache(tmp_path / "numeric.csv")
-        got = infer_corpus(quads, cfg, tax, models, numeric)
-        numeric.save()
-        monkeypatch.setattr(pipeline, "canonical9", _canonical9_text)
-        text = LogitCache(tmp_path / "text.csv")
-        expected = infer_corpus(quads, cfg, tax, models, text)
-        text.save()
-        assert got == expected
-        assert numeric.path.read_bytes() == text.path.read_bytes()
+        raw = LogitCache()
+        got = infer_corpus(quads, cfg, tax, models, raw)
+        monkeypatch.setattr(pipeline, "head_logits", lambda *a: canonical9(head_logits(*a)))
+        rounded = LogitCache()
+        expected = infer_corpus(quads, cfg, tax, models, rounded)
+        assert raw._data.keys() == rounded._data.keys()
+        for key, block in raw._data.items():
+            assert canonical9(block).tobytes() == rounded.get(key).tobytes()
+        for a, b in zip(got, expected):
+            assert a.entries.keys() == b.entries.keys()
+            for s, v in b.entries.items():
+                assert a.entries[s] == pytest.approx(v, rel=1e-8)
+        groups = {q.quadrat_id: q.transect_id for q in quads}
+        preds, tau, _ = select_predictions(got, cfg, groups)
+        want, want_tau, _ = select_predictions(expected, cfg, groups)
+        assert preds == want and math.isclose(tau, want_tau, rel_tol=1e-8)
 
     def test_featureless_quadrats_run_from_cache(self, world, tmp_path):
         tax, quads, registry = world

@@ -1,10 +1,12 @@
 """The line reader against the csv-module reader it replaced, and value
 blocks whose parse errors still name their own line."""
 
+import base64
 import contextlib
 import io
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -167,6 +169,24 @@ def spoil(path, pick, token="x"):
     return i + 1
 
 
+def spoil_grid(path, pick, token):
+    """In one cache line, set the second value to float(token), or, for a
+    token that is not a number, splice it into the base64 text after its
+    first quantum; return its line number."""
+    lines = path.read_text().splitlines()
+    i = pick(lines)
+    head, field = lines[i].rsplit(",", 1)
+    try:
+        values = np.frombuffer(base64.b64decode(field, validate=True), "<f8").copy()
+        values[1] = float(token)
+        field = base64.b64encode(values.tobytes()).decode()
+    except ValueError:
+        field = field[:4] + token + field[4:]
+    lines[i] = f"{head},{field}"
+    path.write_text("\n".join(lines) + "\n")
+    return i + 1
+
+
 class TestValueBlocks:
     """One np.array call parses a whole block; a bad value in any row of it
     is still reported on that row's own line."""
@@ -200,7 +220,7 @@ class TestValueBlocks:
         path = tmp_path / "logit_cache.csv"
         path.write_bytes(next(p for p in corpus if p.name == "logit_cache.csv").read_bytes())
         # the line of a 3x3 grid
-        lineno = spoil(path, lambda lines: next(
+        lineno = spoil_grid(path, lambda lines: next(
             i for i, line in enumerate(lines) if line.split(",")[3] == "3"
         ), token)
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:{lineno}: {message}$"):

@@ -228,8 +228,8 @@ def test_files_match_per_value_writers(tmp_path, monkeypatch, gen_cfg):
 
 def test_cache_of_round_off_zeros_matches_per_value_save(tmp_path):
     # Logits of a noiseless orthogonal world inferred from in-memory
-    # features: most are round-off zeros below 1e-14, written numerically
-    # since |k| <= 44 is exact, beside exact zeros.
+    # features: most are round-off zeros below 1e-14, beside exact zeros.
+    # The cache keeps their exact bits, which 9-digit text would not.
     cfg = formats.synth_config_from(formats.parse_config_text(NOISELESS_GEN))
     tax, quadrats, registry = gen_world(cfg)
     model = compose_model(registry, HeadSelection("lin1", "mlp2", "mlp2"))
@@ -238,9 +238,14 @@ def test_cache_of_round_off_zeros_matches_per_value_save(tmp_path):
     infer_corpus(quadrats, run_cfg, tax, [model], cache)
     values = np.concatenate([block.ravel() for block in cache._data.values()])
     assert 0.5 < np.mean(np.abs(values) < 1e-14) < 1
+    assert (_util.canonical9(values) != values).any()
     cache.save()
     per_value_writers.save(cache, tmp_path / "per_value.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "per_value.csv").read_bytes()
+    loaded = formats.LogitCache.load(tmp_path / "blocks.csv")
+    assert loaded._data.keys() == cache._data.keys()
+    for key, block in cache._data.items():
+        assert loaded.get(key).view(np.int64).tolist() == block.view(np.int64).tolist()
 
 
 def on_numeric_path(x: float) -> bool:
@@ -264,15 +269,14 @@ def test_round_off_zeros_take_no_text_path(monkeypatch):
     run_cfg = formats.run_config_from(formats.parse_config_text(RUN_CFG))
     raw = []
     with monkeypatch.context() as patched:
-        patched.setattr(pipeline, "canonical9", lambda x: raw.append(x) or _util.canonical9(x))
+        head_logits = pipeline.head_logits
+        patched.setattr(pipeline, "head_logits", lambda *a: raw.append(head_logits(*a)) or raw[-1])
         infer_corpus(quadrats, run_cfg, tax, [model], formats.LogitCache())
     values = np.concatenate([block.ravel() for block in raw])
     assert all(map(on_numeric_path, values.tolist()))
     assert (values == 0).any() and np.mean(np.abs(values) < 1e-14) > 0.5
-    expected = _util._canonical9_text(values), oracle(values[None])
+    expected = oracle(values[None])
     calls = []
-    monkeypatch.setattr(_util, "_canonical9_text", lambda v: calls.append(v) or v)
     monkeypatch.setattr(_util, "fmt9_array", lambda v: calls.append(v) or [])
-    got = _util.canonical9(values), fmt9_rows(values[None])
+    assert fmt9_rows(values[None]) == expected
     assert len(calls) == 0
-    assert got[0].tobytes() == expected[0].tobytes() and got[1] == expected[1]
