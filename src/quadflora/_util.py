@@ -68,9 +68,9 @@ def _digits9(flat: np.ndarray, m: np.ndarray):
     (|x| < 1e-36 or >= 1e53, clipped to the ends of the tables) fail.
 
     Three reductions check a whole block (min and max of |s|, max of
-    |s - m|); only a block that fails them builds the mask. Temporaries
-    are few and written in place: in a run, fresh pages cost more than
-    the arithmetic.
+    |s - m|); only a block that fails them builds the mask. That early
+    exit and the in-place temporaries pay: building the mask always made
+    fmt9_rows 3-14% slower on the features gen writes at D = 128.
     """
     scale = np.abs(flat)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -106,7 +106,8 @@ def _digits9(flat: np.ndarray, m: np.ndarray):
 # _digits9 is exact (as in -1.23456789e-36 or -0.000123456789), then the
 # separator ';', padded with NULs. A slot's layout depends only on the sign,
 # the exponent and the number of trailing zero digits, so every layout is
-# tabulated (_tables). Its digits form at most two runs, split by the
+# tabulated (_tables); a trailing zero that %.9g keeps is part of the
+# layout's text. The digits left form at most two runs, split by the
 # point; each run is cut from the 9 ASCII digits with a mask and shifted
 # into place, by less than 64 bits, so that no shift depends on what
 # numpy does for shifts of 64 bits or more. The exponents are those of
@@ -118,19 +119,13 @@ _CHUNK_VALUES = 16384  # values per pass, so that temporaries stay in cache
 
 
 def _pattern(negative: bool, e: int, zeros: int) -> str:
-    """The %.9g text (C99 %g, precision 9) of a value whose 9 digits end
-    in `zeros` zeros and whose decimal exponent is e, with 'D' for each
-    digit: exponent form when e < -4 or e >= 9, trailing zeros stripped,
-    no point when no fraction is left."""
-    sign = "-" if negative else ""
-    digits = "D" * (9 - zeros)
-    if not -4 <= e < 9:
-        fraction = "." + digits[1:] if zeros < 8 else ""
-        return f"{sign}D{fraction}e{e:+03d}"
-    if e < 0:
-        return f"{sign}0.{'0' * (-e - 1)}{digits}"
-    fraction = digits[e + 1 :]
-    return sign + "D" * (e + 1) + ("." + fraction if fraction else "")
+    """The layout of the %.9g text of a value with decimal exponent e whose
+    9 digits end in `zeros` zeros: '%.9g' itself of one such value, digits
+    123456789 cut to 9 - zeros, with 'D' for each mantissa digit 1-9 (a
+    zero that %.9g keeps stays '0')."""
+    sample = f"{'-' if negative else ''}{'123456789'[: 9 - zeros]:0<9}e{e - 8}"
+    mantissa, e_mark, exponent = ("%.9g" % float(sample)).partition("e")
+    return re.sub("[1-9]", "D", mantissa) + e_mark + exponent
 
 
 def _byte_mask(n: int) -> tuple[int, int]:
@@ -250,13 +245,17 @@ def _fmt9_chunk(flat: np.ndarray, n_cols: int) -> list[str]:
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file and rename (UTF-8, LF)."""
+    """Write text to path via a temp file and rename (UTF-8, LF), with the
+    mode open(path, "w") gives a new file: 0o666 less the umask."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+        umask = os.umask(0)  # read by setting it: no other thread runs
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -36,13 +36,12 @@ cache miss parses these. So a run served entirely from a cache parses
 no value.
 Text values are parsed one block at a time (a quadrat's cells, a head
 parameter), each with one np.array call; a bad value still names its
-own line. They are written in blocks too, through _util.fmt9_rows: a
-quadrat's cells per call, and all head parameters of one width per
-call. Values are rendered numerically where that is provably exact
-(zeros, and 1e-36 <= |x| < 1e53 away from 9-digit ties), and by
-'%.9g', the fallback and the oracle, elsewhere. A cached grid is the
-base64 of its little-endian float64 bytes, decoded with one b64decode
-and one np.frombuffer call.
+own line. They are written in blocks too, one _util.fmt9_rows call
+per quadrat's cells and per head parameter. Values are rendered
+numerically where that is provably exact (zeros, and 1e-36 <= |x| <
+1e53 away from 9-digit ties), and by '%.9g', the fallback and the
+oracle, elsewhere. A cached grid is the base64 of its little-endian
+float64 bytes, decoded with one b64decode and one np.frombuffer call.
 """
 
 import base64
@@ -134,20 +133,6 @@ def _parse_block(rows: Sequence[tuple[str, str]]) -> Optional[np.ndarray]:
     if any(len(p) != len(parsed[0]) for p in parsed):
         return None
     return np.vstack(parsed)
-
-
-def _format_blocks(blocks: Sequence[np.ndarray]) -> list[list[str]]:
-    """fmt9_rows of each 2-d block, with one call for all blocks of equal
-    width, so that small blocks share its fixed cost."""
-    by_width: dict[int, list[int]] = {}
-    for i, block in enumerate(blocks):
-        by_width.setdefault(block.shape[1], []).append(i)
-    out: list[list[str]] = [[] for _ in blocks]
-    for indices in by_width.values():
-        lines = iter(fmt9_rows(np.vstack([blocks[i] for i in indices])))
-        for i in indices:
-            out[i] = [next(lines) for _ in range(len(blocks[i]))]
-    return out
 
 
 # ---------------------------------------------------------------- ground truth
@@ -425,15 +410,14 @@ def _head_params(head) -> dict[str, np.ndarray]:
 
 
 def write_head_registry(registry: HeadRegistry, path) -> None:
+    """One line per row of each head parameter, in (level, head id,
+    param) order; each parameter matrix is one fmt9_rows call."""
     lines = [",".join(HEADS_HEADER)]
-    params = [
-        (f"{level},{head_id},{param}", np.atleast_2d(array))
-        for level in LEVELS
-        for head_id in sorted(registry.heads.get(level, {}))
-        for param, array in sorted(_head_params(registry.heads[level][head_id]).items())
-    ]
-    for (prefix, _), rows in zip(params, _format_blocks([m for _, m in params])):
-        lines.extend(f"{prefix},{row},{values}" for row, values in enumerate(rows))
+    for level in LEVELS:
+        for head_id, head in sorted(registry.heads.get(level, {}).items()):
+            for param, array in sorted(_head_params(head).items()):
+                rows = fmt9_rows(np.atleast_2d(array))
+                lines += (f"{level},{head_id},{param},{i},{v}" for i, v in enumerate(rows))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -474,11 +458,11 @@ def load_head_registry(
     used, when given. Every row is checked for its level, param, row index
     and duplicates, and the heads returned are parsed and checked at load.
 
-    With records (sidecar_records(cache)["heads"]), the byte count and
-    sha256 of each returned head's lines, in file order with their line
-    ends, go into the registry's records by "level/head_id"; a head whose
-    lines hash to its record is returned as a _RecordedHead, parsed on
-    first use.
+    The byte count and sha256 of each returned head's lines, in file
+    order with their line ends, go into the registry's records by
+    "level/head_id". A head whose lines hash to its entry in records
+    (sidecar_records(cache)["heads"]; None vouches for none) is returned
+    as a _RecordedHead, parsed on first use.
     """
     grouped: dict[tuple[str, str], dict[str, dict[int, tuple[str, str]]]] = {}
     hashed = _LineRecords()
@@ -496,7 +480,7 @@ def load_head_registry(
         if row in rows:
             raise FormatError(f"{where}: duplicate row {row} for {param}")
         rows[row] = (where, values)
-        if records is not None and (used is None or (level, head_id) in used):
+        if used is None or (level, head_id) in used:
             hashed.add((level, head_id), line)
     if not grouped:
         raise FormatError(f"no head rows in {path}")
@@ -507,13 +491,10 @@ def load_head_registry(
             continue
         name = f"{level}/{head_id}"
         build = functools.partial(_head_of, path, name, params)
-        if records is not None:
-            kept[name] = hashed.record((level, head_id))
-            if records.get(name) == kept[name]:
-                heads[level][head_id] = _RecordedHead(build)
-                continue
-        heads[level][head_id] = build()
-    return HeadRegistry(heads=heads, records=None if records is None else kept)
+        kept[name] = hashed.record((level, head_id))
+        vouched = records is not None and records.get(name) == kept[name]
+        heads[level][head_id] = _RecordedHead(build) if vouched else build()
+    return HeadRegistry(heads=heads, records=kept)
 
 
 # ---------------------------------------------------------------- logit cache
@@ -540,7 +521,7 @@ class CacheFingerprint:
     @classmethod
     def of(cls, overlap_frac: float, registry, quadrats: Sequence[Quadrat]) -> "CacheFingerprint":
         if registry.records is None:
-            raise QuadfloraError("head registry was not read from a heads file with records")
+            raise QuadfloraError("head registry was not read from a heads file")
         records = {}
         for q in quadrats:
             if not isinstance(q.load_cells, _FeatureRows):

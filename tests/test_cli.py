@@ -654,6 +654,29 @@ class TestSweep:
         assert len(lines) == 3
 
 
+def test_written_files_honour_the_umask(tmp_path):
+    # every file gen, infer, eval and sweep --out write gets the mode that
+    # open(path, "w") gives a new file
+    umask = os.umask(0o027)
+    try:
+        (tmp_path / "gen.cfg").write_text(GEN_CFG)
+        data, sub, cfg = tmp_path / "data", tmp_path / "sub.csv", run_cfg_file(tmp_path)
+        assert main(["gen", "--config", str(tmp_path / "gen.cfg"), "--out", str(data)]) == 0
+        assert main(infer_argv(cfg, data, sub)) == 0
+        assert main(["eval", str(sub), str(data / "groundtruth.csv")]) == 0
+        sweep = ["sweep", "--config", str(cfg), "--data", str(data), "--targets", "3.0"]
+        assert main(sweep + ["--out", str(tmp_path / "sweep.csv")]) == 0
+    finally:
+        os.umask(umask)
+    modes = {p.name: oct(p.stat().st_mode & 0o777) for p in tmp_path.rglob("*") if p.is_file()}
+    assert modes == dict.fromkeys(
+        ["gen.cfg", "run.cfg", "taxonomy.csv", "quadrats.csv", "heads.csv", "groundtruth.csv",
+         "logit_cache.csv", "logit_cache.csv.fingerprint", "sub.csv", "sub.csv.report.json",
+         "sweep.csv"],
+        "0o640",
+    )
+
+
 class TestTaxonomyValidate:
     def test_ok(self, gen_dir, capsys):
         assert main(["taxonomy-validate", str(gen_dir / "taxonomy.csv")]) == 0
