@@ -275,9 +275,7 @@ _FORBIDDEN = (
 def _line(path, lineno: int, line: str) -> str:
     """One line without its LF or CRLF end, checked for forbidden characters."""
     if line.endswith("\n"):
-        line = line[:-1]
-    if line.endswith("\r"):
-        line = line[:-1]
+        line = line[:-2] if line.endswith("\r\n") else line[:-1]
     for char, name in _FORBIDDEN:
         if char in line:
             raise FormatError(f"{path}:{lineno}: unexpected {name}")

@@ -35,13 +35,13 @@ are parsed at load, except those whose lines hash to their records: a
 cache miss parses these. So a run served entirely from a cache parses
 no value.
 Text values are parsed one block at a time (a quadrat's cells, a head
-parameter), each with one np.array call; a bad value still names its
-own line. They are written in blocks too, one _util.fmt9_rows call
-per quadrat's cells and per head parameter. Values are rendered
-numerically where that is provably exact (zeros, and 1e-36 <= |x| <
-1e53 away from 9-digit ties), and by '%.9g', the fallback and the
-oracle, elsewhere. A cached grid is the base64 of its little-endian
-float64 bytes, decoded with one b64decode and one np.frombuffer call.
+parameter) by one np.loadtxt call, or row by row as float() reads them
+where loadtxt refuses ('1_0', full-width digits, a bad value, whose
+error names its own line). They are written in blocks too, one
+_util.fmt9_rows call each: numerically where that is provably exact
+(zeros, and 1e-36 <= |x| < 1e53 away from 9-digit ties), and by '%.9g',
+the fallback and the oracle, elsewhere. A cached grid is the base64 of
+its little-endian float64 bytes, decoded by b64decode and np.frombuffer.
 """
 
 import base64
@@ -120,15 +120,22 @@ def _parse_values(field: str, where: str) -> np.ndarray:
 
 def _parse_block(rows: Sequence[tuple[str, str]]) -> Optional[np.ndarray]:
     """The values fields of (where, field) rows as one (rows x values)
-    matrix, parsed by one np.array call; None if the rows differ in
-    length. If a value is bad or non-finite, the rows are parsed one by
-    one, so the error names that row's own line."""
-    try:
-        values = np.array([field.split(";") for _, field in rows], dtype=np.float64)
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
+    matrix, parsed by one np.loadtxt call; None if the rows differ in
+    length. Unless loadtxt gives one finite row per field (it skips an
+    empty field) and no warning, or if a field holds \\x1c-\\x1f (space
+    to loadtxt, not to float()), the rows are parsed one by one by
+    _parse_values, the oracle, so an error names its row's own line."""
+    fields = [field for _, field in rows]
+    joined = "".join(fields)
+    if not any(c in joined for c in "\x1c\x1d\x1e\x1f"):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = np.loadtxt(fields, delimiter=";", comments=None, ndmin=2)
+            if len(values) == len(rows) and np.isfinite(values).all():
+                return values
+        except (ValueError, Warning):
+            pass
     parsed = [_parse_values(field, where) for where, field in rows]
     if any(len(p) != len(parsed[0]) for p in parsed):
         return None
@@ -696,6 +703,7 @@ class LogitCache:
         scale = key[3]
         if block.ndim != 2 or len(block) != scale * scale:
             raise ShapeError(f"logit block of shape {block.shape} for a {scale}x{scale} grid")
+        block.flags.writeable = False  # a run may hand it on uncopied
         self._data[key] = block
         self._dirty = True
 

@@ -125,7 +125,7 @@ def _logit_block(model, level, quadrat, crop, grids, cache, features) -> np.ndar
         start += len(grid)
     if any(b.shape[1:] != blocks[0].shape[1:] for b in blocks):
         raise ShapeError(f"{level} logits of {model.model_id} differ in length across grids")
-    return np.vstack(blocks)
+    return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
 
 
 def infer_quadrat(

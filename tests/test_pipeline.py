@@ -674,6 +674,19 @@ class TestCache:
         with pytest.raises(ShapeError):
             infer_quadrat(quads[0], cfg, tax, models, cache)
 
+    def test_one_grid_block_is_the_cached_read_only_block(self, world):
+        tax, quads, registry = world
+        model = default_models(registry)[0]
+        region = Rect(0, 0, quads[0].grid_cells, quads[0].grid_cells)
+        grids = [tile_grid(region, GridSpec(s)) for s in (2, 3)]
+        cache = LogitCache()
+        one = pipeline._logit_block(model, "species", quads[0], "0", grids[:1], cache, [])
+        assert one is cache.get((model.model_id, quads[0].quadrat_id, "0", 2, "species"))
+        with pytest.raises(ValueError, match="read-only"):
+            one[0, 0] = 0.0
+        two = pipeline._logit_block(model, "species", quads[0], "0", grids, cache, [])
+        assert two.flags.writeable and two[:4].tobytes() == one.tobytes()
+
     def test_featureless_quadrat_without_cache_fails(self, world):
         tax, quads, registry = world
         models = default_models(registry)

@@ -1,10 +1,12 @@
 """The line reader against the csv-module reader it replaced, and value
-blocks whose parse errors still name their own line."""
+blocks parsed whole that give the per-row parse's values and errors."""
 
 import base64
 import contextlib
 import io
 import re
+import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +94,7 @@ class TestLineReader:
     @example(case=(TAXONOMY_HEADER, b"species_id,genus_id,family_id\n1,2\n"))
     @example(case=(TAXONOMY_HEADER, b"species_id,genus_id,family_id\n1,2,3,4"))
     @example(case=(TAXONOMY_HEADER, b"species_id,genus_id,family_id\n1,2,3\r\r\n"))
+    @example(case=(TAXONOMY_HEADER, b"species_id,genus_id,family_id\n\n\r"))
     def test_same_rows_as_csv_reader(self, tmp_path, case):
         header, data = case
         path = tmp_path / "rows.csv"
@@ -188,8 +191,8 @@ def spoil_grid(path, pick, token):
 
 
 class TestValueBlocks:
-    """One np.array call parses a whole block; a bad value in any row of it
-    is still reported on that row's own line."""
+    """One np.loadtxt call parses a whole block; a bad value in any row of
+    it is still reported on that row's own line."""
 
     @pytest.mark.parametrize("token, message", [("x", "bad values field"),
                                                 ("inf", "non-finite value")])
@@ -225,3 +228,154 @@ class TestValueBlocks:
         ), token)
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:{lineno}: {message}$"):
             formats.LogitCache.load(path)
+
+
+def per_row_parse(rows):
+    """The oracle: each field by _parse_values, then None if the rows
+    differ in length; the float64 bytes and shape, or the error text."""
+    try:
+        parsed = [formats._parse_values(field, where) for where, field in rows]
+    except FormatError as exc:
+        return str(exc)
+    if any(len(p) != len(parsed[0]) for p in parsed):
+        return None
+    block = np.vstack(parsed)
+    return block.shape, block.tobytes()
+
+
+FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def respell(value, how):
+    """value in a spelling float() reads as the same number."""
+    if how == "underscore":  # 1_0: between the first two adjacent digits
+        return re.sub(r"(\d)(\d)", r"\1_\2", value, count=1)
+    if how == "full-width":
+        return value.translate(FULL_WIDTH)
+    if how == "arabic-indic":
+        return value.translate(ARABIC_INDIC)
+    if how == "padded":
+        return f" \t{value}\t "
+    return value
+
+
+NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(
+        lambda x: st.sampled_from(["%.9g" % x, "%.17g" % x, repr(x)])
+    ),
+    st.sampled_from(["0", "-0", "1e308", "-1e308", "5e-324", "2.225e-308", "+1", ".5", "5."]),
+)
+TOKEN = st.one_of(
+    st.builds(respell, NUMBER, st.sampled_from(
+        ["plain", "plain", "underscore", "full-width", "arabic-indic", "padded"]
+    )),
+    st.sampled_from(["1_0", "４", "٣", " 1", "2\t", "", "inf", "-inf", "nan", "1e999", "#",
+                     "0x1p3", "1#2", "\x1c1", "1\x1f"]),
+)
+
+
+@st.composite
+def value_blocks(draw):
+    """(where, field) rows, mostly of equal length, sometimes ragged or
+    with a trailing ';'."""
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rows = [draw(st.lists(TOKEN, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+    if draw(st.booleans()):  # as in real files: every token a plain number
+        rows = [[draw(NUMBER) for _ in row] for row in rows]
+    fields = [";".join(row) for row in rows]
+    change = draw(st.sampled_from(["none", "none", "ragged", "trailing ;"]))
+    i = draw(st.integers(0, n_rows - 1))
+    if change == "ragged":
+        fields[i] = fields[i] + ";1" if n_cols == 1 else fields[i].rsplit(";", 1)[0]
+    elif change == "trailing ;":
+        fields[i] += ";"
+    return [(f"f.csv:{2 + j}", field) for j, field in enumerate(fields)]
+
+
+class TestBlockParse:
+    """_parse_block equals the per-row parse: the same float64 bytes, the
+    same error, or None for rows of different lengths."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(rows=value_blocks())
+    @example(rows=[("f.csv:2", "")])
+    @example(rows=[("f.csv:2", "1;2"), ("f.csv:3", "")])
+    @example(rows=[("f.csv:2", "1;2#junk")])
+    @example(rows=[("f.csv:2", "1;;2")])
+    @example(rows=[("f.csv:2", "1\x1c;2")])
+    @example(rows=[("f.csv:2", "1_0;４;٣"), ("f.csv:3", " +1;.5;5.\t")])
+    @example(rows=[("f.csv:2", "1"), ("f.csv:3", "2"), ("f.csv:4", "3")])
+    def test_equals_the_per_row_parse(self, rows):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                block = formats._parse_block(rows)
+                got = None if block is None else (block.shape, block.tobytes())
+            except FormatError as exc:
+                got = str(exc)
+        assert got == per_row_parse(rows)
+
+    def test_plain_block_is_parsed_whole(self, monkeypatch):
+        def per_row(field, where):
+            raise AssertionError(f"{where} parsed on its own")
+
+        monkeypatch.setattr(formats, "_parse_values", per_row)
+        rows = [(f"f.csv:{i}", f"{i}.5;-{i}e-7;0") for i in range(2, 6)]
+        assert formats._parse_block(rows).tolist() == [
+            [i + 0.5, -i * 1e-7, 0.0] for i in range(2, 6)
+        ]
+
+
+def cli(argv, capsys):
+    """Run the CLI in-process: its exit code and stderr lines."""
+    code = main([str(a) for a in argv])
+    return code, capsys.readouterr().err.splitlines()
+
+
+class TestFloatOnlySpellings:
+    """Values that only the per-row parse reads give the plain file's
+    answers, and bad ones its error line, with no warning."""
+
+    @pytest.mark.parametrize("name", ["quadrats.csv", "heads.csv"])
+    @pytest.mark.parametrize("how", ["underscore", "full-width"])
+    def test_respelled_values_give_the_same_bytes(self, corpus, tmp_path, capsys, name, how):
+        plain = next(p for p in corpus if p.name == "quadrats.csv").parent
+        outputs = {}
+        for label in ("plain", how):
+            data = tmp_path / label
+            shutil.copytree(plain, data, ignore=shutil.ignore_patterns("logit_cache*"))
+            if label == how:  # every line's second value respelled
+                lines = (data / name).read_text().splitlines()
+                for i in range(1, len(lines)):
+                    head, values = lines[i].rsplit(",", 1)
+                    values = values.split(";")
+                    values[1] = respell(values[1], how)
+                    lines[i] = f"{head}," + ";".join(values)
+                (data / name).write_text("\n".join(lines) + "\n")
+            sub = tmp_path / f"{label}.csv"
+            code, err = cli(["infer", "--config", plain.parent / "run.cfg", "--data", data,
+                             "--out", sub], capsys)
+            assert (code, err) == (0, [])
+            outputs[label] = sub.read_bytes(), (data / "logit_cache.csv").read_bytes()
+        assert outputs[how] == outputs["plain"]
+
+    @pytest.mark.parametrize("name, pick", [
+        ("quadrats.csv", lambda lines: 1 + 36 + 7),  # the 8th row of the second quadrat
+        ("heads.csv", lambda lines: next(  # one row alone: loadtxt warns of no data
+            i for i, line in enumerate(lines) if line.startswith("species,lin1,b,0,")
+        )),
+    ])
+    def test_empty_value_field(self, tmp_path, capsys, name, pick):
+        (tmp_path / "gen.cfg").write_text(GEN_CFG.replace("feature_dim = 5", "feature_dim = 1"))
+        (tmp_path / "run.cfg").write_text(RUN_CFG)
+        data = tmp_path / "data"
+        run(["gen", "--config", tmp_path / "gen.cfg", "--out", data])
+        path = data / name
+        lines = path.read_text().splitlines()
+        i = pick(lines)
+        lines[i] = lines[i].rsplit(",", 1)[0] + ","
+        path.write_text("\n".join(lines) + "\n")
+        code, err = cli(["infer", "--config", tmp_path / "run.cfg", "--data", data,
+                         "--out", tmp_path / "sub.csv"], capsys)
+        assert (code, err) == (2, [f"error: {path}:{i + 1}: bad values field"])
