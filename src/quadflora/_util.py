@@ -244,15 +244,16 @@ def _fmt9_chunk(flat: np.ndarray, n_cols: int) -> list[str]:
     return joined.split("\n")[:-1]
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a temp file and rename (UTF-8, LF), with the
-    mode open(path, "w") gives a new file: 0o666 less the umask."""
+def atomic_write_text(path, text: str | bytes) -> None:
+    """Write text (as UTF-8, LF kept) or bytes to path via a temp file and
+    rename, with the mode open(path, "w") gives a new file: 0o666 less
+    the umask."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(text.encode("utf-8") if isinstance(text, str) else text)
         umask = os.umask(0)  # read by setting it: no other thread runs
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)

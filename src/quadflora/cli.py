@@ -41,12 +41,12 @@ def _run(args) -> int:
 def _load_world(args, cfg: RunConfig):
     """The taxonomy, quadrats, models and logit cache of an infer or sweep run.
 
-    The sidecar's records are read first, so that feature lines they vouch
-    for are taken unchecked and heads unparsed, even if the cache is then
+    The cache's records are read first, so that feature lines they vouch
+    for are taken unchecked and heads unparsed, even if its grids are then
     dropped; of the heads only those the run's models use are read.
     """
     cache_path = args.cache or os.path.join(args.data, "logit_cache.csv")
-    records = formats.sidecar_records(cache_path)
+    records = formats.cache_records(cache_path)
     tax = load_taxonomy(os.path.join(args.data, "taxonomy.csv"))
     quadrats = formats.load_quadrat_features(
         os.path.join(args.data, "quadrats.csv"), records["quadrats"]

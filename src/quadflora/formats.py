@@ -7,8 +7,9 @@ never quoted: readers (_util.read_rows) split each line on ',', also
 read CRLF files, and reject a quote, a NUL or any other CR with an
 error naming the file and line. Features and head parameters are
 rendered with 9 significant digits, and the pipeline works on the
-values parsed from that text; the logit cache stores each grid's exact
-float64 bits, so a cache round-trip never changes a result.
+values parsed from that text. The logit cache is the one binary file:
+it stores each grid's exact float64 bits, so a cache round-trip never
+changes a result.
 
 Formats
 -------
@@ -17,19 +18,18 @@ ground truth   quadrat_id,transect_id,species_ids       ids ;-separated, ascendi
 submission     quadrat_id,species_ids                   ids ;-separated, ascending
 features       quadrat_id,transect_id,grid_cells,feature_dim,row,col,values
 head registry  level,head_id,param,row,values           param in w,b,w1,b1,w2,b2
-logit cache    model_id,quadrat_id,crop_pct,scale,level,values_f64le_b64   one line per grid
-fingerprint    JSON sidecar <logit cache>.fingerprint   see LogitCache
+logit cache    JSON header; [model_id,quadrat_id,crop_pct,scale,level,rows,cols] list; f8 grids
 config         flat "key = value" lines, '#' comments
 
-A logit cache's sidecar records the byte count and sha256 of the lines
-of each quadrat and each head once they have been checked and parsed.
-They are read first (sidecar_records), and vouch for those lines even
-if the cache is then dropped. A features file is checked line by line,
-but for its float values, unless its quadrats' lines hash to those
-records, each quadrat's lines in one run (so interleaved quadrats or a
-blank line are checked line by line on every run): then a quadrat's
-lines, and only its own, are checked when its features are first
-needed. Each quadrat's values are parsed only then (a logit cache
+A logit cache's header line records the byte count and sha256 of the
+lines of each quadrat and each head once they have been checked and
+parsed. They are read first (cache_records), and vouch for those lines
+even if the cache's grids are then dropped. A features file is checked
+line by line, but for its float values, unless its quadrats' lines hash
+to those records, each quadrat's lines in one run (so interleaved
+quadrats or a blank line are checked line by line on every run): then a
+quadrat's lines, and only its own, are checked when its features are
+first needed. Each quadrat's values are parsed only then (a logit cache
 miss). Every line of a head registry is checked; the heads a run uses
 are parsed at load, except those whose lines hash to their records: a
 cache miss parses these. So a run served entirely from a cache parses
@@ -40,15 +40,14 @@ where loadtxt refuses ('1_0', full-width digits, a bad value, whose
 error names its own line). They are written in blocks too, one
 _util.fmt9_rows call each: numerically where that is provably exact
 (zeros, and 1e-36 <= |x| < 1e53 away from 9-digit ties), and by '%.9g',
-the fallback and the oracle, elsewhere. A cached grid is the base64 of
-its little-endian float64 bytes, decoded by b64decode and np.frombuffer.
+the fallback and the oracle, elsewhere. A cached grid is a read-only
+np.frombuffer view of the cache file's little-endian float64 bytes.
 """
 
-import base64
 import functools
 import hashlib
+import itertools
 import json
-import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -92,7 +91,6 @@ FEATURES_HEADER = [
     "quadrat_id", "transect_id", "grid_cells", "feature_dim", "row", "col", "values",
 ]
 HEADS_HEADER = ["level", "head_id", "param", "row", "values"]
-CACHE_HEADER = ["model_id", "quadrat_id", "crop_pct", "scale", "level", "values_f64le_b64"]
 
 
 def _parse_id_list(field: str, where: str) -> tuple[int, ...]:
@@ -226,7 +224,7 @@ def write_quadrat_features(quadrats: Sequence[Quadrat], path) -> None:
 class _LineRecords(dict):
     """The byte count and sha256 of each key's lines, streamed: add(key,
     line) each line, in file order with its line end, then record(key).
-    A logit cache's sidecar holds these records of quadrats and heads."""
+    A logit cache's header holds these records of quadrats and heads."""
 
     def add(self, key, line: str) -> None:
         data = line.encode("utf-8")
@@ -282,7 +280,7 @@ def _recorded(path, records: Mapping[str, dict]) -> Optional[dict[str, _FeatureR
     after its header is one run of lines per quadrat, each run of the byte
     count and sha256 recorded for that quadrat; else None.
 
-    The records come from a logit cache's sidecar, which holds them only
+    The records come from a logit cache's header, which holds them only
     for lines that _check_features accepted and whose values were parsed.
     A quadrat's transect, grid and dim are read from its first line; a
     grid or dim that is not an integer >= 1 there is a mismatch, which
@@ -368,7 +366,7 @@ def load_quadrat_features(path, records: Optional[Mapping[str, dict]] = None) ->
     """Rebuild quadrats (without truth sets) from a features file.
 
     Every line is checked but for the float parse (_check_features),
-    unless records (sidecar_records(cache)["quadrats"]) vouch for the
+    unless records (cache_records(cache)["quadrats"]) vouch for the
     whole file (_recorded): then a quadrat's lines are checked, and only
     its own, the first time its features are needed. A quadrat's values
     are parsed then (Quadrat.features), and a check or parse error names
@@ -391,7 +389,7 @@ def load_quadrat_features(path, records: Optional[Mapping[str, dict]] = None) ->
 # -------------------------------------------------------------- head registry
 
 class _RecordedHead:
-    """A head whose lines hash to their record in a logit cache's sidecar,
+    """A head whose lines hash to their record in a logit cache's header,
     so they passed _head_of before: parsed on first use, from those lines."""
 
     def __init__(self, build: Callable[[], Head]):
@@ -468,7 +466,7 @@ def load_head_registry(
     The byte count and sha256 of each returned head's lines, in file
     order with their line ends, go into the registry's records by
     "level/head_id". A head whose lines hash to its entry in records
-    (sidecar_records(cache)["heads"]; None vouches for none) is returned
+    (cache_records(cache)["heads"]; None vouches for none) is returned
     as a _RecordedHead, parsed on first use.
     """
     grouped: dict[tuple[str, str], dict[str, dict[int, tuple[str, str]]]] = {}
@@ -506,13 +504,8 @@ def load_head_registry(
 
 # ---------------------------------------------------------------- logit cache
 
-FINGERPRINT_VERSION = 5
-_RECORD_KINDS = ("heads", "quadrats")  # the line records a sidecar holds
-
-
-def fingerprint_path(cache_path) -> str:
-    """The sidecar file that fingerprints a logit cache."""
-    return os.fspath(cache_path) + ".fingerprint"
+CACHE_VERSION = 6
+_RECORD_KINDS = ("heads", "quadrats")  # the line records a cache's header holds
 
 
 @dataclass(frozen=True)
@@ -546,7 +539,7 @@ def _heads_recorded(model_id: str, heads: Mapping[str, dict]) -> bool:
 
 
 def _is_line_record(value) -> bool:
-    """A sidecar's record of a head's or quadrat's lines: byte count and sha256."""
+    """A cache header's record of a head's or quadrat's lines: byte count and sha256."""
     return (
         isinstance(value, dict)
         and value.keys() == {"bytes", "sha256"}
@@ -556,71 +549,114 @@ def _is_line_record(value) -> bool:
     )
 
 
-def _read_sidecar(cache_path) -> tuple[Optional[dict], str]:
-    """The record of a logit cache's sidecar if it is of this format
-    version and has every field; else (None, why not)."""
+def _json_line(value) -> bytes:
+    """value as one line of JSON, padded with spaces to a multiple of 8 bytes."""
+    line = json.dumps(value, sort_keys=True, separators=(",", ":")).encode("ascii")
+    return line + b" " * (-(len(line) + 1) % 8) + b"\n"
+
+
+def _read_header(line: bytes) -> Optional[dict]:
+    """The record on a logit cache's first line if it is a fingerprint of
+    this format version (every field present), else None."""
     try:
-        with open(fingerprint_path(cache_path), "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-    except FileNotFoundError:
-        return None, "it has no fingerprint file"
-    except (OSError, ValueError, RecursionError):
-        return None, "its fingerprint file is unreadable"
-    if not isinstance(record, dict) or record.get("version") != FINGERPRINT_VERSION:
-        return None, f"its fingerprint is not format version {FINGERPRINT_VERSION}"
-    if (
-        type(record.get("overlap_frac")) not in (int, float)
-        or not isinstance(record.get("blas"), str)
-        or not all(
+        record = json.loads(line)
+    except (ValueError, RecursionError):  # UnicodeDecodeError included
+        return None
+    valid = (
+        isinstance(record, dict)
+        and record.get("version") == CACHE_VERSION
+        and type(record.get("overlap_frac")) in (int, float)
+        and isinstance(record.get("blas"), str)
+        and isinstance(record.get("sha256"), str)
+        and all(
             isinstance(record.get(kind), dict) and all(map(_is_line_record, record[kind].values()))
             for kind in _RECORD_KINDS
         )
-    ):
-        return None, "its fingerprint file is unreadable"
-    return record, ""
+    )
+    return record if valid else None
 
 
-def sidecar_records(cache_path) -> dict[str, dict]:
-    """The "heads" and "quadrats" line records of a logit cache's sidecar,
-    for load_head_registry and load_quadrat_features; empty if there is
-    no cache file, or the sidecar is missing, unreadable or of another
-    version. The cache is not hashed: a record vouches for lines that an
-    earlier run checked and parsed, whatever the cache holds now."""
-    record = _read_sidecar(cache_path)[0] if os.path.exists(cache_path) else None
+def cache_records(cache_path) -> dict[str, dict]:
+    """The "heads" and "quadrats" line records on a logit cache's first
+    line, for load_head_registry and load_quadrat_features; empty if
+    there is no cache file, or its first line holds no fingerprint of
+    this version. Only that line is read: a record vouches for lines that
+    an earlier run checked and parsed, whatever the grids hold now."""
+    try:
+        with open(cache_path, "rb") as fh:
+            record = _read_header(fh.readline())
+    except OSError:
+        record = None
     return {kind: record[kind] if record else {} for kind in _RECORD_KINDS}
+
+
+def _is_index_entry(entry) -> bool:
+    """[model_id, quadrat_id, crop_pct, scale, level, rows >= 0, cols >= 1]."""
+    return (
+        isinstance(entry, list)
+        and list(map(type, entry)) == [str, str, str, int, str, int, int]
+        and entry[4] in LEVELS
+        and entry[5] >= 0 < entry[6]
+    )
+
+
+def _read_grids(path, data: bytes, start: int) -> dict[tuple, Optional[np.ndarray]]:
+    """Each grid of a logit cache file's bytes by key, None for a key
+    listed twice: a read-only (rows x cols) view of data. The grid index,
+    the JSON line at start, lists the grids as _is_index_entry; their
+    little-endian float64 values follow it back to back, in index order,
+    with no stored offsets. An index that is not such a list, sizes that
+    do not add up to the bytes after it, and a non-finite value are
+    errors naming the file."""
+    stop = data.find(b"\n", start) + 1
+    try:
+        index = json.loads(data[start:stop]) if stop else None
+    except (ValueError, RecursionError):
+        index = None
+    if not isinstance(index, list) or not all(map(_is_index_entry, index)):
+        raise FormatError(f"{path}: bad grid index")
+    sizes = [rows * cols for *_, rows, cols in index]
+    if 8 * sum(sizes) != len(data) - stop:
+        raise FormatError(
+            f"{path}: {len(data) - stop} bytes of values, the grid index lists {8 * sum(sizes)}"
+        )
+    values = np.frombuffer(data, "<f8", offset=stop)
+    if not np.isfinite(values).all():
+        raise FormatError(f"{path}: non-finite value")
+    grids: dict[tuple, Optional[np.ndarray]] = {}
+    for (*key, rows, cols), end in zip(index, itertools.accumulate(sizes)):
+        key = tuple(key)
+        grids[key] = None if key in grids else values[end - rows * cols : end].reshape(rows, cols)
+    return grids
 
 
 class LogitCache:
     """Logits of whole tile grids, keyed by (model, quadrat, crop, scale, level).
 
     Each entry is one (scale^2 x classes) block, its rows in the grid's
-    row-major tile order. The file holds one line per grid, sorted by grid
-    key; its last field is the base64 (RFC 4648, with padding) of the
-    block's little-endian float64 bytes, row-major. Values are stored
-    bit for bit, so a cache round-trip reproduces in-memory results
-    exactly. A loaded line whose byte count is not a positive multiple
-    of 8 scale^2, or whose key is on another line too, is dropped, so its
-    grid is recomputed; a field that is not base64, or that holds a
-    non-finite value, is an error naming its line. len() counts tile rows.
+    row-major tile order. The file is one JSON header line: the format
+    version, the sha256 of every byte after it and, when saved with a
+    CacheFingerprint, overlap_frac, the BLAS in use (blas_record) and the
+    byte count and sha256 of each head's lines, by "level/head_id", and
+    of each quadrat's feature lines. Then the grid index (_read_grids),
+    sorted by key, and each grid's float64 bits, so a cache round-trip
+    reproduces in-memory results exactly; a loaded grid is a read-only
+    view of the file's bytes. A grid whose rows are not scale^2 is
+    dropped, so it is recomputed. len() counts tile rows.
 
-    Loaded with a CacheFingerprint (as `infer` and `sweep` do), the cache
-    is checked against its sidecar, fingerprint_path(path): a JSON record
-    of the format version, overlap_frac, the BLAS in use (blas_record),
-    the byte count and sha256 of each head's lines, by "level/head_id",
-    and of each quadrat's feature lines, and the sha256 of the cache
-    bytes. Grids it cannot vouch for are dropped with one warning: all of
-    them when the sidecar is missing or unreadable, or the version, the
-    cache bytes or overlap_frac differ; else those of changed quadrats and
-    of models (species+genus+family head ids) with a changed head.
-    Another BLAS record only warns: the grids are kept, though a product
-    computed under another BLAS setting can differ in a last digit.
-    Loaded without one, every grid is kept and the sidecar is not read.
-    Records of heads and quadrats outside the run are kept as they are.
-    A head's or quadrat's lines are recorded only once they have been
-    checked and their values parsed, in this run or an earlier one, which
-    is what lets a later load (sidecar_records) take them unchecked and
-    unparsed, even when the cache itself is dropped.
-    save() writes the sidecar after the cache, and only then.
+    Loaded with a CacheFingerprint (as `infer` and `sweep` do), the
+    header is checked first. Grids it cannot vouch for are dropped with
+    one warning: all of them when the header is not a fingerprint of
+    this version or its sha256 or overlap_frac differ; else those of
+    changed quadrats and of models (species+genus+family head ids) with
+    a changed head. Another BLAS record only warns: the grids are kept,
+    though a product computed under another BLAS setting can differ in a
+    last digit. Loaded without one, the header is not read and every
+    grid is kept. Records of heads and quadrats outside the run are kept
+    as they are. A head's or quadrat's lines are recorded only once they
+    have been checked and their values parsed, in this run or an earlier
+    one, which is what lets a later load (cache_records) take them
+    unchecked and unparsed, even when the grids themselves are dropped.
     """
 
     def __init__(self, path=None):
@@ -639,13 +675,17 @@ class LogitCache:
                 data = fh.read()
         except FileNotFoundError:
             return cache
+        start = data.find(b"\n") + 1  # of the grid index; 0 if there is none
         if fingerprint is not None:
-            record, why_not = _read_sidecar(path)
-            if record is not None:
-                if record.get("cache_sha256") != hashlib.sha256(data).hexdigest():
-                    why_not = "it was changed after its fingerprint was written"
-                elif record["overlap_frac"] != fingerprint.overlap_frac:
-                    why_not = f"it holds logits for overlap_frac {record['overlap_frac']}"
+            record = _read_header(data[:start])
+            if record is None:
+                why_not = f"its first line is not a format {CACHE_VERSION} fingerprint"
+            elif record["sha256"] != hashlib.sha256(memoryview(data)[start:]).hexdigest():
+                why_not = "it was changed after it was written"
+            elif record["overlap_frac"] != fingerprint.overlap_frac:
+                why_not = f"it holds logits for overlap_frac {record['overlap_frac']}"
+            else:
+                why_not = ""
             if why_not:
                 warnings.warn(f"logit cache {path} not used: {why_not}")
                 return cache
@@ -655,36 +695,30 @@ class LogitCache:
                     f"logit cache {path} was computed under BLAS {record['blas']!r}, "
                     f"this run has {blas!r}; its logits are kept"
                 )
-            cache._recorded = _still_valid(record, fingerprint)
-        text = decode_text(path, data)
-        grids: dict[tuple, Optional[tuple[str, str]]] = {}  # None: key on two lines
-        for lineno, (model_id, qid, crop, scale_s, level, values) in read_rows(
-            path, CACHE_HEADER, text
-        ):
-            where = f"{path}:{lineno}"
-            if level not in LEVELS:
-                raise FormatError(f"{where}: unknown level {level!r}")
-            try:
-                scale = int(scale_s)
-            except ValueError as exc:
-                raise FormatError(f"{where}: bad scale") from exc
-            key = (model_id, qid, crop, scale, level)
-            grids[key] = None if key in grids else (where, values)
+            # the records that still hold: those equal to the run's, and
+            # those of heads and quadrats the run does not have
+            cache._recorded = {
+                kind: {
+                    name: digest
+                    for name, digest in record[kind].items()
+                    if getattr(fingerprint, kind).get(name, digest) == digest
+                }
+                for kind in _RECORD_KINDS
+            }
+        grids = _read_grids(path, data, start)
         dropped = Counter()
-        for key, line in grids.items():
+        for key, block in grids.items():
             model_id, qid, _, scale, _ = key
             if fingerprint is not None and not _heads_recorded(model_id, cache._recorded["heads"]):
                 dropped["changed heads"] += 1
             elif fingerprint is not None and qid not in cache._recorded["quadrats"]:
                 dropped["changed features"] += 1
-            elif line is None:
+            elif block is None:
                 dropped["repeated keys"] += 1
+            elif scale < 1 or len(block) != scale * scale:
+                dropped["wrong shapes"] += 1
             else:
-                block = _grid_block(*line, scale)
-                if block is None:
-                    dropped["wrong value counts"] += 1
-                else:
-                    cache._data[key] = block
+                cache._data[key] = block
         if dropped:
             reasons = ", ".join(f"{n} for {why}" for why, n in sorted(dropped.items()))
             warnings.warn(
@@ -714,59 +748,18 @@ class LogitCache:
         # so warm reruns stay fast.
         if not self._dirty:
             return
-        # One line per grid, in key order.
-        lines = [",".join(CACHE_HEADER)]
-        for key in sorted(self._data):
-            data = self._data[key].astype("<f8", copy=False).tobytes()
-            field = base64.b64encode(data).decode("ascii")
-            lines.append(",".join(map(str, key)) + "," + field)
-        text = "\n".join(lines) + "\n"
-        atomic_write_text(self.path, text)
-        if self._fingerprint is not None:
-            atomic_write_text(fingerprint_path(self.path), self._sidecar_text(text))
-        self._dirty = False
-
-    def _sidecar_text(self, cache_text: str) -> str:
+        keys = sorted(self._data)
+        blocks = [np.ascontiguousarray(self._data[key], "<f8") for key in keys]
+        index = [[*key, *block.shape] for key, block in zip(keys, blocks)]
+        body = b"".join([_json_line(index), *blocks])
+        header = {"version": CACHE_VERSION, "sha256": hashlib.sha256(body).hexdigest()}
         fp = self._fingerprint
-        record = {
-            "version": FINGERPRINT_VERSION,
-            "overlap_frac": fp.overlap_frac,
-            "blas": blas_record(),
-            "cache_sha256": hashlib.sha256(cache_text.encode("utf-8")).hexdigest(),
-        }
-        for kind in _RECORD_KINDS:
-            record[kind] = {**self._recorded[kind], **getattr(fp, kind)}
-        return json.dumps(record, indent=1, sort_keys=True) + "\n"
-
-
-def _still_valid(record: dict, fingerprint: CacheFingerprint) -> dict:
-    """The sidecar records that still hold: those equal to the run's,
-    and those of heads and quadrats the run does not have."""
-    return {
-        kind: {
-            name: digest
-            for name, digest in record[kind].items()
-            if getattr(fingerprint, kind).get(name, digest) == digest
-        }
-        for kind in _RECORD_KINDS
-    }
-
-
-def _grid_block(where: str, field: str, scale: int) -> Optional[np.ndarray]:
-    """The (scale^2 x C) block of one grid's line, its field decoded by one
-    b64decode and one np.frombuffer call, or None if its byte count is
-    not a positive multiple of 8 scale^2. A character outside the base64
-    alphabet or misplaced padding is an error (validate=True)."""
-    try:
-        data = base64.b64decode(field, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII character
-        raise FormatError(f"{where}: bad values field") from exc
-    if scale < 1 or not data or len(data) % (8 * scale * scale):
-        return None
-    block = np.frombuffer(data, "<f8").reshape(scale * scale, -1)
-    if not np.isfinite(block).all():
-        raise FormatError(f"{where}: non-finite value")
-    return block
+        if fp is not None:
+            header.update(overlap_frac=fp.overlap_frac, blas=blas_record())
+            for kind in _RECORD_KINDS:
+                header[kind] = {**self._recorded[kind], **getattr(fp, kind)}
+        atomic_write_text(self.path, _json_line(header) + body)
+        self._dirty = False
 
 
 # --------------------------------------------------------------- score report

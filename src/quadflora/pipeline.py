@@ -17,10 +17,10 @@ it. The logit cache holds whole grids, keyed by
 (model, quadrat, crop, scale, level), so a cached grid does not depend
 on which other scales, crops or grids a run computes. What else a grid
 depends on (the text of its model's heads and of its quadrat's
-features, the tile overlap) is recorded in the cache's fingerprint
-sidecar, which `infer` and `sweep` check on load (formats.LogitCache).
+features, the tile overlap) is recorded in the cache file's header
+line, which `infer` and `sweep` check on load (formats.LogitCache).
 Its records, read first, vouch for feature and head lines even if the
-cache is then dropped: a quadrat read from a file parses its features,
+cached grids are then dropped: a quadrat read from a file parses its features,
 and a head they vouch for its values, only when a grid that needs them
 misses the cache, so a fully warm run parses none.
 """

@@ -20,6 +20,7 @@ from .errors import (
 )
 
 TAXONOMY_HEADER = ["species_id", "genus_id", "family_id"]
+_INT64_MAX = int(np.iinfo(np.int64).max)  # ids are held as int64
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,8 +129,10 @@ def load_taxonomy(path) -> TaxonomyTable:
             s, g, f = (int(field) for field in row)
         except ValueError as exc:
             raise FormatError(f"{path}:{lineno}: {bad_id(row)}") from exc
-        if s < 0 or g < 0 or f < 0:
+        if min(s, g, f) < 0:
             raise FormatError(f"{path}:{lineno}: negative id")
+        if max(s, g, f) > _INT64_MAX:
+            raise FormatError(f"{path}:{lineno}: id larger than {_INT64_MAX}")
         if species_genus.get(s, g) != g:
             raise TaxonomyContradictionError(
                 f"species {s} listed under genera {species_genus[s]} and {g}"

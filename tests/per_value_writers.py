@@ -4,26 +4,23 @@ quadflora's writers once rendered every float with its own '%.9g' call
 and joined each row's strings. They now render whole value blocks with
 ``_util.fmt9_rows``; tests compare the files both write. The bodies
 below are those writers unchanged, but for ``save``, which writes the
-logit cache's one line per grid, each grid's float64 bytes encoded by
-``binascii``. ``install`` puts them in place of the library's, so that
-a CLI run writes its files through them.
+logit cache's header and grid index lines by ``cache_file.line`` and
+each value's float64 bytes by one ``struct.pack`` call. ``install``
+puts them in place of the library's, so that a CLI run writes its files
+through them.
 """
 
-import binascii
+import hashlib
+import struct
 from typing import Sequence
 
 import numpy as np
 
+import cache_file
 from quadflora import formats
 from quadflora._util import atomic_write_text, fmt9_array
 from quadflora.errors import FormatError
-from quadflora.formats import (
-    CACHE_HEADER,
-    FEATURES_HEADER,
-    HEADS_HEADER,
-    _head_params,
-    fingerprint_path,
-)
+from quadflora.formats import FEATURES_HEADER, HEADS_HEADER, _head_params
 from quadflora.synthworld import LEVELS, HeadRegistry, Quadrat
 
 
@@ -71,15 +68,21 @@ def save(self, path=None) -> None:
             raise FormatError("cache has no path to save to")
         if not self._dirty:
             return
-    lines = [",".join(CACHE_HEADER)]
+    index, values = [], bytearray()
     for key in sorted(self._data):
-        data = np.ascontiguousarray(self._data[key], dtype="<f8").tobytes()
-        field = binascii.b2a_base64(data, newline=False).decode("ascii")
-        lines.append(",".join(map(str, key)) + "," + field)
-    text = "\n".join(lines) + "\n"
-    atomic_write_text(path, text)
-    if self._fingerprint is not None:
-        atomic_write_text(fingerprint_path(path), self._sidecar_text(text))
+        block = self._data[key]
+        index.append([*key, *block.shape])
+        for value in block.ravel().tolist():
+            values += struct.pack("<d", value)
+    body = cache_file.line(index) + bytes(values)
+    header = {"version": formats.CACHE_VERSION, "sha256": hashlib.sha256(body).hexdigest()}
+    fingerprint = self._fingerprint
+    if fingerprint is not None:
+        header["overlap_frac"] = fingerprint.overlap_frac
+        header["blas"] = formats.blas_record()
+        header["heads"] = {**self._recorded["heads"], **fingerprint.heads}
+        header["quadrats"] = {**self._recorded["quadrats"], **fingerprint.quadrats}
+    atomic_write_text(path, cache_file.line(header) + body)
     self._dirty = False
 
 

@@ -1,24 +1,26 @@
 """Inputs mutated before `infer`, `sweep`, `eval` and `taxonomy-validate`.
 
-Whatever happens to the features, the heads, the taxonomy, the logit
-cache or its fingerprint between a cold and a warm `infer` (or a
-`sweep`), the warm run either fails with one `error:` line and writes
-nothing, or gives the output of a fresh-cache run on the mutated data.
+Whatever happens to the features, the heads, the taxonomy or the logit
+cache between a cold and a warm `infer` (or a `sweep`), the warm run
+either fails with one `error:` line and writes nothing, or gives the
+output of a fresh-cache run on the mutated data.
 The same contract (exit 0 or 2, at most one `error:` line, no traceback,
 no partly written output) holds for `eval` after the ground truth or the
 submission is mutated, for `taxonomy-validate` after the taxonomy is,
 for `infer` after the run config is, and for `sweep --targets` text,
 given as `--targets=TEXT` or as a separate argument. A logit cache
-whose base64 values field is damaged byte by byte holds it too, also
-when its sidecar is rewritten to vouch for the damaged bytes, so that
-the cache's own checks see them.
+whose grids are damaged (a NaN or an infinity's bit pattern, a grid one
+value short, a truncation) holds it too, with its header line as
+written and with the header's sha256 rewritten to vouch for the damaged
+bytes, so that the cache's own checks see them; and so does one whose
+grid index is mutated under a rewritten sha256. Grid values changed
+under a rewritten sha256 are left out: no format can tell them from
+values that a run computed.
 """
 
-import base64
 import contextlib
-import hashlib
 import io
-import json
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -28,6 +30,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import cache_file
 from quadflora import formats
 from quadflora.cli import main
 
@@ -59,7 +62,6 @@ FILES = (
     "heads.csv",
     "taxonomy.csv",
     "logit_cache.csv",
-    "logit_cache.csv.fingerprint",
 )
 KINDS = ("truncate", "flip", "duplicate", "token", "width", "swap")
 
@@ -73,7 +75,7 @@ def run(argv):
 
 @pytest.fixture(scope="module")
 def cold(tmp_path_factory):
-    """A corpus and run config after one cold infer (cache and sidecar written)."""
+    """A corpus and run config after one cold infer (the cache written)."""
     base = tmp_path_factory.mktemp("fuzz")
     (base / "gen.cfg").write_text(GEN_CFG)
     (base / "run.cfg").write_text(RUN_CFG)
@@ -161,40 +163,45 @@ def test_warm_infer_after_mutation(cold, name, kind, pos, bit, token):
         assert (tmp / "warm.csv").read_bytes() == (tmp / "fresh.csv").read_bytes()
 
 
-VALUE_DAMAGE = ("alphabet", "padding", "bytes", "grid", "nan", "inf", "-inf", "truncate")
+VALUE_DAMAGE = ("nan", "inf", "-inf", "grid", "truncate")
 
 
 def damage_values(data: bytes, kind: str, pos: int) -> bytes:
-    """A cache file with one grid line's base64 values field damaged: a
-    character outside the alphabet, a padding '=' dropped, a byte count
-    that is not a multiple of 8 or of 8 scale^2, a NaN or an infinity's
-    bit pattern, or the last line truncated."""
-    lines = data.split(b"\n")  # the header, the grid lines, and b"" after the last LF
+    """A cache file with its grids damaged: one value set to a NaN or an
+    infinity's bit pattern, one grid a value short, or the file cut
+    inside the grids."""
+    header, index, values = cache_file.parts(data)
+    head = data[: len(data) - len(values)]
     if kind == "truncate":
-        return b"\n".join(lines[:-2]) + b"\n" + lines[-2][: -1 - pos % 200]
-    grids = range(1, len(lines) - 1)
-    if kind == "padding":
-        grids = [i for i in grids if lines[i].endswith(b"=")]
-    i = grids[pos % len(grids)]
-    head, field = lines[i].rsplit(b",", 1)
-    raw = base64.b64decode(field, validate=True)
-    if kind == "alphabet":
-        j = pos % len(field)
-        field = field[:j] + b"!" + field[j + 1 :]
-    elif kind == "padding":
-        field = field[:-1]
-    else:
-        if kind == "bytes":
-            raw = raw[: -1 - pos % 7]
-        elif kind == "grid":  # one value fewer: scales 2 and 4 leave a part row
-            raw = raw[:-8]
-        else:
-            values = np.frombuffer(raw, "<f8").copy()
-            values[pos % len(values)] = float(kind)
-            raw = values.tobytes()
-        field = base64.b64encode(raw)
-    lines[i] = head + b"," + field
-    return b"\n".join(lines)
+        return data[: len(data) - 1 - pos % len(values)]
+    if kind == "grid":  # the index unchanged: that grid's last value gone
+        end = 8 * sum(rows * cols for *_, rows, cols in index[: pos % len(index) + 1])
+        return head + values[: end - 8] + values[end:]
+    grids = np.frombuffer(values, "<f8").copy()
+    grids[pos % len(grids)] = float(kind)
+    return head + grids.tobytes()
+
+
+def warm_infer_holds(cold, damage):
+    """A warm infer after damage(cache bytes) fails with one error line or
+    equals a fresh-cache run; the warning, when it succeeds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data = tmp / "data"
+        shutil.copytree(cold / "data", data)
+        cache = data / "logit_cache.csv"
+        cache.write_bytes(damage(cache.read_bytes()))
+        infer = ["infer", "--config", cold / "run.cfg", "--data", data]
+
+        code, err = run(infer + ["--out", tmp / "warm.csv"])
+        if not holds_contract(code, err, tmp, tmp / "warm.csv"):
+            return None
+        fresh = tmp / "fresh"
+        fresh.mkdir()
+        code, _ = run(infer + ["--out", tmp / "fresh.csv", "--cache", fresh / "cache.csv"])
+        assert code == 0
+        assert (tmp / "warm.csv").read_bytes() == (tmp / "fresh.csv").read_bytes()
+        return err
 
 
 @settings(
@@ -204,32 +211,57 @@ def damage_values(data: bytes, kind: str, pos: int) -> bytes:
 )
 @given(kind=st.sampled_from(VALUE_DAMAGE), pos=st.integers(0, 2**32), vouched=st.booleans())
 @example(kind="nan", pos=0, vouched=True)
-@example(kind="alphabet", pos=0, vouched=True)
 @example(kind="grid", pos=0, vouched=True)
 @example(kind="truncate", pos=2, vouched=False)
 def test_warm_infer_after_values_damage(cold, kind, pos, vouched):
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        data = tmp / "data"
-        shutil.copytree(cold / "data", data)
-        cache = data / "logit_cache.csv"
-        cache.write_bytes(damage_values(cache.read_bytes(), kind, pos))
-        if vouched:
-            sidecar = data / "logit_cache.csv.fingerprint"
-            record = json.loads(sidecar.read_text())
-            record["cache_sha256"] = hashlib.sha256(cache.read_bytes()).hexdigest()
-            sidecar.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-        infer = ["infer", "--config", cold / "run.cfg", "--data", data]
+    def damage(data):
+        damaged = damage_values(data, kind, pos)
+        return cache_file.vouch(damaged) if vouched else damaged
 
-        code, err = run(infer + ["--out", tmp / "warm.csv"])
-        if not holds_contract(code, err, tmp, tmp / "warm.csv"):
-            return
-        assert err.startswith("warning: logit cache")
-        fresh = tmp / "fresh"
-        fresh.mkdir()
-        code, _ = run(infer + ["--out", tmp / "fresh.csv", "--cache", fresh / "cache.csv"])
-        assert code == 0
-        assert (tmp / "warm.csv").read_bytes() == (tmp / "fresh.csv").read_bytes()
+    err = warm_infer_holds(cold, damage)
+    if vouched:  # the cache's own checks fail the run
+        assert err is None
+    else:  # its sha256 drops the whole cache
+        assert err.startswith("warning: logit cache") and "it was changed" in err
+
+
+INDEX_DAMAGE = ("flip", "delete", "insert", "number")
+
+
+def damage_index(data: bytes, kind: str, pos: int, bit: int) -> bytes:
+    """A cache file whose grid index line (its LF included) has one bit
+    flipped, one byte deleted or a space inserted, or one run of digits
+    (a scale, a row or column count, or part of an id) moved by +-1;
+    the header's sha256 then vouches for it."""
+    header, rest = data.split(b"\n", 1)
+    stop = rest.index(b"\n") + 1
+    line, values = rest[:stop], rest[stop:]
+    i = pos % len(line)
+    if kind == "flip":
+        line = line[:i] + bytes([line[i] ^ (1 << bit)]) + line[i + 1 :]
+    elif kind == "delete":
+        line = line[:i] + line[i + 1 :]
+    elif kind == "insert":
+        line = line[:i] + b" " + line[i:]
+    else:
+        runs = list(re.finditer(rb"\d+", line))
+        run = runs[pos % len(runs)]
+        moved = str(max(0, int(run.group()) + (1 if bit % 2 else -1))).zfill(len(run.group()))
+        line = line[: run.start()] + moved.encode() + line[run.end() :]
+    return cache_file.vouch(header + b"\n" + line + values)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(kind=st.sampled_from(INDEX_DAMAGE), pos=st.integers(0, 2**32), bit=st.integers(0, 7))
+@example(kind="number", pos=3, bit=1)  # q0000 -> q0001: a key listed twice, both dropped
+@example(kind="number", pos=5, bit=1)  # the first grid's scale 2 -> 3: dropped
+@example(kind="flip", pos=0, bit=0)  # '[' -> 'Z': the index is unreadable
+def test_warm_infer_after_index_mutation(cold, kind, pos, bit):
+    warm_infer_holds(cold, lambda data: damage_index(data, kind, pos, bit))
 
 
 @settings(

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cache_file
 import per_tile
 import quadflora
 from quadflora import formats
@@ -222,24 +224,35 @@ def old_model_digest(registry, model_id):
     return sha.hexdigest()
 
 
-def write_old_format(cache, features, version):
-    """Rewrite the cache's sidecar as format version 1, 2, 3 or 4 wrote it.
+NOT_A_FINGERPRINT = f"its first line is not a format {formats.CACHE_VERSION} fingerprint"
 
-    Versions 1 to 3: per model the sha256 of its head arrays, in place of
-    the per-head line records. Version 1: no BLAS record, and per quadrat
-    the sha256 of its metadata and of its rows rejoined without their
-    line ends. Versions 2 and 4: the cache file rewritten as '%.9g' text,
-    with one row per tile and level (2) or one line per grid (4), and the
-    sidecar's cache_sha256 of those bytes.
+
+def sidecar_path(cache) -> Path:
+    """Where cache formats 1 to 5 kept their JSON fingerprint."""
+    return Path(str(cache) + ".fingerprint")
+
+
+def write_old_format(cache, features, version):
+    """Rewrite the cache as format version 1 to 5 wrote it: a text file
+    beside its JSON sidecar, sidecar_path(cache).
+
+    The sidecar holds the record of the cache's header line, with the
+    sha256 of the text file as cache_sha256. Versions 1 to 3: per model
+    the sha256 of its head arrays, in place of the per-head line records.
+    Version 1: no BLAS record, and per quadrat the sha256 of its metadata
+    and of its rows rejoined without their line ends. The text holds
+    '%.9g' values, one row per tile and level (1, 2) or one line per grid
+    (3, 4), or one line per grid of base64 float64 bytes (5).
     """
-    sidecar = Path(str(cache) + ".fingerprint")
-    record = json.loads(sidecar.read_text())
+    blocks = formats.LogitCache.load(cache)
+    record = cache_file.parts(cache.read_bytes())[0]
+    del record["sha256"]
     if version < 4:
         registry = formats.load_head_registry(features.with_name("heads.csv"))
         del record["heads"]
         record["models"] = {
             model_id: old_model_digest(registry, model_id)
-            for model_id in {line.split(",", 1)[0] for line in cache.read_text().splitlines()[1:]}
+            for model_id in {key[0] for key in blocks._data}
         }
     if version == 1:
         digests = {}
@@ -250,22 +263,24 @@ def write_old_format(cache, features, version):
             digests[qid].update(f"{r},{c},{values}\n".encode())
         del record["blas"]
         record["quadrats"] = {qid: sha.hexdigest() for qid, sha in digests.items()}
-    elif version in (2, 4):
-        blocks = formats.LogitCache.load(cache)
-        if version == 2:
-            header = "model_id,quadrat_id,crop_pct,scale,row,col,level,values\n"
-            rows = sorted(per_tile.cache_rows(blocks).items())
-        else:
-            header = "model_id,quadrat_id,crop_pct,scale,level,values\n"
-            rows = sorted(blocks._data.items())
-        cache.write_text(
-            header
-            + "".join(",".join(map(str, key)) + "," + ";".join(fmt9_array(values)) + "\n"
-                      for key, values in rows)
-        )
-        record["cache_sha256"] = hashlib.sha256(cache.read_bytes()).hexdigest()
+    if version <= 2:
+        header = "model_id,quadrat_id,crop_pct,scale,row,col,level,values\n"
+        rows = sorted(per_tile.cache_rows(blocks).items())
+    else:
+        header = "model_id,quadrat_id,crop_pct,scale,level,values"
+        header += "_f64le_b64\n" if version == 5 else "\n"
+        rows = sorted(blocks._data.items())
+
+    def field(values):
+        if version == 5:
+            return base64.b64encode(values.astype("<f8").tobytes()).decode()
+        return ";".join(fmt9_array(values))
+
+    lines = (",".join(map(str, key)) + "," + field(values) + "\n" for key, values in rows)
+    cache.write_text(header + "".join(lines))
+    record["cache_sha256"] = hashlib.sha256(cache.read_bytes()).hexdigest()
     record["version"] = version
-    sidecar.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    sidecar_path(cache).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
 
 
 def edit_head_value(path, prefix):
@@ -300,26 +315,34 @@ class TestCacheFingerprint:
         "change",
         [
             "sidecar_deleted", "sidecar_version_1", "previous_format", "sidecar_version_3",
-            "sidecar_version_4", "cache_edited", "overlap_changed", "heads_regenerated", "used_head_edited",
+            "sidecar_version_4", "format_5", "saved_without_fingerprint", "other_version",
+            "cache_edited", "overlap_changed", "heads_regenerated", "used_head_edited",
             "features_regenerated",
         ],
     )
     def test_stale_cache_is_dropped(self, gen_dir, tmp_path, capsys, change):
+        # Old caches are text files of formats 1 to 5 beside a sidecar, or
+        # (sidecar_deleted) a format-5 text file whose sidecar is gone.
         cfg = run_cfg_file(tmp_path)
         assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
         cache = gen_dir / "logit_cache.csv"
+        old_format = change.startswith(("sidecar", "previous", "format"))
         if change == "sidecar_deleted":
-            os.remove(str(cache) + ".fingerprint")
-        elif change.startswith("sidecar_version"):
-            write_old_format(cache, gen_dir / "quadrats.csv", int(change[-1]))
-        elif change == "previous_format":  # the last format with one row per tile
-            write_old_format(cache, gen_dir / "quadrats.csv", 2)
+            write_old_format(cache, gen_dir / "quadrats.csv", 5)
+            os.remove(sidecar_path(cache))
+        elif old_format:
+            version = 2 if change == "previous_format" else int(change[-1])
+            write_old_format(cache, gen_dir / "quadrats.csv", version)
+        elif change == "saved_without_fingerprint":  # as a library run saves it
+            loaded = formats.LogitCache.load(cache)
+            loaded._dirty = True
+            loaded.save()
+        elif change == "other_version":  # this layout, its sha256 vouching for it
+            header, index, values = cache_file.parts(cache.read_bytes())
+            cache.write_bytes(cache_file.build({**header, "version": 7}, index, values))
         elif change == "cache_edited":
-            lines = cache.read_text().splitlines()
-            for i, line in enumerate(lines[1:], start=1):
-                head, values = line.rsplit(",", 1)
-                lines[i] = head + "," + ";".join("0" for _ in values.split(";"))
-            cache.write_text("\n".join(lines) + "\n")
+            header, index, values = cache_file.parts(cache.read_bytes())
+            cache.write_bytes(cache_file.build(header, index, bytes(len(values)), vouched=False))
         elif change == "overlap_changed":
             cfg = run_cfg_file(tmp_path, RUN_CFG + "overlap_frac = 0.25\n")
         elif change == "used_head_edited":
@@ -335,55 +358,93 @@ class TestCacheFingerprint:
         assert main(infer_argv(cfg, gen_dir, tmp_path / "warm.csv")) == 0
         warned = capsys.readouterr().err.splitlines()
         assert len(warned) == 1 and warned[0].startswith(f"warning: logit cache {cache}")
-        if change.startswith(("sidecar_version", "previous")):
-            assert warned[0].endswith(
-                f"its fingerprint is not format version {formats.FINGERPRINT_VERSION}"
-            )
+        if old_format or change in ("saved_without_fingerprint", "other_version"):
+            assert warned[0].endswith(NOT_A_FINGERPRINT)
+        if change == "cache_edited":
+            assert warned[0].endswith("not used: it was changed after it was written")
         if change == "used_head_edited":
             assert re.search(r": dropped (\d+) of \1 grids \(\1 for changed heads\)$", warned[0])
+        sidecar = sidecar_path(cache).read_bytes() if sidecar_path(cache).exists() else None
         fresh = fresh_cache_submission(tmp_path, cfg, gen_dir)
         assert (tmp_path / "warm.csv").read_bytes() == fresh
         assert cache.read_bytes() == (tmp_path / "fresh-cache" / "logit_cache.csv").read_bytes()
-        fresh_sidecar = tmp_path / "fresh-cache" / "logit_cache.csv.fingerprint"
-        assert Path(str(cache) + ".fingerprint").read_bytes() == fresh_sidecar.read_bytes()
+        # a sidecar is neither written nor removed
+        assert not sidecar_path(tmp_path / "fresh-cache" / "logit_cache.csv").exists()
+        assert (sidecar is not None) == (old_format and change != "sidecar_deleted")
         # the rewritten cache is trusted by the next run
         assert main(infer_argv(cfg, gen_dir, tmp_path / "again.csv")) == 0
         assert capsys.readouterr().err == ""
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
-    def test_text_cache_of_format_4(self, gen_dir, tmp_path, capsys):
-        # The 9-digit text cache of format 4: beside its sidecar, infer and
-        # sweep drop it with one warning and recompute; loaded without a
-        # fingerprint, its header is one FormatError.
+    def old_text_cache_is_rewritten(self, gen_dir, tmp_path, capsys, version):
+        """An old text cache beside its sidecar: infer and sweep drop it
+        with one warning, recompute and write the cache anew, and leave the
+        sidecar as it was; loaded without a fingerprint, it is one
+        FormatError naming the file."""
         cfg = run_cfg_file(tmp_path)
         assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
         cache = gen_dir / "logit_cache.csv"
+        written = cache.read_bytes()
         sweep = ["sweep", "--config", str(cfg), "--data", str(gen_dir), "--targets", "2,3"]
         for argv in (infer_argv(cfg, gen_dir, tmp_path / "warm.csv"),
                      sweep + ["--out", str(tmp_path / "sweep.csv")]):
-            write_old_format(cache, gen_dir / "quadrats.csv", 4)
-            with pytest.raises(formats.FormatError, match="^bad header .*'values'"):
+            write_old_format(cache, gen_dir / "quadrats.csv", version)
+            sidecar = file_states(sidecar_path(cache))
+            bad_index = f"^{re.escape(str(cache))}: bad grid index$"
+            with pytest.raises(formats.FormatError, match=bad_index):
                 formats.LogitCache.load(cache)
             capsys.readouterr()
             assert main(argv) == 0
             warned = capsys.readouterr().err.splitlines()
-            assert warned == [f"warning: logit cache {cache} not used: its fingerprint is not "
-                              f"format version {formats.FINGERPRINT_VERSION}"]
-            assert cache.read_text().startswith(",".join(formats.CACHE_HEADER) + "\n")
+            assert warned == [f"warning: logit cache {cache} not used: {NOT_A_FINGERPRINT}"]
+            assert cache.read_bytes() == written
+            assert file_states(sidecar_path(cache)) == sidecar
         assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
         assert main(sweep + ["--out", str(tmp_path / "again.csv")]) == 0
         assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "again.csv").read_bytes()
 
-    def test_stale_sidecar_without_cache_vouches_for_nothing(self, gen_dir, tmp_path, monkeypatch):
-        # A deleted cache next to its sidecar, as the benchmark's cold passes
-        # leave it: every feature line is checked, and every used head
-        # parsed, at load.
+    def test_text_cache_of_format_4(self, gen_dir, tmp_path, capsys):
+        # The 9-digit text cache of format 4, one line per grid.
+        self.old_text_cache_is_rewritten(gen_dir, tmp_path, capsys, 4)
+
+    def test_text_cache_of_format_5(self, gen_dir, tmp_path, capsys):
+        # The base64 text cache of format 5, the last one with a sidecar.
+        self.old_text_cache_is_rewritten(gen_dir, tmp_path, capsys, 5)
+
+    def test_leftover_sidecar_is_never_read_or_written(self, gen_dir, tmp_path, capsys):
+        # A <cache>.fingerprint of format 5 that vouches for other bytes, or
+        # one that is not JSON: infer and sweep read neither, keep the cache
+        # and leave the file as it was.
         cfg = run_cfg_file(tmp_path)
         assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
         cache = gen_dir / "logit_cache.csv"
-        assert all(formats.sidecar_records(cache).values())
+        assert not sidecar_path(cache).exists()
+        written = cache.read_bytes()
+        write_old_format(cache, gen_dir / "quadrats.csv", 5)
+        cache.write_bytes(written)
+        sweep = ["sweep", "--config", str(cfg), "--data", str(gen_dir), "--targets", "2,3"]
+        for leftover in (sidecar_path(cache).read_bytes(), b"{not json"):
+            sidecar_path(cache).write_bytes(leftover)
+            before = file_states(cache, sidecar_path(cache))
+            capsys.readouterr()
+            assert main(infer_argv(cfg, gen_dir, tmp_path / "warm.csv")) == 0
+            assert main(sweep + ["--out", str(tmp_path / "sweep.csv")]) == 0
+            assert capsys.readouterr().err == ""
+            assert file_states(cache, sidecar_path(cache)) == before
+            assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+
+    def test_stale_sidecar_without_cache_vouches_for_nothing(self, gen_dir, tmp_path, monkeypatch):
+        # A deleted cache, as the benchmark's cold passes leave it, next to
+        # a leftover sidecar whose records match the files: every feature
+        # line is checked, and every used head parsed, at load.
+        cfg = run_cfg_file(tmp_path)
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
+        cache = gen_dir / "logit_cache.csv"
+        assert all(formats.cache_records(cache).values())
+        write_old_format(cache, gen_dir / "quadrats.csv", 5)
+        leftover = sidecar_path(cache).read_bytes()
         os.remove(cache)
-        assert formats.sidecar_records(cache) == {"heads": {}, "quadrats": {}}
+        assert formats.cache_records(cache) == {"heads": {}, "quadrats": {}}
         at_load = {}
         load_features, load_heads = formats.load_quadrat_features, formats.load_head_registry
 
@@ -404,24 +465,27 @@ class TestCacheFingerprint:
         assert len(at_load["heads"]) == 3
         assert not any(isinstance(h, formats._RecordedHead) for h in at_load["heads"])
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+        assert sidecar_path(cache).read_bytes() == leftover
 
     def test_library_load_keeps_every_grid_whatever_the_sidecar(self, gen_dir, tmp_path):
-        # A load without a fingerprint does not read the sidecar, even one
-        # that no longer matches the cache.
+        # A load without a fingerprint reads neither the header line, the
+        # fingerprint that the sidecar used to hold, nor a leftover sidecar:
+        # a last grid dropped, with the header's sha256 and a sidecar's
+        # cache_sha256 now stale, every other grid is kept.
         cfg = run_cfg_file(tmp_path)
         assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
         cache = gen_dir / "logit_cache.csv"
         cold = formats.LogitCache.load(cache)
-        lines = cache.read_text().splitlines(keepends=True)
-        cache.write_text("".join(lines[:-1]))
-        record = json.loads(Path(str(cache) + ".fingerprint").read_text())
-        assert record["cache_sha256"] != hashlib.sha256(cache.read_bytes()).hexdigest()
+        header, index, values = cache_file.parts(cache.read_bytes())
+        *_, rows, cols = index.pop()
+        values = values[: -8 * rows * cols]
+        cache.write_bytes(cache_file.build(header, index, values, vouched=False))
+        sidecar_path(cache).write_text('{"cache_sha256": "0", "version": 5}\n')
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             loaded = formats.LogitCache.load(cache)
-        keys = [line.split(",")[:5] for line in lines[1:-1]]
-        keys = [(model, qid, crop, int(scale), level) for model, qid, crop, scale, level in keys]
-        assert len(keys) > 1 and sorted(loaded._data) == sorted(keys)
+        keys = [tuple(entry[:5]) for entry in index]
+        assert len(keys) > 1 and sorted(loaded._data) == keys
         for key in keys:
             np.testing.assert_array_equal(loaded.get(key), cold.get(key))
 
@@ -429,8 +493,7 @@ class TestCacheFingerprint:
         cfg = run_cfg_file(tmp_path)
         assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
         cache = gen_dir / "logit_cache.csv"
-        sidecar = gen_dir / "logit_cache.csv.fingerprint"
-        written = cache.read_bytes(), sidecar.read_bytes()
+        written = cache.read_bytes()
         features = gen_dir / "quadrats.csv"
         lines = features.read_text().splitlines(keepends=True)
         head, values = lines[7].rsplit(",", 1)
@@ -440,7 +503,7 @@ class TestCacheFingerprint:
         err = assert_cli_error(*infer_argv(cfg, gen_dir, out))
         assert f"error: {features}:8: non-finite value" in err
         assert not out.exists()
-        assert (cache.read_bytes(), sidecar.read_bytes()) == written
+        assert cache.read_bytes() == written
 
     def test_warm_run_parses_no_features_and_writes_nothing(
         self, gen_dir, tmp_path, monkeypatch
@@ -482,7 +545,8 @@ class TestCacheFingerprint:
         assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
         assert any(where.startswith(features + ":") for where in parsed) and heads
         assert features in read and not unused_rows & set(parsed)
-        files = [gen_dir / "logit_cache.csv", gen_dir / "logit_cache.csv.fingerprint"]
+        files = [gen_dir / "logit_cache.csv"]
+        assert not sidecar_path(files[0]).exists()
         stats = [(os.stat(f).st_ino, os.stat(f).st_mtime_ns) for f in files]
         parsed.clear()
         heads.clear()
@@ -492,12 +556,13 @@ class TestCacheFingerprint:
         assert heads == []
         assert features not in read and not unused_rows & set(parsed)
         assert [(os.stat(f).st_ino, os.stat(f).st_mtime_ns) for f in files] == stats
+        assert not sidecar_path(files[0]).exists()
         assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
 
     def test_unused_head_edit_keeps_the_cache(self, gen_dir, tmp_path, capsys):
         cfg = run_cfg_file(tmp_path)
         assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
-        files = [gen_dir / "logit_cache.csv", gen_dir / "logit_cache.csv.fingerprint"]
+        files = [gen_dir / "logit_cache.csv"]
         before = file_states(*files)
         edit_head_value(gen_dir / "heads.csv", "species,lin1c,w,")
         capsys.readouterr()
@@ -520,7 +585,7 @@ class TestCacheFingerprint:
         rest = [row for row, qid in zip(rows, qids) if qid not in (first, second)]
         mixed = [row for pair in zip(a, b) for row in pair]
         features.write_bytes(b"".join([header, *mixed[:5], b"\n", *mixed[5:], *rest]))
-        files = [gen_dir / "logit_cache.csv", gen_dir / "logit_cache.csv.fingerprint"]
+        files = [gen_dir / "logit_cache.csv"]
         before = file_states(*files)
         capsys.readouterr()
         assert main(infer_argv(cfg, gen_dir, tmp_path / "warm.csv")) == 0
@@ -531,8 +596,8 @@ class TestCacheFingerprint:
     def test_other_blas_warns_and_keeps_the_cache(self, gen_dir, tmp_path, capsys, monkeypatch):
         cfg = run_cfg_file(tmp_path)
         assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
-        files = [gen_dir / "logit_cache.csv", gen_dir / "logit_cache.csv.fingerprint"]
-        assert json.loads(files[1].read_text())["blas"] == formats.blas_record()
+        files = [gen_dir / "logit_cache.csv"]
+        assert cache_file.parts(files[0].read_bytes())[0]["blas"] == formats.blas_record()
         before = file_states(*files)
         capsys.readouterr()
         monkeypatch.setattr(formats, "blas_record", lambda: "OtherBLAS 1.0 Haswell; 64 threads")
@@ -671,7 +736,7 @@ def test_written_files_honour_the_umask(tmp_path):
     modes = {p.name: oct(p.stat().st_mode & 0o777) for p in tmp_path.rglob("*") if p.is_file()}
     assert modes == dict.fromkeys(
         ["gen.cfg", "run.cfg", "taxonomy.csv", "quadrats.csv", "heads.csv", "groundtruth.csv",
-         "logit_cache.csv", "logit_cache.csv.fingerprint", "sub.csv", "sub.csv.report.json",
+         "logit_cache.csv", "sub.csv", "sub.csv.report.json",
          "sweep.csv"],
         "0o640",
     )
@@ -800,8 +865,8 @@ class TestErrorContract:
         ids=["grid", "dim", "grid=0"],
     )
     def test_recorded_features_with_bad_metadata(self, gen_dir, tmp_path, field, value, message):
-        # A sidecar record edited by hand to vouch for a quadrat whose first
-        # line has a bad grid or dim: the file is checked line by line.
+        # A cache header's record edited by hand to vouch for a quadrat whose
+        # first line has a bad grid or dim: the file is checked line by line.
         cfg = run_cfg_file(tmp_path)
         out = tmp_path / "sub.csv"
         assert main(infer_argv(cfg, gen_dir, out)) == 0
@@ -812,12 +877,12 @@ class TestErrorContract:
         rows[0] = b",".join(fields)
         features.write_bytes(b"".join([header, *rows]))
         own = b"".join(row for row in rows if row.split(b",")[0] == fields[0])
-        sidecar = gen_dir / "logit_cache.csv.fingerprint"
-        record = json.loads(sidecar.read_text())
+        cache = gen_dir / "logit_cache.csv"
+        record, index, values = cache_file.parts(cache.read_bytes())
         record["quadrats"][fields[0].decode()] = {
             "bytes": len(own), "sha256": hashlib.sha256(own).hexdigest()
         }
-        sidecar.write_text(json.dumps(record))
+        cache.write_bytes(cache_file.build(record, index, values))
         err = assert_cli_error(*infer_argv(cfg, gen_dir, out))
         assert err == f"error: {features}:2: {message}\n"
 
@@ -874,3 +939,19 @@ class TestErrorContract:
         assert f"{tax}:3: id longer than {limit} digits" in assert_cli_error("taxonomy-validate", tax)
         tax.write_text('species_id,genus_id,family_id\n0,0,0\n1,0,"0"\n')
         assert f"{tax}:3: unexpected quote" in assert_cli_error("taxonomy-validate", tax)
+
+    @pytest.mark.parametrize("row", ["99999999999999999999,2,3", "1,9223372036854775808,0"])
+    def test_id_outside_int64(self, gen_dir, tmp_path, row):
+        # ids are held as int64: a larger one is an error on its line, in
+        # taxonomy-validate and in every command that loads the taxonomy
+        tax = gen_dir / "taxonomy.csv"
+        lines = tax.read_text().splitlines()
+        tax.write_text("\n".join(lines[:2] + [row] + lines[2:]) + "\n")
+        expected = f"error: {tax}:3: id larger than 9223372036854775807\n"
+        assert assert_cli_error("taxonomy-validate", tax) == expected
+        out = tmp_path / "sub.csv"
+        assert assert_cli_error(*infer_argv(run_cfg_file(tmp_path), gen_dir, out)) == expected
+        assert not out.exists()
+        largest = "9223372036854775807," + lines[1].split(",", 1)[1]  # in the first's genus
+        tax.write_text("\n".join(lines[:2] + [largest] + lines[2:]) + "\n")
+        assert main(["taxonomy-validate", str(tax)]) == 0

@@ -1,4 +1,3 @@
-import base64
 import hashlib
 import re
 import warnings
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import cache_file
 from quadflora import formats
 from quadflora._util import canonical9, fmt9_array, fmt9_rows
 from quadflora.cli import main
@@ -545,9 +545,9 @@ class TestHeadRegistry:
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
-def b64(values) -> str:
-    """A cache line's values field: base64 of the little-endian float64 bytes."""
-    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode()
+def f8(values) -> bytes:
+    """Values as the cache file holds them: little-endian float64 bytes."""
+    return np.asarray(values, "<f8").tobytes()
 
 
 class TestCache:
@@ -570,6 +570,9 @@ class TestCache:
         assert path.read_bytes() == (tmp_path / "cache2.csv").read_bytes()
 
     def test_file_lines_sorted_by_grid_key(self, tmp_path):
+        # The header line, the grid index in key order, then each grid's
+        # values back to back in that order; both lines are padded to a
+        # multiple of 8 bytes, so every grid starts 8-byte aligned.
         path = tmp_path / "cache.csv"
         cache = formats.LogitCache(path)
         cache.put(("m", "q0", "0", 2, "species"), np.array([[1.0], [2.0], [3.0], [4.0]]))
@@ -577,13 +580,21 @@ class TestCache:
         cache.put(("m", "q0", "0", 1, "species"), np.array([[0.5, 0.25]]))
         cache.put(("a", "q1", "0", 1, "species"), np.array([[0.0, -1.0]]))
         cache.save()
-        assert path.read_text().splitlines() == [
-            "model_id,quadrat_id,crop_pct,scale,level,values_f64le_b64",
-            f"a,q1,0,1,species,{b64([0, -1])}",
-            f"m,q0,0,1,species,{b64([0.5, 0.25])}",
-            f"m,q0,0,2,genus,{b64([5, 6, 7, 8])}",
-            f"m,q0,0,2,species,{b64([1, 2, 3, 4])}",
+        data = path.read_bytes()
+        header, index, values = cache_file.parts(data)
+        assert index == [
+            ["a", "q1", "0", 1, "species", 1, 2],
+            ["m", "q0", "0", 1, "species", 1, 2],
+            ["m", "q0", "0", 2, "genus", 4, 1],
+            ["m", "q0", "0", 2, "species", 4, 1],
         ]
+        assert values == f8([0, -1, 0.5, 0.25, 5, 6, 7, 8, 1, 2, 3, 4])
+        body = data.split(b"\n", 1)[1]
+        # saved without a fingerprint: the version and the sha256 alone
+        assert header == {"version": 6, "sha256": hashlib.sha256(body).hexdigest()}
+        assert data == cache_file.build(header, index, values)
+        lines = data[: len(data) - len(values)].split(b"\n")[:2]
+        assert [len(line) % 8 for line in lines] == [7, 7]
         assert len(formats.LogitCache.load(path)) == 10
 
     @pytest.mark.parametrize("edit", ["drop", "duplicate", "wrong_length", "bad_scale"])
@@ -593,21 +604,21 @@ class TestCache:
         cache.put(("m", "q0", "0", 2, "species"), np.arange(8.0).reshape(4, 2))
         cache.put(("m", "q1", "0", 2, "species"), np.arange(8.0).reshape(4, 2))
         cache.save()
-        lines = path.read_text().splitlines()
-        assert lines[1] == f"m,q0,0,2,species,{b64(range(8))}"
-        lines[1:2] = {
-            "drop": [],  # an absent grid is a plain miss
-            "duplicate": [lines[1], f"m,q0,0,2,species,{b64(range(7, -1, -1))}"],
-            "wrong_length": [f"m,q0,0,2,species,{b64(range(7))}"],
-            "bad_scale": [f"m,q0,0,0,species,{b64(range(8))}"],
+        header, index, values = cache_file.parts(path.read_bytes())
+        assert index[0] == ["m", "q0", "0", 2, "species", 4, 2] and values[:64] == f8(range(8))
+        index[:1], values = {
+            "drop": ([], values[64:]),  # an absent grid is a plain miss
+            "duplicate": ([index[0], index[0]], f8(range(7, -1, -1)) + values),
+            "wrong_length": ([["m", "q0", "0", 2, "species", 3, 2]], values[16:]),
+            "bad_scale": ([["m", "q0", "0", 0, "species", 4, 2]], values),
         }[edit]
-        path.write_text("\n".join(lines) + "\n")
+        path.write_bytes(cache_file.build(header, index, values))
         if edit == "drop":
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 loaded = formats.LogitCache.load(path)
         else:
-            why = "repeated keys" if edit == "duplicate" else "wrong value counts"
+            why = "repeated keys" if edit == "duplicate" else "wrong shapes"
             with pytest.warns(UserWarning, match=rf"dropped 1 of 2 grids \(1 for {why}\)"):
                 loaded = formats.LogitCache.load(path)
         assert loaded.get(("m", "q0", "0", 2, "species")) is None
@@ -619,15 +630,18 @@ class TestCache:
     @pytest.mark.parametrize(
         "damage, outcome",
         [
-            ("alphabet", "bad values field"),  # a character outside base64's alphabet
-            ("padding", "bad values field"),  # one '=' of two dropped
-            ("not_8_bytes", "dropped"),  # 63 bytes
-            ("not_8_scale2_bytes", "dropped"),  # 5 values for a 2 x 2 grid
+            ("not_8_scale2_bytes", "dropped"),  # 5 values listed for a 2 x 2 grid
             ("nan", "non-finite value"),
             ("inf", "non-finite value"),
             ("-inf", "non-finite value"),
-            ("truncated", "bad values field"),  # the last line cut mid-quantum
-            ("truncated_at_quantum", "dropped"),  # ... or after a whole one
+            ("short_grid", "bytes of values"),  # the index unchanged, a value gone
+            ("extra_bytes", "bytes of values"),  # 4 bytes more than the index lists
+            ("truncated", "bytes of values"),  # the file cut inside the last grid
+            ("truncated_index", "bad grid index"),  # ... or inside the index line
+            ("index_not_a_list", "bad grid index"),
+            ("scale_as_text", "bad grid index"),
+            ("unknown_level", "bad grid index"),
+            ("negative_rows", "bad grid index"),
         ],
     )
     def test_damaged_values_field(self, tmp_path, damage, outcome):
@@ -637,32 +651,40 @@ class TestCache:
         for i, key in enumerate(keys):
             cache.put(key, np.arange(8.0 * i, 8.0 * i + 8).reshape(4, 2))
         cache.save()
-        text = path.read_text()
-        field = text.splitlines()[2].rsplit(",", 1)[1]
-        assert field == b64(range(8, 16)) and field.endswith("==")
+        data = path.read_bytes()
+        header, index, values = cache_file.parts(data)
+        assert values == f8(range(16))
         if damage in ("nan", "inf", "-inf"):
-            damaged = text.replace(field, b64([8, float(damage)] + list(range(10, 16))))
+            values = f8([*range(9), float(damage), *range(10, 16)])
+            damaged = cache_file.build(header, index, values)
+        elif damage == "not_8_scale2_bytes":
+            index[1][5:] = [1, 5]
+            damaged = cache_file.build(header, index, values[:-24])
+        elif damage.startswith("truncated"):
+            damaged = data[: -5 if damage == "truncated" else len(data) - len(values) - 9]
+        elif damage in ("short_grid", "extra_bytes"):
+            values = values[:-8] if damage == "short_grid" else values + b"\0" * 4
+            damaged = cache_file.build(header, index, values)
         else:
-            damaged = {
-                "alphabet": text.replace(field, field[:5] + "!" + field[6:]),
-                "padding": text.replace(field, field[:-1]),
-                "not_8_bytes": text.replace(
-                    field, base64.b64encode(np.arange(8.0, 16).tobytes()[:-1]).decode()
-                ),
-                "not_8_scale2_bytes": text.replace(field, b64(range(5))),
-                "truncated": text[:-6],
-                "truncated_at_quantum": text[:-5],
-            }[damage]
-        assert damaged != text
-        path.write_text(damaged)
+            if damage == "index_not_a_list":
+                index = {"grids": index}
+            else:
+                field, value = {
+                    "scale_as_text": (3, "2"), "unknown_level": (4, "order"),
+                    "negative_rows": (5, -4),
+                }[damage]
+                index[1][field] = value
+            damaged = cache_file.build(header, index, values)
+        assert damaged != data
+        path.write_bytes(damaged)
         if outcome == "dropped":
-            why = r"dropped 1 of 2 grids \(1 for wrong value counts\)"
+            why = r"dropped 1 of 2 grids \(1 for wrong shapes\)"
             with pytest.warns(UserWarning, match=why):
                 loaded = formats.LogitCache.load(path)
             assert loaded.get(keys[1]) is None
             assert loaded.get(keys[0]).tobytes() == np.arange(8.0).tobytes()
         else:
-            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:3: {outcome}$"):
+            with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*{outcome}"):
                 formats.LogitCache.load(path)
 
     def test_block_must_fill_its_grid(self):
@@ -677,7 +699,7 @@ class TestCache:
     def test_row_over_csv_default_field_limit_round_trips(self, tmp_path):
         path = tmp_path / "cache.csv"
         cache = formats.LogitCache(path)
-        row = np.random.default_rng(4).standard_normal(13_000)
+        row = np.random.default_rng(4).standard_normal(17_000)
         cache.put(("m", "q0", "0", 1, "species"), row[None, :])
         cache.save()
         assert path.stat().st_size > 131072
@@ -803,8 +825,17 @@ def test_every_header_is_documented():
     doc_table = formats.__doc__.split("Formats\n-------\n", 1)[1].split("\n\n", 1)[0]
     headers = {name: value for name, value in vars(formats).items() if name.endswith("_HEADER")}
     headers["TAXONOMY_HEADER"] = TAXONOMY_HEADER
-    assert len(headers) >= 6
+    assert len(headers) == 5  # the CSV formats; the logit cache is checked below
     for name, header in headers.items():
         joined = ",".join(header)
         assert any(f"| `{joined}`" in line for line in readme_table), name
         assert any(joined in line.split() for line in doc_table.splitlines()), name
+    # The logit cache is binary: both tables name its grid index entries,
+    # and README its format version.
+    entry = "[model_id,quadrat_id,crop_pct,scale,level,rows,cols]"
+    assert any(
+        line.startswith("| logit cache") and entry in line
+        and f"`version` ({formats.CACHE_VERSION})" in line
+        for line in readme_table
+    )
+    assert any(line.startswith("logit cache") and entry in line for line in doc_table.splitlines())

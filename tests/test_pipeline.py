@@ -1,4 +1,3 @@
-import base64
 import contextlib
 import dataclasses
 import importlib
@@ -11,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cache_file
 import per_tile
 from quadflora import cli, pipeline, selection
 from quadflora._util import canonical9
@@ -335,21 +335,18 @@ class TestInferQuadrat:
             n_rows = sum(k[3] in changed.get("scales", (4, 5)) for k in ref_rows)
             assert_rows_match_ref(cache, n_rows)
 
-        # A grid whose line lost its last value is dropped on load and
-        # recomputed whole, with the same bits; whole lines are used as read.
+        # A grid that lost its last row is dropped on load and recomputed
+        # whole, with the same bits; whole grids are used as read.
         ref.save()
-
-        def without_last_value(line):
-            head, field = line.rsplit(",", 1)
-            return f"{head},{base64.b64encode(base64.b64decode(field)[:-8]).decode()}\n"
-
-        lines = (tmp_path / "ref.csv").read_text().splitlines(keepends=True)
-        (tmp_path / "warm.csv").write_text(
-            lines[0]
-            + "".join(line if i % 7 else without_last_value(line)
-                      for i, line in enumerate(lines[1:]))
-        )
-        with pytest.warns(UserWarning, match="wrong value counts"):
+        header, index, values = cache_file.parts((tmp_path / "ref.csv").read_bytes())
+        kept, offset = [], 0
+        for i, entry in enumerate(index):
+            rows, cols = entry[5:]
+            kept.append(values[offset : offset + 8 * (rows - (i % 7 == 0)) * cols])
+            entry[5] -= i % 7 == 0
+            offset += 8 * rows * cols
+        (tmp_path / "warm.csv").write_bytes(cache_file.build(header, index, b"".join(kept)))
+        with pytest.warns(UserWarning, match="wrong shapes"):
             warm = LogitCache.load(tmp_path / "warm.csv")
         loaded = dict(warm._data)
         assert 0 < len(loaded) < len(ref._data)
@@ -607,6 +604,42 @@ class TestCache:
         warm = [infer_quadrat(q, cfg, tax, models, warm_cache) for q in quads]
         for a, b in zip(cold, warm):
             assert a.entries == b.entries
+
+    def test_loaded_grids_are_read_only_views_of_the_file(self, noisy_world, tmp_path):
+        # The file is read once: each loaded grid is a read-only view of its
+        # bytes, at the offset the grid index gives it, and a warm run on
+        # those views equals the cold run bit for bit.
+        tax, quads, registry = noisy_world
+        models = two_models(registry)
+        cfg = RunConfig(scales=(2, 3), crop_fracs=(0.0, 0.10), kernel_w=0.5)
+        cache = LogitCache(tmp_path / "cache.csv")
+        cold = infer_corpus(quads, cfg, tax, models, cache)
+        cache.save()
+        data = (tmp_path / "cache.csv").read_bytes()
+        _, index, values = cache_file.parts(data)
+        warm_cache = LogitCache.load(tmp_path / "cache.csv")
+        loaded = dict(warm_cache._data)
+        assert len(loaded) == len(index) == len(cache._data)
+        roots, offset = set(), len(data) - len(values)
+        for *key, rows, cols in index:
+            block = loaded[tuple(key)]
+            root = block
+            while isinstance(root, np.ndarray):
+                root = root.base
+            assert root == data and not block.flags.writeable and block.shape == (rows, cols)
+            start = np.frombuffer(root, np.uint8).__array_interface__["data"][0]
+            assert block.__array_interface__["data"][0] - start == offset
+            roots.add(id(root))
+            offset += 8 * rows * cols
+        assert len(roots) == 1 and offset == len(data)
+        warm = infer_corpus(quads, cfg, tax, models, warm_cache)
+        assert not warm_cache._dirty
+        assert all(warm_cache.get(key) is block for key, block in loaded.items())
+
+        def hexed(corpus):
+            return [{s: v.hex() for s, v in c.entries.items()} for c in corpus]
+
+        assert hexed(warm) == hexed(cold)
 
     def test_one_row_per_tile_and_level(self, world):
         tax, quads, registry = world

@@ -1,7 +1,6 @@
 """The line reader against the csv-module reader it replaced, and value
 blocks parsed whole that give the per-row parse's values and errors."""
 
-import base64
 import contextlib
 import io
 import re
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import cache_file
 import csv_rows
 from quadflora import formats
 from quadflora._util import read_rows
@@ -126,7 +126,8 @@ RUN_CFG = "scales = 2,3\ncrop_fracs = 0,0.1\nmodels = lin1+mlp2+mlp2\ntarget_mea
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
-    """Every CSV file of a gen + infer + sweep run, with its header."""
+    """Every CSV file of a gen + infer + sweep run, with its header (the
+    run's logit cache, data/logit_cache.csv, is not CSV)."""
     base = tmp_path_factory.mktemp("corpus")
     (base / "gen.cfg").write_text(GEN_CFG)
     (base / "run.cfg").write_text(RUN_CFG)
@@ -140,7 +141,6 @@ def corpus(tmp_path_factory):
         data / "groundtruth.csv": formats.GROUND_TRUTH_HEADER,
         data / "quadrats.csv": formats.FEATURES_HEADER,
         data / "heads.csv": formats.HEADS_HEADER,
-        data / "logit_cache.csv": formats.CACHE_HEADER,
         base / "sub.csv": formats.SUBMISSION_HEADER,
         base / "sweep.csv": ["target", "threshold", "mean_len", "score"],
     }
@@ -172,22 +172,23 @@ def spoil(path, pick, token="x"):
     return i + 1
 
 
-def spoil_grid(path, pick, token):
-    """In one cache line, set the second value to float(token), or, for a
-    token that is not a number, splice it into the base64 text after its
-    first quantum; return its line number."""
-    lines = path.read_text().splitlines()
-    i = pick(lines)
-    head, field = lines[i].rsplit(",", 1)
+def spoil_grid(path, scale, token):
+    """In the cache file, set the second value of the first grid of this
+    scale to float(token), or, for a token that is not a number, insert
+    its bytes there; the header is rewritten to vouch for the result."""
+    header, index, values = cache_file.parts(path.read_bytes())
+    offset = 0
+    for *_, grid_scale, _, rows, cols in index:
+        if grid_scale == scale:
+            break
+        offset += 8 * rows * cols
+    offset += 8
     try:
-        values = np.frombuffer(base64.b64decode(field, validate=True), "<f8").copy()
-        values[1] = float(token)
-        field = base64.b64encode(values.tobytes()).decode()
+        spliced = np.array([float(token)], "<f8").tobytes()
+        end = offset + 8
     except ValueError:
-        field = field[:4] + token + field[4:]
-    lines[i] = f"{head},{field}"
-    path.write_text("\n".join(lines) + "\n")
-    return i + 1
+        spliced, end = token.encode(), offset
+    path.write_bytes(cache_file.build(header, index, values[:offset] + spliced + values[end:]))
 
 
 class TestValueBlocks:
@@ -217,16 +218,16 @@ class TestValueBlocks:
         with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:{lineno}: {message}$"):
             formats.load_head_registry(path)
 
-    @pytest.mark.parametrize("token, message", [("x", "bad values field"),
+    @pytest.mark.parametrize("token, message", [("x", "bytes of values"),
                                                 ("-inf", "non-finite value")])
     def test_cache_grid(self, corpus, tmp_path, token, message):
+        # Grids are raw float64 bytes: a value cannot be misspelled, but
+        # inserted bytes or a non-finite value fail the whole file.
         path = tmp_path / "logit_cache.csv"
-        path.write_bytes(next(p for p in corpus if p.name == "logit_cache.csv").read_bytes())
-        # the line of a 3x3 grid
-        lineno = spoil_grid(path, lambda lines: next(
-            i for i, line in enumerate(lines) if line.split(",")[3] == "3"
-        ), token)
-        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}:{lineno}: {message}$"):
+        data = next(iter(corpus)).parent
+        path.write_bytes((data / "logit_cache.csv").read_bytes())
+        spoil_grid(path, 3, token)  # a 3x3 grid
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*{message}"):
             formats.LogitCache.load(path)
 
 
@@ -357,7 +358,9 @@ class TestFloatOnlySpellings:
             code, err = cli(["infer", "--config", plain.parent / "run.cfg", "--data", data,
                              "--out", sub], capsys)
             assert (code, err) == (0, [])
-            outputs[label] = sub.read_bytes(), (data / "logit_cache.csv").read_bytes()
+            # the cache's grids; its header records each file's own lines
+            grids = (data / "logit_cache.csv").read_bytes().split(b"\n", 1)[1]
+            outputs[label] = sub.read_bytes(), grids
         assert outputs[how] == outputs["plain"]
 
     @pytest.mark.parametrize("name, pick", [

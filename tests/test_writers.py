@@ -187,10 +187,7 @@ patch_align = 4
 seed = 3
 """
 RUN_CFG = "scales = 4,5\ncrop_fracs = 0.10\nmodels = lin1+mlp2+mlp2\ntarget_mean_len = 2.0\n"
-WRITTEN = (
-    "quadrats.csv", "heads.csv", "taxonomy.csv", "groundtruth.csv",
-    "logit_cache.csv", "logit_cache.csv.fingerprint",
-)
+WRITTEN = ("quadrats.csv", "heads.csv", "taxonomy.csv", "groundtruth.csv", "logit_cache.csv")
 
 
 def gen_and_cold_infer(base, gen_cfg):
