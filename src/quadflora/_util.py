@@ -338,13 +338,6 @@ def read_row_lines(path, expected_header: list[str], text: Optional[str] = None,
             raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def read_rows(path, expected_header: list[str], text: Optional[str] = None):
-    """Yield (line number, fields) for each non-empty row after the
-    header: read_row_lines without the lines."""
-    for lineno, fields, _ in read_row_lines(path, expected_header, text):
-        yield lineno, fields
-
-
 def bad_id(fields) -> str:
     """Why int() refuses the first of these fields that it refuses,
     naming that field by a short prefix."""

@@ -3,7 +3,7 @@
 All CSVs are UTF-8 with LF line endings, carry a header row, and are
 written in sorted id order through an atomic temp-file rename, so
 reruns with identical inputs produce byte-identical files. Fields are
-never quoted: readers (_util.read_rows) split each line on ',', also
+never quoted: readers (_util.read_row_lines) split each line on ',', also
 read CRLF files, and reject a quote, a NUL or any other CR with an
 error naming the file and line. Features and head parameters are
 rendered with 9 significant digits, and the pipeline works on the
@@ -62,7 +62,6 @@ from ._util import (
     decode_text,
     fmt9_rows,
     read_row_lines,
-    read_rows,
 )
 from .ensemble import HeadSelection
 from .errors import (
@@ -152,7 +151,7 @@ def write_ground_truth(gt: GroundTruthTable, path) -> None:
 
 def load_ground_truth(path) -> GroundTruthTable:
     quadrats = {}
-    for lineno, (qid, tid, ids) in read_rows(path, GROUND_TRUTH_HEADER):
+    for lineno, (qid, tid, ids), _ in read_row_lines(path, GROUND_TRUTH_HEADER):
         if qid in quadrats:
             raise FormatError(f"{path}:{lineno}: duplicate quadrat {qid}")
         quadrats[qid] = (tid, frozenset(_parse_id_list(ids, f"{path}:{lineno}")))
@@ -193,7 +192,7 @@ def write_submission(
 def load_submission(path) -> list[PredictionSet]:
     preds = []
     seen = set()
-    for lineno, (qid, ids) in read_rows(path, SUBMISSION_HEADER):
+    for lineno, (qid, ids), _ in read_row_lines(path, SUBMISSION_HEADER):
         if qid in seen:
             raise DuplicatePredictionError(f"{path}:{lineno}: duplicate quadrat {qid}")
         seen.add(qid)

@@ -21,20 +21,20 @@ ordered by (quadrat, id), and each step is a few numpy passes over them:
   first min(n_q, max(min_len, min(#{s > tau}, max_len))) candidates in
   that order.
 - calibration needs no search: the ranks list every step of the mean
-  prediction length, so tau comes in closed form.
+  prediction length, so tau comes in closed form. The achieved mean is
+  the count of the entries kept at tau, over the number of quadrats.
 - merging counts (group, species) keys with np.unique.
 
 Everything but tau is built once (_Ranked): the flat arrays, the
-z-scores, the ranks and, when a mean length or a calibrated threshold
-needs them, the length steps. select_corpus and the per-set
+z-scores and the ranks. Only a calibrated threshold sorts the scores
+that step the mean length. select_corpus and the per-set
 functions zscore_normalize, apply_threshold, mean_prediction_length,
 bisect_threshold and metadata_merge are a few lines over that array
 code, for one set or one corpus.
 """
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Optional, Sequence
 
@@ -131,19 +131,10 @@ def collect_candidates(scores: np.ndarray, quadrat_id: str) -> CandidateSet:
 
 # ------------------------------------------------------------ flat arrays
 
-@dataclass(frozen=True)
-class _Flat:
-    """Candidate sets as flat arrays, ordered by (quadrat, species id)."""
-
-    quadrat_ids: list  # one per quadrat, in corpus order
-    counts: np.ndarray  # (Q,) entries per quadrat
-    starts: np.ndarray  # (Q,) offset of each quadrat's first entry
-    quadrat: np.ndarray  # (N,) quadrat index of each entry
-    ids: np.ndarray  # (N,) species ids
-    scores: np.ndarray  # (N,)
-
-
-def _flatten(corpus: Sequence[CandidateSet]) -> _Flat:
+def _flatten(corpus: Sequence[CandidateSet]):
+    """Candidate sets as flat arrays, ordered by (quadrat, species id):
+    (quadrat_ids, counts, starts, quadrat, ids, scores), where counts
+    and starts are each quadrat's entry count and first offset."""
     if not corpus:
         raise SelectionError("empty corpus")
     counts = np.fromiter(map(len, [c.entries for c in corpus]), np.int64, len(corpus))
@@ -163,26 +154,25 @@ def _flatten(corpus: Sequence[CandidateSet]) -> _Flat:
         order = np.lexsort((ids, quadrat))
         ids, scores = ids[order], scores[order]
     starts = np.cumsum(counts) - counts
-    return _Flat([c.quadrat_id for c in corpus], counts, starts, quadrat, ids, scores)
+    return [c.quadrat_id for c in corpus], counts, starts, quadrat, ids, scores
 
 
-def _zscored(flat: _Flat) -> _Flat:
+def _zscored(scores: np.ndarray, counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """(x - mean) / std per quadrat of two or more entries; zero std gives 0."""
-    counts = flat.counts
-    scores = flat.scores.copy()
+    out = scores.copy()
     for n in np.unique(counts[counts >= 2]).tolist():
-        idx = flat.starts[counts == n][:, None] + np.arange(n)
-        x = flat.scores[idx]
+        idx = starts[counts == n][:, None] + np.arange(n)
+        x = scores[idx]
         std = x.std(axis=1)
         flat_rows = std == 0.0
         std[flat_rows] = 1.0
         z = (x - x.mean(axis=1, keepdims=True)) / std[:, None]
         z[flat_rows] = 0.0
-        scores[idx] = z
-    return replace(flat, scores=scores)
+        out[idx] = z
+    return out
 
 
-def _ranking(flat: _Flat) -> np.ndarray:
+def _ranking(quadrat: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Entry order by quadrat, then descending score, then ascending id.
 
     Each quadrat's entries keep their place in the flat arrays, so the
@@ -192,68 +182,54 @@ def _ranking(flat: _Flat) -> np.ndarray:
     key, and a stable sort keeps tied entries in id order. It gives the
     order of np.lexsort((ids, -scores, quadrat)) in a third of the time.
     """
-    dense = np.unique(-flat.scores, return_inverse=True)[1]
-    return np.argsort(flat.quadrat * (dense.max() + 1) + dense, kind="stable")
+    dense = np.unique(-scores, return_inverse=True)[1]
+    return np.argsort(quadrat * (dense.max() + 1) + dense, kind="stable")
 
 
 class _Ranked:
     """Everything in selection that does not depend on tau, built once.
 
-    flat holds the candidates (z-scored, if asked); order sorts its
-    entries by (quadrat, -score, id), and rank is each sorted entry's
-    place in its quadrat (0 = best).
+    It holds the candidates as flat arrays (see _flatten), with scores
+    z-scored if asked; order sorts the entries by (quadrat, -score, id),
+    and rank is each sorted entry's place in its quadrat (0 = best).
     """
 
     def __init__(self, corpus: Sequence[CandidateSet], cfg: SelectionConfig, zscore=False):
-        flat = _flatten(corpus)
-        self.flat = _zscored(flat) if zscore else flat
+        self.quadrat_ids, self.counts, starts, self.quadrat, self.ids, scores = _flatten(corpus)
+        self.scores = _zscored(scores, self.counts, starts) if zscore else scores
         self.cfg = cfg
-        self.order = _ranking(self.flat)
-        self.rank = np.arange(len(flat.ids)) - flat.starts[flat.quadrat]
-
-    @cached_property
-    def steps(self) -> tuple[int, np.ndarray]:
-        """The steps of the mean prediction length, as (base, extra).
-
-        A quadrat keeps min(n_q, max(min_len, min(max_len, #{s > tau})))
-        species, so the corpus keeps base = sum_q min(n_q, min_len)
-        entries at any tau, plus the extra scores above tau: those of
-        rank in [min_len, max_len), here sorted ascending.
-        """
-        rank, cfg = self.rank, self.cfg
-        extra = rank >= cfg.min_len
-        if cfg.max_len is not None:
-            extra &= rank < cfg.max_len
-        base = int(np.minimum(self.flat.counts, cfg.min_len).sum())
-        return base, np.sort(self.flat.scores[self.order][extra])
+        self.order = _ranking(self.quadrat, self.scores)
+        self.rank = np.arange(len(self.ids)) - starts[self.quadrat]
 
     def selected(self, tau: float):
         """(quadrat, ids) of the entries kept at tau, in flat order."""
-        flat, cfg = self.flat, self.cfg
-        above = np.bincount(flat.quadrat[flat.scores > tau], minlength=len(flat.quadrat_ids))
+        cfg = self.cfg
+        above = np.bincount(self.quadrat[self.scores > tau], minlength=len(self.quadrat_ids))
         if cfg.max_len is not None:
             above = np.minimum(above, cfg.max_len)
-        keep = np.minimum(flat.counts, np.maximum(above, cfg.min_len))
+        keep = np.minimum(self.counts, np.maximum(above, cfg.min_len))
         kept = np.empty(len(self.order), dtype=bool)
-        kept[self.order] = self.rank < keep[flat.quadrat]
-        return flat.quadrat[kept], flat.ids[kept]
-
-    def mean_length(self, tau: float) -> float:
-        base, extra = self.steps
-        above = len(extra) - int(np.searchsorted(extra, tau, side="right"))
-        return (base + above) / len(self.flat.quadrat_ids)
+        kept[self.order] = self.rank < keep[self.quadrat]
+        return self.quadrat[kept], self.ids[kept]
 
     def threshold(self, target: float) -> float:
-        """The calibrated threshold: see bisect_threshold."""
-        base, extra = self.steps
-        levels = (base + np.arange(len(extra) + 1)) / len(self.flat.quadrat_ids)
+        """The calibrated threshold: see bisect_threshold. At any tau the
+        corpus keeps base = sum_q min(n_q, min_len) entries, plus the
+        extra scores (those of rank in [min_len, max_len)) above tau."""
+        cfg = self.cfg
+        in_range = self.rank >= cfg.min_len
+        if cfg.max_len is not None:
+            in_range &= self.rank < cfg.max_len
+        base = int(np.minimum(self.counts, cfg.min_len).sum())
+        extra = np.sort(self.scores[self.order][in_range])
+        levels = (base + np.arange(len(extra) + 1)) / len(self.quadrat_ids)
         k = int(np.searchsorted(levels, target, side="left"))
         if k > len(extra):
             raise UnattainableTargetError(
                 f"target mean length {target} exceeds what keeping all candidates yields"
             )
         if k == 0:
-            return float(self.flat.scores.max())
+            return float(self.scores.max())
         return float(np.nextafter(extra[len(extra) - k], -np.inf))
 
 
@@ -304,9 +280,10 @@ def select_corpus(
 ) -> tuple[list[PredictionSet], float, float]:
     """Calibrate (if configured), threshold and optionally merge a corpus.
 
-    Returns (predictions, threshold, achieved mean prediction length).
-    Raises SelectionError, naming the quadrat, for an empty candidate
-    set or a non-finite score.
+    Returns (predictions, threshold, achieved mean prediction length),
+    where the mean is the number of entries kept at the threshold,
+    before merging, over the number of quadrats. Raises SelectionError,
+    naming the quadrat, for an empty candidate set or a non-finite score.
     """
     ranked = _Ranked(corpus, cfg, cfg.zscore)
     if cfg.target_mean_len is not None:
@@ -316,12 +293,13 @@ def select_corpus(
     else:
         tau = float("-inf")
     quadrat, ids = ranked.selected(tau)
-    quadrat_ids = ranked.flat.quadrat_ids
+    quadrat_ids = ranked.quadrat_ids
+    mean = len(quadrat) / len(quadrat_ids)
     if cfg.merge_k is not None:
         if groups is None:
             raise ConfigError("metadata merging needs a quadrat -> group mapping")
         quadrat, ids = _merge(quadrat, ids, _group_index(quadrat_ids, groups), cfg.merge_k)
-    return _predictions(quadrat_ids, quadrat, ids), tau, ranked.mean_length(tau)
+    return _predictions(quadrat_ids, quadrat, ids), tau, mean
 
 
 # ------------------------------------------- per-set and per-step wrappers
@@ -334,10 +312,9 @@ def zscore_normalize(c: CandidateSet) -> CandidateSet:
     """
     if len(c.entries) < 2:
         return c
-    flat = _zscored(_flatten([c]))
-    return CandidateSet(
-        quadrat_id=c.quadrat_id, entries=dict(zip(flat.ids.tolist(), flat.scores.tolist()))
-    )
+    _, counts, starts, _, ids, scores = _flatten([c])
+    z = _zscored(scores, counts, starts)
+    return CandidateSet(quadrat_id=c.quadrat_id, entries=dict(zip(ids.tolist(), z.tolist())))
 
 
 def apply_threshold(c: CandidateSet, tau: float, cfg: SelectionConfig) -> PredictionSet:
@@ -360,9 +337,11 @@ def _check_threshold(tau: float) -> None:
 def mean_prediction_length(
     corpus: Sequence[CandidateSet], tau: float, cfg: SelectionConfig
 ) -> float:
-    """Mean over quadrats of the selected species count at threshold tau."""
+    """Mean over quadrats of the selected species count at threshold tau:
+    the entries kept at tau over the number of quadrats."""
     _check_threshold(tau)
-    return _Ranked(corpus, cfg).mean_length(tau)
+    ranked = _Ranked(corpus, cfg)
+    return len(ranked.selected(tau)[0]) / len(ranked.quadrat_ids)
 
 
 def bisect_threshold(corpus: Sequence[CandidateSet], target: float, cfg: SelectionConfig) -> float:
@@ -374,7 +353,7 @@ def bisect_threshold(corpus: Sequence[CandidateSet], target: float, cfg: Selecti
     predictions rather than fewer). Raises if even keeping every
     candidate is too few.
 
-    With k the fewest extra scores (see _Ranked.steps) that lift the
+    With k the fewest extra scores (see _Ranked.threshold) that lift the
     mean to the target, tau is the float just below the k-th largest of
     them (so exactly the extra scores >= that one are kept); with k = 0
     it is the largest candidate score.

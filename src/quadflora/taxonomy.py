@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text, bad_id, read_rows
+from ._util import atomic_write_text, bad_id, read_row_lines
 from .errors import (
     DanglingReferenceError,
     FormatError,
@@ -124,7 +124,7 @@ def load_taxonomy(path) -> TaxonomyTable:
     """
     species_genus: dict[int, int] = {}
     genus_family: dict[int, int] = {}
-    for lineno, row in read_rows(path, TAXONOMY_HEADER):
+    for lineno, row, _ in read_row_lines(path, TAXONOMY_HEADER):
         try:
             s, g, f = (int(field) for field in row)
         except ValueError as exc:

@@ -523,14 +523,15 @@ class TestCacheFingerprint:
 
         monkeypatch.setattr(formats, "_parse_block", counting_parse)
         monkeypatch.setattr(pipeline, "head_logits", counting_heads)
-        # every row reader formats holds: a file read through none of them
-        # had no line checked
-        for name in ("read_rows", "read_row_lines"):
-            def counting_reader(path, *args, reader=getattr(formats, name)):
-                read.append(str(path))
-                return reader(path, *args)
+        # formats' one row reader: a file not read through it had no line
+        # checked
+        read_row_lines = formats.read_row_lines
 
-            monkeypatch.setattr(formats, name, counting_reader)
+        def counting_reader(path, *args):
+            read.append(str(path))
+            return read_row_lines(path, *args)
+
+        monkeypatch.setattr(formats, "read_row_lines", counting_reader)
         features = str(gen_dir / "quadrats.csv")
         # the rows of heads the run's models (lin1+mlp2+mlp2) do not use
         heads_csv = gen_dir / "heads.csv"
@@ -885,6 +886,48 @@ class TestErrorContract:
         cache.write_bytes(cache_file.build(record, index, values))
         err = assert_cli_error(*infer_argv(cfg, gen_dir, out))
         assert err == f"error: {features}:2: {message}\n"
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda rows: rows[:1] + ["order" + rows[1][len("species"):]] + rows[2:],
+             "{heads}:2: unknown level 'order'"),
+            (lambda rows: rows[:1] + [rows[1].replace(",b,0,", ",b,x,", 1)] + rows[2:],
+             "{heads}:2: bad row index"),
+            (lambda rows: rows[:2] + rows[1:], "{heads}:3: duplicate row 0 for b"),
+            (lambda rows: rows[:1], "no head rows in {heads}"),
+            (lambda rows: rows + [rows[2].replace(",w,0,", ",w1,0,", 1)],
+             "{heads}: head species/lin1 has params ['b', 'w', 'w1']"),
+        ],
+        ids=["unknown-level", "bad-row-index", "duplicate-row", "no-rows", "extra-param"],
+    )
+    def test_bad_heads_file(self, gen_dir, tmp_path, capsys, edit, message):
+        # every heads.csv row gets its row checks, and a used head its param check
+        heads = gen_dir / "heads.csv"
+        rows = heads.read_text().splitlines()
+        assert rows[1].startswith("species,lin1,b,0,") and rows[2].startswith("species,lin1,w,0,")
+        heads.write_text("\n".join(edit(rows)) + "\n")
+        out = tmp_path / "sub.csv"
+        assert main(infer_argv(run_cfg_file(tmp_path), gen_dir, out)) == 2
+        assert capsys.readouterr().err == f"error: {message.format(heads=heads)}\n"
+        assert not out.exists()
+
+    def test_header_only_files(self, gen_dir, tmp_path, capsys):
+        features = gen_dir / "quadrats.csv"
+        features.write_text(features.read_text().split("\n", 1)[0] + "\n")
+        out = tmp_path / "sub.csv"
+        assert main(infer_argv(run_cfg_file(tmp_path), gen_dir, out)) == 2
+        assert capsys.readouterr().err == f"error: no feature rows in {features}\n"
+        assert not out.exists()
+        gt, sub = tmp_path / "gt.csv", tmp_path / "sub.csv"
+        gt.write_text("quadrat_id,transect_id,species_ids\nq0,t0,1\n")
+        sub.write_text("quadrat_id,species_ids\n")
+        assert main(["eval", str(sub), str(gt)]) == 2
+        assert capsys.readouterr().err == f"error: no submission rows in {sub}\n"
+        gt.write_text("quadrat_id,transect_id,species_ids\n")
+        sub.write_text("quadrat_id,species_ids\nq0,1\n")
+        assert main(["eval", str(sub), str(gt)]) == 2
+        assert capsys.readouterr().err == f"error: no ground-truth rows in {gt}\n"
 
     def test_empty_id_list(self, tmp_path):
         gt = tmp_path / "gt.csv"

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,13 @@ from quadflora import formats
 from quadflora._util import canonical9, fmt9_array, fmt9_rows
 from quadflora.cli import main
 from quadflora.ensemble import HeadSelection
-from quadflora.errors import ConfigError, DuplicatePredictionError, FormatError, ShapeError
+from quadflora.errors import (
+    ConfigError,
+    DuplicatePredictionError,
+    FormatError,
+    QuadfloraError,
+    ShapeError,
+)
 from quadflora.metric import GroundTruthTable
 from quadflora.selection import PredictionSet
 from quadflora.synthworld import SynthConfig, gen_world
@@ -190,6 +197,13 @@ class TestSubmission:
         p.write_text("quadrat_id,species_ids\nq0,1\nq0,2\n")
         with pytest.raises(DuplicatePredictionError):
             formats.load_submission(p)
+
+    def test_duplicate_prediction_not_written(self, tmp_path):
+        p = tmp_path / "sub.csv"
+        preds = [PredictionSet("q0", (1,)), PredictionSet("q1", (2,)), PredictionSet("q0", (3,))]
+        with pytest.raises(DuplicatePredictionError, match="^duplicate prediction for q0$"):
+            formats.write_submission(preds, p)
+        assert not p.exists()
 
 
 class TestFeatures:
@@ -386,6 +400,14 @@ class TestFeatures:
         with pytest.raises(FormatError, match=message):
             formats.load_quadrat_features(path, records)
 
+    def test_featureless_quadrat_not_written(self, world, tmp_path):
+        _, quads, _ = world
+        stub = replace(quads[1], cells=None)
+        p = tmp_path / "feat.csv"
+        with pytest.raises(FormatError, match=f"^quadrat {stub.quadrat_id} has no features"):
+            formats.write_quadrat_features([quads[0], stub], p)
+        assert not p.exists()
+
     def test_missing_cell_rejected(self, tmp_path):
         p = tmp_path / "feat.csv"
         p.write_text(
@@ -448,6 +470,15 @@ class TestHeadRegistry:
         p.write_text("level,head_id,param,row,values\nspecies,h,w3,0,1.0\n")
         with pytest.raises(FormatError):
             formats.load_head_registry(p)
+
+    def test_foreign_head_type_not_written(self, world, tmp_path):
+        _, _, registry = world
+        heads = {level: dict(variants) for level, variants in registry.heads.items()}
+        heads["genus"]["odd"] = object()
+        p = tmp_path / "heads.csv"
+        with pytest.raises(FormatError, match="^cannot serialize head of type object$"):
+            formats.write_head_registry(replace(registry, heads=heads), p)
+        assert not p.exists()
 
     def test_only_used_heads_are_parsed(self, world, tmp_path):
         _, _, registry = world
@@ -728,6 +759,28 @@ class TestCache:
         sub.write_bytes(b"quadrat_id,species_ids\r\nq0,1\r\nq1,2\r\n")
         assert main(["eval", str(sub), str(gt)]) == 0
         assert "final 1.00000" in capsys.readouterr().out
+
+    def test_save_without_path(self):
+        cache = formats.LogitCache()
+        with pytest.raises(FormatError, match="^cache has no path to save to$"):
+            cache.save()
+        cache.put(("m", "q0", "10", 1, "species"), np.array([[1.0]]))
+        with pytest.raises(FormatError, match="^cache has no path to save to$"):
+            cache.save()
+
+    def test_fingerprint_needs_inputs_read_from_files(self, world, tmp_path):
+        _, quads, registry = world
+        heads, feats = tmp_path / "heads.csv", tmp_path / "feat.csv"
+        formats.write_head_registry(registry, heads)
+        formats.write_quadrat_features(quads, feats)
+        read_registry = formats.load_head_registry(heads)
+        read_quads = formats.load_quadrat_features(feats)
+        assert formats.CacheFingerprint.of(0.5, read_registry, read_quads).quadrats
+        with pytest.raises(QuadfloraError, match="^head registry was not read from a heads file$"):
+            formats.CacheFingerprint.of(0.5, registry, read_quads)
+        message = f"^quadrat {quads[0].quadrat_id} was not read from a features file$"
+        with pytest.raises(QuadfloraError, match=message):
+            formats.CacheFingerprint.of(0.5, read_registry, quads)
 
     def test_clean_save_skips_rewrite(self, tmp_path):
         import os

@@ -513,9 +513,9 @@ class TestSelectPredictions:
         built = []
         ranking = selection._ranking
 
-        def counting_ranking(flat):
+        def counting_ranking(*args):
             built.append(1)
-            return ranking(flat)
+            return ranking(*args)
 
         monkeypatch.setattr(selection, "_ranking", counting_ranking)
         preds, tau, achieved = select_predictions(candidates, cfg)

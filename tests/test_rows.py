@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import cache_file
 import csv_rows
 from quadflora import formats
-from quadflora._util import read_rows
+from quadflora._util import read_row_lines
 from quadflora.cli import main
 from quadflora.errors import FormatError
 from quadflora.taxonomy import TAXONOMY_HEADER
@@ -29,6 +29,11 @@ HEADERS = [
 # Characters only the new reader refuses: a quote, a NUL, and a CR that
 # does not end a line.
 FORBIDDEN = re.compile(rb'["\0]|\r(?!\n)')
+
+
+def read_rows(path, header, text=None):
+    """read_row_lines' (line number, fields) pairs, in the oracle's shape."""
+    return [(lineno, fields) for lineno, fields, _ in read_row_lines(path, header, text)]
 
 
 def outcome(reader, path, header, text=None):

@@ -342,6 +342,15 @@ class TestBisect:
             with pytest.raises(SelectionError, match="empty candidate set for a"):
                 call()
 
+    def test_empty_corpus(self):
+        for call in (
+            lambda: select_corpus([], SelectionConfig(target_mean_len=1.0)),
+            lambda: bisect_threshold([], 1.0, SelectionConfig()),
+            lambda: mean_prediction_length([], 0.0, SelectionConfig()),
+        ):
+            with pytest.raises(SelectionError, match="^empty corpus$"):
+                call()
+
     def test_one_set_empty(self):
         corpus = [cands("a", {0: 0.5}), cands("b", {}), cands("c", {})]
         for call in (
@@ -381,6 +390,11 @@ class TestMetadataMerge:
     def test_missing_group(self):
         with pytest.raises(MissingGroupError):
             metadata_merge(self.preds([("q0", {1})]), {}, 3)
+
+    def test_select_corpus_merge_needs_groups(self):
+        corpus = [cands("q0", {1: 0.5}), cands("q1", {2: 0.5})]
+        with pytest.raises(ConfigError, match="merging needs a quadrat -> group mapping"):
+            select_corpus(corpus, SelectionConfig(merge_k=1))
 
     def test_idempotent(self):
         rng = np.random.default_rng(13)
@@ -506,9 +520,10 @@ class TestArrayPath:
             for n in lengths
             for j in range(-2, 3)
         ]
-        flat = _zscored(_flatten(corpus))
+        _, counts, starts, _, _, scores = _flatten(corpus)
+        got = _zscored(scores, counts, starts)
         want = np.concatenate([per_quadrat.zscore_normalize(c).scores() for c in corpus])
-        assert flat.scores.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
         for c in corpus[::7]:
             got = zscore_normalize(c).entries
             assert got == per_quadrat.zscore_normalize(c).entries
