@@ -83,6 +83,15 @@ def bag(members: Sequence[tuple[str, TileLogits]]) -> TileLogits:
     return TileLogits(**blocks)
 
 
+def _add_neighbors(acc: np.ndarray, scaled: np.ndarray, n: int) -> None:
+    """Add to each row of the n x n grid acc, in place, its 4 neighbors' rows in scaled."""
+    acc, wx = acc.reshape(n, n, -1), scaled.reshape(n, n, -1)
+    acc[1:] += wx[:-1]
+    acc[:-1] += wx[1:]
+    acc[:, 1:] += wx[:, :-1]
+    acc[:, :-1] += wx[:, 1:]
+
+
 def smooth_grid(grid: np.ndarray, w: float, n: int) -> np.ndarray:
     """Add w times the 4-neighbor rows to each row of one n x n grid.
 
@@ -90,18 +99,14 @@ def smooth_grid(grid: np.ndarray, w: float, n: int) -> np.ndarray:
     up, down, left, right, reading only the unsmoothed input (a single
     additive pass, no cascading).
     """
-    x = grid.reshape(n, n, -1)
-    acc = x.astype(np.float64, copy=True)
-    acc[1:] += w * x[:-1]
-    acc[:-1] += w * x[1:]
-    acc[:, 1:] += w * x[:, :-1]
-    acc[:, :-1] += w * x[:, 1:]
-    return acc.reshape(grid.shape)
+    acc = np.array(grid, dtype=np.float64, order="C")
+    _add_neighbors(acc, w * grid, n)
+    return acc
 
 
 def kernel_smooth(block: np.ndarray, w: float, scales: Sequence[int]) -> np.ndarray:
     """smooth_grid on each scale's grid of a block whose rows are the
-    n x n grids of scales, one after the other."""
+    n x n grids of scales, one after the other; w * block is taken once."""
     if not (math.isfinite(w) and w >= 0):
         raise ConfigError(f"kernel weight must be finite and >= 0, got {w}")
     sizes = [n * n for n in scales]
@@ -112,9 +117,10 @@ def kernel_smooth(block: np.ndarray, w: float, scales: Sequence[int]) -> np.ndar
         )
     if w == 0:
         return block
-    out = np.empty(block.shape)
+    out = np.array(block, dtype=np.float64, order="C")
+    scaled = w * block
     start = 0
     for n, size in zip(scales, sizes):
-        out[start : start + size] = smooth_grid(block[start : start + size], w, n)
+        _add_neighbors(out[start : start + size], scaled[start : start + size], n)
         start += size
     return out

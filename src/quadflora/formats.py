@@ -22,18 +22,18 @@ logit cache    JSON header; [model_id,quadrat_id,crop_pct,scale,level,rows,cols]
 config         flat "key = value" lines, '#' comments
 
 A logit cache's header line records the byte count and sha256 of the
-lines of each quadrat and each head once they have been checked and
-parsed. They are read first (cache_records), and vouch for those lines
-even if the cache's grids are then dropped. A features file is checked
-line by line, but for its float values, unless its quadrats' lines hash
-to those records, each quadrat's lines in one run (so interleaved
-quadrats or a blank line are checked line by line on every run): then a
-quadrat's lines, and only its own, are checked when its features are
-first needed. Each quadrat's values are parsed only then (a logit cache
-miss). Every line of a head registry is checked; the heads a run uses
-are parsed at load, except those whose lines hash to their records: a
-cache miss parses these. So a run served entirely from a cache parses
-no value.
+lines of each quadrat once they have been checked and parsed, and of
+every head once they have been checked. They are read first
+(cache_records), and vouch for those lines even if the cache's grids are
+then dropped. A features file or head registry is checked line by line,
+but for its float values, unless its lines hash to those records, each
+quadrat's or head's lines in one run (_walk; so interleaved rows, a
+blank line or any edit are checked line by line on every run): then a
+quadrat's or head's lines, and only its own, are checked when first
+needed. Each quadrat's values are parsed only then (a logit cache miss).
+The heads a run uses are parsed at load, except those whose lines hash
+to their records: a cache miss parses these. So a run served entirely
+from a cache checks no features or heads line and parses no value.
 Text values are parsed one block at a time (a quadrat's cells, a head
 parameter) by one np.loadtxt call, or row by row as float() reads them
 where loadtxt refuses ('1_0', full-width digits, a bad value, whose
@@ -243,26 +243,22 @@ class _FeatureRows:
     with their line ends, which fingerprints logit caches computed from
     them. rows maps each (row, col) to its line number and values field,
     once the lines are checked. While a recorded digest vouches for them
-    (_recorded), span holds instead the file's bytes, the start and stop
-    of the lines in them, and a function that finds the file's LF offsets,
-    once for all its quadrats, to number the lines. Calling the object
-    checks those lines then, and only those, and parses the values, once,
-    into the (grid, grid, dim) cell array.
+    (_recorded), span holds instead their span of the file (_walk).
+    Calling the object checks those lines then, and only those, and
+    parses the values, once, into the (grid, grid, dim) cell array.
     """
 
     def __init__(self, path, qid: str, meta: tuple[str, int, int]):
         self.path, self.qid, self.meta = path, qid, meta  # meta: transect, grid, dim
         self.rows: dict[tuple[int, int], tuple[int, str]] = {}
-        self.span: Optional[tuple[bytes, int, int, Callable[[], np.ndarray]]] = None
+        self.span: Optional[tuple] = None
         self.record: dict = {}
         self.cells: Optional[np.ndarray] = None
 
     def __call__(self) -> np.ndarray:
         if self.cells is None:
             if self.span is not None:
-                data, start, stop, newlines = self.span
-                first_line = int(np.searchsorted(newlines(), start)) + 1
-                text = decode_text(self.path, data[start:stop])
+                text, first_line = _span_text(self.path, self.span)
                 self.rows = _check_features(self.path, text, first_line)[self.qid].rows
                 self.span = None
             _, grid, dim = self.meta
@@ -274,36 +270,53 @@ class _FeatureRows:
         return self.cells
 
 
-def _recorded(path, records: Mapping[str, dict]) -> Optional[dict[str, _FeatureRows]]:
-    """Every quadrat of a features file, its lines unchecked, if the file
-    after its header is one run of lines per quadrat, each run of the byte
-    count and sha256 recorded for that quadrat; else None.
-
-    The records come from a logit cache's header, which holds them only
-    for lines that _check_features accepted and whose values were parsed.
-    A quadrat's transect, grid and dim are read from its first line; a
-    grid or dim that is not an integer >= 1 there is a mismatch, which
-    _check_features then reports.
-    """
+def _walk(path, header: list[str], n_key: int, records: Mapping[str, dict]) -> Optional[dict]:
+    """The span of each key's lines, if the file after its header is one
+    run of lines per key, each of the byte count and sha256 recorded for
+    that key (in a logit cache's header, for checked lines); else None.
+    A line's key is its first n_key fields joined by '/': a quadrat id, or
+    a head's "level/head_id". A span is the file's bytes, the run's start
+    and stop, and a function that finds the file's LF offsets (_span_text)."""
     with open(path, "rb") as fh:
         data = fh.read()
-    header = (",".join(FEATURES_HEADER) + "\n").encode()
-    if not data.startswith(header):
+    head = (",".join(header) + "\n").encode()
+    if not data.startswith(head):
         return None
     view = memoryview(data)
     newlines = functools.cache(lambda: np.flatnonzero(np.frombuffer(data, np.uint8) == 10))
-    sources: dict[str, _FeatureRows] = {}
-    start = len(header)
+    spans: dict[str, tuple] = {}
+    start = len(head)
     while start < len(data):
-        qid = data[start : data.find(b",", start)].decode("utf-8", "replace")
-        record = records.get(qid)
-        if record is None or qid in sources:
+        first = data[start : data.find(b"\n", start)]  # with no LF, all but the last byte
+        key = b"/".join(first.split(b",", n_key)[:n_key]).decode("utf-8", "replace")
+        record = records.get(key)
+        if record is None or key in spans:
             return None
         stop = start + record["bytes"]
         if stop > len(data) or (stop < len(data) and data[stop - 1] != ord("\n")):
             return None
         if hashlib.sha256(view[start:stop]).hexdigest() != record["sha256"]:
             return None
+        spans[key] = (data, start, stop, newlines)
+        start = stop
+    return spans or None
+
+
+def _span_text(path, span) -> tuple[str, int]:
+    """The text of a span's lines (_walk), and the line number of its first."""
+    data, start, stop, newlines = span
+    return decode_text(path, data[start:stop]), int(np.searchsorted(newlines(), start)) + 1
+
+
+def _recorded(path, records: Mapping[str, dict]) -> Optional[dict[str, _FeatureRows]]:
+    """Every quadrat of a features file, its lines unchecked, if _walk
+    vouches for the whole file; else None. A quadrat's transect, grid and
+    dim are read from its first line; a grid or dim that is not an integer
+    >= 1 there is a mismatch, which _check_features then reports."""
+    spans = _walk(path, FEATURES_HEADER, 1, records)
+    sources: dict[str, _FeatureRows] = {}
+    for qid, span in (spans or {}).items():
+        data, start, stop, _ = span
         # the first line (or, with no LF, all but the last byte) holds the metadata
         first = data[start : data.find(b"\n", start, stop)]
         try:
@@ -314,8 +327,7 @@ def _recorded(path, records: Mapping[str, dict]) -> Optional[dict[str, _FeatureR
         if grid < 1 or dim < 1:
             return None
         source = sources[qid] = _FeatureRows(path, qid, (tid, grid, dim))
-        source.record, source.span = dict(record), (data, start, stop, newlines)
-        start = stop
+        source.record, source.span = dict(records[qid]), span
     return sources or None
 
 
@@ -388,8 +400,9 @@ def load_quadrat_features(path, records: Optional[Mapping[str, dict]] = None) ->
 # -------------------------------------------------------------- head registry
 
 class _RecordedHead:
-    """A head whose lines hash to their record in a logit cache's header,
-    so they passed _head_of before: parsed on first use, from those lines."""
+    """A head whose lines hash to their record in a logit cache's header:
+    parsed on first use, from those lines, which are checked then if _walk
+    read them unchecked."""
 
     def __init__(self, build: Callable[[], Head]):
         self._build = build
@@ -455,23 +468,19 @@ def _head_of(path, name: str, params: dict[str, dict[int, tuple[str, str]]]) -> 
     return head
 
 
-def load_head_registry(
-    path, used: Optional[Collection[tuple[str, str]]] = None, records: Optional[Mapping] = None
-) -> HeadRegistry:
-    """The heads of a registry file; only the (level, head id) pairs in
-    used, when given. Every row is checked for its level, param, row index
-    and duplicates, and the heads returned are parsed and checked at load.
-
-    The byte count and sha256 of each returned head's lines, in file
-    order with their line ends, go into the registry's records by
-    "level/head_id". A head whose lines hash to its entry in records
-    (cache_records(cache)["heads"]; None vouches for none) is returned
-    as a _RecordedHead, parsed on first use.
-    """
-    grouped: dict[tuple[str, str], dict[str, dict[int, tuple[str, str]]]] = {}
+def _check_heads(path, text: Optional[str] = None, first_line: int = 1) -> tuple[dict, dict]:
+    """Every head's rows, {param: {row: (where, values)}}, and the record
+    of its lines, each by "level/head_id". Every row is checked for its
+    level, param, row index and duplicates. The lines are streamed from
+    the file, or are those of text: the file's lines from first_line on,
+    the span of one head that _walk accepted."""
+    grouped: dict[str, dict[str, dict[int, tuple[str, str]]]] = {}
     hashed = _LineRecords()
-    for lineno, (level, head_id, param, row_s, values), line in read_row_lines(path, HEADS_HEADER):
-        where = f"{path}:{lineno}"
+    for lineno, row, line in read_row_lines(path, HEADS_HEADER, text, first_line):
+        level, head_id, param, row_s, values = row
+        where, name = f"{path}:{lineno}", f"{level}/{head_id}"
+        if grouped and first_line > 1 and name not in grouped:
+            raise FormatError(f"{where}: head {name} inside another's recorded lines")
         if level not in LEVELS:
             raise FormatError(f"{where}: unknown level {level!r}")
         if param not in ("w", "b", "w1", "b1", "w2", "b2"):
@@ -480,24 +489,46 @@ def load_head_registry(
             row = int(row_s)
         except ValueError as exc:
             raise FormatError(f"{where}: bad row index") from exc
-        rows = grouped.setdefault((level, head_id), {}).setdefault(param, {})
+        rows = grouped.setdefault(name, {}).setdefault(param, {})
         if row in rows:
             raise FormatError(f"{where}: duplicate row {row} for {param}")
         rows[row] = (where, values)
-        if used is None or (level, head_id) in used:
-            hashed.add((level, head_id), line)
+        hashed.add(name, line)
     if not grouped:
         raise FormatError(f"no head rows in {path}")
+    return grouped, {name: hashed.record(name) for name in grouped}
+
+
+def _span_head(path, name: str, span) -> Head:
+    """The head of a span of lines that _walk accepted, its rows checked first."""
+    grouped, _ = _check_heads(path, *_span_text(path, span))
+    return _head_of(path, name, grouped[name])
+
+
+def load_head_registry(
+    path, used: Optional[Collection[tuple[str, str]]] = None, records: Optional[Mapping] = None
+) -> HeadRegistry:
+    """The heads of a registry file; only the (level, head id) pairs in
+    used, when given. Every row is checked (_check_heads), and the heads
+    returned are parsed and checked at load.
+
+    The byte count and sha256 of every head's lines, in file order with
+    their line ends, go into the registry's records by "level/head_id".
+    A head whose lines hash to its entry in records
+    (cache_records(cache)["heads"]; None vouches for none) is returned
+    as a _RecordedHead, parsed on first use. When every head's lines
+    hash to their records (_walk), no line is checked at load: a head's
+    own lines are checked at its first use.
+    """
+    spans = _walk(path, HEADS_HEADER, 2, records) if records else None
+    parts, kept = (spans, {n: dict(records[n]) for n in spans}) if spans else _check_heads(path)
     heads: dict[str, dict[str, object]] = {lvl: {} for lvl in LEVELS}
-    kept: dict[str, dict] = {}
-    for (level, head_id), params in grouped.items():
-        if used is not None and (level, head_id) not in used:
-            continue
-        name = f"{level}/{head_id}"
-        build = functools.partial(_head_of, path, name, params)
-        kept[name] = hashed.record((level, head_id))
-        vouched = records is not None and records.get(name) == kept[name]
-        heads[level][head_id] = _RecordedHead(build) if vouched else build()
+    for name, part in parts.items():
+        level, _, head_id = name.partition("/")
+        if used is None or (level, head_id) in used:
+            build = functools.partial(_span_head if spans else _head_of, path, name, part)
+            vouched = records is not None and records.get(name) == kept[name]
+            heads.setdefault(level, {})[head_id] = _RecordedHead(build) if vouched else build()
     return HeadRegistry(heads=heads, records=kept)
 
 
@@ -511,11 +542,12 @@ _RECORD_KINDS = ("heads", "quadrats")  # the line records a cache's header holds
 class CacheFingerprint:
     """What a run's cached logits depend on beyond their keys: the tile
     overlap, and the records of the lines of each head the run uses and
-    of each quadrat's features."""
+    of each quadrat's features; heads holds every head's, for the header."""
 
     overlap_frac: float
     heads: dict  # "level/head_id" -> record of its lines (HeadRegistry.records)
     quadrats: dict  # quadrat id -> record of its feature lines
+    used_heads: dict  # the records in heads of the heads the run's models use
 
     @classmethod
     def of(cls, overlap_frac: float, registry, quadrats: Sequence[Quadrat]) -> "CacheFingerprint":
@@ -526,7 +558,9 @@ class CacheFingerprint:
             if not isinstance(q.load_cells, _FeatureRows):
                 raise QuadfloraError(f"quadrat {q.quadrat_id} was not read from a features file")
             records[q.quadrat_id] = q.load_cells.record
-        return cls(float(overlap_frac), registry.records, records)
+        names = (f"{level}/{head_id}" for level, ids in registry.heads.items() for head_id in ids)
+        used = {name: registry.records[name] for name in names}
+        return cls(float(overlap_frac), registry.records, records, used)
 
 
 def _heads_recorded(model_id: str, heads: Mapping[str, dict]) -> bool:
@@ -651,11 +685,13 @@ class LogitCache:
     a changed head. Another BLAS record only warns: the grids are kept,
     though a product computed under another BLAS setting can differ in a
     last digit. Loaded without one, the header is not read and every
-    grid is kept. Records of heads and quadrats outside the run are kept
-    as they are. A head's or quadrat's lines are recorded only once they
-    have been checked and their values parsed, in this run or an earlier
-    one, which is what lets a later load (cache_records) take them
-    unchecked and unparsed, even when the grids themselves are dropped.
+    grid is kept. Records of quadrats outside the run are kept as they
+    are, and those of heads the run does not use while a grid kept
+    depends on them. A quadrat's lines are recorded only once they have
+    been checked and their values parsed, and a head's once they have
+    been checked, in this run or an earlier one, which is what lets a
+    later load (cache_records) take them unchecked and unparsed, even
+    when the grids themselves are dropped.
     """
 
     def __init__(self, path=None):
@@ -695,12 +731,13 @@ class LogitCache:
                     f"this run has {blas!r}; its logits are kept"
                 )
             # the records that still hold: those equal to the run's, and
-            # those of heads and quadrats the run does not have
+            # those of heads the run does not use and quadrats it does not have
+            run = {"heads": fingerprint.used_heads, "quadrats": fingerprint.quadrats}
             cache._recorded = {
                 kind: {
                     name: digest
                     for name, digest in record[kind].items()
-                    if getattr(fingerprint, kind).get(name, digest) == digest
+                    if run[kind].get(name, digest) == digest
                 }
                 for kind in _RECORD_KINDS
             }
@@ -755,8 +792,11 @@ class LogitCache:
         fp = self._fingerprint
         if fp is not None:
             header.update(overlap_frac=fp.overlap_frac, blas=blas_record())
-            for kind in _RECORD_KINDS:
-                header[kind] = {**self._recorded[kind], **getattr(fp, kind)}
+            old = self._recorded
+            # an unused head's old record stays while a grid kept depends on it
+            needed = {f"{lv}/{h}" for key in self._data for lv, h in zip(LEVELS, key[0].split("+"))}
+            header["heads"] = {**fp.heads, **{n: r for n, r in old["heads"].items() if n in needed}}
+            header["quadrats"] = {**old["quadrats"], **fp.quadrats}
         atomic_write_text(self.path, _json_line(header) + body)
         self._dirty = False
 

@@ -83,6 +83,12 @@ def central_crop(image_rect: Rect, spec: CropSpec) -> Rect:
     return Rect(image_rect.x0 + dx, image_rect.y0 + dy, image_rect.x1 - dx, image_rect.y1 - dy)
 
 
+def check_fits(region: Rect, n: int) -> None:
+    """A GeometryError unless an n x n grid fits the region, one cell per tile at least."""
+    if n > min(region.width, region.height):
+        raise GeometryError(f"scale {n} too large for {region.width}x{region.height} region")
+
+
 def tile_grid(region: Rect, spec: GridSpec) -> list[TileRef]:
     """All scale^2 tiles of the region, row-major.
 
@@ -91,10 +97,7 @@ def tile_grid(region: Rect, spec: GridSpec) -> list[TileRef]:
     clamped to the region.
     """
     n = spec.scale
-    if n > min(region.width, region.height):
-        raise GeometryError(
-            f"scale {n} too large for {region.width}x{region.height} region"
-        )
+    check_fits(region, n)
     xs = [region.x0 + (i * region.width) // n for i in range(n + 1)]
     ys = [region.y0 + (i * region.height) // n for i in range(n + 1)]
     tiles = []

@@ -22,9 +22,12 @@ line, which `infer` and `sweep` check on load (formats.LogitCache).
 Its records, read first, vouch for feature and head lines even if the
 cached grids are then dropped: a quadrat read from a file parses its features,
 and a head they vouch for its values, only when a grid that needs them
-misses the cache, so a fully warm run parses none.
+misses the cache, so a fully warm run parses none and builds no tile
+grid (a hit needs a grid's scale and scale^2 alone). As crop_key keys a
+crop by 9 significant digits, RunConfig takes no crop fraction of more.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -34,7 +37,7 @@ import numpy as np
 from .ensemble import HeadSelection, bag, compose_model, kernel_smooth
 from .errors import ConfigError, QuadfloraError, ShapeError
 from .fusion import TileLogits, fuse
-from .geometry import CropSpec, GridSpec, Rect, central_crop, tile_grid
+from .geometry import CropSpec, GridSpec, Rect, central_crop, check_fits, tile_grid
 from .selection import (
     CandidateSet,
     PredictionSet,
@@ -83,6 +86,8 @@ class RunConfig:
             GridSpec(s, self.overlap_frac)  # validates both
         for f in self.crop_fracs:
             CropSpec(f)
+            if float("%.9g" % f) != f:  # else two crops could share a cache key (crop_key)
+                raise ConfigError(f"crop fraction {f!r} has more than 9 significant digits")
         if self.kernel_w is not None and not 0 <= self.kernel_w < math.inf:
             raise ConfigError(f"kernel_w must be finite and >= 0, got {self.kernel_w}")
 
@@ -92,37 +97,40 @@ def crop_key(crop_frac: float) -> str:
     return "%.9g" % (100.0 * crop_frac)
 
 
-def _logit_block(model, level, quadrat, crop, grids, cache, features) -> np.ndarray:
+def _pooled(quadrat: Quadrat, region: Rect, scales: Sequence[int], overlap_frac: float):
+    """(tiles x D) pooled features of the region's grids at scales, in
+    (scale, row, col) order: when a quadrat read from a file parses them."""
+    grids = [tile_grid(region, GridSpec(s, overlap_frac)) for s in scales]
+    return np.array([tile_features(quadrat, t) for grid in grids for t in grid])
+
+
+def _logit_block(model, level, quadrat, crop, scales, cache, pooled) -> np.ndarray:
     """(tiles x classes) logits of one model level over the crop's grids.
 
-    Each (crop, scale) grid is one cache entry. On a miss the head runs
-    once on the whole grid (one GEMM), and the result is put whole, as
-    computed. GEMM's last bits can depend on the batch size, so the batch
-    is always one grid, and a grid's values depend on its cache key
-    alone, whatever else a run asks for.
+    Each (crop, scale) grid is one cache entry of scale^2 rows. On a miss
+    the head runs once on the whole grid (one GEMM), and the result is
+    put whole, as computed. GEMM's last bits can depend on the batch
+    size, so the batch is always one grid, and a grid's values depend on
+    its cache key alone, whatever else a run asks for.
 
-    features is the crop's list, shared by every model and level; the
-    first miss puts the crop's (tiles x D) pooled features in it, which
-    is when a quadrat read from a file parses its feature values.
+    pooled() gives the crop's (tiles x D) pooled features (_pooled), on
+    the first miss only; it is shared by every model and level.
     """
     blocks = []
     start = 0
-    for grid in grids:
-        key = (model.model_id, quadrat.quadrat_id, crop, grid[0].scale, level)
+    for scale in scales:
+        key = (model.model_id, quadrat.quadrat_id, crop, scale, level)
         block = cache.get(key) if cache is not None else None
         if block is None:
-            if not features:
-                if quadrat.features() is None:
-                    raise QuadfloraError(
-                        f"quadrat {quadrat.quadrat_id} has no features and the cache "
-                        f"lacks {key}"
-                    )
-                features.append(np.array([tile_features(quadrat, t) for g in grids for t in g]))
-            block = head_logits(model, level, features[0][start : start + len(grid)])
+            if quadrat.features() is None:
+                raise QuadfloraError(
+                    f"quadrat {quadrat.quadrat_id} has no features and the cache lacks {key}"
+                )
+            block = head_logits(model, level, pooled()[start : start + scale * scale])
             if cache is not None:
                 cache.put(key, block)
         blocks.append(block)
-        start += len(grid)
+        start += scale * scale
     if any(b.shape[1:] != blocks[0].shape[1:] for b in blocks):
         raise ShapeError(f"{level} logits of {model.model_id} differ in length across grids")
     return blocks[0] if len(blocks) == 1 else np.vstack(blocks)
@@ -144,14 +152,17 @@ def infer_quadrat(
     for crop_frac in cfg.crop_fracs:
         crop = crop_key(crop_frac)
         region = central_crop(image, CropSpec(crop_frac))
-        grids = [tile_grid(region, GridSpec(s, cfg.overlap_frac)) for s in scales]
-        features = []
+        for s in scales:
+            check_fits(region, s)
+        pooled = functools.cache(
+            functools.partial(_pooled, quadrat, region, scales, cfg.overlap_frac)
+        )
         for model in models:
             blocks = {}
             for level in LEVELS:
                 if model.head_for(level) is None:
                     continue
-                block = _logit_block(model, level, quadrat, crop, grids, cache, features)
+                block = _logit_block(model, level, quadrat, crop, scales, cache, pooled)
                 if cfg.kernel_w:
                     block = kernel_smooth(block, cfg.kernel_w, scales)
                 blocks[level] = block

@@ -506,7 +506,7 @@ class TestCacheFingerprint:
         assert cache.read_bytes() == written
 
     def test_warm_run_parses_no_features_and_writes_nothing(
-        self, gen_dir, tmp_path, monkeypatch
+        self, gen_dir, tmp_path, monkeypatch, capsys
     ):
         from quadflora import pipeline
 
@@ -532,6 +532,20 @@ class TestCacheFingerprint:
             return read_row_lines(path, *args)
 
         monkeypatch.setattr(formats, "read_row_lines", counting_reader)
+        # tile grids, and the quadrats whose tiles were pooled
+        grids, pooled = [], set()
+        tile_grid, tile_features = pipeline.tile_grid, pipeline.tile_features
+
+        def counting_grid(*args):
+            grids.append(args)
+            return tile_grid(*args)
+
+        def counting_pool(quadrat, tile):
+            pooled.add(quadrat.quadrat_id)
+            return tile_features(quadrat, tile)
+
+        monkeypatch.setattr(pipeline, "tile_grid", counting_grid)
+        monkeypatch.setattr(pipeline, "tile_features", counting_pool)
         features = str(gen_dir / "quadrats.csv")
         # the rows of heads the run's models (lin1+mlp2+mlp2) do not use
         heads_csv = gen_dir / "heads.csv"
@@ -546,19 +560,70 @@ class TestCacheFingerprint:
         assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
         assert any(where.startswith(features + ":") for where in parsed) and heads
         assert features in read and not unused_rows & set(parsed)
+        qids = sorted({line.split(",")[0] for line in open(features).readlines()[1:]})
+        assert len(grids) == 2 * len(qids) and pooled == set(qids)  # scales 4 and 5
         files = [gen_dir / "logit_cache.csv"]
         assert not sidecar_path(files[0]).exists()
         stats = [(os.stat(f).st_ino, os.stat(f).st_mtime_ns) for f in files]
-        parsed.clear()
-        heads.clear()
-        read.clear()
+        for seen in (parsed, heads, read, grids, pooled):
+            seen.clear()
         assert main(infer_argv(cfg, gen_dir, tmp_path / "warm.csv")) == 0
         assert parsed == []  # no feature or head value
         assert heads == []
         assert features not in read and not unused_rows & set(parsed)
+        assert str(heads_csv) not in read  # no heads.csv line checked either
+        assert grids == [] and pooled == set()
         assert [(os.stat(f).st_ino, os.stat(f).st_mtime_ns) for f in files] == stats
         assert not sidecar_path(files[0]).exists()
         assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+        # one quadrat's features changed: its grids alone miss the cache
+        edit_head_value(gen_dir / "quadrats.csv", f"{qids[1]},")
+        capsys.readouterr()
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "edited.csv")) == 0
+        assert "dropped 6 of 36 grids (6 for changed features)" in capsys.readouterr().err
+        assert len(grids) == 2 and pooled == {qids[1]}
+
+    def test_unused_head_keeps_its_old_record_while_its_grids_are_kept(
+        self, gen_dir, tmp_path, capsys
+    ):
+        # Grids of a second model, whose genus head is then edited: a run of
+        # the first model keeps them, and the cache it writes keeps that
+        # head's old record, so a run of the second model drops them.
+        models = "lin1+mlp2+mlp2,lin1c+lin1+lin1"
+        both = run_cfg_file(tmp_path, RUN_CFG.replace("lin1+mlp2+mlp2", models))
+        first = tmp_path / "first.cfg"
+        first.write_text(RUN_CFG)
+        second = tmp_path / "second.cfg"
+        second.write_text(RUN_CFG.replace("lin1+mlp2+mlp2", "lin1c+lin1+lin1"))
+        assert main(infer_argv(both, gen_dir, tmp_path / "both.csv")) == 0
+        cache = gen_dir / "logit_cache.csv"
+        old = formats.cache_records(cache)["heads"]["genus/lin1"]
+        edit_head_value(gen_dir / "heads.csv", "genus,lin1,w,")
+        qid = (gen_dir / "quadrats.csv").read_text().splitlines()[1].split(",")[0]
+        edit_head_value(gen_dir / "quadrats.csv", f"{qid},")  # so the run rewrites the cache
+        capsys.readouterr()
+        assert main(infer_argv(first, gen_dir, tmp_path / "first.csv")) == 0
+        assert "(12 for changed features)" in capsys.readouterr().err
+        assert formats.cache_records(cache)["heads"]["genus/lin1"] == old
+        assert main(infer_argv(second, gen_dir, tmp_path / "second.csv")) == 0
+        assert "dropped 30 of 66 grids (30 for changed heads)" in capsys.readouterr().err
+        fresh = fresh_cache_submission(tmp_path, second, gen_dir)
+        assert (tmp_path / "second.csv").read_bytes() == fresh
+        assert formats.cache_records(cache)["heads"]["genus/lin1"] != old
+
+    def test_cold_run_records_every_heads_lines(self, gen_dir, tmp_path):
+        # the heads the run's models do not use included
+        cfg = run_cfg_file(tmp_path)
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
+        lines: dict[str, bytes] = {}
+        for line in (gen_dir / "heads.csv").read_bytes().splitlines(keepends=True)[1:]:
+            name = b"/".join(line.split(b",")[:2]).decode()
+            lines[name] = lines.get(name, b"") + line
+        assert len(lines) > 3
+        assert formats.cache_records(gen_dir / "logit_cache.csv")["heads"] == {
+            name: {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+            for name, data in lines.items()
+        }
 
     def test_unused_head_edit_keeps_the_cache(self, gen_dir, tmp_path, capsys):
         cfg = run_cfg_file(tmp_path)
@@ -756,6 +821,16 @@ class TestTaxonomyValidate:
 
 
 class TestErrorContract:
+    def test_crop_fraction_beyond_9_digits(self, gen_dir, tmp_path):
+        # its cache key would be that of 0.1, whose grids it would reuse
+        text = RUN_CFG.replace("crop_fracs = 0", "crop_fracs = 0.0999999999999")
+        cfg = run_cfg_file(tmp_path, text)
+        err = assert_cli_error(
+            "infer", "--config", cfg, "--data", gen_dir, "--out", tmp_path / "s.csv"
+        )
+        assert "error: crop fraction 0.0999999999999 has more than 9 significant digits" in err
+        assert not (gen_dir / "logit_cache.csv").exists() and not (tmp_path / "s.csv").exists()
+
     def test_bad_sweep_target(self, gen_dir, tmp_path):
         cfg = run_cfg_file(tmp_path)
         err = assert_cli_error(

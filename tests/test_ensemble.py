@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import per_tile
-from quadflora.ensemble import HeadSelection, bag, compose_model, kernel_smooth
+from quadflora.ensemble import HeadSelection, bag, compose_model, kernel_smooth, smooth_grid
 from quadflora.errors import (
     ConfigError,
     IncompleteGridError,
@@ -192,6 +192,47 @@ class TestKernelSmooth:
                 acc += 0.3 * tiles[(4, r, c)].species
             np.testing.assert_array_equal(per_tile_out[key].species, acc)
             np.testing.assert_array_equal(out[i], acc)
+
+    @staticmethod
+    def old_smooth_grid(grid, w, n):
+        """The earlier smooth_grid body, the oracle: four w * x products."""
+        x = grid.reshape(n, n, -1)
+        acc = x.astype(np.float64, copy=True)
+        acc[1:] += w * x[:-1]
+        acc[:-1] += w * x[1:]
+        acc[:, 1:] += w * x[:, :-1]
+        acc[:, :-1] += w * x[:, 1:]
+        return acc.reshape(grid.shape)
+
+    def old_kernel_smooth(self, block, w, scales):
+        """The earlier kernel_smooth body, the oracle: each grid smoothed
+        by old_smooth_grid into a fresh array."""
+        if w == 0:
+            return block
+        out = np.empty(block.shape)
+        start = 0
+        for n in scales:
+            out[start : start + n * n] = self.old_smooth_grid(block[start : start + n * n], w, n)
+            start += n * n
+        return out
+
+    @pytest.mark.parametrize("w", [0.0, 0.3, 1.7])
+    @pytest.mark.parametrize("scales,cols", [((1,), 1), ((3,), 7), ((1, 2, 5), 3), ((4, 7), 11)])
+    def test_products_taken_once_are_bit_identical(self, w, scales, cols):
+        rng = np.random.default_rng(len(scales) * 100 + cols)
+        tiles = sum(n * n for n in scales)
+        values = rng.standard_normal((tiles, cols)) * 10.0 ** rng.integers(-6, 6, (tiles, cols))
+        values[0, 0] = -0.0
+        # C-ordered, Fortran-ordered and column-sliced blocks
+        for block in (values, np.asfortranarray(values), np.hstack([values, values])[:, ::2]):
+            out = kernel_smooth(block, w, scales)
+            assert out.tobytes() == self.old_kernel_smooth(block, w, scales).tobytes()
+            start = 0
+            for n in scales:
+                grid = block[start : start + n * n]
+                expected = self.old_smooth_grid(grid, w, n)
+                assert smooth_grid(grid, w, n).tobytes() == expected.tobytes()
+                start += n * n
 
     def test_incomplete_grid(self):
         with pytest.raises(IncompleteGridError):

@@ -512,12 +512,12 @@ class TestHeadRegistry:
         ).records
         used = {("species", "lin1"), ("genus", "mlp2"), ("family", "lin1")}
         for heads in (used, None):
+            # every head's lines are recorded, whichever heads a run uses
             records = formats.load_head_registry(path, heads, {}).records
             expected = {}
             for line in lines:
                 level, head_id = line.split(",")[:2]
-                if heads is None or (level, head_id) in heads:
-                    expected[f"{level}/{head_id}"] = expected.get(f"{level}/{head_id}", "") + line
+                expected[f"{level}/{head_id}"] = expected.get(f"{level}/{head_id}", "") + line
             expected = {name: text.encode() for name, text in expected.items()}
             assert records == {
                 name: {"bytes": len(raw), "sha256": hashlib.sha256(raw).hexdigest()}
@@ -574,6 +574,83 @@ class TestHeadRegistry:
         assert isinstance(loaded.heads["genus"]["mlp2"], formats._RecordedHead)
         formats.write_head_registry(loaded, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+    @staticmethod
+    def head_lines(path) -> dict[str, list[int]]:
+        """The line numbers of each head's lines, by "level/head_id"."""
+        numbers: dict[str, list[int]] = {}
+        for lineno, line in enumerate(path.read_text().splitlines()[1:], start=2):
+            numbers.setdefault("/".join(line.split(",")[:2]), []).append(lineno)
+        return numbers
+
+    @pytest.mark.parametrize("edit", [None, "unused_head", "crlf"])
+    def test_recorded_registry_checks_lines_at_first_use(self, world, tmp_path, monkeypatch, edit):
+        # Every head's lines hashing to their records: no line is checked
+        # at load, and a head's first use checks its own lines alone. Any
+        # edit, even to a head the run does not use, checks every line.
+        _, quads, registry = world
+        path = tmp_path / "heads.csv"
+        formats.write_head_registry(registry, path)
+        used = {("species", "lin1"), ("genus", "mlp2"), ("family", "lin1")}
+        eager = formats.load_head_registry(path, used)
+        records = eager.records
+        if edit == "unused_head":
+            text = path.read_text()
+            i = text.index("\nspecies,lin1c,w,0,") + len("\nspecies,lin1c,w,0,")
+            path.write_text(text[:i] + "0.125" + text[text.index(";", i) :])
+        elif edit == "crlf":
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        read, read_row_lines = [], formats.read_row_lines
+
+        def counting_reader(*args):
+            for lineno, fields, line in read_row_lines(*args):
+                read.append(lineno)
+                yield lineno, fields, line
+
+        monkeypatch.setattr(formats, "read_row_lines", counting_reader)
+        loaded = formats.load_head_registry(path, used, records)
+        numbers = self.head_lines(path)
+        assert read == ([] if edit is None else sorted(n for ns in numbers.values() for n in ns))
+        assert loaded.records.keys() == records.keys() == numbers.keys()
+        assert (loaded.records == records) == (edit is None)
+        read.clear()
+        features = quads[0].features().reshape(-1, quads[0].features().shape[-1])
+        for level, head_id in sorted(used):
+            lazy = loaded.heads[level][head_id]
+            # CRLF lines hash to no record: every head is parsed at load
+            assert isinstance(lazy, formats._RecordedHead) == (edit != "crlf")
+            logits = lazy.apply(features)
+            assert logits.tobytes() == eager.heads[level][head_id].apply(features).tobytes()
+            assert read == ([] if edit else numbers[f"{level}/{head_id}"])
+            read.clear()
+
+    @pytest.mark.parametrize("edit", ["another_head", "bad_row"])
+    def test_recorded_head_lines_that_break_the_head_are_an_error(self, world, tmp_path, edit):
+        # Records edited by hand, to vouch for lines that never passed the
+        # checks: the error names the true line, at the head's first use.
+        _, _, registry = world
+        path = tmp_path / "heads.csv"
+        formats.write_head_registry(registry, path)
+        header, *rows = path.read_bytes().splitlines(keepends=True)
+        numbers = self.head_lines(path)
+        a, b = "species/lin1", "species/lin1c"
+        assert numbers[b][0] == numbers[a][-1] + 1
+        spans = {name: [rows[n - 2] for n in lines] for name, lines in numbers.items()}
+        if edit == "another_head":  # a's record takes b's first line too
+            spans[a].append(spans[b].pop(0))
+            where, message = numbers[b][0], f"head {b} inside another's recorded lines"
+        else:
+            spans[a][1] = spans[a][1].replace(b",w,", b",w3,", 1)
+            where, message = numbers[a][1], "unknown param 'w3'"
+            path.write_bytes(b"".join([header, *(row for span in spans.values() for row in span)]))
+        records = {}
+        for name, lines in spans.items():
+            data = b"".join(lines)
+            records[name] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+        loaded = formats.load_head_registry(path, {("species", "lin1")}, records)
+        assert loaded.records == records
+        with pytest.raises(FormatError, match=f"^{path}:{where}: {message}$"):
+            loaded.heads["species"]["lin1"].apply(np.zeros((1, 6)))
 
 
 def f8(values) -> bytes:

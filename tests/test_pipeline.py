@@ -15,7 +15,13 @@ import per_tile
 from quadflora import cli, pipeline, selection
 from quadflora._util import canonical9
 from quadflora.ensemble import HeadSelection, compose_model
-from quadflora.errors import ConfigError, IncongruentMembersError, QuadfloraError, ShapeError
+from quadflora.errors import (
+    ConfigError,
+    GeometryError,
+    IncongruentMembersError,
+    QuadfloraError,
+    ShapeError,
+)
 from quadflora.formats import LogitCache
 from quadflora.fusion import FusedScores, TileLogits, fuse
 from quadflora.geometry import CropSpec, GridSpec, Rect, central_crop, tile_grid
@@ -711,14 +717,33 @@ class TestCache:
         tax, quads, registry = world
         model = default_models(registry)[0]
         region = Rect(0, 0, quads[0].grid_cells, quads[0].grid_cells)
-        grids = [tile_grid(region, GridSpec(s)) for s in (2, 3)]
+
+        def pooled(scales):
+            return lambda: pipeline._pooled(quads[0], region, scales, 0.0)
+
         cache = LogitCache()
-        one = pipeline._logit_block(model, "species", quads[0], "0", grids[:1], cache, [])
+        one = pipeline._logit_block(model, "species", quads[0], "0", [2], cache, pooled([2]))
         assert one is cache.get((model.model_id, quads[0].quadrat_id, "0", 2, "species"))
         with pytest.raises(ValueError, match="read-only"):
             one[0, 0] = 0.0
-        two = pipeline._logit_block(model, "species", quads[0], "0", grids, cache, [])
+        two = pipeline._logit_block(
+            model, "species", quads[0], "0", [2, 3], cache, pooled([2, 3])
+        )
         assert two.flags.writeable and two[:4].tobytes() == one.tobytes()
+
+    def test_cached_grids_of_a_scale_too_large_still_fail(self, world):
+        # a warm cache builds no tile grid, but a scale must still fit the crop
+        tax, quads, registry = world
+        models = default_models(registry)
+        cache = LogitCache()
+        for model in models:
+            for level in LEVELS:
+                if model.head_for(level) is not None:
+                    key = (model.model_id, quads[0].quadrat_id, "25", 11, level)
+                    cache.put(key, np.zeros((121, 3)))
+        cfg = RunConfig(scales=(11,), crop_fracs=(0.25,))
+        with pytest.raises(GeometryError, match="^scale 11 too large for 10x10 region$"):
+            infer_quadrat(quads[0], cfg, tax, models, cache)
 
     def test_featureless_quadrat_without_cache_fails(self, world):
         tax, quads, registry = world
@@ -736,6 +761,13 @@ class TestRunConfig:
     def test_validates_crop(self):
         with pytest.raises(ConfigError):
             RunConfig(scales=(2,), crop_fracs=(0.4,))
+
+    def test_crop_needs_at_most_9_significant_digits(self):
+        # 0.0999999999999 crops otherwise than 0.1, but its cache key is 10 too
+        assert crop_key(0.0999999999999) == crop_key(0.1)
+        with pytest.raises(ConfigError, match="more than 9 significant digits"):
+            RunConfig(scales=(2,), crop_fracs=(0.1, 0.0999999999999))
+        assert RunConfig(scales=(2,), crop_fracs=(0.123456789, 0.25)).crop_fracs[0] == 0.123456789
 
     def test_validates_kernel(self):
         with pytest.raises(ConfigError):
