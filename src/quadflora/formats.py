@@ -22,15 +22,16 @@ logit cache    JSON header; [model_id,quadrat_id,crop_pct,scale,level,rows,cols]
 config         flat "key = value" lines, '#' comments
 
 A logit cache's header line records the byte count and sha256 of the
-lines of each quadrat once they have been checked and parsed, and of
-every head once they have been checked. They are read first
-(cache_records), and vouch for those lines even if the cache's grids are
-then dropped. A features file or head registry is checked line by line,
+lines of each quadrat and of every head once they have been checked.
+They are read first (cache_records), and vouch for those lines even if
+the cache's grids are then dropped. A features file or head registry is checked line by line,
 but for its float values, unless its lines hash to those records, each
 quadrat's or head's lines in one run (_walk; so interleaved rows, a
 blank line or any edit are checked line by line on every run): then a
 quadrat's or head's lines, and only its own, are checked when first
-needed. Each quadrat's values are parsed only then (a logit cache miss).
+needed. A quadrat's values are parsed only then (a logit cache miss), and
+only those of the cells the missing grid's crop covers: a cropped run
+never parses its quadrats' border cells.
 The heads a run uses are parsed at load, except those whose lines hash
 to their records: a cache miss parses these. So a run served entirely
 from a cache checks no features or heads line and parses no value.
@@ -71,6 +72,7 @@ from .errors import (
     QuadfloraError,
     ShapeError,
 )
+from .geometry import Rect
 from .metric import GroundTruthTable, ScoreReport
 from .pipeline import RunConfig
 from .selection import PredictionSet, SelectionConfig
@@ -115,6 +117,17 @@ def _parse_values(field: str, where: str) -> np.ndarray:
     return values
 
 
+class _NumberedFields:
+    """Numbered lines' values fields as the (where, field) rows of
+    _parse_block, each row's "path:line" text built only when it is read."""
+
+    def __init__(self, path, linenos: Sequence[int], fields: Sequence[str]):
+        self.path, self.linenos, self.fields = path, linenos, fields
+
+    def __getitem__(self, i: int) -> tuple[str, str]:
+        return f"{self.path}:{self.linenos[i]}", self.fields[i]
+
+
 def _parse_block(rows: Sequence[tuple[str, str]]) -> Optional[np.ndarray]:
     """The values fields of (where, field) rows as one (rows x values)
     matrix, parsed by one np.loadtxt call; None if the rows differ in
@@ -122,14 +135,14 @@ def _parse_block(rows: Sequence[tuple[str, str]]) -> Optional[np.ndarray]:
     empty field) and no warning, or if a field holds \\x1c-\\x1f (space
     to loadtxt, not to float()), the rows are parsed one by one by
     _parse_values, the oracle, so an error names its row's own line."""
-    fields = [field for _, field in rows]
+    fields = rows.fields if isinstance(rows, _NumberedFields) else [field for _, field in rows]
     joined = "".join(fields)
     if not any(c in joined for c in "\x1c\x1d\x1e\x1f"):
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 values = np.loadtxt(fields, delimiter=";", comments=None, ndmin=2)
-            if len(values) == len(rows) and np.isfinite(values).all():
+            if len(values) == len(fields) and np.isfinite(values).all():
                 return values
         except (ValueError, Warning):
             pass
@@ -241,11 +254,13 @@ class _FeatureRows:
 
     record is the byte count and sha256 of those lines, in file order and
     with their line ends, which fingerprints logit caches computed from
-    them. rows maps each (row, col) to its line number and values field,
-    once the lines are checked. While a recorded digest vouches for them
-    (_recorded), span holds instead their span of the file (_walk).
-    Calling the object checks those lines then, and only those, and
-    parses the values, once, into the (grid, grid, dim) cell array.
+    them. rows maps each (row, col) not yet parsed to its line number and
+    values field, once the lines are checked. While a recorded digest
+    vouches for them (_recorded), span holds instead their span of the
+    file (_walk). The first call checks those lines, and only those. A
+    call parses the values of a region's cells (all cells if None), in
+    one _parse_block call, into the (grid, grid, dim) cell array, whose
+    cells stay NaN until a call needs them.
     """
 
     def __init__(self, path, qid: str, meta: tuple[str, int, int]):
@@ -254,19 +269,28 @@ class _FeatureRows:
         self.span: Optional[tuple] = None
         self.record: dict = {}
         self.cells: Optional[np.ndarray] = None
+        self.regions: list[Rect] = []  # those whose cells are all parsed
 
-    def __call__(self) -> np.ndarray:
+    def __call__(self, region: Optional[Rect] = None) -> np.ndarray:
+        _, grid, dim = self.meta
         if self.cells is None:
             if self.span is not None:
                 text, first_line = _span_text(self.path, self.span)
                 self.rows = _check_features(self.path, text, first_line)[self.qid].rows
                 self.span = None
-            _, grid, dim = self.meta
-            cells = np.empty((grid, grid, dim))
-            cells.reshape(-1, dim)[[r * grid + c for r, c in self.rows]] = _parse_block(
-                [(f"{self.path}:{lineno}", field) for lineno, field in self.rows.values()]
-            )
-            self.cells, self.rows = cells, {}
+            self.cells = np.full((grid, grid, dim), np.nan)
+        region = region or Rect(0, 0, grid, grid)
+        if self.rows and not any(done.contains(region) for done in self.regions):
+            y0, y1, x0, x1 = region.y0, region.y1, region.x0, region.x1
+            cells = [(r, c) for r, c in self.rows if y0 <= r < y1 and x0 <= c < x1]
+            if cells:
+                linenos, fields = zip(*map(self.rows.get, cells))
+                self.cells[tuple(zip(*cells))] = _parse_block(
+                    _NumberedFields(self.path, linenos, fields)
+                )
+                for rc in cells:
+                    del self.rows[rc]
+            self.regions.append(region)
         return self.cells
 
 
@@ -380,10 +404,10 @@ def load_quadrat_features(path, records: Optional[Mapping[str, dict]] = None) ->
     unless records (cache_records(cache)["quadrats"]) vouch for the
     whole file (_recorded): then a quadrat's lines are checked, and only
     its own, the first time its features are needed. A quadrat's values
-    are parsed then (Quadrat.features), and a check or parse error names
-    the file and line then. Each quadrat's _FeatureRows holds the byte
-    count and sha256 of its lines, which fingerprint logit caches
-    computed from it.
+    are parsed then, those of the region asked for (Quadrat.features),
+    and a check or parse error names the file and line then. Each
+    quadrat's _FeatureRows holds the byte count and sha256 of its lines,
+    which fingerprint logit caches computed from it.
     """
     sources = _recorded(path, records) if records else None
     if sources is None:
@@ -687,11 +711,12 @@ class LogitCache:
     last digit. Loaded without one, the header is not read and every
     grid is kept. Records of quadrats outside the run are kept as they
     are, and those of heads the run does not use while a grid kept
-    depends on them. A quadrat's lines are recorded only once they have
-    been checked and their values parsed, and a head's once they have
-    been checked, in this run or an earlier one, which is what lets a
-    later load (cache_records) take them unchecked and unparsed, even
-    when the grids themselves are dropped.
+    depends on them; another stale head record is rewritten at once. A
+    quadrat's or head's lines are recorded only once they have been
+    checked, in this run or an earlier one, which is what lets a later
+    load (cache_records) take them unchecked, even when the grids
+    themselves are dropped. A value is parsed when a run first needs it,
+    and a bad one is reported then.
     """
 
     def __init__(self, path=None):
@@ -760,8 +785,17 @@ class LogitCache:
             warnings.warn(
                 f"logit cache {path}: dropped {dropped.total()} of {len(grids)} grids ({reasons})"
             )
-        cache._dirty = bool(dropped)
+        cache._dirty = bool(dropped) or (
+            fingerprint is not None and cache._head_records() != record["heads"]
+        )
         return cache
+
+    def _head_records(self) -> dict:
+        """The head records save writes: the run's, for every head, but an
+        old one while a grid kept depends on it."""
+        needed = {f"{lv}/{h}" for key in self._data for lv, h in zip(LEVELS, key[0].split("+"))}
+        old = self._recorded["heads"]
+        return {**self._fingerprint.heads, **{n: r for n, r in old.items() if n in needed}}
 
     def __len__(self) -> int:
         return sum(len(block) for block in self._data.values())
@@ -792,11 +826,8 @@ class LogitCache:
         fp = self._fingerprint
         if fp is not None:
             header.update(overlap_frac=fp.overlap_frac, blas=blas_record())
-            old = self._recorded
-            # an unused head's old record stays while a grid kept depends on it
-            needed = {f"{lv}/{h}" for key in self._data for lv, h in zip(LEVELS, key[0].split("+"))}
-            header["heads"] = {**fp.heads, **{n: r for n, r in old["heads"].items() if n in needed}}
-            header["quadrats"] = {**old["quadrats"], **fp.quadrats}
+            header["heads"] = self._head_records()
+            header["quadrats"] = {**self._recorded["quadrats"], **fp.quadrats}
         atomic_write_text(self.path, _json_line(header) + body)
         self._dirty = False
 

@@ -20,11 +20,12 @@ depends on (the text of its model's heads and of its quadrat's
 features, the tile overlap) is recorded in the cache file's header
 line, which `infer` and `sweep` check on load (formats.LogitCache).
 Its records, read first, vouch for feature and head lines even if the
-cached grids are then dropped: a quadrat read from a file parses its features,
-and a head they vouch for its values, only when a grid that needs them
-misses the cache, so a fully warm run parses none and builds no tile
-grid (a hit needs a grid's scale and scale^2 alone). As crop_key keys a
-crop by 9 significant digits, RunConfig takes no crop fraction of more.
+cached grids are then dropped: a quadrat read from a file parses its
+features, those of the crop alone, and a head they vouch for its values,
+only when a grid that needs them misses the cache, so a fully warm run
+parses none and builds no tile grid (a hit needs a grid's scale and
+scale^2 alone). As crop_key keys a crop by 9 significant digits,
+RunConfig takes no crop fraction of more.
 """
 
 import functools
@@ -99,7 +100,9 @@ def crop_key(crop_frac: float) -> str:
 
 def _pooled(quadrat: Quadrat, region: Rect, scales: Sequence[int], overlap_frac: float):
     """(tiles x D) pooled features of the region's grids at scales, in
-    (scale, row, col) order: when a quadrat read from a file parses them."""
+    (scale, row, col) order. A quadrat read from a file parses the cells
+    of the region first, in one go; each tile then finds its own parsed."""
+    quadrat.features(region)
     grids = [tile_grid(region, GridSpec(s, overlap_frac)) for s in scales]
     return np.array([tile_features(quadrat, t) for grid in grids for t in grid])
 
@@ -122,7 +125,7 @@ def _logit_block(model, level, quadrat, crop, scales, cache, pooled) -> np.ndarr
         key = (model.model_id, quadrat.quadrat_id, crop, scale, level)
         block = cache.get(key) if cache is not None else None
         if block is None:
-            if quadrat.features() is None:
+            if quadrat.cells is None and quadrat.load_cells is None:
                 raise QuadfloraError(
                     f"quadrat {quadrat.quadrat_id} has no features and the cache lacks {key}"
                 )

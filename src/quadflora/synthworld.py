@@ -80,9 +80,9 @@ class Quadrat:
     """One synthetic plot.
 
     Generated quadrats hold their cells. A quadrat read from a features
-    file has cells None and a load_cells that parses them on first use
-    (see formats.load_quadrat_features). With neither, it is a
-    feature-less stub whose logits come entirely from a cache.
+    file has cells None and a load_cells that parses them, by region, as
+    first needed (see formats.load_quadrat_features). With neither, it is
+    a feature-less stub whose logits come entirely from a cache.
     """
 
     quadrat_id: str
@@ -90,14 +90,16 @@ class Quadrat:
     grid_cells: int
     cells: Optional[np.ndarray]  # (grid, grid, feature_dim)
     truth: frozenset = field(default_factory=frozenset)
-    load_cells: Optional[Callable[[], np.ndarray]] = field(
+    load_cells: Optional[Callable[[Optional[Rect]], np.ndarray]] = field(
         default=None, repr=False, compare=False
     )
 
-    def features(self) -> Optional[np.ndarray]:
-        """The (grid, grid, feature_dim) cells, loaded if need be; None for a stub."""
+    def features(self, region: Optional[Rect] = None) -> Optional[np.ndarray]:
+        """The (grid, grid, feature_dim) cells, None for a stub. A quadrat
+        read from a file parses every cell, or with a region those of the
+        region alone: its cells outside the region may then be NaN."""
         if self.cells is None and self.load_cells is not None:
-            return self.load_cells()
+            return self.load_cells(region)
         return self.cells
 
 
@@ -189,10 +191,10 @@ class HeadRegistry:
 
 def tile_features(q: Quadrat, t: TileRef) -> np.ndarray:
     """Mean of the cell feature vectors inside the tile's rectangle."""
-    cells = q.features()
+    r = t.rect
+    cells = q.features(r)
     if cells is None:
         raise QuadfloraError(f"quadrat {q.quadrat_id} has no feature grid")
-    r = t.rect
     if not Rect(0, 0, q.grid_cells, q.grid_cells).contains(r):
         raise GeometryError(f"tile {r!r} outside quadrat {q.quadrat_id}")
     return cells[r.y0 : r.y1, r.x0 : r.x1].mean(axis=(0, 1))

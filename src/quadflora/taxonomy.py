@@ -7,6 +7,7 @@ labels are kept for serialization and for translating predictions back
 to the id space of the input files.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,9 +97,9 @@ class TaxonomyTable:
     def family_of(self, species: int) -> int:
         return int(self.genus_to_family[self.genus_of(species)])
 
-    @property
+    @functools.cached_property
     def species_to_family(self) -> np.ndarray:
-        """Composed dense map, species index -> family index."""
+        """Composed dense map, species index -> family index; built once."""
         return self.genus_to_family[self.species_to_genus]
 
     def __eq__(self, other) -> bool:

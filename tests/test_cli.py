@@ -625,17 +625,44 @@ class TestCacheFingerprint:
             for name, data in lines.items()
         }
 
-    def test_unused_head_edit_keeps_the_cache(self, gen_dir, tmp_path, capsys):
+    def test_unused_head_edit_keeps_the_grids_and_rewrites_the_header_once(
+        self, gen_dir, tmp_path, capsys, monkeypatch
+    ):
+        # The first run after the edit keeps every grid and rewrites the
+        # header, whose record of the edited head it renews; the second run
+        # checks no heads.csv line at load and leaves the cache as it is.
         cfg = run_cfg_file(tmp_path)
         assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
-        files = [gen_dir / "logit_cache.csv"]
-        before = file_states(*files)
+        cache = gen_dir / "logit_cache.csv"
+        cold_header, *cold_grids = cache_file.parts(cache.read_bytes())
         edit_head_value(gen_dir / "heads.csv", "species,lin1c,w,")
+        read = []
+        read_row_lines = formats.read_row_lines
+
+        def counting_reader(path, *args):
+            read.append(str(path))
+            return read_row_lines(path, *args)
+
+        monkeypatch.setattr(formats, "read_row_lines", counting_reader)
         capsys.readouterr()
         assert main(infer_argv(cfg, gen_dir, tmp_path / "warm.csv")) == 0
         assert capsys.readouterr().err == ""
-        assert file_states(*files) == before
-        assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+        assert str(gen_dir / "heads.csv") in read
+        header, *grids = cache_file.parts(cache.read_bytes())
+        assert grids == cold_grids
+        renewed = {k: v for k, v in header.items() if k != "heads"}
+        assert renewed == {k: v for k, v in cold_header.items() if k != "heads"}
+        assert header["heads"].keys() == cold_header["heads"].keys()
+        changed = {n for n, r in header["heads"].items() if r != cold_header["heads"][n]}
+        assert changed == {"species/lin1c"}
+        before = file_states(cache)
+        read.clear()
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "again.csv")) == 0
+        assert capsys.readouterr().err == ""
+        assert str(gen_dir / "heads.csv") not in read
+        assert file_states(cache) == before
+        for out in ("warm.csv", "again.csv"):
+            assert (tmp_path / out).read_bytes() == (tmp_path / "cold.csv").read_bytes()
 
     def test_interleaved_features_keep_the_cache(self, gen_dir, tmp_path, capsys):
         # Two quadrats' lines interleaved, each in its own order, and a blank
@@ -673,6 +700,116 @@ class TestCacheFingerprint:
         assert "OtherBLAS" in warned[0]
         assert file_states(*files) == before
         assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
+
+
+def spoil_first_cell(features, qid, token="nan"):
+    """Set the first value of quadrat qid's cell (0, 0), a border cell, to
+    token; return the line number."""
+    lines = features.read_text().splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if re.match(f"{qid},[^,]*,[^,]*,[^,]*,0,0,", line))
+    head, values = lines[i].rsplit(",", 1)
+    lines[i] = f"{head},{token};" + values.split(";", 1)[1]
+    features.write_text("".join(lines))
+    return i + 1
+
+
+class TestRegionParse:
+    """A cold run parses the feature cells its crops cover, and no others."""
+
+    CROPS = ["0", "0.05", "0.15", "0.05,0.15"]
+
+    @pytest.mark.parametrize("crops", CROPS)
+    def test_equals_a_full_parse(self, gen_dir, tmp_path, monkeypatch, crops):
+        # The oracle: every quadrat's cells parsed at load, whole.
+        text = RUN_CFG.replace("scales = 4,5", "scales = 3,4,5").replace(
+            "crop_fracs = 0", f"crop_fracs = {crops}\noverlap_frac = 0.3\nkernel_w = 0.5"
+        )
+        cfg = run_cfg_file(tmp_path, text)
+        region = infer_argv(cfg, gen_dir, tmp_path / "region.csv", "--cache")
+        assert main(region + [str(tmp_path / "region.cache")]) == 0
+        load = formats.load_quadrat_features
+
+        def parsed_whole(*args):
+            quadrats = load(*args)
+            for q in quadrats:
+                assert np.isfinite(q.features()).all()
+            return quadrats
+
+        monkeypatch.setattr(formats, "load_quadrat_features", parsed_whole)
+        whole = infer_argv(cfg, gen_dir, tmp_path / "whole.csv", "--cache")
+        assert main(whole + [str(tmp_path / "whole.cache")]) == 0
+        for suffix in ("csv", "cache"):
+            region, whole = (tmp_path / f"{name}.{suffix}" for name in ("region", "whole"))
+            assert region.read_bytes() == whole.read_bytes()
+
+    @pytest.mark.parametrize("crops", CROPS + ["0.15,0.05"])
+    def test_pooled_tiles_equal_a_full_parse_and_hold_no_nan(self, gen_dir, crops):
+        from quadflora import pipeline
+        from quadflora.geometry import CropSpec, Rect, central_crop
+
+        lazy = formats.load_quadrat_features(gen_dir / "quadrats.csv")
+        whole = formats.load_quadrat_features(gen_dir / "quadrats.csv")
+        for q, full in zip(lazy, whole):
+            full.features()
+            image = Rect(0, 0, q.grid_cells, q.grid_cells)
+            for frac in map(float, crops.split(",")):
+                region = central_crop(image, CropSpec(frac))
+                pooled = pipeline._pooled(q, region, (3, 4, 5), 0.3)
+                assert np.isfinite(pooled).all()
+                expected = pipeline._pooled(full, region, (3, 4, 5), 0.3)
+                assert pooled.tobytes() == expected.tobytes()
+            cells = q.features(region)
+            assert np.isnan(cells).any() == (frac > 0)  # the border is left unparsed
+            assert np.isfinite(cells[region.y0 : region.y1, region.x0 : region.x1]).all()
+
+    @pytest.mark.parametrize("vouched", [False, True])
+    def test_bad_value_in_a_border_cell_fails_the_first_run_that_covers_it(
+        self, gen_dir, tmp_path, vouched
+    ):
+        features = gen_dir / "quadrats.csv"
+        qid = features.read_text().splitlines()[1].split(",")[0]
+        lineno = spoil_first_cell(features, qid)
+        cropped = run_cfg_file(tmp_path, RUN_CFG.replace("crop_fracs = 0", "crop_fracs = 0.10"))
+        assert main(infer_argv(cropped, gen_dir, tmp_path / "cropped.csv")) == 0
+        cache = gen_dir / "logit_cache.csv"
+        if vouched:  # the cache's records vouch for the lines as edited
+            lines = [l for l in features.read_bytes().splitlines(keepends=True)
+                     if l.startswith(f"{qid},".encode())]
+            assert formats.cache_records(cache)["quadrats"][qid] == {
+                "bytes": len(b"".join(lines)),
+                "sha256": hashlib.sha256(b"".join(lines)).hexdigest(),
+            }
+            written = cache.read_bytes()
+        else:  # no cache: every line is checked at load
+            os.remove(cache)
+        whole = tmp_path / "whole.cfg"
+        whole.write_text(RUN_CFG)
+        out = tmp_path / "whole.csv"
+        err = assert_cli_error(*infer_argv(whole, gen_dir, out))
+        assert err == f"error: {features}:{lineno}: non-finite value\n"
+        assert not out.exists()
+        if vouched:
+            assert cache.read_bytes() == written
+        else:
+            assert not cache.exists()
+
+    def test_library_features_parse_and_reject_every_cell(self, gen_dir):
+        from quadflora.geometry import Rect
+
+        features = gen_dir / "quadrats.csv"
+        good = formats.load_quadrat_features(features)
+        lineno = spoil_first_cell(features, good[1].quadrat_id)
+        whole = formats.load_quadrat_features(features)
+        for a, b in zip(good, whole):
+            if a.quadrat_id != good[1].quadrat_id:
+                assert a.features().tobytes() == b.features().tobytes()
+                assert np.isfinite(b.features()).all()
+        q = whole[1]
+        inner = q.features(Rect(2, 2, 18, 18))[2:18, 2:18]
+        assert inner.tobytes() == good[1].features()[2:18, 2:18].tobytes()
+        for _ in range(2):  # the row stays unparsed, and is rejected again
+            with pytest.raises(formats.FormatError, match=f"^{features}:{lineno}: non-finite value$"):
+                q.features()
 
 
 class TestEval:

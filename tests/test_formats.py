@@ -239,6 +239,29 @@ class TestFeatures:
         with pytest.raises(FormatError, match=f"^{p}:3: non-finite value$"):
             q1.features()
 
+    def test_line_text_is_built_only_for_a_row_parsed_alone(self, tmp_path, monkeypatch):
+        p = tmp_path / "feat.csv"
+        p.write_text(
+            "quadrat_id,transect_id,grid_cells,feature_dim,row,col,values\n"
+            + "".join(f"q0,t0,2,2,{r},{c},{r}.5;{c}\n" for r in range(2) for c in range(2))
+            + "".join(f"q1,t0,2,2,{r},{c},1;{'x' if (r, c) == (1, 0) else 2}\n"
+                      for r in range(2) for c in range(2))
+        )
+        built = []
+        getitem = formats._NumberedFields.__getitem__
+
+        def counting_getitem(self, i):
+            built.append(getitem(self, i)[0])
+            return getitem(self, i)
+
+        monkeypatch.setattr(formats._NumberedFields, "__getitem__", counting_getitem)
+        q0, q1 = formats.load_quadrat_features(p)
+        assert q0.features().tolist() == [[[0.5, 0], [0.5, 1]], [[1.5, 0], [1.5, 1]]]
+        assert built == []
+        with pytest.raises(FormatError, match=f"^{p}:8: bad values field$"):
+            q1.features()
+        assert built == [f"{p}:6", f"{p}:7", f"{p}:8"]
+
     @pytest.mark.parametrize(
         "row, message",
         [

@@ -122,3 +122,4 @@ class TestInvariants:
             write_csv(tmp_path / "tax.csv", [(0, 0, 0), (1, 1, 1), (2, 1, 1)])
         )
         np.testing.assert_array_equal(table.species_to_family, [0, 1, 1])
+        assert table.species_to_family is table.species_to_family  # built once
