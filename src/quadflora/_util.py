@@ -247,20 +247,23 @@ def _fmt9_chunk(flat: np.ndarray, n_cols: int) -> list[str]:
 def atomic_write_text(path, text: str | bytes) -> None:
     """Write text (as UTF-8, LF kept) or bytes to path via a temp file and
     rename, with the mode open(path, "w") gives a new file: 0o666 less
-    the umask."""
+    the umask. An OSError names path, not the temp file."""
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "wb") as fh:
             fh.write(text.encode("utf-8") if isinstance(text, str) else text)
         umask = os.umask(0)  # read by setting it: no other thread runs
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -41,9 +41,10 @@ def _run(args) -> int:
 def _load_world(args, cfg: RunConfig):
     """The taxonomy, quadrats, models and logit cache of an infer or sweep run.
 
-    The cache's records are read first, so that feature lines they vouch
-    for are taken unchecked and heads unparsed, even if its grids are then
-    dropped; of the heads only those the run's models use are read.
+    The cache's records are read first: a file whose every line they vouch
+    for is taken unchecked and unparsed until a cache miss needs it, even
+    if the grids are then dropped. The records of every head's lines judge
+    the cached grids, but only the heads the run's models use are parsed.
     """
     cache_path = args.cache or os.path.join(args.data, "logit_cache.csv")
     records = formats.cache_records(cache_path)
@@ -84,8 +85,8 @@ def cmd_infer(args) -> int:
     candidates = infer_corpus(quadrats, cfg, tax, models, cache)
     groups = {q.quadrat_id: q.transect_id for q in quadrats}
     preds, tau, achieved = select_predictions(candidates, cfg, groups)
-    formats.write_submission(preds, args.out, species_labels=tax.species_labels)
     cache.save()
+    formats.write_submission(preds, args.out, species_labels=tax.species_labels)
     print(
         f"wrote {args.out}: {len(preds)} quadrats, "
         f"threshold {tau:.6g}, mean length {achieved:.4f}"

@@ -24,17 +24,18 @@ config         flat "key = value" lines, '#' comments
 A logit cache's header line records the byte count and sha256 of the
 lines of each quadrat and of every head once they have been checked.
 They are read first (cache_records), and vouch for those lines even if
-the cache's grids are then dropped. A features file or head registry is checked line by line,
-but for its float values, unless its lines hash to those records, each
-quadrat's or head's lines in one run (_walk; so interleaved rows, a
-blank line or any edit are checked line by line on every run): then a
+the cache's grids are then dropped. A features file or head registry
+is checked line by line, but for its float values, unless its lines
+hash to those records, each quadrat's or head's lines in one run (_walk;
+so interleaved rows or a blank line are checked line by line on every
+run, and an edit until a run has recorded it): then a
 quadrat's or head's lines, and only its own, are checked when first
 needed. A quadrat's values are parsed only then (a logit cache miss), and
 only those of the cells the missing grid's crop covers: a cropped run
-never parses its quadrats' border cells.
-The heads a run uses are parsed at load, except those whose lines hash
-to their records: a cache miss parses these. So a run served entirely
-from a cache checks no features or heads line and parses no value.
+never parses its quadrats' border cells. So is a head, when _walk
+vouched for every head's lines; else the heads a run uses are parsed at
+load. A run served from a cache that vouches for both files, then,
+checks no features or heads line and parses no value.
 Text values are parsed one block at a time (a quadrat's cells, a head
 parameter) by one np.loadtxt call, or row by row as float() reads them
 where loadtxt refuses ('1_0', full-width digits, a bad value, whose
@@ -52,7 +53,7 @@ import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass, fields
-from typing import Callable, Collection, Mapping, Optional, Sequence
+from typing import Collection, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -424,16 +425,16 @@ def load_quadrat_features(path, records: Optional[Mapping[str, dict]] = None) ->
 # -------------------------------------------------------------- head registry
 
 class _RecordedHead:
-    """A head whose lines hash to their record in a logit cache's header:
-    parsed on first use, from those lines, which are checked then if _walk
-    read them unchecked."""
+    """A head whose lines _walk accepted unchecked: those lines, and only
+    they, are checked and parsed on first use."""
 
-    def __init__(self, build: Callable[[], Head]):
-        self._build = build
+    def __init__(self, path, name: str, span):
+        self.path, self.name, self.span = path, name, span  # name: "level/head_id"
 
     @functools.cached_property
     def head(self) -> Head:
-        return self._build()
+        grouped, _ = _check_heads(self.path, *_span_text(self.path, self.span))
+        return _head_of(self.path, self.name, grouped[self.name])
 
     # what pipeline uses of a head, taken from the parsed one
     in_dim = property(lambda self: self.head.in_dim)
@@ -523,26 +524,20 @@ def _check_heads(path, text: Optional[str] = None, first_line: int = 1) -> tuple
     return grouped, {name: hashed.record(name) for name in grouped}
 
 
-def _span_head(path, name: str, span) -> Head:
-    """The head of a span of lines that _walk accepted, its rows checked first."""
-    grouped, _ = _check_heads(path, *_span_text(path, span))
-    return _head_of(path, name, grouped[name])
-
-
 def load_head_registry(
     path, used: Optional[Collection[tuple[str, str]]] = None, records: Optional[Mapping] = None
 ) -> HeadRegistry:
     """The heads of a registry file; only the (level, head id) pairs in
-    used, when given. Every row is checked (_check_heads), and the heads
-    returned are parsed and checked at load.
+    used, when given.
 
     The byte count and sha256 of every head's lines, in file order with
     their line ends, go into the registry's records by "level/head_id".
-    A head whose lines hash to its entry in records
-    (cache_records(cache)["heads"]; None vouches for none) is returned
-    as a _RecordedHead, parsed on first use. When every head's lines
-    hash to their records (_walk), no line is checked at load: a head's
-    own lines are checked at its first use.
+    When every head's lines hash to their entries in records
+    (cache_records(cache)["heads"]; None vouches for none), each in one
+    run (_walk), no line is checked at load, and each head is a
+    _RecordedHead: its own lines are checked and parsed at its first use.
+    Otherwise every row is checked (_check_heads), and the heads returned
+    are parsed and checked at load.
     """
     spans = _walk(path, HEADS_HEADER, 2, records) if records else None
     parts, kept = (spans, {n: dict(records[n]) for n in spans}) if spans else _check_heads(path)
@@ -550,9 +545,8 @@ def load_head_registry(
     for name, part in parts.items():
         level, _, head_id = name.partition("/")
         if used is None or (level, head_id) in used:
-            build = functools.partial(_span_head if spans else _head_of, path, name, part)
-            vouched = records is not None and records.get(name) == kept[name]
-            heads.setdefault(level, {})[head_id] = _RecordedHead(build) if vouched else build()
+            head = _RecordedHead(path, name, part) if spans else _head_of(path, name, part)
+            heads.setdefault(level, {})[head_id] = head
     return HeadRegistry(heads=heads, records=kept)
 
 
@@ -565,13 +559,12 @@ _RECORD_KINDS = ("heads", "quadrats")  # the line records a cache's header holds
 @dataclass(frozen=True)
 class CacheFingerprint:
     """What a run's cached logits depend on beyond their keys: the tile
-    overlap, and the records of the lines of each head the run uses and
-    of each quadrat's features; heads holds every head's, for the header."""
+    overlap, and the records of the lines of every head in the heads file,
+    whether the run uses it or not, and of each quadrat's features."""
 
     overlap_frac: float
     heads: dict  # "level/head_id" -> record of its lines (HeadRegistry.records)
     quadrats: dict  # quadrat id -> record of its feature lines
-    used_heads: dict  # the records in heads of the heads the run's models use
 
     @classmethod
     def of(cls, overlap_frac: float, registry, quadrats: Sequence[Quadrat]) -> "CacheFingerprint":
@@ -582,9 +575,7 @@ class CacheFingerprint:
             if not isinstance(q.load_cells, _FeatureRows):
                 raise QuadfloraError(f"quadrat {q.quadrat_id} was not read from a features file")
             records[q.quadrat_id] = q.load_cells.record
-        names = (f"{level}/{head_id}" for level, ids in registry.heads.items() for head_id in ids)
-        used = {name: registry.records[name] for name in names}
-        return cls(float(overlap_frac), registry.records, records, used)
+        return cls(float(overlap_frac), registry.records, records)
 
 
 def _heads_recorded(model_id: str, heads: Mapping[str, dict]) -> bool:
@@ -694,11 +685,11 @@ class LogitCache:
     row-major tile order. The file is one JSON header line: the format
     version, the sha256 of every byte after it and, when saved with a
     CacheFingerprint, overlap_frac, the BLAS in use (blas_record) and the
-    byte count and sha256 of each head's lines, by "level/head_id", and
-    of each quadrat's feature lines. Then the grid index (_read_grids),
-    sorted by key, and each grid's float64 bits, so a cache round-trip
-    reproduces in-memory results exactly; a loaded grid is a read-only
-    view of the file's bytes. A grid whose rows are not scale^2 is
+    byte count and sha256 of the lines of every head in the heads file,
+    by "level/head_id", and of each quadrat's feature lines. Then the
+    grid index (_read_grids), sorted by key, and each grid's float64
+    bits, so a cache round-trip reproduces in-memory results exactly; a
+    loaded grid is a read-only view of the file's bytes. A grid whose rows are not scale^2 is
     dropped, so it is recomputed. len() counts tile rows.
 
     Loaded with a CacheFingerprint (as `infer` and `sweep` do), the
@@ -706,12 +697,14 @@ class LogitCache:
     one warning: all of them when the header is not a fingerprint of
     this version or its sha256 or overlap_frac differ; else those of
     changed quadrats and of models (species+genus+family head ids) with
-    a changed head. Another BLAS record only warns: the grids are kept,
-    though a product computed under another BLAS setting can differ in a
-    last digit. Loaded without one, the header is not read and every
-    grid is kept. Records of quadrats outside the run are kept as they
-    are, and those of heads the run does not use while a grid kept
-    depends on them; another stale head record is rewritten at once. A
+    a changed head, whether this run uses that model or not. Another
+    BLAS record only warns: the grids are kept, though a product computed
+    under another BLAS setting can differ in a last digit. Loaded without
+    one, the header is not read and every grid is kept. Heads and
+    quadrats follow one rule: a record the files' lines no longer match
+    is renewed, and one of a head or quadrat the files no longer hold is
+    kept, and so are its grids. save rewrites the cache only if a grid
+    was dropped or put, or its records differ from the header's. A
     quadrat's or head's lines are recorded only once they have been
     checked, in this run or an earlier one, which is what lets a later
     load (cache_records) take them unchecked, even when the grids
@@ -755,14 +748,13 @@ class LogitCache:
                     f"logit cache {path} was computed under BLAS {record['blas']!r}, "
                     f"this run has {blas!r}; its logits are kept"
                 )
-            # the records that still hold: those equal to the run's, and
-            # those of heads the run does not use and quadrats it does not have
-            run = {"heads": fingerprint.used_heads, "quadrats": fingerprint.quadrats}
+            # the records that still hold: those equal to the files', and
+            # those of heads and quadrats the files no longer hold
             cache._recorded = {
                 kind: {
                     name: digest
                     for name, digest in record[kind].items()
-                    if run[kind].get(name, digest) == digest
+                    if getattr(fingerprint, kind).get(name, digest) == digest
                 }
                 for kind in _RECORD_KINDS
             }
@@ -786,16 +778,16 @@ class LogitCache:
                 f"logit cache {path}: dropped {dropped.total()} of {len(grids)} grids ({reasons})"
             )
         cache._dirty = bool(dropped) or (
-            fingerprint is not None and cache._head_records() != record["heads"]
+            fingerprint is not None
+            and cache._records() != {kind: record[kind] for kind in _RECORD_KINDS}
         )
         return cache
 
-    def _head_records(self) -> dict:
-        """The head records save writes: the run's, for every head, but an
-        old one while a grid kept depends on it."""
-        needed = {f"{lv}/{h}" for key in self._data for lv, h in zip(LEVELS, key[0].split("+"))}
-        old = self._recorded["heads"]
-        return {**self._fingerprint.heads, **{n: r for n, r in old.items() if n in needed}}
+    def _records(self) -> dict:
+        """The line records save writes: the files', and those kept of
+        heads and quadrats the files no longer hold."""
+        fp = self._fingerprint
+        return {kind: {**self._recorded[kind], **getattr(fp, kind)} for kind in _RECORD_KINDS}
 
     def __len__(self) -> int:
         return sum(len(block) for block in self._data.values())
@@ -825,9 +817,7 @@ class LogitCache:
         header = {"version": CACHE_VERSION, "sha256": hashlib.sha256(body).hexdigest()}
         fp = self._fingerprint
         if fp is not None:
-            header.update(overlap_frac=fp.overlap_frac, blas=blas_record())
-            header["heads"] = self._head_records()
-            header["quadrats"] = {**self._recorded["quadrats"], **fp.quadrats}
+            header.update(overlap_frac=fp.overlap_frac, blas=blas_record(), **self._records())
         atomic_write_text(self.path, _json_line(header) + body)
         self._dirty = False
 

@@ -21,11 +21,11 @@ features, the tile overlap) is recorded in the cache file's header
 line, which `infer` and `sweep` check on load (formats.LogitCache).
 Its records, read first, vouch for feature and head lines even if the
 cached grids are then dropped: a quadrat read from a file parses its
-features, those of the crop alone, and a head they vouch for its values,
-only when a grid that needs them misses the cache, so a fully warm run
-parses none and builds no tile grid (a hit needs a grid's scale and
-scale^2 alone). As crop_key keys a crop by 9 significant digits,
-RunConfig takes no crop fraction of more.
+features, those of the crop alone, and a head (if they vouch for every
+head's lines) its values, only when a grid that needs them misses the
+cache, so a fully warm run parses none and builds no tile grid (a hit
+needs a grid's scale and scale^2 alone). As crop_key keys a crop by 9
+significant digits, RunConfig takes no crop fraction of more.
 """
 
 import functools
@@ -67,8 +67,8 @@ from .taxonomy import TaxonomyTable
 class RunConfig:
     """Full inference configuration for one run.
 
-    head_combos names registry variants to assemble into models; leave
-    None when passing ready-made models to run().
+    head_combos names registry variants to assemble into models, at
+    least one; leave None when passing ready-made models to run().
     """
 
     scales: tuple
@@ -83,6 +83,8 @@ class RunConfig:
             raise ConfigError("at least one tiling scale is required")
         if not self.crop_fracs:
             raise ConfigError("at least one crop fraction is required")
+        if self.head_combos == ():
+            raise ConfigError("at least one model is required")
         for s in self.scales:
             GridSpec(s, self.overlap_frac)  # validates both
         for f in self.crop_fracs:

@@ -583,33 +583,43 @@ class TestCacheFingerprint:
         assert "dropped 6 of 36 grids (6 for changed features)" in capsys.readouterr().err
         assert len(grids) == 2 and pooled == {qids[1]}
 
-    def test_unused_head_keeps_its_old_record_while_its_grids_are_kept(
-        self, gen_dir, tmp_path, capsys
+    @pytest.mark.parametrize(
+        "prefix, dropped",
+        [("genus,lin1,w,", 36), ("family,mlp2,w1,", 72), ("species,lin1h,w,", 0)],
+        ids=["other_model", "both_models", "neither_model"],
+    )
+    def test_edited_head_drops_the_grids_of_every_model_that_uses_it(
+        self, gen_dir, tmp_path, capsys, prefix, dropped
     ):
-        # Grids of a second model, whose genus head is then edited: a run of
-        # the first model keeps them, and the cache it writes keeps that
-        # head's old record, so a run of the second model drops them.
-        models = "lin1+mlp2+mlp2,lin1c+lin1+lin1"
-        both = run_cfg_file(tmp_path, RUN_CFG.replace("lin1+mlp2+mlp2", models))
-        first = tmp_path / "first.cfg"
-        first.write_text(RUN_CFG)
+        # Grids of two models (36 each), then one head edited: the next run,
+        # of the first model alone, drops the grids of every model that uses
+        # the head with one warning, whether it runs that model or not, and
+        # renews the head's record; the second model's next run keeps what
+        # is left and equals a fresh-cache run.
+        first = run_cfg_file(tmp_path)
         second = tmp_path / "second.cfg"
-        second.write_text(RUN_CFG.replace("lin1+mlp2+mlp2", "lin1c+lin1+lin1"))
+        second.write_text(RUN_CFG.replace("lin1+mlp2+mlp2", "lin1c+lin1+mlp2"))
+        both = tmp_path / "both.cfg"
+        both.write_text(RUN_CFG.replace("lin1+mlp2+mlp2", "lin1+mlp2+mlp2,lin1c+lin1+mlp2"))
         assert main(infer_argv(both, gen_dir, tmp_path / "both.csv")) == 0
-        cache = gen_dir / "logit_cache.csv"
-        old = formats.cache_records(cache)["heads"]["genus/lin1"]
-        edit_head_value(gen_dir / "heads.csv", "genus,lin1,w,")
-        qid = (gen_dir / "quadrats.csv").read_text().splitlines()[1].split(",")[0]
-        edit_head_value(gen_dir / "quadrats.csv", f"{qid},")  # so the run rewrites the cache
+        cache, heads = gen_dir / "logit_cache.csv", gen_dir / "heads.csv"
+        old = formats.cache_records(cache)["heads"]
+        edit_head_value(heads, prefix)
         capsys.readouterr()
         assert main(infer_argv(first, gen_dir, tmp_path / "first.csv")) == 0
-        assert "(12 for changed features)" in capsys.readouterr().err
-        assert formats.cache_records(cache)["heads"]["genus/lin1"] == old
+        warned = f"warning: logit cache {cache}: dropped {dropped} of 72 grids "
+        warned += f"({dropped} for changed heads)\n"
+        assert capsys.readouterr().err == (warned if dropped else "")
+        renewed = formats.cache_records(cache)["heads"]
+        assert renewed == formats.load_head_registry(heads).records
+        assert {name for name in old if renewed[name] != old[name]} == {
+            "/".join(prefix.split(",")[:2])
+        }
         assert main(infer_argv(second, gen_dir, tmp_path / "second.csv")) == 0
-        assert "dropped 30 of 66 grids (30 for changed heads)" in capsys.readouterr().err
-        fresh = fresh_cache_submission(tmp_path, second, gen_dir)
-        assert (tmp_path / "second.csv").read_bytes() == fresh
-        assert formats.cache_records(cache)["heads"]["genus/lin1"] != old
+        assert capsys.readouterr().err == ""
+        for name, cfg in (("first", first), ("second", second)):
+            fresh = fresh_cache_submission(tmp_path, cfg, gen_dir, f"fresh-{name}")
+            assert (tmp_path / f"{name}.csv").read_bytes() == fresh
 
     def test_cold_run_records_every_heads_lines(self, gen_dir, tmp_path):
         # the heads the run's models do not use included
@@ -663,6 +673,42 @@ class TestCacheFingerprint:
         assert file_states(cache) == before
         for out in ("warm.csv", "again.csv"):
             assert (tmp_path / out).read_bytes() == (tmp_path / "cold.csv").read_bytes()
+
+    @pytest.mark.parametrize("removed", ["quadrat", "unused_head"])
+    def test_removed_lines_keep_their_record_and_grids(
+        self, gen_dir, tmp_path, capsys, monkeypatch, removed
+    ):
+        # One quadrat's lines, or those of a head no model of the run uses,
+        # taken out after a cold run and then put back: the cache keeps the
+        # record, and the grids, of what the files no longer hold, so each
+        # run prints no warning, checks no line of either file and leaves
+        # the cache as it is.
+        cfg = run_cfg_file(tmp_path)
+        assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
+        cache = gen_dir / "logit_cache.csv"
+        path = gen_dir / ("quadrats.csv" if removed == "quadrat" else "heads.csv")
+        text = path.read_bytes()
+        header, *rows = text.splitlines(keepends=True)
+        key = rows[0].split(b",")[0] + b"," if removed == "quadrat" else b"species,lin1c,"
+        kept = [row for row in rows if not row.startswith(key)]
+        assert 0 < len(kept) < len(rows)
+        read = []
+        read_row_lines = formats.read_row_lines
+
+        def counting_reader(path, *args):
+            read.append(str(path))
+            return read_row_lines(path, *args)
+
+        monkeypatch.setattr(formats, "read_row_lines", counting_reader)
+        before = file_states(cache)
+        capsys.readouterr()
+        for run, data in (("removed", b"".join([header, *kept])), ("restored", text)):
+            path.write_bytes(data)
+            assert main(infer_argv(cfg, gen_dir, tmp_path / f"{run}.csv")) == 0
+            assert capsys.readouterr().err == ""
+            assert read == []
+            assert file_states(cache) == before
+        assert (tmp_path / "restored.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
 
     def test_interleaved_features_keep_the_cache(self, gen_dir, tmp_path, capsys):
         # Two quadrats' lines interleaved, each in its own order, and a blank
@@ -1122,6 +1168,48 @@ class TestErrorContract:
         out = tmp_path / "sub.csv"
         assert main(infer_argv(run_cfg_file(tmp_path), gen_dir, out)) == 2
         assert capsys.readouterr().err == f"error: {message.format(heads=heads)}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_write_error_names_the_path_given(self, gen_dir, tmp_path, capsys, target):
+        # an error from the temp file's creation or rename names the path
+        # asked for, not the temp file, and leaves no temp file behind
+        cfg = run_cfg_file(tmp_path)
+        if target == "missing_dir":
+            path, why = tmp_path / "missing" / "x.csv", "[Errno 2] No such file or directory"
+            argvs = [infer_argv(cfg, gen_dir, path)]
+        else:
+            path, why = tmp_path / "somedir", "[Errno 21] Is a directory"
+            path.mkdir()
+            assert main(infer_argv(cfg, gen_dir, tmp_path / "sub.csv")) == 0
+            argvs = [
+                infer_argv(cfg, gen_dir, path),
+                ["eval", str(tmp_path / "sub.csv"), str(gen_dir / "groundtruth.csv"),
+                 "--report", str(path)],
+            ]
+        capsys.readouterr()
+        for argv in argvs:
+            for _ in range(2):
+                assert main(argv) == 2
+                assert capsys.readouterr().err == f"error: {why}: '{path}'\n"
+        assert list(tmp_path.rglob(".tmp-*")) == []
+
+    def test_unwritable_cache_leaves_no_submission(self, gen_dir, tmp_path, capsys):
+        cache, out = tmp_path / "missing" / "c.bin", tmp_path / "sub.csv"
+        argv = infer_argv(run_cfg_file(tmp_path), gen_dir, out, "--cache", str(cache))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{cache}'\n"
+        assert not out.exists()
+
+    def test_no_model_is_a_config_error(self, gen_dir, tmp_path, capsys):
+        # reported before any data file is read: a bad features line too
+        features = gen_dir / "quadrats.csv"
+        header, first, *rest = features.read_text().splitlines(keepends=True)
+        features.write_text("".join([header, first.replace(",", ",x", 2), *rest]))
+        cfg = run_cfg_file(tmp_path, RUN_CFG.replace("lin1+mlp2+mlp2", ","))
+        out = tmp_path / "sub.csv"
+        assert main(infer_argv(cfg, gen_dir, out)) == 2
+        assert capsys.readouterr().err == "error: at least one model is required\n"
         assert not out.exists()
 
     def test_header_only_files(self, gen_dir, tmp_path, capsys):

@@ -24,7 +24,7 @@ from quadflora.errors import (
 )
 from quadflora.metric import GroundTruthTable
 from quadflora.selection import PredictionSet
-from quadflora.synthworld import SynthConfig, gen_world
+from quadflora.synthworld import LinearHead, SynthConfig, TwoLayerHead, gen_world
 from quadflora.taxonomy import TAXONOMY_HEADER
 
 
@@ -547,14 +547,16 @@ class TestHeadRegistry:
                 for name, raw in expected.items()
             }
 
-    def test_recorded_heads_are_parsed_on_first_apply(self, world, tmp_path, monkeypatch):
+    def test_full_check_parses_every_used_head_at_load(self, world, tmp_path, monkeypatch):
+        # One value of genus/mlp2 changed, so its record no longer holds:
+        # every row is checked and every head the run uses is parsed at
+        # load, none on first apply, and only that head's record changes.
         _, quads, registry = world
         path = tmp_path / "heads.csv"
         formats.write_head_registry(registry, path)
         used = {("species", "lin1"), ("genus", "mlp2"), ("family", "lin1")}
         eager = formats.load_head_registry(path, used)
         records = formats.load_head_registry(path, used, {}).records
-        # one value of genus/mlp2 changed: its record no longer holds
         lines = path.read_text().splitlines(keepends=True)
         i = next(i for i, line in enumerate(lines) if line.startswith("genus,mlp2,w2,0,"))
         head, values = lines[i].rsplit(",", 1)
@@ -569,8 +571,10 @@ class TestHeadRegistry:
 
         monkeypatch.setattr(formats, "_parse_block", counting_parse)
         loaded = formats.load_head_registry(path, used, records)
-        assert parsed and all(
-            lines[int(where.rsplit(":", 1)[1]) - 1].startswith("genus,mlp2,") for where in parsed
+        assert sorted(parsed) == sorted(
+            f"{path}:{lineno}"
+            for lineno, line in enumerate(lines, start=1)
+            if tuple(line.split(",")[:2]) in used
         )
         assert loaded.records["genus/mlp2"] != records["genus/mlp2"]
         assert {k: v for k, v in loaded.records.items() if k != "genus/mlp2"} == {
@@ -578,15 +582,13 @@ class TestHeadRegistry:
         }
         parsed.clear()
         features = quads[0].features().reshape(-1, quads[0].features().shape[-1])
-        for level, head_id in sorted(used - {("genus", "mlp2")}):
-            lazy = loaded.heads[level][head_id]
-            assert parsed == []
-            logits = lazy.apply(features)
-            assert parsed and all(f"{path}:" in where for where in parsed)
-            parsed.clear()
-            assert logits.tobytes() == eager.heads[level][head_id].apply(features).tobytes()
-            lazy.apply(features)
-            assert parsed == []  # parsed once
+        for level, head_id in sorted(used):
+            head = loaded.heads[level][head_id]
+            assert isinstance(head, (LinearHead, TwoLayerHead))
+            if (level, head_id) != ("genus", "mlp2"):
+                logits = head.apply(features)
+                assert logits.tobytes() == eager.heads[level][head_id].apply(features).tobytes()
+        assert parsed == []
 
     def test_recorded_registry_round_trips(self, world, tmp_path):
         _, _, registry = world
@@ -610,7 +612,8 @@ class TestHeadRegistry:
     def test_recorded_registry_checks_lines_at_first_use(self, world, tmp_path, monkeypatch, edit):
         # Every head's lines hashing to their records: no line is checked
         # at load, and a head's first use checks its own lines alone. Any
-        # edit, even to a head the run does not use, checks every line.
+        # edit, even to a head the run does not use, checks every line and
+        # parses every used head at load.
         _, quads, registry = world
         path = tmp_path / "heads.csv"
         formats.write_head_registry(registry, path)
@@ -640,8 +643,7 @@ class TestHeadRegistry:
         features = quads[0].features().reshape(-1, quads[0].features().shape[-1])
         for level, head_id in sorted(used):
             lazy = loaded.heads[level][head_id]
-            # CRLF lines hash to no record: every head is parsed at load
-            assert isinstance(lazy, formats._RecordedHead) == (edit != "crlf")
+            assert isinstance(lazy, formats._RecordedHead) == (edit is None)
             logits = lazy.apply(features)
             assert logits.tobytes() == eager.heads[level][head_id].apply(features).tobytes()
             assert read == ([] if edit else numbers[f"{level}/{head_id}"])
