@@ -3,7 +3,9 @@
 Every function works on per-level (tiles x classes) blocks whose rows
 follow the (scale, row, col) order of the pipeline's tile grids, so
 members produced from different crop fractions of the same quadrat
-still align row for row.
+still align row for row. bag and kernel_smooth are both linear, so
+smoothing a bag equals bagging the smoothed members up to rounding;
+the pipeline smooths the bag, one pass per level.
 """
 
 import math

@@ -52,7 +52,7 @@ import itertools
 import json
 import warnings
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Collection, Mapping, Optional, Sequence
 
 import numpy as np
@@ -710,6 +710,11 @@ class LogitCache:
     load (cache_records) take them unchecked, even when the grids
     themselves are dropped. A value is parsed when a run first needs it,
     and a bad one is reported then.
+
+    The grids hold for one tile overlap. A cache is bound to it by its
+    header when loaded with a CacheFingerprint, else by the first run
+    that uses it (bind_overlap); a run with another overlap drops every
+    grid, with one warning, and rebinds the cache to its own.
     """
 
     def __init__(self, path=None):
@@ -718,11 +723,14 @@ class LogitCache:
         self._dirty = True
         self._fingerprint: Optional[CacheFingerprint] = None
         self._recorded: dict[str, dict] = {kind: {} for kind in _RECORD_KINDS}
+        self._overlap: Optional[float] = None
 
     @classmethod
     def load(cls, path, fingerprint: Optional[CacheFingerprint] = None) -> "LogitCache":
         cache = cls(path)
         cache._fingerprint = fingerprint
+        if fingerprint is not None:
+            cache._overlap = fingerprint.overlap_frac
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -791,6 +799,22 @@ class LogitCache:
 
     def __len__(self) -> int:
         return sum(len(block) for block in self._data.values())
+
+    def bind_overlap(self, overlap_frac: float) -> None:
+        """Bind the cache to a run's tile overlap; grids of another are dropped."""
+        if overlap_frac == self._overlap:
+            return
+        if self._overlap is not None and self._data:
+            warnings.warn(
+                f"logit cache{f' {self.path}' if self.path else ''}: dropped its "
+                f"{len(self._data)} grids, computed for overlap_frac {self._overlap}, "
+                f"for a run with overlap_frac {overlap_frac}"
+            )
+            self._data.clear()
+            self._dirty = True
+        self._overlap = overlap_frac
+        if self._fingerprint is not None:
+            self._fingerprint = replace(self._fingerprint, overlap_frac=float(overlap_frac))
 
     def get(self, key) -> Optional[np.ndarray]:
         return self._data.get(key)

@@ -1,10 +1,12 @@
-"""End-to-end inference: crop, tile, score, smooth, bag, fuse, select.
+"""End-to-end inference: crop, tile, score, bag, smooth, fuse, select.
 
 Per quadrat, every (crop, model, level) gives one block of logits: a
 tiles x classes array over every scale's tiles in (scale, row, col)
-order. Each block is kernel-smoothed on each scale's grid if
-configured; the blocks of all (crop, model) members are then averaged
-(bagging). The configured channel's score block, the rows fused through
+order. The blocks of all (crop, model) members are averaged (bagging),
+and the bagged block of each level is kernel-smoothed on each scale's
+grid if configured: once per level, not once per member, which equals
+smoothing each member first up to rounding, as both steps are linear.
+The configured channel's score block, the rows fused through
 the taxonomy or the species logits alone, gives each row's top-1
 candidate, max-merged across the quadrat. Threshold calibration is
 corpus-global: one threshold serves the whole test set.
@@ -25,7 +27,8 @@ features, those of the crop alone, and a head (if they vouch for every
 head's lines) its values, only when a grid that needs them misses the
 cache, so a fully warm run parses none and builds no tile grid (a hit
 needs a grid's scale and scale^2 alone). As crop_key keys a crop by 9
-significant digits, RunConfig takes no crop fraction of more.
+significant digits, RunConfig takes no crop fraction of more. A run
+binds the cache to its tile overlap (LogitCache.bind_overlap).
 """
 
 import functools
@@ -151,6 +154,8 @@ def infer_quadrat(
     """Candidate species for one quadrat under the configured pipeline."""
     if not models:
         raise ConfigError("at least one model is required")
+    if cache is not None:
+        cache.bind_overlap(cfg.overlap_frac)
     scales = sorted(set(cfg.scales))
     image = Rect(0, 0, quadrat.grid_cells, quadrat.grid_cells)
     members = []
@@ -163,16 +168,21 @@ def infer_quadrat(
             functools.partial(_pooled, quadrat, region, scales, cfg.overlap_frac)
         )
         for model in models:
-            blocks = {}
-            for level in LEVELS:
-                if model.head_for(level) is None:
-                    continue
-                block = _logit_block(model, level, quadrat, crop, scales, cache, pooled)
-                if cfg.kernel_w:
-                    block = kernel_smooth(block, cfg.kernel_w, scales)
-                blocks[level] = block
+            blocks = {
+                level: _logit_block(model, level, quadrat, crop, scales, cache, pooled)
+                for level in LEVELS
+                if model.head_for(level) is not None
+            }
             members.append((f"{model.model_id}|crop={crop}", TileLogits(**blocks)))
     bagged = bag(members)
+    if cfg.kernel_w:  # linear, like bagging: one pass on the mean, not one per member
+        bagged = TileLogits(
+            **{
+                level: kernel_smooth(getattr(bagged, level), cfg.kernel_w, scales)
+                for level in LEVELS
+                if getattr(bagged, level) is not None
+            }
+        )
     if cfg.selection.channel == "fused":
         scores = fuse(bagged, tax).score
     else:

@@ -702,6 +702,33 @@ class TestCache:
         copy.save()
         assert path.read_bytes() == (tmp_path / "cache2.csv").read_bytes()
 
+    def test_bound_to_one_overlap(self, tmp_path):
+        # Unbound, a cache keeps its grids at its first run's overlap;
+        # loaded with a fingerprint, it is bound by the header's. A run at
+        # another overlap drops every grid, once, and saves its own.
+        grid = np.zeros((4, 3))
+        key = ("m", "q0", "0", 2, "species")
+        cache = formats.LogitCache()
+        cache.put(key, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache.bind_overlap(0.25)
+            cache.bind_overlap(0.25)
+        assert cache.get(key) is grid
+        path = tmp_path / "cache.bin"
+        cache = formats.LogitCache.load(path, formats.CacheFingerprint(0.25, {}, {}))
+        cache.put(key, grid)
+        cache.bind_overlap(0.25)
+        assert cache.get(key) is grid
+        with pytest.warns(UserWarning, match=f"^logit cache {re.escape(str(path))}: dropped its 1 "
+                          "grids, computed for overlap_frac 0.25, for a run with overlap_frac 0$"):
+            cache.bind_overlap(0)
+        assert len(cache) == 0
+        cache.bind_overlap(0)
+        cache.save()
+        header, _, _ = cache_file.parts(path.read_bytes())
+        assert header["overlap_frac"] == 0.0
+
     def test_file_lines_sorted_by_grid_key(self, tmp_path):
         # The header line, the grid index in key order, then each grid's
         # values back to back in that order; both lines are padded to a

@@ -4,6 +4,7 @@ import importlib
 import io
 import math
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -144,20 +145,31 @@ def per_row_cache(quads, cfg, models):
     return cache
 
 
-def per_tile_oracle(q, cfg, tax, models, cache):
+def per_tile_oracle(q, cfg, tax, models, cache, smooth_members=False):
     """The pipeline composed from the per-tile oracle functions over the
-    cached logit rows, one tile at a time."""
+    cached logit rows, one tile at a time: the members are bagged, and the
+    bag is kernel-smoothed on each scale's grid. smooth_members smooths
+    each member before bagging instead, the order the pipeline used
+    before; smoothing and bagging are linear, so the two orders agree up
+    to rounding."""
     rows = per_tile.cache_rows(cache)
     image = Rect(0, 0, q.grid_cells, q.grid_cells)
+    specs = [GridSpec(scale, cfg.overlap_frac) for scale in sorted(set(cfg.scales))]
+
+    def smoothed(tiles):
+        out = {}
+        for spec in specs:
+            grid = {key: t for key, t in tiles.items() if key[0] == spec.scale}
+            out.update(per_tile.kernel_smooth(grid, cfg.kernel_w, spec))
+        return out
+
     members = []
     for crop_frac in cfg.crop_fracs:
         crop = crop_key(crop_frac)
         region = central_crop(image, CropSpec(crop_frac))
         for model in models:
             tiles = {}
-            for scale in cfg.scales:
-                spec = GridSpec(scale, cfg.overlap_frac)
-                grid = {}
+            for spec in specs:
                 for t in tile_grid(region, spec):
                     levels = {
                         lvl: rows.get(
@@ -165,11 +177,13 @@ def per_tile_oracle(q, cfg, tax, models, cache):
                         )
                         for lvl in ("species", "genus", "family")
                     }
-                    grid[per_tile.tile_key(t)] = per_tile.PerTileLogits(tile=t, **levels)
-                tiles.update(per_tile.kernel_smooth(grid, cfg.kernel_w, spec))
+                    tiles[per_tile.tile_key(t)] = per_tile.PerTileLogits(tile=t, **levels)
+            if smooth_members:
+                tiles = smoothed(tiles)
             members.append(per_tile.ModelOutput(f"{model.model_id}|crop={crop}", tiles))
     bagged = per_tile.bag(members)
-    scored = [bagged.tiles[k] for k in sorted(bagged.tiles)]
+    tiles = bagged.tiles if smooth_members else smoothed(bagged.tiles)
+    scored = [tiles[k] for k in sorted(tiles)]
     if cfg.selection.channel == "fused":
         scored = [fuse(t, tax) for t in scored]
     else:
@@ -284,7 +298,12 @@ class TestInferQuadrat:
         cache = LogitCache()
         for q in quads:
             got = infer_quadrat(q, cfg, tax, models, cache)
+            # the bag smoothed, as the block path does it: bit for bit
             assert got == per_tile_oracle(q, cfg, tax, models, cache)
+            # the smoothed members bagged, the order before: equal up to rounding
+            before = per_tile_oracle(q, cfg, tax, models, cache, smooth_members=True)
+            assert list(got.entries) == list(before.entries)
+            assert got.scores() == pytest.approx(before.scores(), rel=1e-12)
         # 25 + 4 + 9 distinct tiles, 3 levels, 2 models, 3 crops
         assert len(cache) == len(quads) * 38 * 3 * 2 * 3
 
@@ -418,8 +437,8 @@ class TestBenchmarkHooks:
                 tracer.uninstall()
             assert got == expected
             calls = Counter(span[0] for span in tracer.spans)
-            # 2 crops x 2 models x 3 levels smoothed blocks per quadrat
-            assert calls["ensemble.kernel_smooth"] == len(quads) * 12
+            # 3 levels of the bag of 2 crops x 2 models smoothed per quadrat
+            assert calls["ensemble.kernel_smooth"] == len(quads) * 3
             for name in ("ensemble.bag", "selection.collect_candidates"):
                 assert calls[name] == len(quads), name
             assert calls["fusion.fuse"] == (len(quads) if channel == "fused" else 0)
@@ -686,6 +705,29 @@ class TestCache:
         preds, tau, _ = select_predictions(got, cfg, groups)
         want, want_tau, _ = select_predictions(expected, cfg, groups)
         assert preds == want and math.isclose(tau, want_tau, rel_tol=1e-8)
+
+    def test_a_run_at_another_overlap_drops_the_grids(self, noisy_world):
+        # One cache, run at overlap 0 and then 0.3: the grids of the first
+        # run were pooled over other tiles, under the same keys.
+        tax, quads, registry = noisy_world
+        models = two_models(registry)
+        cfg0, cfg3 = (
+            RunConfig(scales=(2, 3), crop_fracs=(0.0, 0.10), overlap_frac=f, kernel_w=0.5)
+            for f in (0.0, 0.3)
+        )
+        cache = LogitCache()
+        infer_corpus(quads, cfg0, tax, models, cache)
+        with pytest.warns(UserWarning) as caught:
+            got = infer_corpus(quads, cfg3, tax, models, cache)
+        assert len(caught) == 1
+        assert str(caught[0].message).startswith(
+            f"logit cache: dropped its {len(quads) * 2 * 2 * 2 * 3} grids, "
+            "computed for overlap_frac 0.0, for a run with overlap_frac 0.3"
+        )
+        assert got == infer_corpus(quads, cfg3, tax, models, LogitCache())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert infer_corpus(quads, cfg3, tax, models, cache) == got
 
     def test_featureless_quadrats_run_from_cache(self, world, tmp_path):
         tax, quads, registry = world
