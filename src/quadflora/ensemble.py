@@ -9,14 +9,14 @@ the pipeline smooths the bag, one pass per level.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, IncompleteGridError, IncongruentMembersError
 from .fusion import TileLogits
-from .synthworld import LEVELS, HeadRegistry, ToyModel
+from .synthworld import LEVELS, HeadRegistry, ToyModel, TwoLayerHead
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,26 @@ class HeadSelection:
         return [(level, head_id) for level, head_id in zip(LEVELS, ids) if head_id is not None]
 
 
+def _same_first_layer(a, b) -> bool:
+    # TwoLayerHeads with bit-equal w1 and b1: equal values (no NaN) and signs (-0.0 != 0.0)
+    return isinstance(a, TwoLayerHead) and isinstance(b, TwoLayerHead) and all(
+        x.dtype == y.dtype and np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+        for x, y in ((a.w1, b.w1), (a.b1, b.b1))
+    )
+
+
 def compose_model(registry: HeadRegistry, sel: HeadSelection) -> ToyModel:
-    """Assemble a model from registry head variants, one per level."""
-    heads = {f"{level}_head": registry.get(level, head_id) for level, head_id in sel.heads()}
+    """Assemble a model from registry head variants, one per level. A
+    TwoLayerHead whose first layer has the bits of an earlier level's takes
+    that level's registry arrays (no copy), so head_logits shares their product."""
+    heads: dict = {}
+    for level, head_id in sel.heads():
+        head = registry.get(level, head_id)
+        for other in heads.values():
+            if _same_first_layer(other, head):
+                head = replace(head, w1=other.w1, b1=other.b1)
+                break
+        heads[f"{level}_head"] = head
     return ToyModel(model_id=sel.model_id(), **heads)
 
 

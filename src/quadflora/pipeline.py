@@ -12,10 +12,11 @@ candidate, max-merged across the quadrat. Threshold calibration is
 corpus-global: one threshold serves the whole test set.
 
 Each head runs once per (crop, scale) grid, as one GEMM over the
-grid's pooled tile features, and its block is used as computed, not
-rounded: the logit cache stores each grid's exact float64 bits, so
-runs that read a warm cache are bit-identical to the runs that filled
-it. The logit cache holds whole grids, keyed by
+grid's pooled tile features; heads with a bit-equal first layer share
+its product (compose_model), the same GEMM of the same bits. Blocks are
+used as computed, not rounded: the logit cache stores each grid's exact
+float64 bits, so runs that read a warm cache are bit-identical to the
+runs that filled it. The logit cache holds whole grids, keyed by
 (model, quadrat, crop, scale, level), so a cached grid does not depend
 on which other scales, crops or grids a run computes. What else a grid
 depends on (the text of its model's heads and of its quadrat's
@@ -112,7 +113,7 @@ def _pooled(quadrat: Quadrat, region: Rect, scales: Sequence[int], overlap_frac:
     return np.array([tile_features(quadrat, t) for grid in grids for t in grid])
 
 
-def _logit_block(model, level, quadrat, crop, scales, cache, pooled) -> np.ndarray:
+def _logit_block(model, level, quadrat, crop, scales, cache, pooled, memos=None) -> np.ndarray:
     """(tiles x classes) logits of one model level over the crop's grids.
 
     Each (crop, scale) grid is one cache entry of scale^2 rows. On a miss
@@ -122,8 +123,10 @@ def _logit_block(model, level, quadrat, crop, scales, cache, pooled) -> np.ndarr
     its cache key alone, whatever else a run asks for.
 
     pooled() gives the crop's (tiles x D) pooled features (_pooled), on
-    the first miss only; it is shared by every model and level.
+    the first miss only; it and memos[scale], head_logits' memo of each
+    grid, are shared by every model and level.
     """
+    memos = {} if memos is None else memos
     blocks = []
     start = 0
     for scale in scales:
@@ -134,7 +137,8 @@ def _logit_block(model, level, quadrat, crop, scales, cache, pooled) -> np.ndarr
                 raise QuadfloraError(
                     f"quadrat {quadrat.quadrat_id} has no features and the cache lacks {key}"
                 )
-            block = head_logits(model, level, pooled()[start : start + scale * scale])
+            rows = pooled()[start : start + scale * scale]
+            block = head_logits(model, level, rows, memos.setdefault(scale, {}))
             if cache is not None:
                 cache.put(key, block)
         blocks.append(block)
@@ -167,9 +171,10 @@ def infer_quadrat(
         pooled = functools.cache(
             functools.partial(_pooled, quadrat, region, scales, cfg.overlap_frac)
         )
+        memos: dict = {}
         for model in models:
             blocks = {
-                level: _logit_block(model, level, quadrat, crop, scales, cache, pooled)
+                level: _logit_block(model, level, quadrat, crop, scales, cache, pooled, memos)
                 for level in LEVELS
                 if model.head_for(level) is not None
             }

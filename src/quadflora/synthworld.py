@@ -119,7 +119,7 @@ class LinearHead:
 
 @dataclass(frozen=True)
 class TwoLayerHead:
-    """Two linear layers with a ReLU between them."""
+    """Two linear layers with a ReLU between them: apply(f) is out(hidden(f))."""
 
     w1: np.ndarray
     b1: np.ndarray
@@ -130,9 +130,15 @@ class TwoLayerHead:
     def in_dim(self) -> int:
         return int(self.w1.shape[1])
 
+    def hidden(self, f: np.ndarray) -> np.ndarray:
+        return np.maximum(f @ self.w1.T + self.b1, 0.0)
+
+    def out(self, h: np.ndarray) -> np.ndarray:
+        return h @ self.w2.T + self.b2
+
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Logits of a (D,) feature vector or of each row of a (T x D) matrix."""
-        return np.maximum(f @ self.w1.T + self.b1, 0.0) @ self.w2.T + self.b2
+        return self.out(self.hidden(f))
 
 
 Head = Union[LinearHead, TwoLayerHead]
@@ -153,12 +159,16 @@ class ToyModel:
         return getattr(self, f"{level}_head")
 
 
-def head_logits(model: ToyModel, level: str, f: np.ndarray) -> np.ndarray:
+def head_logits(model: ToyModel, level: str, f: np.ndarray, memo: Optional[dict] = None):
     """Apply the model's head for one level to a tile feature vector (D,),
     or to a (T x D) matrix of them at once, giving (C,) or (T x C).
 
     The matrix form is one GEMM; its last bits can depend on T, so a row
     need not equal the vector call on that row to the ulp.
+
+    memo, a dict for this f alone, keeps a TwoLayerHead's hidden(f) for
+    the next head with its (w1, b1) arrays (compose_model shares them if
+    bit-equal): the same GEMM of the same bits, as apply(f) would run.
     """
     head = model.head_for(level)
     if head is None:
@@ -169,7 +179,12 @@ def head_logits(model: ToyModel, level: str, f: np.ndarray) -> np.ndarray:
             f"feature has shape {f.shape}, head expects ({head.in_dim},) "
             f"or (T, {head.in_dim})"
         )
-    return head.apply(f)
+    if memo is None or not isinstance(head, TwoLayerHead):
+        return head.apply(f)
+    key = (id(head.w1), id(head.b1))  # the model holds both while memo lives
+    if key not in memo:
+        memo[key] = head.hidden(f)
+    return head.out(memo[key])
 
 
 @dataclass(frozen=True)

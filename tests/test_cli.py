@@ -201,6 +201,24 @@ def infer_argv(cfg, data, out, *extra):
     return ["infer", "--config", str(cfg), "--data", str(data), "--out", str(out), *extra]
 
 
+def test_readme_configs_run(tmp_path, capsys):
+    # README's generator and run blocks, as written, and with the run
+    # block's kernel_w line enabled at the target README gives for it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    gen, run_block = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    target = re.search(r"^# kernel_w = .*?(target_mean_len = [\d.]+)", run_block, re.S | re.M)
+    kernel = re.sub(r"^target_mean_len = \S+", target.group(1), run_block, flags=re.M)
+    kernel = kernel.replace("# kernel_w =", "kernel_w =")
+    assert "\nkernel_w = " in kernel and kernel.count("target_mean_len") == 2
+    (tmp_path / "gen.cfg").write_text(gen)
+    data = tmp_path / "data"
+    assert main(["gen", "--config", str(tmp_path / "gen.cfg"), "--out", str(data)]) == 0
+    for name, text in (("readme", run_block), ("kernel", kernel)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        assert main(infer_argv(cfg, data, tmp_path / f"{name}.csv")) == 0, capsys.readouterr().err
+
+
 def fresh_cache_submission(tmp_path, cfg, data, name="fresh"):
     """The submission of a run that starts from an empty logit cache."""
     out = tmp_path / f"{name}.csv"

@@ -23,7 +23,7 @@ from quadflora.errors import (
     QuadfloraError,
     ShapeError,
 )
-from quadflora.formats import LogitCache
+from quadflora.formats import LogitCache, write_head_registry
 from quadflora.fusion import FusedScores, TileLogits, fuse
 from quadflora.geometry import CropSpec, GridSpec, Rect, central_crop, tile_grid
 from quadflora.pipeline import (
@@ -43,8 +43,10 @@ from quadflora.selection import (
 )
 from quadflora.synthworld import (
     LEVELS,
+    HeadRegistry,
     Quadrat,
     SynthConfig,
+    TwoLayerHead,
     gen_world,
     head_logits,
     tile_features,
@@ -417,26 +419,39 @@ class TestBenchmarkHooks:
         models = two_models(registry)
         groups = {q.quadrat_id: q.transect_id for q in quads}
 
-        def infer(channel):
+        def infer(channel, cache=None):
             cfg = RunConfig(
                 scales=(2, 3),
                 crop_fracs=(0.0, 0.10),
                 kernel_w=0.5,
                 selection=SelectionConfig(channel=channel, max_len=9),
             )
-            candidates = pipeline.infer_corpus(quads, cfg, tax, models)
+            candidates = pipeline.infer_corpus(quads, cfg, tax, models, cache)
             return candidates, pipeline.select_predictions(candidates, cfg, groups)
 
+        filled = {}
         for channel in ("fused", "raw"):
             expected = infer(channel)
+            # the raw run starts from the genus grids of the fused run
+            cache = LogitCache()
+            for key, block in filled.items():
+                if key[4] == "genus":
+                    cache.put(key, block)
+            held = len(cache._data)
             tracer = tracer_mod.Tracer()
             tracer.install()
             try:
-                got = infer(channel)
+                got = infer(channel, cache)
             finally:
                 tracer.uninstall()
             assert got == expected
+            filled = dict(cache._data)
             calls = Counter(span[0] for span in tracer.spans)
+            # one span per missed (model, level, grid), even where heads
+            # share a first layer: 2 crops x 2 scales x 6 heads a quadrat
+            assert len(cache._data) == len(quads) * 2 * 2 * 6
+            assert calls["synthworld.head_logits"] == len(cache._data) - held
+            assert held == (len(quads) * 2 * 2 * 2 if channel == "raw" else 0)
             # 3 levels of the bag of 2 crops x 2 models smoothed per quadrat
             assert calls["ensemble.kernel_smooth"] == len(quads) * 3
             for name in ("ensemble.bag", "selection.collect_candidates"):
@@ -793,6 +808,114 @@ class TestCache:
         stub = Quadrat("qX", "t0", 20, None)
         with pytest.raises(QuadfloraError, match="no features"):
             infer_quadrat(stub, RunConfig(scales=(2,)), tax, models)
+
+
+class TestSharedFirstLayer:
+    """Heads whose first layers are bit-equal share one product per grid."""
+
+    SELECTION = HeadSelection("lin1", "mlp2", "mlp2")
+
+    @staticmethod
+    def hidden_calls(monkeypatch):
+        """The row count of each TwoLayerHead.hidden call from now on."""
+        calls = []
+        hidden = TwoLayerHead.hidden
+
+        def spy(head, f):
+            calls.append(len(f))
+            return hidden(head, f)
+
+        monkeypatch.setattr(TwoLayerHead, "hidden", spy)
+        return calls
+
+    @pytest.mark.parametrize("scale", [4, 5])
+    def test_shared_heads_keep_their_own_bits(self, noisy_world, scale):
+        _, quads, registry = noisy_world
+        model = compose_model(registry, self.SELECTION)
+        genus, family = registry.get("genus", "mlp2"), registry.get("family", "mlp2")
+        assert model.family_head.w1 is model.genus_head.w1 is genus.w1
+        assert model.family_head.b1 is model.genus_head.b1 is genus.b1
+        assert model.family_head.w2 is family.w2 and model.family_head.b2 is family.b2
+        f = pipeline._pooled(quads[0], Rect(0, 0, 20, 20), [scale], 0.0)
+        assert len(f) == scale * scale  # T = 16 and T = 25
+        memo = {}
+        for level, head_id in self.SELECTION.heads():
+            got = head_logits(model, level, f, memo)
+            assert got.tobytes() == registry.get(level, head_id).apply(f).tobytes(), level
+        assert len(memo) == 1
+
+    def test_one_hidden_product_per_grid(self, noisy_world, monkeypatch):
+        tax, quads, registry = noisy_world
+        calls = self.hidden_calls(monkeypatch)
+        cfg = RunConfig(scales=(4, 5), crop_fracs=(0.0, 0.10))
+        infer_quadrat(quads[0], cfg, tax, two_models(registry))
+        # one per (crop, scale) grid, where the genus and family heads ran one each
+        assert sorted(calls) == [16, 16, 25, 25]
+
+    @pytest.mark.parametrize("change", ["signed zero in b1", "w1 one ulp off", "same NaN in w1"])
+    def test_other_bits_are_not_shared(self, noisy_world, monkeypatch, change):
+        _, quads, registry = noisy_world
+        genus, family = registry.get("genus", "mlp2"), registry.get("family", "mlp2")
+        w1, b1 = family.w1.copy(), family.b1.copy()
+        if change == "signed zero in b1":
+            w1 = genus.w1  # the very same w1: the memo tells heads apart by b1 too
+            assert b1[3] == 0.0 and not np.signbit(b1[3])
+            b1[3] = -0.0
+        elif change == "w1 one ulp off":
+            w1[1, 2] = np.nextafter(w1[1, 2], np.inf)
+        else:
+            w1[1, 2] = np.nan
+            genus = dataclasses.replace(genus, w1=w1.copy())
+        family = dataclasses.replace(family, w1=w1, b1=b1)
+        heads = {**registry.heads, "genus": {"mlp2": genus}, "family": {"mlp2": family}}
+        model = compose_model(HeadRegistry(heads=heads), self.SELECTION)
+        assert model.family_head.w1 is w1 and model.family_head.b1 is b1
+        f = pipeline._pooled(quads[0], Rect(0, 0, 20, 20), [4], 0.0)
+        want = {level: model.head_for(level).apply(f).tobytes() for level in ("genus", "family")}
+        calls = self.hidden_calls(monkeypatch)
+        memo = {}
+        for level in ("genus", "family"):
+            got = head_logits(model, level, f, memo)
+            if change != "same NaN in w1":
+                assert got.tobytes() == want[level], level
+        assert calls == [16, 16]
+
+    def test_composing_leaves_the_registry_as_it_was(self, noisy_world, tmp_path):
+        _, _, registry = noisy_world
+        write_head_registry(registry, tmp_path / "before.csv")
+        arrays = {
+            (level, head_id): [id(a) for a in vars(head).values()]
+            for level, heads in registry.heads.items()
+            for head_id, head in heads.items()
+        }
+        first, second = (compose_model(registry, self.SELECTION) for _ in range(2))
+        for level in LEVELS:
+            a, b = vars(first.head_for(level)), vars(second.head_for(level))
+            assert a.keys() == b.keys() and all(a[k] is b[k] for k in a)
+        assert arrays == {
+            (level, head_id): [id(a) for a in vars(head).values()]
+            for level, heads in registry.heads.items()
+            for head_id, head in heads.items()
+        }
+        assert registry.get("family", "mlp2").w1 is not registry.get("genus", "mlp2").w1
+        write_head_registry(registry, tmp_path / "after.csv")
+        assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "before.csv").read_bytes()
+
+    @pytest.mark.parametrize("missing", ["genus", "family"])
+    def test_a_missing_level_is_filled_with_the_cold_bits(self, noisy_world, missing):
+        tax, quads, registry = noisy_world
+        models = two_models(registry)
+        cfg = RunConfig(scales=(4, 5), crop_fracs=(0.0, 0.10), kernel_w=0.5)
+        cold = LogitCache()
+        expected = infer_corpus(quads, cfg, tax, models, cold)
+        partial = LogitCache()
+        for key, block in cold._data.items():
+            if key[4] != missing:
+                partial.put(key, block)
+        assert infer_corpus(quads, cfg, tax, models, partial) == expected
+        assert partial._data.keys() == cold._data.keys()
+        for key, block in cold._data.items():
+            assert partial.get(key).tobytes() == block.tobytes(), key
 
 
 class TestRunConfig:
