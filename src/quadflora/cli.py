@@ -57,7 +57,7 @@ def _load_world(args, cfg: RunConfig):
         os.path.join(args.data, "heads.csv"), used, records["heads"]
     )
     models = [compose_model(registry, sel) for sel in cfg.head_combos]
-    fingerprint = formats.CacheFingerprint.of(cfg.overlap_frac, registry, quadrats)
+    fingerprint = formats.CacheFingerprint.of(registry, quadrats)
     cache = formats.LogitCache.load(cache_path, fingerprint)
     return tax, quadrats, models, cache
 

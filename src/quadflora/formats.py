@@ -18,7 +18,7 @@ ground truth   quadrat_id,transect_id,species_ids       ids ;-separated, ascendi
 submission     quadrat_id,species_ids                   ids ;-separated, ascending
 features       quadrat_id,transect_id,grid_cells,feature_dim,row,col,values
 head registry  level,head_id,param,row,values           param in w,b,w1,b1,w2,b2
-logit cache    JSON header; [model_id,quadrat_id,crop_pct,scale,level,rows,cols] list; f8 grids
+logit cache    header; [model_id,quadrat_id,crop_pct,overlap_frac,scale,level,rows,cols]; f8 grids
 config         flat "key = value" lines, '#' comments
 
 A logit cache's header line records the byte count and sha256 of the
@@ -52,7 +52,7 @@ import itertools
 import json
 import warnings
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Collection, Mapping, Optional, Sequence
 
 import numpy as np
@@ -119,8 +119,8 @@ def _parse_values(field: str, where: str) -> np.ndarray:
 
 
 class _NumberedFields:
-    """Numbered lines' values fields as the (where, field) rows of
-    _parse_block, each row's "path:line" text built only when it is read."""
+    """Numbered lines' values fields, the rows of _parse_block: row i is
+    (where, field), its "path:line" text built only when it is read."""
 
     def __init__(self, path, linenos: Sequence[int], fields: Sequence[str]):
         self.path, self.linenos, self.fields = path, linenos, fields
@@ -129,14 +129,14 @@ class _NumberedFields:
         return f"{self.path}:{self.linenos[i]}", self.fields[i]
 
 
-def _parse_block(rows: Sequence[tuple[str, str]]) -> Optional[np.ndarray]:
-    """The values fields of (where, field) rows as one (rows x values)
+def _parse_block(rows: _NumberedFields) -> Optional[np.ndarray]:
+    """The values fields of numbered rows as one (rows x values)
     matrix, parsed by one np.loadtxt call; None if the rows differ in
     length. Unless loadtxt gives one finite row per field (it skips an
     empty field) and no warning, or if a field holds \\x1c-\\x1f (space
     to loadtxt, not to float()), the rows are parsed one by one by
     _parse_values, the oracle, so an error names its row's own line."""
-    fields = rows.fields if isinstance(rows, _NumberedFields) else [field for _, field in rows]
+    fields = rows.fields
     joined = "".join(fields)
     if not any(c in joined for c in "\x1c\x1d\x1e\x1f"):
         try:
@@ -463,12 +463,13 @@ def write_head_registry(registry: HeadRegistry, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _head_of(path, name: str, params: dict[str, dict[int, tuple[str, str]]]) -> Head:
+def _head_of(path, name: str, params: dict[str, dict[int, tuple[int, str]]]) -> Head:
     """A head from its rows, parsed and checked for missing rows, lengths,
     bias rows and shapes; name is "level/head_id"."""
     matrices = {}
     for param, rows in params.items():
-        matrix = _parse_block([rows[i] for i in sorted(rows)])
+        linenos, fields = zip(*(rows[i] for i in sorted(rows)))
+        matrix = _parse_block(_NumberedFields(path, linenos, fields))
         if sorted(rows) != list(range(len(rows))):
             raise FormatError(f"{path}: {name}/{param} has missing rows")
         if matrix is None:
@@ -494,12 +495,12 @@ def _head_of(path, name: str, params: dict[str, dict[int, tuple[str, str]]]) -> 
 
 
 def _check_heads(path, text: Optional[str] = None, first_line: int = 1) -> tuple[dict, dict]:
-    """Every head's rows, {param: {row: (where, values)}}, and the record
+    """Every head's rows, {param: {row: (lineno, values)}}, and the record
     of its lines, each by "level/head_id". Every row is checked for its
     level, param, row index and duplicates. The lines are streamed from
     the file, or are those of text: the file's lines from first_line on,
     the span of one head that _walk accepted."""
-    grouped: dict[str, dict[str, dict[int, tuple[str, str]]]] = {}
+    grouped: dict[str, dict[str, dict[int, tuple[int, str]]]] = {}
     hashed = _LineRecords()
     for lineno, row, line in read_row_lines(path, HEADS_HEADER, text, first_line):
         level, head_id, param, row_s, values = row
@@ -517,7 +518,7 @@ def _check_heads(path, text: Optional[str] = None, first_line: int = 1) -> tuple
         rows = grouped.setdefault(name, {}).setdefault(param, {})
         if row in rows:
             raise FormatError(f"{where}: duplicate row {row} for {param}")
-        rows[row] = (where, values)
+        rows[row] = (lineno, values)
         hashed.add(name, line)
     if not grouped:
         raise FormatError(f"no head rows in {path}")
@@ -552,22 +553,21 @@ def load_head_registry(
 
 # ---------------------------------------------------------------- logit cache
 
-CACHE_VERSION = 6
+CACHE_VERSION = 7
 _RECORD_KINDS = ("heads", "quadrats")  # the line records a cache's header holds
 
 
 @dataclass(frozen=True)
 class CacheFingerprint:
-    """What a run's cached logits depend on beyond their keys: the tile
-    overlap, and the records of the lines of every head in the heads file,
-    whether the run uses it or not, and of each quadrat's features."""
+    """What a run's cached logits depend on beyond their keys: the
+    records of the lines of every head in the heads file, whether the run
+    uses it or not, and of each quadrat's features."""
 
-    overlap_frac: float
     heads: dict  # "level/head_id" -> record of its lines (HeadRegistry.records)
     quadrats: dict  # quadrat id -> record of its feature lines
 
     @classmethod
-    def of(cls, overlap_frac: float, registry, quadrats: Sequence[Quadrat]) -> "CacheFingerprint":
+    def of(cls, registry, quadrats: Sequence[Quadrat]) -> "CacheFingerprint":
         if registry.records is None:
             raise QuadfloraError("head registry was not read from a heads file")
         records = {}
@@ -575,7 +575,7 @@ class CacheFingerprint:
             if not isinstance(q.load_cells, _FeatureRows):
                 raise QuadfloraError(f"quadrat {q.quadrat_id} was not read from a features file")
             records[q.quadrat_id] = q.load_cells.record
-        return cls(float(overlap_frac), registry.records, records)
+        return cls(registry.records, records)
 
 
 def _heads_recorded(model_id: str, heads: Mapping[str, dict]) -> bool:
@@ -613,7 +613,6 @@ def _read_header(line: bytes) -> Optional[dict]:
     valid = (
         isinstance(record, dict)
         and record.get("version") == CACHE_VERSION
-        and type(record.get("overlap_frac")) in (int, float)
         and isinstance(record.get("blas"), str)
         and isinstance(record.get("sha256"), str)
         and all(
@@ -639,12 +638,12 @@ def cache_records(cache_path) -> dict[str, dict]:
 
 
 def _is_index_entry(entry) -> bool:
-    """[model_id, quadrat_id, crop_pct, scale, level, rows >= 0, cols >= 1]."""
+    """[model_id, quadrat_id, crop_pct, overlap_frac, scale, level, rows >= 0, cols >= 1]."""
     return (
         isinstance(entry, list)
-        and list(map(type, entry)) == [str, str, str, int, str, int, int]
-        and entry[4] in LEVELS
-        and entry[5] >= 0 < entry[6]
+        and list(map(type, entry)) == [str, str, str, float, int, str, int, int]
+        and entry[5] in LEVELS
+        and entry[6] >= 0 < entry[7]
     )
 
 
@@ -679,14 +678,16 @@ def _read_grids(path, data: bytes, start: int) -> dict[tuple, Optional[np.ndarra
 
 
 class LogitCache:
-    """Logits of whole tile grids, keyed by (model, quadrat, crop, scale, level).
+    """Logits of whole tile grids, keyed by (model, quadrat, crop, overlap, scale, level).
 
     Each entry is one (scale^2 x classes) block, its rows in the grid's
-    row-major tile order. The file is one JSON header line: the format
+    row-major tile order. The key names every run setting a grid is
+    computed from, so one cache serves runs at any mix of crops, tile
+    overlaps and scales. The file is one JSON header line: the format
     version, the sha256 of every byte after it and, when saved with a
-    CacheFingerprint, overlap_frac, the BLAS in use (blas_record) and the
-    byte count and sha256 of the lines of every head in the heads file,
-    by "level/head_id", and of each quadrat's feature lines. Then the
+    CacheFingerprint, the BLAS in use (blas_record) and the byte count
+    and sha256 of the lines of every head in the heads file, by
+    "level/head_id", and of each quadrat's feature lines. Then the
     grid index (_read_grids), sorted by key, and each grid's float64
     bits, so a cache round-trip reproduces in-memory results exactly; a
     loaded grid is a read-only view of the file's bytes. A grid whose rows are not scale^2 is
@@ -695,11 +696,11 @@ class LogitCache:
     Loaded with a CacheFingerprint (as `infer` and `sweep` do), the
     header is checked first. Grids it cannot vouch for are dropped with
     one warning: all of them when the header is not a fingerprint of
-    this version or its sha256 or overlap_frac differ; else those of
-    changed quadrats and of models (species+genus+family head ids) with
-    a changed head, whether this run uses that model or not. Another
-    BLAS record only warns: the grids are kept, though a product computed
-    under another BLAS setting can differ in a last digit. Loaded without
+    this version or its sha256 differs; else those of changed quadrats
+    and of models (species+genus+family head ids) with a changed head,
+    whether this run uses that model or not. Another BLAS record only
+    warns: the grids are kept, though a product computed under another
+    BLAS setting can differ in a last digit. Loaded without
     one, the header is not read and every grid is kept. Heads and
     quadrats follow one rule: a record the files' lines no longer match
     is renewed, and one of a head or quadrat the files no longer hold is
@@ -710,11 +711,6 @@ class LogitCache:
     load (cache_records) take them unchecked, even when the grids
     themselves are dropped. A value is parsed when a run first needs it,
     and a bad one is reported then.
-
-    The grids hold for one tile overlap. A cache is bound to it by its
-    header when loaded with a CacheFingerprint, else by the first run
-    that uses it (bind_overlap); a run with another overlap drops every
-    grid, with one warning, and rebinds the cache to its own.
     """
 
     def __init__(self, path=None):
@@ -723,14 +719,11 @@ class LogitCache:
         self._dirty = True
         self._fingerprint: Optional[CacheFingerprint] = None
         self._recorded: dict[str, dict] = {kind: {} for kind in _RECORD_KINDS}
-        self._overlap: Optional[float] = None
 
     @classmethod
     def load(cls, path, fingerprint: Optional[CacheFingerprint] = None) -> "LogitCache":
         cache = cls(path)
         cache._fingerprint = fingerprint
-        if fingerprint is not None:
-            cache._overlap = fingerprint.overlap_frac
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
@@ -743,8 +736,6 @@ class LogitCache:
                 why_not = f"its first line is not a format {CACHE_VERSION} fingerprint"
             elif record["sha256"] != hashlib.sha256(memoryview(data)[start:]).hexdigest():
                 why_not = "it was changed after it was written"
-            elif record["overlap_frac"] != fingerprint.overlap_frac:
-                why_not = f"it holds logits for overlap_frac {record['overlap_frac']}"
             else:
                 why_not = ""
             if why_not:
@@ -769,7 +760,7 @@ class LogitCache:
         grids = _read_grids(path, data, start)
         dropped = Counter()
         for key, block in grids.items():
-            model_id, qid, _, scale, _ = key
+            model_id, qid, _, _, scale, _ = key
             if fingerprint is not None and not _heads_recorded(model_id, cache._recorded["heads"]):
                 dropped["changed heads"] += 1
             elif fingerprint is not None and qid not in cache._recorded["quadrats"]:
@@ -800,27 +791,11 @@ class LogitCache:
     def __len__(self) -> int:
         return sum(len(block) for block in self._data.values())
 
-    def bind_overlap(self, overlap_frac: float) -> None:
-        """Bind the cache to a run's tile overlap; grids of another are dropped."""
-        if overlap_frac == self._overlap:
-            return
-        if self._overlap is not None and self._data:
-            warnings.warn(
-                f"logit cache{f' {self.path}' if self.path else ''}: dropped its "
-                f"{len(self._data)} grids, computed for overlap_frac {self._overlap}, "
-                f"for a run with overlap_frac {overlap_frac}"
-            )
-            self._data.clear()
-            self._dirty = True
-        self._overlap = overlap_frac
-        if self._fingerprint is not None:
-            self._fingerprint = replace(self._fingerprint, overlap_frac=float(overlap_frac))
-
     def get(self, key) -> Optional[np.ndarray]:
         return self._data.get(key)
 
     def put(self, key, block: np.ndarray) -> None:
-        scale = key[3]
+        scale = key[4]
         if block.ndim != 2 or len(block) != scale * scale:
             raise ShapeError(f"logit block of shape {block.shape} for a {scale}x{scale} grid")
         block.flags.writeable = False  # a run may hand it on uncopied
@@ -839,9 +814,8 @@ class LogitCache:
         index = [[*key, *block.shape] for key, block in zip(keys, blocks)]
         body = b"".join([_json_line(index), *blocks])
         header = {"version": CACHE_VERSION, "sha256": hashlib.sha256(body).hexdigest()}
-        fp = self._fingerprint
-        if fp is not None:
-            header.update(overlap_frac=fp.overlap_frac, blas=blas_record(), **self._records())
+        if self._fingerprint is not None:
+            header.update(blas=blas_record(), **self._records())
         atomic_write_text(self.path, _json_line(header) + body)
         self._dirty = False
 

@@ -17,19 +17,19 @@ its product (compose_model), the same GEMM of the same bits. Blocks are
 used as computed, not rounded: the logit cache stores each grid's exact
 float64 bits, so runs that read a warm cache are bit-identical to the
 runs that filled it. The logit cache holds whole grids, keyed by
-(model, quadrat, crop, scale, level), so a cached grid does not depend
-on which other scales, crops or grids a run computes. What else a grid
+(model, quadrat, crop, overlap, scale, level): every run setting a grid
+is computed from, so a cached grid does not depend on which other
+scales, crops, overlaps or grids a run computes. What else a grid
 depends on (the text of its model's heads and of its quadrat's
-features, the tile overlap) is recorded in the cache file's header
-line, which `infer` and `sweep` check on load (formats.LogitCache).
+features) is recorded in the cache file's header line, which `infer`
+and `sweep` check on load (formats.LogitCache).
 Its records, read first, vouch for feature and head lines even if the
 cached grids are then dropped: a quadrat read from a file parses its
 features, those of the crop alone, and a head (if they vouch for every
 head's lines) its values, only when a grid that needs them misses the
 cache, so a fully warm run parses none and builds no tile grid (a hit
 needs a grid's scale and scale^2 alone). As crop_key keys a crop by 9
-significant digits, RunConfig takes no crop fraction of more. A run
-binds the cache to its tile overlap (LogitCache.bind_overlap).
+significant digits, RunConfig takes no crop fraction of more.
 """
 
 import functools
@@ -113,24 +113,23 @@ def _pooled(quadrat: Quadrat, region: Rect, scales: Sequence[int], overlap_frac:
     return np.array([tile_features(quadrat, t) for grid in grids for t in grid])
 
 
-def _logit_block(model, level, quadrat, crop, scales, cache, pooled, memos=None) -> np.ndarray:
+def _logit_block(model, level, quadrat, crop, overlap, scales, cache, pooled, memos) -> np.ndarray:
     """(tiles x classes) logits of one model level over the crop's grids.
 
-    Each (crop, scale) grid is one cache entry of scale^2 rows. On a miss
-    the head runs once on the whole grid (one GEMM), and the result is
-    put whole, as computed. GEMM's last bits can depend on the batch
-    size, so the batch is always one grid, and a grid's values depend on
-    its cache key alone, whatever else a run asks for.
+    Each (crop, overlap, scale) grid is one cache entry of scale^2 rows.
+    On a miss the head runs once on the whole grid (one GEMM), and the
+    result is put whole, as computed. GEMM's last bits can depend on the
+    batch size, so the batch is always one grid, and a grid's values
+    depend on its cache key alone, whatever else a run asks for.
 
     pooled() gives the crop's (tiles x D) pooled features (_pooled), on
     the first miss only; it and memos[scale], head_logits' memo of each
     grid, are shared by every model and level.
     """
-    memos = {} if memos is None else memos
     blocks = []
     start = 0
     for scale in scales:
-        key = (model.model_id, quadrat.quadrat_id, crop, scale, level)
+        key = (model.model_id, quadrat.quadrat_id, crop, overlap, scale, level)
         block = cache.get(key) if cache is not None else None
         if block is None:
             if quadrat.cells is None and quadrat.load_cells is None:
@@ -158,8 +157,7 @@ def infer_quadrat(
     """Candidate species for one quadrat under the configured pipeline."""
     if not models:
         raise ConfigError("at least one model is required")
-    if cache is not None:
-        cache.bind_overlap(cfg.overlap_frac)
+    overlap = float(cfg.overlap_frac)
     scales = sorted(set(cfg.scales))
     image = Rect(0, 0, quadrat.grid_cells, quadrat.grid_cells)
     members = []
@@ -174,7 +172,9 @@ def infer_quadrat(
         memos: dict = {}
         for model in models:
             blocks = {
-                level: _logit_block(model, level, quadrat, crop, scales, cache, pooled, memos)
+                level: _logit_block(
+                    model, level, quadrat, crop, overlap, scales, cache, pooled, memos
+                )
                 for level in LEVELS
                 if model.head_for(level) is not None
             }

@@ -50,11 +50,11 @@ class ModelOutput:
 
 def cache_rows(cache) -> dict:
     """A logit cache's blocks as one row per tile and level, keyed on
-    (model, quadrat, crop, scale, row, col, level)."""
+    (model, quadrat, crop, overlap, scale, row, col, level)."""
     rows = {}
-    for (model_id, qid, crop, scale, level), block in cache._data.items():
+    for (model_id, qid, crop, overlap, scale, level), block in cache._data.items():
         for i, values in enumerate(block):
-            rows[model_id, qid, crop, scale, i // scale, i % scale, level] = values
+            rows[model_id, qid, crop, overlap, scale, i // scale, i % scale, level] = values
     return rows
 
 

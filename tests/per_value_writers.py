@@ -78,7 +78,6 @@ def save(self, path=None) -> None:
     header = {"version": formats.CACHE_VERSION, "sha256": hashlib.sha256(body).hexdigest()}
     fingerprint = self._fingerprint
     if fingerprint is not None:
-        header["overlap_frac"] = fingerprint.overlap_frac
         header["blas"] = formats.blas_record()
         header["heads"] = {**self._recorded["heads"], **fingerprint.heads}
         header["quadrats"] = {**self._recorded["quadrats"], **fingerprint.quadrats}

@@ -283,11 +283,12 @@ def write_old_format(cache, features, version):
         record["quadrats"] = {qid: sha.hexdigest() for qid, sha in digests.items()}
     if version <= 2:
         header = "model_id,quadrat_id,crop_pct,scale,row,col,level,values\n"
-        rows = sorted(per_tile.cache_rows(blocks).items())
+        rows = per_tile.cache_rows(blocks)
     else:
         header = "model_id,quadrat_id,crop_pct,scale,level,values"
         header += "_f64le_b64\n" if version == 5 else "\n"
-        rows = sorted(blocks._data.items())
+        rows = blocks._data
+    rows = sorted((key[:3] + key[4:], values) for key, values in rows.items())  # no overlap
 
     def field(values):
         if version == 5:
@@ -333,14 +334,15 @@ class TestCacheFingerprint:
         "change",
         [
             "sidecar_deleted", "sidecar_version_1", "previous_format", "sidecar_version_3",
-            "sidecar_version_4", "format_5", "saved_without_fingerprint", "other_version",
-            "cache_edited", "overlap_changed", "heads_regenerated", "used_head_edited",
+            "sidecar_version_4", "format_5", "binary_format_6", "saved_without_fingerprint",
+            "other_version", "cache_edited", "heads_regenerated", "used_head_edited",
             "features_regenerated",
         ],
     )
     def test_stale_cache_is_dropped(self, gen_dir, tmp_path, capsys, change):
         # Old caches are text files of formats 1 to 5 beside a sidecar, or
-        # (sidecar_deleted) a format-5 text file whose sidecar is gone.
+        # (sidecar_deleted) a format-5 text file whose sidecar is gone, or
+        # binary files of format 6, whose index names no overlap.
         cfg = run_cfg_file(tmp_path)
         assert main(infer_argv(cfg, gen_dir, tmp_path / "cold.csv")) == 0
         cache = gen_dir / "logit_cache.csv"
@@ -355,14 +357,18 @@ class TestCacheFingerprint:
             loaded = formats.LogitCache.load(cache)
             loaded._dirty = True
             loaded.save()
+        elif change == "binary_format_6":  # overlap_frac in the header, not in the keys
+            header, index, values = cache_file.parts(cache.read_bytes())
+            header.update(version=6, overlap_frac=0.0)
+            index = [entry[:3] + entry[4:] for entry in index]
+            cache.write_bytes(cache_file.build(header, index, values))
         elif change == "other_version":  # this layout, its sha256 vouching for it
             header, index, values = cache_file.parts(cache.read_bytes())
-            cache.write_bytes(cache_file.build({**header, "version": 7}, index, values))
+            version = formats.CACHE_VERSION + 1  # neither 6 nor 7
+            cache.write_bytes(cache_file.build({**header, "version": version}, index, values))
         elif change == "cache_edited":
             header, index, values = cache_file.parts(cache.read_bytes())
             cache.write_bytes(cache_file.build(header, index, bytes(len(values)), vouched=False))
-        elif change == "overlap_changed":
-            cfg = run_cfg_file(tmp_path, RUN_CFG + "overlap_frac = 0.25\n")
         elif change == "used_head_edited":
             edit_head_value(gen_dir / "heads.csv", "genus,mlp2,w2,")
         else:
@@ -376,7 +382,9 @@ class TestCacheFingerprint:
         assert main(infer_argv(cfg, gen_dir, tmp_path / "warm.csv")) == 0
         warned = capsys.readouterr().err.splitlines()
         assert len(warned) == 1 and warned[0].startswith(f"warning: logit cache {cache}")
-        if old_format or change in ("saved_without_fingerprint", "other_version"):
+        if old_format or change in (
+            "binary_format_6", "saved_without_fingerprint", "other_version"
+        ):
             assert warned[0].endswith(NOT_A_FINGERPRINT)
         if change == "cache_edited":
             assert warned[0].endswith("not used: it was changed after it was written")
@@ -393,6 +401,28 @@ class TestCacheFingerprint:
         assert main(infer_argv(cfg, gen_dir, tmp_path / "again.csv")) == 0
         assert capsys.readouterr().err == ""
         assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+
+    def test_overlap_change_keeps_the_cache(self, gen_dir, tmp_path, capsys):
+        # A run at another overlap_frac computes its own grids beside the
+        # cached ones, with no warning; runs back at either overlap then
+        # read every grid, and leave the cache file's bytes and mtime alone.
+        cfg0 = run_cfg_file(tmp_path)
+        cfg25 = tmp_path / "run25.cfg"
+        cfg25.write_text(RUN_CFG + "overlap_frac = 0.25\n")
+        assert main(infer_argv(cfg0, gen_dir, tmp_path / "cold.csv")) == 0
+        capsys.readouterr()
+        assert main(infer_argv(cfg25, gen_dir, tmp_path / "at25.csv")) == 0
+        assert capsys.readouterr().err == ""
+        fresh = fresh_cache_submission(tmp_path, cfg25, gen_dir)
+        assert (tmp_path / "at25.csv").read_bytes() == fresh
+        cache = gen_dir / "logit_cache.csv"
+        before = file_states(cache)
+        for cfg, want in ((cfg0, "cold.csv"), (cfg25, "at25.csv")):
+            capsys.readouterr()
+            assert main(infer_argv(cfg, gen_dir, tmp_path / "again.csv")) == 0
+            assert capsys.readouterr().err == ""
+            assert (tmp_path / "again.csv").read_bytes() == (tmp_path / want).read_bytes()
+            assert file_states(cache) == before
 
     def old_text_cache_is_rewritten(self, gen_dir, tmp_path, capsys, version):
         """An old text cache beside its sidecar: infer and sweep drop it
@@ -502,7 +532,7 @@ class TestCacheFingerprint:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             loaded = formats.LogitCache.load(cache)
-        keys = [tuple(entry[:5]) for entry in index]
+        keys = [tuple(entry[:6]) for entry in index]
         assert len(keys) > 1 and sorted(loaded._data) == keys
         for key in keys:
             np.testing.assert_array_equal(loaded.get(key), cold.get(key))

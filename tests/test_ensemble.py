@@ -258,14 +258,17 @@ def smoothed(t: TileLogits, w, scales) -> TileLogits:
 def smoothed_members_bagged(q, cfg, tax, models, cache):
     """infer_quadrat as it was before, over the cached grids: each member's
     blocks kernel-smoothed, then bagged, fused and collected."""
-    scales = sorted(set(cfg.scales))
+    scales, overlap = sorted(set(cfg.scales)), float(cfg.overlap_frac)
     members = []
     for crop_frac in cfg.crop_fracs:
         crop = crop_key(crop_frac)
         for model in models:
             blocks = {
                 lvl: np.vstack(
-                    [cache.get((model.model_id, q.quadrat_id, crop, n, lvl)) for n in scales]
+                    [
+                        cache.get((model.model_id, q.quadrat_id, crop, overlap, n, lvl))
+                        for n in scales
+                    ]
                 )
                 for lvl in LEVELS
                 if model.head_for(lvl) is not None

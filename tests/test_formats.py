@@ -689,7 +689,7 @@ class TestCache:
         cache = formats.LogitCache(path)
         rng = np.random.default_rng(3)
         for i in range(5):
-            key = ("m", f"q{i}", "10", 2, "species")
+            key = ("m", f"q{i}", "10", 0.0, 2, "species")
             cache.put(key, canonical9(rng.standard_normal((4, 7))))
         cache.save()
         loaded = formats.LogitCache.load(path)
@@ -702,32 +702,27 @@ class TestCache:
         copy.save()
         assert path.read_bytes() == (tmp_path / "cache2.csv").read_bytes()
 
-    def test_bound_to_one_overlap(self, tmp_path):
-        # Unbound, a cache keeps its grids at its first run's overlap;
-        # loaded with a fingerprint, it is bound by the header's. A run at
-        # another overlap drops every grid, once, and saves its own.
-        grid = np.zeros((4, 3))
-        key = ("m", "q0", "0", 2, "species")
-        cache = formats.LogitCache()
-        cache.put(key, grid)
+    def test_one_cache_holds_every_overlap(self, tmp_path):
+        # The overlap is part of each grid's key: grids of two overlaps
+        # that agree in every other field are two grids, saved and loaded
+        # side by side, with or without a fingerprint, and no warning.
+        keys = [("a+-+-", "q0", "0", overlap, 2, "species") for overlap in (0.0, 0.25)]
+        record = {"bytes": 1, "sha256": "0"}
+        fingerprint = formats.CacheFingerprint({"species/a": record}, {"q0": record})
+        path = tmp_path / "cache.bin"
+        cache = formats.LogitCache.load(path, fingerprint)
+        for i, key in enumerate(keys):
+            cache.put(key, np.full((4, 3), float(i)))
+        cache.save()
+        header, index, _ = cache_file.parts(path.read_bytes())
+        assert "overlap_frac" not in header
+        assert [entry[3] for entry in index] == [0.0, 0.25]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cache.bind_overlap(0.25)
-            cache.bind_overlap(0.25)
-        assert cache.get(key) is grid
-        path = tmp_path / "cache.bin"
-        cache = formats.LogitCache.load(path, formats.CacheFingerprint(0.25, {}, {}))
-        cache.put(key, grid)
-        cache.bind_overlap(0.25)
-        assert cache.get(key) is grid
-        with pytest.warns(UserWarning, match=f"^logit cache {re.escape(str(path))}: dropped its 1 "
-                          "grids, computed for overlap_frac 0.25, for a run with overlap_frac 0$"):
-            cache.bind_overlap(0)
-        assert len(cache) == 0
-        cache.bind_overlap(0)
-        cache.save()
-        header, _, _ = cache_file.parts(path.read_bytes())
-        assert header["overlap_frac"] == 0.0
+            for fp in (None, fingerprint):
+                loaded = formats.LogitCache.load(path, fp)
+                assert [loaded.get(key)[0, 0] for key in keys] == [0.0, 1.0]
+                assert not loaded._dirty
 
     def test_file_lines_sorted_by_grid_key(self, tmp_path):
         # The header line, the grid index in key order, then each grid's
@@ -735,23 +730,23 @@ class TestCache:
         # multiple of 8 bytes, so every grid starts 8-byte aligned.
         path = tmp_path / "cache.csv"
         cache = formats.LogitCache(path)
-        cache.put(("m", "q0", "0", 2, "species"), np.array([[1.0], [2.0], [3.0], [4.0]]))
-        cache.put(("m", "q0", "0", 2, "genus"), np.array([[5.0], [6.0], [7.0], [8.0]]))
-        cache.put(("m", "q0", "0", 1, "species"), np.array([[0.5, 0.25]]))
-        cache.put(("a", "q1", "0", 1, "species"), np.array([[0.0, -1.0]]))
+        cache.put(("m", "q0", "0", 0.0, 2, "species"), np.array([[1.0], [2.0], [3.0], [4.0]]))
+        cache.put(("m", "q0", "0", 0.0, 2, "genus"), np.array([[5.0], [6.0], [7.0], [8.0]]))
+        cache.put(("m", "q0", "0", 0.0, 1, "species"), np.array([[0.5, 0.25]]))
+        cache.put(("a", "q1", "0", 0.0, 1, "species"), np.array([[0.0, -1.0]]))
         cache.save()
         data = path.read_bytes()
         header, index, values = cache_file.parts(data)
         assert index == [
-            ["a", "q1", "0", 1, "species", 1, 2],
-            ["m", "q0", "0", 1, "species", 1, 2],
-            ["m", "q0", "0", 2, "genus", 4, 1],
-            ["m", "q0", "0", 2, "species", 4, 1],
+            ["a", "q1", "0", 0.0, 1, "species", 1, 2],
+            ["m", "q0", "0", 0.0, 1, "species", 1, 2],
+            ["m", "q0", "0", 0.0, 2, "genus", 4, 1],
+            ["m", "q0", "0", 0.0, 2, "species", 4, 1],
         ]
         assert values == f8([0, -1, 0.5, 0.25, 5, 6, 7, 8, 1, 2, 3, 4])
         body = data.split(b"\n", 1)[1]
         # saved without a fingerprint: the version and the sha256 alone
-        assert header == {"version": 6, "sha256": hashlib.sha256(body).hexdigest()}
+        assert header == {"version": 7, "sha256": hashlib.sha256(body).hexdigest()}
         assert data == cache_file.build(header, index, values)
         lines = data[: len(data) - len(values)].split(b"\n")[:2]
         assert [len(line) % 8 for line in lines] == [7, 7]
@@ -761,16 +756,16 @@ class TestCache:
     def test_incomplete_grid_is_dropped_on_load(self, tmp_path, edit):
         path = tmp_path / "cache.csv"
         cache = formats.LogitCache(path)
-        cache.put(("m", "q0", "0", 2, "species"), np.arange(8.0).reshape(4, 2))
-        cache.put(("m", "q1", "0", 2, "species"), np.arange(8.0).reshape(4, 2))
+        cache.put(("m", "q0", "0", 0.0, 2, "species"), np.arange(8.0).reshape(4, 2))
+        cache.put(("m", "q1", "0", 0.0, 2, "species"), np.arange(8.0).reshape(4, 2))
         cache.save()
         header, index, values = cache_file.parts(path.read_bytes())
-        assert index[0] == ["m", "q0", "0", 2, "species", 4, 2] and values[:64] == f8(range(8))
+        assert index[0] == ["m", "q0", "0", 0.0, 2, "species", 4, 2] and values[:64] == f8(range(8))
         index[:1], values = {
             "drop": ([], values[64:]),  # an absent grid is a plain miss
             "duplicate": ([index[0], index[0]], f8(range(7, -1, -1)) + values),
-            "wrong_length": ([["m", "q0", "0", 2, "species", 3, 2]], values[16:]),
-            "bad_scale": ([["m", "q0", "0", 0, "species", 4, 2]], values),
+            "wrong_length": ([["m", "q0", "0", 0.0, 2, "species", 3, 2]], values[16:]),
+            "bad_scale": ([["m", "q0", "0", 0.0, 0, "species", 4, 2]], values),
         }[edit]
         path.write_bytes(cache_file.build(header, index, values))
         if edit == "drop":
@@ -781,10 +776,10 @@ class TestCache:
             why = "repeated keys" if edit == "duplicate" else "wrong shapes"
             with pytest.warns(UserWarning, match=rf"dropped 1 of 2 grids \(1 for {why}\)"):
                 loaded = formats.LogitCache.load(path)
-        assert loaded.get(("m", "q0", "0", 2, "species")) is None
+        assert loaded.get(("m", "q0", "0", 0.0, 2, "species")) is None
         assert len(loaded) == 4 and loaded._dirty == (edit != "drop")
         np.testing.assert_array_equal(
-            loaded.get(("m", "q1", "0", 2, "species")), np.arange(8.0).reshape(4, 2)
+            loaded.get(("m", "q1", "0", 0.0, 2, "species")), np.arange(8.0).reshape(4, 2)
         )
 
     @pytest.mark.parametrize(
@@ -799,6 +794,7 @@ class TestCache:
             ("truncated", "bytes of values"),  # the file cut inside the last grid
             ("truncated_index", "bad grid index"),  # ... or inside the index line
             ("index_not_a_list", "bad grid index"),
+            ("overlap_as_int", "bad grid index"),
             ("scale_as_text", "bad grid index"),
             ("unknown_level", "bad grid index"),
             ("negative_rows", "bad grid index"),
@@ -807,7 +803,7 @@ class TestCache:
     def test_damaged_values_field(self, tmp_path, damage, outcome):
         path = tmp_path / "cache.csv"
         cache = formats.LogitCache(path)
-        keys = [("m", "q0", "0", 2, "species"), ("m", "q1", "0", 2, "species")]
+        keys = [("m", "q0", "0", 0.0, 2, "species"), ("m", "q1", "0", 0.0, 2, "species")]
         for i, key in enumerate(keys):
             cache.put(key, np.arange(8.0 * i, 8.0 * i + 8).reshape(4, 2))
         cache.save()
@@ -818,7 +814,7 @@ class TestCache:
             values = f8([*range(9), float(damage), *range(10, 16)])
             damaged = cache_file.build(header, index, values)
         elif damage == "not_8_scale2_bytes":
-            index[1][5:] = [1, 5]
+            index[1][6:] = [1, 5]
             damaged = cache_file.build(header, index, values[:-24])
         elif damage.startswith("truncated"):
             damaged = data[: -5 if damage == "truncated" else len(data) - len(values) - 9]
@@ -830,8 +826,8 @@ class TestCache:
                 index = {"grids": index}
             else:
                 field, value = {
-                    "scale_as_text": (3, "2"), "unknown_level": (4, "order"),
-                    "negative_rows": (5, -4),
+                    "overlap_as_int": (3, 0), "scale_as_text": (4, "2"),
+                    "unknown_level": (5, "order"), "negative_rows": (6, -4),
                 }[damage]
                 index[1][field] = value
             damaged = cache_file.build(header, index, values)
@@ -851,7 +847,7 @@ class TestCache:
         cache = formats.LogitCache()
         for block in (np.zeros((3, 2)), np.zeros(4), np.zeros((4, 2, 1))):
             with pytest.raises(ShapeError):
-                cache.put(("m", "q0", "0", 2, "species"), block)
+                cache.put(("m", "q0", "0", 0.0, 2, "species"), block)
 
     def test_missing_file_is_empty(self, tmp_path):
         assert len(formats.LogitCache.load(tmp_path / "nope.csv")) == 0
@@ -860,14 +856,14 @@ class TestCache:
         path = tmp_path / "cache.csv"
         cache = formats.LogitCache(path)
         row = np.random.default_rng(4).standard_normal(17_000)
-        cache.put(("m", "q0", "0", 1, "species"), row[None, :])
+        cache.put(("m", "q0", "0", 0.0, 1, "species"), row[None, :])
         cache.save()
         assert path.stat().st_size > 131072
         loaded = formats.LogitCache.load(path)
-        got = loaded.get(("m", "q0", "0", 1, "species"))
+        got = loaded.get(("m", "q0", "0", 0.0, 1, "species"))
         np.testing.assert_array_equal(got.view(np.int64), row[None, :].view(np.int64))
         copy = formats.LogitCache(tmp_path / "cache2.csv")
-        copy.put(("m", "q0", "0", 1, "species"), loaded.get(("m", "q0", "0", 1, "species")))
+        copy.put(("m", "q0", "0", 0.0, 1, "species"), loaded.get(("m", "q0", "0", 0.0, 1, "species")))
         copy.save()
         assert path.read_bytes() == (tmp_path / "cache2.csv").read_bytes()
 
@@ -893,7 +889,7 @@ class TestCache:
         cache = formats.LogitCache()
         with pytest.raises(FormatError, match="^cache has no path to save to$"):
             cache.save()
-        cache.put(("m", "q0", "10", 1, "species"), np.array([[1.0]]))
+        cache.put(("m", "q0", "10", 0.0, 1, "species"), np.array([[1.0]]))
         with pytest.raises(FormatError, match="^cache has no path to save to$"):
             cache.save()
 
@@ -904,25 +900,25 @@ class TestCache:
         formats.write_quadrat_features(quads, feats)
         read_registry = formats.load_head_registry(heads)
         read_quads = formats.load_quadrat_features(feats)
-        assert formats.CacheFingerprint.of(0.5, read_registry, read_quads).quadrats
+        assert formats.CacheFingerprint.of(read_registry, read_quads).quadrats
         with pytest.raises(QuadfloraError, match="^head registry was not read from a heads file$"):
-            formats.CacheFingerprint.of(0.5, registry, read_quads)
+            formats.CacheFingerprint.of(registry, read_quads)
         message = f"^quadrat {quads[0].quadrat_id} was not read from a features file$"
         with pytest.raises(QuadfloraError, match=message):
-            formats.CacheFingerprint.of(0.5, read_registry, quads)
+            formats.CacheFingerprint.of(read_registry, quads)
 
     def test_clean_save_skips_rewrite(self, tmp_path):
         import os
 
         path = tmp_path / "cache.csv"
         cache = formats.LogitCache(path)
-        cache.put(("m", "q0", "10", 1, "species"), np.array([[1.0, 2.0]]))
+        cache.put(("m", "q0", "10", 0.0, 1, "species"), np.array([[1.0, 2.0]]))
         cache.save()
         inode = os.stat(path).st_ino
         warm = formats.LogitCache.load(path)
         warm.save()  # nothing changed: the file must not be replaced
         assert os.stat(path).st_ino == inode
-        warm.put(("m", "q1", "10", 1, "species"), np.array([[3.0]]))
+        warm.put(("m", "q1", "10", 0.0, 1, "species"), np.array([[3.0]]))
         warm.save()
         assert os.stat(path).st_ino != inode
         assert len(formats.LogitCache.load(path)) == 2
@@ -1014,7 +1010,7 @@ def test_every_header_is_documented():
         assert any(joined in line.split() for line in doc_table.splitlines()), name
     # The logit cache is binary: both tables name its grid index entries,
     # and README its format version.
-    entry = "[model_id,quadrat_id,crop_pct,scale,level,rows,cols]"
+    entry = "[model_id,quadrat_id,crop_pct,overlap_frac,scale,level,rows,cols]"
     assert any(
         line.startswith("| logit cache") and entry in line
         and f"`version` ({formats.CACHE_VERSION})" in line

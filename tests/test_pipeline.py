@@ -131,9 +131,11 @@ def per_row_cache(quads, cfg, models):
     Inference that reads every grid from this cache is that path's
     result, so it serves as the oracle for the one-GEMM-per-grid path."""
     cache = LogitCache()
+    overlap = float(cfg.overlap_frac)
     for q in quads:
         image = Rect(0, 0, q.grid_cells, q.grid_cells)
         for crop_frac in cfg.crop_fracs:
+            crop = crop_key(crop_frac)
             region = central_crop(image, CropSpec(crop_frac))
             for scale in set(cfg.scales):
                 grid = tile_grid(region, GridSpec(scale, cfg.overlap_frac))
@@ -141,7 +143,7 @@ def per_row_cache(quads, cfg, models):
                 for model in models:
                     for level in LEVELS:
                         if model.head_for(level) is not None:
-                            key = (model.model_id, q.quadrat_id, crop_key(crop_frac), scale, level)
+                            key = (model.model_id, q.quadrat_id, crop, overlap, scale, level)
                             rows = [canonical9(head_logits(model, level, f)) for f in features]
                             cache.put(key, np.vstack(rows))
     return cache
@@ -175,7 +177,8 @@ def per_tile_oracle(q, cfg, tax, models, cache, smooth_members=False):
                 for t in tile_grid(region, spec):
                     levels = {
                         lvl: rows.get(
-                            (model.model_id, q.quadrat_id, crop, t.scale, t.row, t.col, lvl)
+                            (model.model_id, q.quadrat_id, crop, float(cfg.overlap_frac),
+                             t.scale, t.row, t.col, lvl)
                         )
                         for lvl in ("species", "genus", "family")
                     }
@@ -359,7 +362,7 @@ class TestInferQuadrat:
         ):
             cache = LogitCache()
             infer_corpus(quads, dataclasses.replace(cfg, **changed), tax, models, cache)
-            n_rows = sum(k[3] in changed.get("scales", (4, 5)) for k in ref_rows)
+            n_rows = sum(k[4] in changed.get("scales", (4, 5)) for k in ref_rows)
             assert_rows_match_ref(cache, n_rows)
 
         # A grid that lost its last row is dropped on load and recomputed
@@ -368,9 +371,9 @@ class TestInferQuadrat:
         header, index, values = cache_file.parts((tmp_path / "ref.csv").read_bytes())
         kept, offset = [], 0
         for i, entry in enumerate(index):
-            rows, cols = entry[5:]
+            rows, cols = entry[6:]
             kept.append(values[offset : offset + 8 * (rows - (i % 7 == 0)) * cols])
-            entry[5] -= i % 7 == 0
+            entry[6] -= i % 7 == 0
             offset += 8 * rows * cols
         (tmp_path / "warm.csv").write_bytes(cache_file.build(header, index, b"".join(kept)))
         with pytest.warns(UserWarning, match="wrong shapes"):
@@ -435,7 +438,7 @@ class TestBenchmarkHooks:
             # the raw run starts from the genus grids of the fused run
             cache = LogitCache()
             for key, block in filled.items():
-                if key[4] == "genus":
+                if key[5] == "genus":
                     cache.put(key, block)
             held = len(cache._data)
             tracer = tracer_mod.Tracer()
@@ -721,9 +724,22 @@ class TestCache:
         want, want_tau, _ = select_predictions(expected, cfg, groups)
         assert preds == want and math.isclose(tau, want_tau, rel_tol=1e-8)
 
-    def test_a_run_at_another_overlap_drops_the_grids(self, noisy_world):
-        # One cache, run at overlap 0 and then 0.3: the grids of the first
-        # run were pooled over other tiles, under the same keys.
+    @staticmethod
+    def grids_computed(monkeypatch):
+        """The (level, rows) of each pipeline.head_logits call from now on."""
+        calls = []
+
+        def spy(model, level, rows, memo=None):
+            calls.append((level, len(rows)))
+            return head_logits(model, level, rows, memo)
+
+        monkeypatch.setattr(pipeline, "head_logits", spy)
+        return calls
+
+    def test_runs_at_two_overlaps_share_one_cache(self, noisy_world, monkeypatch):
+        # One cache, run at overlap 0, then 0.3, then 0 again: the overlap
+        # is part of each grid's key, so the second run computes its own
+        # grids beside the first run's, and the third computes none.
         tax, quads, registry = noisy_world
         models = two_models(registry)
         cfg0, cfg3 = (
@@ -731,18 +747,42 @@ class TestCache:
             for f in (0.0, 0.3)
         )
         cache = LogitCache()
-        infer_corpus(quads, cfg0, tax, models, cache)
-        with pytest.warns(UserWarning) as caught:
-            got = infer_corpus(quads, cfg3, tax, models, cache)
-        assert len(caught) == 1
-        assert str(caught[0].message).startswith(
-            f"logit cache: dropped its {len(quads) * 2 * 2 * 2 * 3} grids, "
-            "computed for overlap_frac 0.0, for a run with overlap_frac 0.3"
-        )
-        assert got == infer_corpus(quads, cfg3, tax, models, LogitCache())
+        first = infer_corpus(quads, cfg0, tax, models, cache)
+        grids = len(quads) * 2 * 2 * 2 * 3  # crops x scales x models x levels
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            got = infer_corpus(quads, cfg3, tax, models, cache)
+            assert got == infer_corpus(quads, cfg3, tax, models, LogitCache())
+            assert len(cache._data) == 2 * grids
+            calls = self.grids_computed(monkeypatch)
+            assert infer_corpus(quads, cfg0, tax, models, cache) == first
             assert infer_corpus(quads, cfg3, tax, models, cache) == got
+        assert calls == []
+
+    def test_library_cache_saved_at_one_overlap_serves_another(self, tmp_path, monkeypatch):
+        # A cache filled at overlap 0.3, saved, then loaded without a
+        # fingerprint and run at 0.0 gives the fresh-cache result, with no
+        # warning; back at 0.3 it computes no grid.
+        tax, quads, registry = gen_world(SynthConfig(
+            40, 10, 4, n_quadrats=8, grid_cells=20, feature_dim=48, noise_sigma=0.8,
+            patch_align=4, seed=3,
+        ))
+        models = default_models(registry)
+        cfg3, cfg0 = (RunConfig(scales=(3, 4), overlap_frac=f) for f in (0.3, 0.0))
+        path = tmp_path / "cache.bin"
+        cache = LogitCache(path)
+        at_03 = infer_corpus(quads, cfg3, tax, models, cache)
+        cache.save()
+        fresh = infer_corpus(quads, cfg0, tax, models)
+        assert all(a.entries != b.entries for a, b in zip(fresh, at_03))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loaded = LogitCache.load(path)
+            assert infer_corpus(quads, cfg0, tax, models, loaded) == fresh
+            calls = self.grids_computed(monkeypatch)
+            assert infer_corpus(quads, cfg3, tax, models, loaded) == at_03
+        assert calls == []
+        assert run(quads, cfg0, tax, models, cache=loaded) == run(quads, cfg0, tax, models)
 
     def test_featureless_quadrats_run_from_cache(self, world, tmp_path):
         tax, quads, registry = world
@@ -763,7 +803,7 @@ class TestCache:
         cfg = RunConfig(scales=(2, 3), selection=SelectionConfig(channel="raw"))
         cache = LogitCache()
         infer_quadrat(quads[0], cfg, tax, models, cache)
-        key = (models[0].model_id, quads[0].quadrat_id, "0", 2, "species")
+        key = (models[0].model_id, quads[0].quadrat_id, "0", 0.0, 2, "species")
         with pytest.raises(ShapeError):
             cache.put(key, cache.get(key)[:-1])  # a row short of the 2 x 2 grid
         cache.put(key, cache.get(key)[:, :-1])
@@ -779,12 +819,14 @@ class TestCache:
             return lambda: pipeline._pooled(quads[0], region, scales, 0.0)
 
         cache = LogitCache()
-        one = pipeline._logit_block(model, "species", quads[0], "0", [2], cache, pooled([2]))
-        assert one is cache.get((model.model_id, quads[0].quadrat_id, "0", 2, "species"))
+        one = pipeline._logit_block(
+            model, "species", quads[0], "0", 0.0, [2], cache, pooled([2]), {}
+        )
+        assert one is cache.get((model.model_id, quads[0].quadrat_id, "0", 0.0, 2, "species"))
         with pytest.raises(ValueError, match="read-only"):
             one[0, 0] = 0.0
         two = pipeline._logit_block(
-            model, "species", quads[0], "0", [2, 3], cache, pooled([2, 3])
+            model, "species", quads[0], "0", 0.0, [2, 3], cache, pooled([2, 3]), {}
         )
         assert two.flags.writeable and two[:4].tobytes() == one.tobytes()
 
@@ -796,7 +838,7 @@ class TestCache:
         for model in models:
             for level in LEVELS:
                 if model.head_for(level) is not None:
-                    key = (model.model_id, quads[0].quadrat_id, "25", 11, level)
+                    key = (model.model_id, quads[0].quadrat_id, "25", 0.0, 11, level)
                     cache.put(key, np.zeros((121, 3)))
         cfg = RunConfig(scales=(11,), crop_fracs=(0.25,))
         with pytest.raises(GeometryError, match="^scale 11 too large for 10x10 region$"):
@@ -910,7 +952,7 @@ class TestSharedFirstLayer:
         expected = infer_corpus(quads, cfg, tax, models, cold)
         partial = LogitCache()
         for key, block in cold._data.items():
-            if key[4] != missing:
+            if key[5] != missing:
                 partial.put(key, block)
         assert infer_corpus(quads, cfg, tax, models, partial) == expected
         assert partial._data.keys() == cold._data.keys()
