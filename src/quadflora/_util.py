@@ -12,10 +12,10 @@ digits ``%.9g`` prints; every other value goes through ``'%.9g'`` itself
 gives back, is defined by that text and serves tests as an oracle.
 """
 
-import contextlib
 import ctypes
 import functools
 import glob
+import io
 import os
 import re
 import sys
@@ -294,15 +294,6 @@ def decode_text(path, data: bytes) -> str:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _text_lines(text: str):
-    """The lines of a text, each with its LF end (the last may lack one)."""
-    start, end = 0, len(text)
-    while start < end:
-        stop = text.find("\n", start) + 1 or end
-        yield text[start:stop]
-        start = stop
-
-
 def read_row_lines(path, expected_header: list[str], text: Optional[str] = None, first_line=1):
     """Yield (line number, fields, line) for each non-empty row after the
     header, where line is the row's line as read, with its line end.
@@ -310,13 +301,14 @@ def read_row_lines(path, expected_header: list[str], text: Optional[str] = None,
     The file is streamed line by line as UTF-8 and each line is split on
     ','. A CR before the LF is dropped, so CRLF files read; a quote, a
     NUL or any other CR is an error that names the file and line.
-    text, when given, is the file's content, already read; from a
-    first_line past 1, it is the file's lines from that one on, no header.
+    text, when given, is the file's content, already read, and is split
+    into lines on LF alone, as the file is; from a first_line past 1, it
+    is the file's lines from that one on, no header.
     """
     if text is None:
         opened = open(path, "r", encoding="utf-8", newline="\n")
     else:
-        opened = contextlib.nullcontext(_text_lines(text))
+        opened = io.StringIO(text, newline="\n")
     n_fields = len(expected_header)
     with opened as lines:
         try:

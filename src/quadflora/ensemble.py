@@ -102,30 +102,12 @@ def bag(members: Sequence[tuple[str, TileLogits]]) -> TileLogits:
     return TileLogits(**blocks)
 
 
-def _add_neighbors(acc: np.ndarray, scaled: np.ndarray, n: int) -> None:
-    """Add to each row of the n x n grid acc, in place, its 4 neighbors' rows in scaled."""
-    acc, wx = acc.reshape(n, n, -1), scaled.reshape(n, n, -1)
-    acc[1:] += wx[:-1]
-    acc[:-1] += wx[1:]
-    acc[:, 1:] += wx[:, :-1]
-    acc[:, :-1] += wx[:, 1:]
-
-
-def smooth_grid(grid: np.ndarray, w: float, n: int) -> np.ndarray:
-    """Add w times the 4-neighbor rows to each row of one n x n grid.
-
-    grid holds one tile per row in row-major order. Neighbors are added
-    up, down, left, right, reading only the unsmoothed input (a single
-    additive pass, no cascading).
-    """
-    acc = np.array(grid, dtype=np.float64, order="C")
-    _add_neighbors(acc, w * grid, n)
-    return acc
-
-
 def kernel_smooth(block: np.ndarray, w: float, scales: Sequence[int]) -> np.ndarray:
-    """smooth_grid on each scale's grid of a block whose rows are the
-    n x n grids of scales, one after the other; w * block is taken once."""
+    """Add w times its 4 neighbors' rows (up, down, left, right) to each
+    row of each n x n grid of a block whose rows are the grids of scales,
+    one after the other, each in row-major tile order. Only the unsmoothed
+    input is read: one additive pass, no cascading. w * block is taken
+    once, and at w = 0 the block itself is returned."""
     if not (math.isfinite(w) and w >= 0):
         raise ConfigError(f"kernel weight must be finite and >= 0, got {w}")
     sizes = [n * n for n in scales]
@@ -140,6 +122,11 @@ def kernel_smooth(block: np.ndarray, w: float, scales: Sequence[int]) -> np.ndar
     scaled = w * block
     start = 0
     for n, size in zip(scales, sizes):
-        _add_neighbors(out[start : start + size], scaled[start : start + size], n)
+        acc = out[start : start + size].reshape(n, n, -1)  # a view: out is C-ordered
+        wx = scaled[start : start + size].reshape(n, n, -1)
+        acc[1:] += wx[:-1]
+        acc[:-1] += wx[1:]
+        acc[:, 1:] += wx[:, :-1]
+        acc[:, :-1] += wx[:, 1:]
         start += size
     return out

@@ -118,25 +118,14 @@ def _parse_values(field: str, where: str) -> np.ndarray:
     return values
 
 
-class _NumberedFields:
-    """Numbered lines' values fields, the rows of _parse_block: row i is
-    (where, field), its "path:line" text built only when it is read."""
-
-    def __init__(self, path, linenos: Sequence[int], fields: Sequence[str]):
-        self.path, self.linenos, self.fields = path, linenos, fields
-
-    def __getitem__(self, i: int) -> tuple[str, str]:
-        return f"{self.path}:{self.linenos[i]}", self.fields[i]
-
-
-def _parse_block(rows: _NumberedFields) -> Optional[np.ndarray]:
-    """The values fields of numbered rows as one (rows x values)
-    matrix, parsed by one np.loadtxt call; None if the rows differ in
-    length. Unless loadtxt gives one finite row per field (it skips an
-    empty field) and no warning, or if a field holds \\x1c-\\x1f (space
-    to loadtxt, not to float()), the rows are parsed one by one by
-    _parse_values, the oracle, so an error names its row's own line."""
-    fields = rows.fields
+def _parse_block(path, linenos: Sequence[int], fields: Sequence[str]) -> Optional[np.ndarray]:
+    """The values fields of a file's lines, numbered linenos, as one
+    (rows x values) matrix, parsed by one np.loadtxt call; None if the
+    rows differ in length. Unless loadtxt gives one finite row per field
+    (it skips an empty field) and no warning, or if a field holds
+    \\x1c-\\x1f (space to loadtxt, not to float()), the rows are parsed one
+    by one by _parse_values, the oracle, so an error names its row's own
+    "path:line", which is built for that row alone."""
     joined = "".join(fields)
     if not any(c in joined for c in "\x1c\x1d\x1e\x1f"):
         try:
@@ -147,7 +136,7 @@ def _parse_block(rows: _NumberedFields) -> Optional[np.ndarray]:
                 return values
         except (ValueError, Warning):
             pass
-    parsed = [_parse_values(field, where) for where, field in rows]
+    parsed = [_parse_values(field, f"{path}:{n}") for n, field in zip(linenos, fields)]
     if any(len(p) != len(parsed[0]) for p in parsed):
         return None
     return np.vstack(parsed)
@@ -286,9 +275,7 @@ class _FeatureRows:
             cells = [(r, c) for r, c in self.rows if y0 <= r < y1 and x0 <= c < x1]
             if cells:
                 linenos, fields = zip(*map(self.rows.get, cells))
-                self.cells[tuple(zip(*cells))] = _parse_block(
-                    _NumberedFields(self.path, linenos, fields)
-                )
+                self.cells[tuple(zip(*cells))] = _parse_block(self.path, linenos, fields)
                 for rc in cells:
                     del self.rows[rc]
             self.regions.append(region)
@@ -469,7 +456,7 @@ def _head_of(path, name: str, params: dict[str, dict[int, tuple[int, str]]]) -> 
     matrices = {}
     for param, rows in params.items():
         linenos, fields = zip(*(rows[i] for i in sorted(rows)))
-        matrix = _parse_block(_NumberedFields(path, linenos, fields))
+        matrix = _parse_block(path, linenos, fields)
         if sorted(rows) != list(range(len(rows))):
             raise FormatError(f"{path}: {name}/{param} has missing rows")
         if matrix is None:
@@ -871,21 +858,44 @@ def _convert(kind, key, value):
         raise ConfigError(f"bad value for {key}: {value!r}") from exc
 
 
-_SYNTH_KEYS = {f.name: f.type for f in fields(SynthConfig)}  # each an int, float or bool
+def _read(mapping: Mapping[str, str], keys: Mapping) -> dict:
+    """The keys of a table (key -> reader) that mapping holds, each read by
+    reader(key, text); an absent key is left out: it keeps its class default."""
+    return {key: read(key, mapping[key]) for key, read in keys.items() if key in mapping}
 
 
-def synth_config_from(mapping: Mapping[str, str]) -> SynthConfig:
-    unknown = set(mapping) - set(_SYNTH_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown generator config keys: {sorted(unknown)}")
-    kwargs = {k: _convert(_SYNTH_KEYS[k], k, v) for k, v in mapping.items()}
-    return SynthConfig(**kwargs)
+def _listed(kind):
+    """A reader of a comma-separated list of kind, each part stripped."""
+    return lambda key, text: tuple(_convert(kind, key, part.strip()) for part in text.split(","))
 
 
-_RUN_KEYS = (
-    "scales", "crop_fracs", "overlap_frac", "models", "kernel_w", "channel",
-    "min_logit", "target_mean_len", "max_len", "min_len", "zscore", "merge_k",
-)
+def _max_len(key: str, text: str) -> Optional[int]:
+    text = text.lower()
+    return None if text in ("inf", "none", "unbounded") else _convert(int, key, text)
+
+
+def _head_combos(key: str, text: str) -> tuple[HeadSelection, ...]:
+    return tuple(_parse_head_combo(part) for part in text.split(",") if part.strip())
+
+
+# Each table maps a config file key to its reader, in the order the keys are read.
+_SYNTH_KEYS = {f.name: functools.partial(_convert, f.type) for f in fields(SynthConfig)}
+_RUN_KEYS = {  # RunConfig's, models for head_combos, selection apart
+    "scales": _listed(int),
+    "crop_fracs": _listed(float),
+    "models": _head_combos,
+    "overlap_frac": functools.partial(_convert, float),
+    "kernel_w": functools.partial(_convert, float),
+}
+_SELECTION_KEYS = {
+    "channel": functools.partial(_convert, str),
+    "min_logit": functools.partial(_convert, float),
+    "target_mean_len": functools.partial(_convert, float),
+    "max_len": _max_len,
+    "min_len": functools.partial(_convert, int),
+    "zscore": functools.partial(_convert, bool),
+    "merge_k": functools.partial(_convert, int),
+}
 # Keys that no longer do anything: accepted, each with one warning.
 _RETIRED_RUN_KEYS = {
     "bisect_iters": "the threshold is calibrated in closed form",
@@ -893,6 +903,13 @@ _RETIRED_RUN_KEYS = {
 }
 
 DEFAULT_MODELS = "lin1+mlp2+mlp2"
+
+
+def synth_config_from(mapping: Mapping[str, str]) -> SynthConfig:
+    unknown = set(mapping) - set(_SYNTH_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown generator config keys: {sorted(unknown)}")
+    return SynthConfig(**_read(mapping, _SYNTH_KEYS))
 
 
 def _parse_head_combo(text: str) -> HeadSelection:
@@ -908,7 +925,7 @@ def _parse_head_combo(text: str) -> HeadSelection:
 
 
 def run_config_from(mapping: Mapping[str, str]) -> RunConfig:
-    unknown = set(mapping) - set(_RUN_KEYS) - set(_RETIRED_RUN_KEYS)
+    unknown = set(mapping) - set(_RUN_KEYS) - set(_SELECTION_KEYS) - set(_RETIRED_RUN_KEYS)
     if unknown:
         raise ConfigError(f"unknown run config keys: {sorted(unknown)}")
     for key, why in _RETIRED_RUN_KEYS.items():
@@ -916,41 +933,6 @@ def run_config_from(mapping: Mapping[str, str]) -> RunConfig:
             warnings.warn(f"{key} is ignored: {why}")
     if "scales" not in mapping:
         raise ConfigError("run config needs scales (e.g. scales = 4,5)")
-    scales = tuple(
-        _convert(int, "scales", part.strip()) for part in mapping["scales"].split(",")
-    )
-    crop_fracs = tuple(
-        _convert(float, "crop_fracs", part.strip())
-        for part in mapping.get("crop_fracs", "0").split(",")
-    )
-    combos = tuple(
-        _parse_head_combo(part)
-        for part in mapping.get("models", DEFAULT_MODELS).split(",")
-        if part.strip()
-    )
-    max_len_text = mapping.get("max_len", "inf").lower()
-
-    def optional(kind, key):
-        return _convert(kind, key, mapping[key]) if key in mapping else None
-
-    selection = SelectionConfig(
-        channel=mapping.get("channel", "fused"),
-        min_logit=optional(float, "min_logit"),
-        target_mean_len=optional(float, "target_mean_len"),
-        max_len=(
-            None
-            if max_len_text in ("inf", "none", "unbounded")
-            else _convert(int, "max_len", max_len_text)
-        ),
-        min_len=_convert(int, "min_len", mapping.get("min_len", "1")),
-        zscore=_convert(bool, "zscore", mapping.get("zscore", "0")),
-        merge_k=optional(int, "merge_k"),
-    )
-    return RunConfig(
-        scales=scales,
-        crop_fracs=crop_fracs,
-        overlap_frac=_convert(float, "overlap_frac", mapping.get("overlap_frac", "0")),
-        head_combos=combos,
-        kernel_w=optional(float, "kernel_w"),
-        selection=selection,
-    )
+    run = _read({"models": DEFAULT_MODELS, **mapping}, _RUN_KEYS)
+    selection = SelectionConfig(**_read(mapping, _SELECTION_KEYS))
+    return RunConfig(head_combos=run.pop("models"), selection=selection, **run)

@@ -54,6 +54,8 @@ def score(preds: Sequence[PredictionSet], gt: GroundTruthTable) -> ScoreReport:
     quadrat is ignored, both with a warning. Sums run in sorted-id order
     so reported values are reproducible bit for bit.
     """
+    if not gt.quadrats:
+        raise MetricError("ground truth has no quadrats")
     by_quadrat: dict[str, PredictionSet] = {}
     for p in preds:
         if p.quadrat_id in by_quadrat:

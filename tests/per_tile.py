@@ -12,7 +12,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from quadflora.ensemble import _anchored_mean, smooth_grid
+from quadflora.ensemble import _anchored_mean
 from quadflora.errors import (
     ConfigError,
     GeometryError,
@@ -118,11 +118,23 @@ def bag(outputs: Sequence[ModelOutput]) -> ModelOutput:
     )
 
 
+def smooth_grid(grid: np.ndarray, w: float, n: int) -> np.ndarray:
+    """One n x n grid (a tile per row, row-major) smoothed: each row plus
+    w times each of its 4 neighbors' unsmoothed rows, four w * x products."""
+    x = grid.reshape(n, n, -1)
+    acc = x.astype(np.float64, copy=True)
+    acc[1:] += w * x[:-1]
+    acc[:-1] += w * x[1:]
+    acc[:, 1:] += w * x[:, :-1]
+    acc[:, :-1] += w * x[:, 1:]
+    return acc.reshape(grid.shape)
+
+
 def kernel_smooth(
     tiles: Mapping[TileKey, PerTileLogits], w: float, spec: GridSpec
 ) -> dict:
-    """Per-tile form of smooth_grid, per level; the map must cover the
-    full scale x scale grid."""
+    """Per-tile form of the library's kernel_smooth, per level, by
+    smooth_grid; the map must cover the full scale x scale grid."""
     if w < 0:
         raise ConfigError(f"kernel weight must be >= 0, got {w}")
     n = spec.scale

@@ -385,7 +385,9 @@ def infer_with_config(cold, tmp, text: bytes):
     holds_contract(code, err, tmp, out)
 
 
-@pytest.mark.parametrize("key", formats._RUN_KEYS + tuple(formats._RETIRED_RUN_KEYS))
+@pytest.mark.parametrize(
+    "key", [*formats._RUN_KEYS, *formats._SELECTION_KEYS, *formats._RETIRED_RUN_KEYS]
+)
 def test_every_run_config_key(cold, key):
     lines = [line for line in RUN_CFG.splitlines() if not line.startswith(key + " ")]
     for value in BAD_VALUES:

@@ -561,9 +561,9 @@ class TestCacheFingerprint:
         parsed, heads, read = [], [], []
         parse_block, head_logits = formats._parse_block, pipeline.head_logits
 
-        def counting_parse(rows):
-            parsed.extend(where for where, _ in rows)
-            return parse_block(rows)
+        def counting_parse(path, linenos, fields):
+            parsed.extend(f"{path}:{lineno}" for lineno in linenos)
+            return parse_block(path, linenos, fields)
 
         def counting_heads(*args):
             heads.append(args[1])

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import per_tile
-from quadflora.ensemble import HeadSelection, bag, compose_model, kernel_smooth, smooth_grid
+from quadflora.ensemble import HeadSelection, bag, compose_model, kernel_smooth
 from quadflora.errors import (
     ConfigError,
     IncompleteGridError,
@@ -199,25 +199,15 @@ class TestKernelSmooth:
             np.testing.assert_array_equal(out[i], acc)
 
     @staticmethod
-    def old_smooth_grid(grid, w, n):
-        """The earlier smooth_grid body, the oracle: four w * x products."""
-        x = grid.reshape(n, n, -1)
-        acc = x.astype(np.float64, copy=True)
-        acc[1:] += w * x[:-1]
-        acc[:-1] += w * x[1:]
-        acc[:, 1:] += w * x[:, :-1]
-        acc[:, :-1] += w * x[:, 1:]
-        return acc.reshape(grid.shape)
-
-    def old_kernel_smooth(self, block, w, scales):
+    def old_kernel_smooth(block, w, scales):
         """The earlier kernel_smooth body, the oracle: each grid smoothed
-        by old_smooth_grid into a fresh array."""
+        by per_tile.smooth_grid into a fresh array."""
         if w == 0:
             return block
         out = np.empty(block.shape)
         start = 0
         for n in scales:
-            out[start : start + n * n] = self.old_smooth_grid(block[start : start + n * n], w, n)
+            out[start : start + n * n] = per_tile.smooth_grid(block[start : start + n * n], w, n)
             start += n * n
         return out
 
@@ -232,12 +222,6 @@ class TestKernelSmooth:
         for block in (values, np.asfortranarray(values), np.hstack([values, values])[:, ::2]):
             out = kernel_smooth(block, w, scales)
             assert out.tobytes() == self.old_kernel_smooth(block, w, scales).tobytes()
-            start = 0
-            for n in scales:
-                grid = block[start : start + n * n]
-                expected = self.old_smooth_grid(grid, w, n)
-                assert smooth_grid(grid, w, n).tobytes() == expected.tobytes()
-                start += n * n
 
     def test_incomplete_grid(self):
         with pytest.raises(IncompleteGridError):

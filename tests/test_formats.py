@@ -1,7 +1,7 @@
 import hashlib
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,8 @@ from quadflora.errors import (
     ShapeError,
 )
 from quadflora.metric import GroundTruthTable
-from quadflora.selection import PredictionSet
+from quadflora.pipeline import RunConfig
+from quadflora.selection import PredictionSet, SelectionConfig
 from quadflora.synthworld import LinearHead, SynthConfig, TwoLayerHead, gen_world
 from quadflora.taxonomy import TAXONOMY_HEADER
 
@@ -248,13 +249,13 @@ class TestFeatures:
                       for r in range(2) for c in range(2))
         )
         built = []
-        getitem = formats._NumberedFields.__getitem__
+        parse_values = formats._parse_values
 
-        def counting_getitem(self, i):
-            built.append(getitem(self, i)[0])
-            return getitem(self, i)
+        def counting_parse(field, where):
+            built.append(where)
+            return parse_values(field, where)
 
-        monkeypatch.setattr(formats._NumberedFields, "__getitem__", counting_getitem)
+        monkeypatch.setattr(formats, "_parse_values", counting_parse)
         q0, q1 = formats.load_quadrat_features(p)
         assert q0.features().tolist() == [[[0.5, 0], [0.5, 1]], [[1.5, 0], [1.5, 1]]]
         assert built == []
@@ -565,9 +566,9 @@ class TestHeadRegistry:
         parsed = []
         parse_block = formats._parse_block
 
-        def counting_parse(rows):
-            parsed.extend(where for where, _ in rows)
-            return parse_block(rows)
+        def counting_parse(path, linenos, fields):
+            parsed.extend(f"{path}:{lineno}" for lineno in linenos)
+            return parse_block(path, linenos, fields)
 
         monkeypatch.setattr(formats, "_parse_block", counting_parse)
         loaded = formats.load_head_registry(path, used, records)
@@ -992,6 +993,25 @@ class TestConfigs:
     def test_run_config_needs_scales(self):
         with pytest.raises(ConfigError):
             formats.run_config_from({})
+
+    def test_run_keys_are_the_config_fields(self):
+        # models stands for head_combos; selection's fields are keys of their own
+        keys = [*formats._RUN_KEYS, *formats._SELECTION_KEYS]
+        run = [f.name for f in fields(RunConfig) if f.name not in ("selection", "head_combos")]
+        assert sorted(keys) == sorted(run + ["models"] + [f.name for f in fields(SelectionConfig)])
+
+    def test_absent_run_keys_keep_the_class_defaults(self):
+        assert formats.run_config_from({"scales": "4"}) == RunConfig(
+            scales=(4,), head_combos=(HeadSelection("lin1", "mlp2", "mlp2"),)
+        )
+
+
+def test_every_run_key_is_documented():
+    # README's run config block names each key, as in "key = value".
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Run keys mirror", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    for key in [*formats._RUN_KEYS, *formats._SELECTION_KEYS]:
+        assert re.search(rf"(^|[ #]){key} = ", block, re.MULTILINE), key
 
 
 def test_every_header_is_documented():

@@ -144,6 +144,10 @@ class TestScore:
         with pytest.raises(MetricError):
             gt_table([("q0", "t0", set())])
 
+    def test_ground_truth_without_quadrats_rejected(self):
+        with pytest.raises(MetricError, match="^ground truth has no quadrats$"):
+            score([], gt_table([]))
+
     def test_final_in_unit_interval(self):
         rng = np.random.default_rng(31)
         for _ in range(20):

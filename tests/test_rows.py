@@ -300,9 +300,10 @@ def value_blocks(draw):
 
 
 def numbered(rows):
-    """("f.csv:<line>", field) rows as the _NumberedFields _parse_block takes."""
+    """("f.csv:<line>", field) rows as the path, line numbers and fields
+    _parse_block takes."""
     linenos = [int(where.removeprefix("f.csv:")) for where, _ in rows]
-    return formats._NumberedFields("f.csv", linenos, [field for _, field in rows])
+    return "f.csv", linenos, [field for _, field in rows]
 
 
 class TestBlockParse:
@@ -322,7 +323,7 @@ class TestBlockParse:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
-                block = formats._parse_block(numbered(rows))
+                block = formats._parse_block(*numbered(rows))
                 got = None if block is None else (block.shape, block.tobytes())
             except FormatError as exc:
                 got = str(exc)
@@ -334,7 +335,7 @@ class TestBlockParse:
 
         monkeypatch.setattr(formats, "_parse_values", per_row)
         rows = [(f"f.csv:{i}", f"{i}.5;-{i}e-7;0") for i in range(2, 6)]
-        assert formats._parse_block(numbered(rows)).tolist() == [
+        assert formats._parse_block(*numbered(rows)).tolist() == [
             [i + 0.5, -i * 1e-7, 0.0] for i in range(2, 6)
         ]
 
