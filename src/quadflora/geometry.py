@@ -5,6 +5,7 @@ grid partitions a region exactly (boundaries at floor(i * extent / n)),
 so no cells are discarded however unevenly the division falls.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -89,28 +90,21 @@ def check_fits(region: Rect, n: int) -> None:
         raise GeometryError(f"scale {n} too large for {region.width}x{region.height} region")
 
 
-def tile_grid(region: Rect, spec: GridSpec) -> list[TileRef]:
-    """All scale^2 tiles of the region, row-major.
+def bands(lo: int, hi: int, n: int, overlap_frac: float = 0.0) -> list[tuple[int, int]]:
+    """The n bands [a, b) of one axis of a tile grid on [lo, hi): boundaries
+    at lo + floor(i * (hi - lo) / n), each band grown by floor(overlap_frac
+    * its size) per side, clamped to [lo, hi)."""
+    edges = [lo + (i * (hi - lo)) // n for i in range(n + 1)]
+    grow = [math.floor(overlap_frac * (b - a)) for a, b in zip(edges, edges[1:])]
+    return [(max(lo, a - g), min(hi, b + g)) for a, b, g in zip(edges, edges[1:], grow)]
 
-    With overlap_frac = 0 the tiles partition the region exactly. With
-    overlap, each tile grows by floor(overlap_frac * its size) per side,
-    clamped to the region.
-    """
+
+def tile_grid(region: Rect, spec: GridSpec) -> list[TileRef]:
+    """All scale^2 tiles of the region, row-major, each one row band by one
+    column band (bands). With overlap_frac = 0 they partition the region."""
     n = spec.scale
     check_fits(region, n)
-    xs = [region.x0 + (i * region.width) // n for i in range(n + 1)]
-    ys = [region.y0 + (i * region.height) // n for i in range(n + 1)]
-    tiles = []
-    for row in range(n):
-        for col in range(n):
-            x0, x1 = xs[col], xs[col + 1]
-            y0, y1 = ys[row], ys[row + 1]
-            if spec.overlap_frac > 0.0:
-                gx = math.floor(spec.overlap_frac * (x1 - x0))
-                gy = math.floor(spec.overlap_frac * (y1 - y0))
-                x0 = max(region.x0, x0 - gx)
-                x1 = min(region.x1, x1 + gx)
-                y0 = max(region.y0, y0 - gy)
-                y1 = min(region.y1, y1 + gy)
-            tiles.append(TileRef(n, row, col, Rect(x0, y0, x1, y1)))
-    return tiles
+    ys = bands(region.y0, region.y1, n, spec.overlap_frac)
+    xs = bands(region.x0, region.x1, n, spec.overlap_frac)
+    cells = itertools.product(enumerate(ys), enumerate(xs))
+    return [TileRef(n, r, c, Rect(x0, y0, x1, y1)) for (r, (y0, y1)), (c, (x0, x1)) in cells]

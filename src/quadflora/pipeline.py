@@ -11,6 +11,7 @@ the taxonomy or the species logits alone, gives each row's top-1
 candidate, max-merged across the quadrat. Threshold calibration is
 corpus-global: one threshold serves the whole test set.
 
+Tiles are pooled by one strided sum per run of equal bands (_pooled).
 Each head runs once per (crop, scale) grid, as one GEMM over the
 grid's pooled tile features; heads with a bit-equal first layer share
 its product (compose_model), the same GEMM of the same bits. Blocks are
@@ -27,22 +28,24 @@ Its records, read first, vouch for feature and head lines even if the
 cached grids are then dropped: a quadrat read from a file parses its
 features, those of the crop alone, and a head (if they vouch for every
 head's lines) its values, only when a grid that needs them misses the
-cache, so a fully warm run parses none and builds no tile grid (a hit
-needs a grid's scale and scale^2 alone). As crop_key keys a crop by 9
+cache, so a fully warm run parses none and pools no tile (a hit needs
+a grid's scale and scale^2 alone). As crop_key keys a crop by 9
 significant digits, RunConfig takes no crop fraction of more.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .ensemble import HeadSelection, bag, compose_model, kernel_smooth
 from .errors import ConfigError, QuadfloraError, ShapeError
 from .fusion import TileLogits, fuse
-from .geometry import CropSpec, GridSpec, Rect, central_crop, check_fits, tile_grid
+from .geometry import CropSpec, GridSpec, Rect, bands, central_crop, check_fits, tile_grid
 from .selection import (
     CandidateSet,
     PredictionSet,
@@ -104,13 +107,43 @@ def crop_key(crop_frac: float) -> str:
     return "%.9g" % (100.0 * crop_frac)
 
 
+def _runs(bounds):
+    """(first, count, step) of each run of bands of one size whose starts step evenly."""
+    runs = [(0, 1, 1)]
+    for i, (a, b) in enumerate(bounds[1:], 1):
+        first, count, step = runs[-1]
+        a0, b0 = bounds[first]
+        if b - a == b0 - a0 and (count == 1 or a - a0 == count * step):
+            runs[-1] = (first, count + 1, (a - a0) // count)
+        else:
+            runs.append((i, 1, 1))
+    return runs
+
+
 def _pooled(quadrat: Quadrat, region: Rect, scales: Sequence[int], overlap_frac: float):
     """(tiles x D) pooled features of the region's grids at scales, in
-    (scale, row, col) order. A quadrat read from a file parses the cells
-    of the region first, in one go; each tile then finds its own parsed."""
-    quadrat.features(region)
-    grids = [tile_grid(region, GridSpec(s, overlap_frac)) for s in scales]
-    return np.array([tile_features(quadrat, t) for grid in grids for t in grid])
+    (scale, row, col) order: tile_features over each tile of tile_grid,
+    bit for bit, from one strided (rows, h, cols, w, D) view of the cells
+    per row run by column run of bands (_runs). At D = 1 numpy sums a
+    tile pairwise, so tiles are pooled one by one."""
+    cells = quadrat.features(region)  # of the grid's shape, so no view reads past them
+    if cells.shape[2] == 1:
+        grids = [tile_grid(region, GridSpec(s, overlap_frac)) for s in scales]
+        return np.array([tile_features(quadrat, t) for grid in grids for t in grid])
+    (sy, sx, sd), d = cells.strides, cells.shape[2]
+    out, start = np.empty((sum(s * s for s in scales), d)), 0
+    for s in scales:
+        ys = bands(region.y0, region.y1, s, overlap_frac)
+        xs = bands(region.x0, region.x1, s, overlap_frac)
+        grid = out[start : start + s * s].reshape(s, s, d)
+        for (r, rows, ystep), (c, cols, xstep) in itertools.product(_runs(ys), _runs(xs)):
+            (y0, y1), (x0, x1) = ys[r], xs[c]
+            h, w = y1 - y0, x1 - x0
+            strides = (ystep * sy, sy, xstep * sx, sx, sd)
+            view = as_strided(cells[y0:, x0:], (rows, h, cols, w, d), strides, writeable=False)
+            grid[r : r + rows, c : c + cols] = np.add.reduce(view, axis=(1, 3)) / (h * w)
+        start += s * s
+    return out
 
 
 def _logit_block(model, level, quadrat, crop, overlap, scales, cache, pooled, memos) -> np.ndarray:

@@ -95,12 +95,15 @@ class Quadrat:
     )
 
     def features(self, region: Optional[Rect] = None) -> Optional[np.ndarray]:
-        """The (grid, grid, feature_dim) cells, None for a stub. A quadrat
-        read from a file parses every cell, or with a region those of the
-        region alone: its cells outside the region may then be NaN."""
-        if self.cells is None and self.load_cells is not None:
-            return self.load_cells(region)
-        return self.cells
+        """The (grid, grid, feature_dim) cells (else a ShapeError), None for
+        a stub. A quadrat read from a file parses every cell, or with a
+        region those of the region alone: its cells outside it may be NaN."""
+        cells, g = self.cells, self.grid_cells
+        if cells is None and self.load_cells is not None:
+            cells = self.load_cells(region)
+        if cells is not None and (cells.ndim != 3 or cells.shape[:2] != (g, g)):
+            raise ShapeError(f"quadrat {self.quadrat_id}: cells {cells.shape}, not ({g}, {g}, D)")
+        return cells
 
 
 @dataclass(frozen=True)
@@ -205,7 +208,7 @@ class HeadRegistry:
 
 
 def tile_features(q: Quadrat, t: TileRef) -> np.ndarray:
-    """Mean of the cell feature vectors inside the tile's rectangle."""
+    """Mean of the cell feature vectors inside the tile's rectangle (pipeline._pooled's oracle)."""
     r = t.rect
     cells = q.features(r)
     if cells is None:

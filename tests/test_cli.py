@@ -580,20 +580,15 @@ class TestCacheFingerprint:
             return read_row_lines(path, *args)
 
         monkeypatch.setattr(formats, "read_row_lines", counting_reader)
-        # tile grids, and the quadrats whose tiles were pooled
-        grids, pooled = [], set()
-        tile_grid, tile_features = pipeline.tile_grid, pipeline.tile_features
+        # the quadrat of each crop whose tiles were pooled
+        pooled = []
+        pool = pipeline._pooled
 
-        def counting_grid(*args):
-            grids.append(args)
-            return tile_grid(*args)
+        def counting_pool(quadrat, *args):
+            pooled.append(quadrat.quadrat_id)
+            return pool(quadrat, *args)
 
-        def counting_pool(quadrat, tile):
-            pooled.add(quadrat.quadrat_id)
-            return tile_features(quadrat, tile)
-
-        monkeypatch.setattr(pipeline, "tile_grid", counting_grid)
-        monkeypatch.setattr(pipeline, "tile_features", counting_pool)
+        monkeypatch.setattr(pipeline, "_pooled", counting_pool)
         features = str(gen_dir / "quadrats.csv")
         # the rows of heads the run's models (lin1+mlp2+mlp2) do not use
         heads_csv = gen_dir / "heads.csv"
@@ -609,18 +604,18 @@ class TestCacheFingerprint:
         assert any(where.startswith(features + ":") for where in parsed) and heads
         assert features in read and not unused_rows & set(parsed)
         qids = sorted({line.split(",")[0] for line in open(features).readlines()[1:]})
-        assert len(grids) == 2 * len(qids) and pooled == set(qids)  # scales 4 and 5
+        assert sorted(pooled) == qids  # one crop: each quadrat pooled once
         files = [gen_dir / "logit_cache.csv"]
         assert not sidecar_path(files[0]).exists()
         stats = [(os.stat(f).st_ino, os.stat(f).st_mtime_ns) for f in files]
-        for seen in (parsed, heads, read, grids, pooled):
+        for seen in (parsed, heads, read, pooled):
             seen.clear()
         assert main(infer_argv(cfg, gen_dir, tmp_path / "warm.csv")) == 0
         assert parsed == []  # no feature or head value
         assert heads == []
         assert features not in read and not unused_rows & set(parsed)
         assert str(heads_csv) not in read  # no heads.csv line checked either
-        assert grids == [] and pooled == set()
+        assert pooled == []
         assert [(os.stat(f).st_ino, os.stat(f).st_mtime_ns) for f in files] == stats
         assert not sidecar_path(files[0]).exists()
         assert (tmp_path / "warm.csv").read_bytes() == (tmp_path / "cold.csv").read_bytes()
@@ -629,7 +624,7 @@ class TestCacheFingerprint:
         capsys.readouterr()
         assert main(infer_argv(cfg, gen_dir, tmp_path / "edited.csv")) == 0
         assert "dropped 6 of 36 grids (6 for changed features)" in capsys.readouterr().err
-        assert len(grids) == 2 and pooled == {qids[1]}
+        assert pooled == [qids[1]]
 
     @pytest.mark.parametrize(
         "prefix, dropped",

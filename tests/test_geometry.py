@@ -9,6 +9,7 @@ from quadflora.geometry import (
     CropSpec,
     GridSpec,
     Rect,
+    bands,
     central_crop,
     tile_grid,
 )
@@ -85,6 +86,33 @@ class TestTileGrid:
         assert tiles[(0, 0)].rect == Rect(0, 0, 5, 5)
         assert tiles[(1, 1)].rect == Rect(3, 3, 9, 9)
         assert tiles[(3, 3)].rect == Rect(11, 11, 16, 16)
+
+    def test_bands_floor_then_grow_and_clamp(self):
+        assert bands(0, 16, 5) == [(0, 3), (3, 6), (6, 9), (9, 12), (12, 16)]
+        assert bands(0, 16, 4, 0.25) == [(0, 5), (3, 9), (7, 13), (11, 16)]
+        assert bands(2, 9, 2, 0.49) == [(2, 6), (4, 9)]  # each grown by 1, clamped to [2, 9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        w=st.integers(1, 40),
+        h=st.integers(1, 40),
+        x0=st.integers(0, 5),
+        y0=st.integers(0, 5),
+        scale=st.integers(1, 12),
+        overlap=st.sampled_from([0.0, 0.1, 0.25, 0.3, 0.49]),
+    )
+    def test_rects_are_row_band_by_column_band(self, w, h, x0, y0, scale, overlap):
+        if scale > min(w, h):
+            return
+        region = Rect(x0, y0, x0 + w, y0 + h)
+        ys = bands(y0, y0 + h, scale, overlap)
+        xs = bands(x0, x0 + w, scale, overlap)
+        tiles = tile_grid(region, GridSpec(scale, overlap))
+        assert [(t.scale, t.row, t.col, t.rect) for t in tiles] == [
+            (scale, row, col, Rect(xa, ya, xb, yb))
+            for row, (ya, yb) in enumerate(ys)
+            for col, (xa, xb) in enumerate(xs)
+        ]
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -23,7 +23,12 @@ from quadflora.errors import (
     QuadfloraError,
     ShapeError,
 )
-from quadflora.formats import LogitCache, write_head_registry
+from quadflora.formats import (
+    LogitCache,
+    load_quadrat_features,
+    write_head_registry,
+    write_quadrat_features,
+)
 from quadflora.fusion import FusedScores, TileLogits, fuse
 from quadflora.geometry import CropSpec, GridSpec, Rect, central_crop, tile_grid
 from quadflora.pipeline import (
@@ -401,6 +406,70 @@ class TestInferQuadrat:
         tax, quads, _ = world
         with pytest.raises(ConfigError):
             infer_quadrat(quads[0], RunConfig(scales=(2,)), tax, [])
+
+
+class TestPooling:
+    """_pooled's strided views give tile_features over every tile of
+    tile_grid, byte for byte."""
+
+    @staticmethod
+    def per_tile(q, region, scales, overlap):
+        grids = [tile_grid(region, GridSpec(s, overlap)) for s in scales]
+        return np.array([tile_features(q, t) for grid in grids for t in grid])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 64])
+    @pytest.mark.parametrize("grid", [7, 13, 20, 31])
+    def test_equals_the_per_tile_oracle(self, grid, dim):
+        rng = np.random.default_rng(100 * grid + dim)
+        # magnitudes 1e-3 to 1e3 make the sum's bits depend on its order
+        scale = rng.choice([1e-3, 1.0, 1e3], size=(grid, grid, 1))
+        cells = rng.standard_normal((grid, grid, dim)) * scale
+        cells[:3, :3] = -0.0  # the top-left tile of the finest grids is all -0.0
+        cells[grid // 2, grid // 2, 0] = -0.0
+        q = Quadrat("q0", "t0", grid, cells)
+        image = Rect(0, 0, grid, grid)
+        for crop in (0.0, 0.1, 0.25):
+            region = central_crop(image, CropSpec(crop))
+            scales = range(1, min(9, region.width) + 1)  # uneven splits from scale 2 on
+            for overlap in (0.0, 0.3, 0.49):
+                got = pipeline._pooled(q, region, scales, overlap)
+                want = self.per_tile(q, region, scales, overlap)
+                assert got.tobytes() == want.tobytes(), (crop, overlap)
+                if crop == overlap == 0.0:  # numpy's sum starts at +0.0, as a tile's mean does
+                    zero = (got == 0).all(axis=1)
+                    assert zero.any() and not np.signbit(got[zero]).any()
+
+    @pytest.mark.parametrize("dim", [1, 24])
+    def test_file_backed_quadrats_with_nan_borders(self, tmp_path, dim):
+        cfg = SynthConfig(12, 4, 2, n_quadrats=3, grid_cells=17, feature_dim=dim,
+                          noise_sigma=0.7, richness_min=2, richness_max=2, seed=dim)
+        write_quadrat_features(gen_world(cfg)[1], tmp_path / "quadrats.csv")
+        lazy = load_quadrat_features(tmp_path / "quadrats.csv")
+        whole = load_quadrat_features(tmp_path / "quadrats.csv")
+        for q, full in zip(lazy, whole):
+            full.features()  # parses every cell
+            for crop in (0.1, 0.25):
+                region = central_crop(Rect(0, 0, 17, 17), CropSpec(crop))
+                got = pipeline._pooled(q, region, (1, 2, 4, 5), 0.3)
+                assert np.isnan(q.features(region)).any()  # the unparsed border
+                assert np.isfinite(got).all()
+                assert got.tobytes() == self.per_tile(q, region, (1, 2, 4, 5), 0.3).tobytes()
+                assert got.tobytes() == self.per_tile(full, region, (1, 2, 4, 5), 0.3).tobytes()
+
+    @pytest.mark.parametrize("cut", ["rows and columns", "columns", "feature axis"])
+    def test_cells_off_the_grid_fail_naming_the_quadrat(self, world, tmp_path, cut):
+        tax, quads, registry = world
+        cells = quads[0].cells
+        cells = {
+            "rows and columns": cells[:10, :10],
+            "columns": np.zeros((20, 21, 48)),
+            "feature axis": cells[..., 0],
+        }[cut]
+        q = dataclasses.replace(quads[0], cells=cells)
+        with pytest.raises(ShapeError, match=f"^quadrat {q.quadrat_id}: cells \\("):
+            infer_quadrat(q, RunConfig(scales=(2,)), tax, default_models(registry))
+        with pytest.raises(ShapeError, match=f"^quadrat {q.quadrat_id}: cells \\("):
+            write_quadrat_features([q], tmp_path / "quadrats.csv")
 
 
 class TestBenchmarkHooks:
