@@ -248,9 +248,9 @@ class _FeatureRows:
     values field, once the lines are checked. While a recorded digest
     vouches for them (_recorded), span holds instead their span of the
     file (_walk). The first call checks those lines, and only those. A
-    call parses the values of a region's cells (all cells if None), in
-    one _parse_block call, into the (grid, grid, dim) cell array, whose
-    cells stay NaN until a call needs them.
+    call parses the values of a region's cells not yet parsed (all cells
+    if None), in one _parse_block call, into the (grid, grid, dim) cell
+    array, whose cells stay NaN until a call needs them.
     """
 
     def __init__(self, path, qid: str, meta: tuple[str, int, int]):
@@ -259,7 +259,6 @@ class _FeatureRows:
         self.span: Optional[tuple] = None
         self.record: dict = {}
         self.cells: Optional[np.ndarray] = None
-        self.regions: list[Rect] = []  # those whose cells are all parsed
 
     def __call__(self, region: Optional[Rect] = None) -> np.ndarray:
         _, grid, dim = self.meta
@@ -270,15 +269,13 @@ class _FeatureRows:
                 self.span = None
             self.cells = np.full((grid, grid, dim), np.nan)
         region = region or Rect(0, 0, grid, grid)
-        if self.rows and not any(done.contains(region) for done in self.regions):
-            y0, y1, x0, x1 = region.y0, region.y1, region.x0, region.x1
-            cells = [(r, c) for r, c in self.rows if y0 <= r < y1 and x0 <= c < x1]
-            if cells:
-                linenos, fields = zip(*map(self.rows.get, cells))
-                self.cells[tuple(zip(*cells))] = _parse_block(self.path, linenos, fields)
-                for rc in cells:
-                    del self.rows[rc]
-            self.regions.append(region)
+        y0, y1, x0, x1 = region.y0, region.y1, region.x0, region.x1
+        cells = [(r, c) for r, c in self.rows if y0 <= r < y1 and x0 <= c < x1]
+        if cells:
+            linenos, fields = zip(*map(self.rows.get, cells))
+            self.cells[tuple(zip(*cells))] = _parse_block(self.path, linenos, fields)
+            for rc in cells:
+                del self.rows[rc]
         return self.cells
 
 

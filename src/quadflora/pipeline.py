@@ -20,17 +20,12 @@ float64 bits, so runs that read a warm cache are bit-identical to the
 runs that filled it. The logit cache holds whole grids, keyed by
 (model, quadrat, crop, overlap, scale, level): every run setting a grid
 is computed from, so a cached grid does not depend on which other
-scales, crops, overlaps or grids a run computes. What else a grid
-depends on (the text of its model's heads and of its quadrat's
-features) is recorded in the cache file's header line, which `infer`
-and `sweep` check on load (formats.LogitCache).
-Its records, read first, vouch for feature and head lines even if the
-cached grids are then dropped: a quadrat read from a file parses its
-features, those of the crop alone, and a head (if they vouch for every
-head's lines) its values, only when a grid that needs them misses the
-cache, so a fully warm run parses none and pools no tile (a hit needs
-a grid's scale and scale^2 alone). As crop_key keys a crop by 9
-significant digits, RunConfig takes no crop fraction of more.
+scales, crops, overlaps or grids a run computes. A hit needs a grid's
+key and scale^2 alone, so a crop's features are pooled, and a head
+applied, only on a miss: a fully warm run pools nothing. What else a
+grid depends on, and how a cache file records it, is
+formats.LogitCache's. As crop_key keys a crop by 9 significant
+digits, RunConfig takes no crop fraction of more.
 """
 
 import functools
@@ -45,7 +40,7 @@ from numpy.lib.stride_tricks import as_strided
 from .ensemble import HeadSelection, bag, compose_model, kernel_smooth
 from .errors import ConfigError, QuadfloraError, ShapeError
 from .fusion import TileLogits, fuse
-from .geometry import CropSpec, GridSpec, Rect, bands, central_crop, check_fits, tile_grid
+from .geometry import CropSpec, GridSpec, Rect, bands, central_crop, check_fits
 from .selection import (
     CandidateSet,
     PredictionSet,
@@ -54,11 +49,12 @@ from .selection import (
     select_corpus,
 )
 
-# Bound here, though select_predictions runs the array path of
-# select_corpus and the pipeline rounds no logit, so that callers
-# looking canonical9 and the per-step selection functions up on this
-# module (the benchmark's tracer patches them here) still find them.
+# Bound here, though the pipeline calls none of them (select_predictions
+# runs select_corpus' array path, no logit is rounded and _pooled pools
+# no tile one by one), so that callers looking them up on this module
+# (the benchmark's tracer patches them here) still find them.
 from ._util import canonical9  # noqa: F401
+from .geometry import tile_grid  # noqa: F401
 from .selection import (  # noqa: F401
     apply_threshold,
     bisect_threshold,
@@ -66,7 +62,8 @@ from .selection import (  # noqa: F401
     metadata_merge,
     zscore_normalize,
 )
-from .synthworld import LEVELS, Quadrat, ToyModel, head_logits, tile_features
+from .synthworld import tile_features  # noqa: F401
+from .synthworld import LEVELS, Quadrat, ToyModel, head_logits
 from .taxonomy import TaxonomyTable
 
 
@@ -123,13 +120,10 @@ def _runs(bounds):
 def _pooled(quadrat: Quadrat, region: Rect, scales: Sequence[int], overlap_frac: float):
     """(tiles x D) pooled features of the region's grids at scales, in
     (scale, row, col) order: tile_features over each tile of tile_grid,
-    bit for bit, from one strided (rows, h, cols, w, D) view of the cells
-    per row run by column run of bands (_runs). At D = 1 numpy sums a
-    tile pairwise, so tiles are pooled one by one."""
+    bit for bit. Each row run by column run of bands (_runs) is one
+    strided (rows, cols, h, w, D) view of the cells, summed per tile; at
+    D = 1 a copy of it, which numpy sums pairwise, as tile_features does."""
     cells = quadrat.features(region)  # of the grid's shape, so no view reads past them
-    if cells.shape[2] == 1:
-        grids = [tile_grid(region, GridSpec(s, overlap_frac)) for s in scales]
-        return np.array([tile_features(quadrat, t) for grid in grids for t in grid])
     (sy, sx, sd), d = cells.strides, cells.shape[2]
     out, start = np.empty((sum(s * s for s in scales), d)), 0
     for s in scales:
@@ -139,9 +133,10 @@ def _pooled(quadrat: Quadrat, region: Rect, scales: Sequence[int], overlap_frac:
         for (r, rows, ystep), (c, cols, xstep) in itertools.product(_runs(ys), _runs(xs)):
             (y0, y1), (x0, x1) = ys[r], xs[c]
             h, w = y1 - y0, x1 - x0
-            strides = (ystep * sy, sy, xstep * sx, sx, sd)
-            view = as_strided(cells[y0:, x0:], (rows, h, cols, w, d), strides, writeable=False)
-            grid[r : r + rows, c : c + cols] = np.add.reduce(view, axis=(1, 3)) / (h * w)
+            strides = (ystep * sy, xstep * sx, sy, sx, sd)
+            view = as_strided(cells[y0:, x0:], (rows, cols, h, w, d), strides, writeable=False)
+            view = np.ascontiguousarray(view) if d == 1 else view
+            grid[r : r + rows, c : c + cols] = np.add.reduce(view, axis=(2, 3)) / (h * w)
         start += s * s
     return out
 
@@ -225,6 +220,9 @@ def infer_quadrat(
         scores = fuse(bagged, tax).score
     else:
         scores = bagged.species
+        if scores.shape[1] != tax.n_species:  # as fuse checks the fused channel
+            expected = (len(scores), tax.n_species)
+            raise ShapeError(f"species logits have shape {scores.shape}, expected {expected}")
     return collect_candidates(scores, quadrat.quadrat_id)
 
 
@@ -235,7 +233,20 @@ def infer_corpus(
     models: Sequence[ToyModel],
     cache=None,
 ) -> list[CandidateSet]:
-    """Candidate sets for every quadrat, in input order."""
+    """Candidate sets for every quadrat, in input order. As the cache keys
+    grids by id, a quadrat id must name one quadrat, and a model id one head
+    per level: one object, or one of the same arrays (by identity: unparsed)."""
+    seen: set = set()
+    for qid in (q.quadrat_id for q in corpus):
+        if qid in seen:
+            raise ConfigError(f"duplicate quadrat {qid} in the corpus")
+        seen.add(qid)
+    heads: dict = {}
+    for m in models:
+        params = [h if h is None else (type(h), *map(id, vars(h).values()))
+                  for h in map(m.head_for, LEVELS)]
+        if heads.setdefault(m.model_id, params) != params:
+            raise ConfigError(f"model id {m.model_id} names two different head sets")
     return [infer_quadrat(q, cfg, tax, models, cache) for q in corpus]
 
 

@@ -208,14 +208,16 @@ class HeadRegistry:
 
 
 def tile_features(q: Quadrat, t: TileRef) -> np.ndarray:
-    """Mean of the cell feature vectors inside the tile's rectangle (pipeline._pooled's oracle)."""
+    """Mean of the cell feature vectors inside the tile's rectangle, from a
+    contiguous copy: numpy sums a strided tile of over 8,192 one-value cells
+    in another order (pipeline._pooled's oracle)."""
     r = t.rect
     cells = q.features(r)
     if cells is None:
         raise QuadfloraError(f"quadrat {q.quadrat_id} has no feature grid")
     if not Rect(0, 0, q.grid_cells, q.grid_cells).contains(r):
         raise GeometryError(f"tile {r!r} outside quadrat {q.quadrat_id}")
-    return cells[r.y0 : r.y1, r.x0 : r.x1].mean(axis=(0, 1))
+    return np.ascontiguousarray(cells[r.y0 : r.y1, r.x0 : r.x1]).mean(axis=(0, 1))
 
 
 def _two_layer_of(weight: np.ndarray) -> TwoLayerHead:

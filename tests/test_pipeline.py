@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import io
 import math
+import re
 import sys
 import warnings
 from collections import Counter
@@ -13,7 +14,7 @@ import pytest
 
 import cache_file
 import per_tile
-from quadflora import cli, pipeline, selection
+from quadflora import cli, formats, geometry, pipeline, selection, synthworld
 from quadflora._util import canonical9
 from quadflora.ensemble import HeadSelection, compose_model
 from quadflora.errors import (
@@ -25,6 +26,7 @@ from quadflora.errors import (
 )
 from quadflora.formats import (
     LogitCache,
+    load_head_registry,
     load_quadrat_features,
     write_head_registry,
     write_quadrat_features,
@@ -51,6 +53,7 @@ from quadflora.synthworld import (
     HeadRegistry,
     Quadrat,
     SynthConfig,
+    ToyModel,
     TwoLayerHead,
     gen_world,
     head_logits,
@@ -417,6 +420,13 @@ class TestPooling:
         grids = [tile_grid(region, GridSpec(s, overlap)) for s in scales]
         return np.array([tile_features(q, t) for grid in grids for t in grid])
 
+    @staticmethod
+    def strided_means(q, region, scales, overlap):
+        """Each tile's mean taken from the cells in place, not copied:
+        tile_features' bits up to tiles of 8,192 one-value cells."""
+        rects = [t.rect for s in scales for t in tile_grid(region, GridSpec(s, overlap))]
+        return np.array([q.cells[r.y0 : r.y1, r.x0 : r.x1].mean(axis=(0, 1)) for r in rects])
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 64])
     @pytest.mark.parametrize("grid", [7, 13, 20, 31])
     def test_equals_the_per_tile_oracle(self, grid, dim):
@@ -435,9 +445,64 @@ class TestPooling:
                 got = pipeline._pooled(q, region, scales, overlap)
                 want = self.per_tile(q, region, scales, overlap)
                 assert got.tobytes() == want.tobytes(), (crop, overlap)
+                in_place = self.strided_means(q, region, scales, overlap)
+                assert got.tobytes() == in_place.tobytes(), (crop, overlap)
                 if crop == overlap == 0.0:  # numpy's sum starts at +0.0, as a tile's mean does
                     zero = (got == 0).all(axis=1)
                     assert zero.any() and not np.signbit(got[zero]).any()
+
+    @pytest.mark.parametrize("grid, crop, scale", [(200, 0.0, 2), (120, 0.1, 1)])
+    def test_one_value_tiles_of_over_8192_cells(self, grid, crop, scale):
+        # numpy sums a strided reduction in buffers of 8,192 values, and a
+        # contiguous one pairwise: the oracle and _pooled both copy first
+        rng = np.random.default_rng(grid)
+        magnitude = rng.choice([1e-3, 1.0, 1e3], size=(grid, grid, 1))
+        q = Quadrat("q0", "t0", grid, rng.standard_normal((grid, grid, 1)) * magnitude)
+        region = central_crop(Rect(0, 0, grid, grid), CropSpec(crop))
+        assert (region.width // scale) * (region.height // scale) > 8192
+        got = pipeline._pooled(q, region, (scale,), 0.0)
+        assert got.tobytes() == self.per_tile(q, region, (scale,), 0.0).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 64])
+    def test_inference_pools_no_tile_one_by_one(self, monkeypatch, dim):
+        cfg = SynthConfig(12, 4, 2, n_quadrats=2, grid_cells=13, feature_dim=dim,
+                          noise_sigma=0.5, richness_min=2, richness_max=2, seed=dim)
+        tax, quads, registry = gen_world(cfg)
+        calls = []
+
+        def spy(name):
+            return lambda *args: calls.append(name)
+
+        for owner in (pipeline, geometry, synthworld):
+            for name in ("tile_grid", "tile_features"):
+                if name in vars(owner):
+                    monkeypatch.setattr(owner, name, spy(f"{owner.__name__}.{name}"))
+        run_cfg = RunConfig(scales=(1, 2, 3), crop_fracs=(0.0, 0.1), overlap_frac=0.3)
+        for q in quads:
+            infer_quadrat(q, run_cfg, tax, default_models(registry))
+        assert calls == []
+
+    def test_file_backed_crops_parse_each_cell_once(self, tmp_path, monkeypatch):
+        cfg = SynthConfig(12, 4, 2, n_quadrats=2, grid_cells=17, feature_dim=3,
+                          noise_sigma=0.7, richness_min=2, richness_max=2, seed=5)
+        write_quadrat_features(gen_world(cfg)[1], tmp_path / "quadrats.csv")
+        parsed, parse_block = [], formats._parse_block
+
+        def counting_parse(path, linenos, fields):
+            parsed.extend(linenos)
+            return parse_block(path, linenos, fields)
+
+        monkeypatch.setattr(formats, "_parse_block", counting_parse)
+        for q in load_quadrat_features(tmp_path / "quadrats.csv"):
+            parsed.clear()
+            counts = []
+            for crop in (0.1, 0.2, 0.0):  # the second crop lies within the first
+                region = central_crop(Rect(0, 0, 17, 17), CropSpec(crop))
+                got = pipeline._pooled(q, region, (1, 2, 3), 0.3)
+                counts.append(len(parsed) - sum(counts))
+                assert got.tobytes() == self.per_tile(q, region, (1, 2, 3), 0.3).tobytes()
+            assert counts == [15 * 15, 0, 17 * 17 - 15 * 15]
+            assert len(set(parsed)) == len(parsed)
 
     @pytest.mark.parametrize("dim", [1, 24])
     def test_file_backed_quadrats_with_nan_borders(self, tmp_path, dim):
@@ -470,6 +535,83 @@ class TestPooling:
             infer_quadrat(q, RunConfig(scales=(2,)), tax, default_models(registry))
         with pytest.raises(ShapeError, match=f"^quadrat {q.quadrat_id}: cells \\("):
             write_quadrat_features([q], tmp_path / "quadrats.csv")
+
+
+class TestOneContentPerId:
+    """The cache keys grids by quadrat and model id, so an id that names
+    two contents in one call fails, as does a raw species block of
+    another width than the taxonomy's."""
+
+    CFG = RunConfig(scales=(2, 3), crop_fracs=(0.0, 0.1))
+
+    @pytest.mark.parametrize("channel", ["fused", "raw"])
+    def test_species_head_wider_than_the_taxonomy_fails(self, world, channel):
+        tax, quads, registry = world
+        head = registry.get("species", "lin1")
+        wide = dataclasses.replace(
+            head, weight=np.vstack([head.weight] * 2), bias=np.tile(head.bias, 2)
+        )
+        model = ToyModel("wide", species_head=wide)
+        cfg = RunConfig(scales=(2,), selection=SelectionConfig(channel=channel))
+        expected = "^species logits have shape \\(4, 80\\), expected \\(4, 40\\)$"
+        with pytest.raises(ShapeError, match=expected):
+            infer_corpus(quads, cfg, tax, [model])
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_a_repeated_quadrat_id_fails(self, world, cached):
+        tax, quads, registry = world
+        corpus = [
+            quads[0],
+            quads[1],
+            dataclasses.replace(quads[2], quadrat_id=quads[1].quadrat_id),
+            dataclasses.replace(quads[3], quadrat_id=quads[0].quadrat_id),
+        ]
+        models = default_models(registry)
+        cache = LogitCache() if cached else None
+        match = f"^duplicate quadrat {quads[1].quadrat_id} in the corpus$"
+        with pytest.raises(ConfigError, match=match):
+            infer_corpus(corpus, self.CFG, tax, models, cache)
+        with pytest.raises(ConfigError, match=match):
+            run(corpus, self.CFG, tax, models, cache=cache)
+
+    @pytest.mark.parametrize("other", ["other heads", "a copied array", "a missing level"])
+    def test_one_model_id_on_two_head_sets_fails(self, world, other):
+        tax, quads, registry = world
+        first = default_models(registry)[0]
+        genus = dataclasses.replace(first.genus_head, w2=first.genus_head.w2.copy())
+        second = {
+            "other heads": compose_model(registry, HeadSelection("lin1c", "lin1", "lin1")),
+            "a copied array": dataclasses.replace(first, genus_head=genus),
+            "a missing level": dataclasses.replace(first, family_head=None),
+        }[other]
+        second = dataclasses.replace(second, model_id=first.model_id)
+        # with a shared cache the second model would be served the first one's grids
+        match = f"^model id {re.escape(first.model_id)} names two different head sets$"
+        with pytest.raises(ConfigError, match=match):
+            infer_corpus(quads, self.CFG, tax, [first, second], LogitCache())
+
+    def test_one_selection_twice_runs(self, world):
+        tax, quads, registry = world
+        sel = HeadSelection("lin1", "mlp2", "mlp2")
+        once = infer_corpus(quads, self.CFG, tax, [compose_model(registry, sel)])
+        composed_twice = [compose_model(registry, sel), compose_model(registry, sel)]
+        assert infer_corpus(quads, self.CFG, tax, composed_twice, LogitCache()) == once
+        assert infer_corpus(quads, self.CFG, tax, composed_twice[:1] * 2) == once
+
+    def test_recorded_heads_are_compared_unparsed(self, world, tmp_path, monkeypatch):
+        tax, _, registry = world
+        write_head_registry(registry, tmp_path / "heads.csv")
+        records = load_head_registry(tmp_path / "heads.csv").records
+        loaded = load_head_registry(tmp_path / "heads.csv", None, records)
+        monkeypatch.setattr(formats, "_check_heads", None)  # parsing a head fails
+        sel = HeadSelection("lin1", "mlp2", "mlp2")
+        models = [compose_model(loaded, sel) for _ in range(2)]
+        assert isinstance(models[0].genus_head, formats._RecordedHead)
+        assert infer_corpus([], self.CFG, tax, models) == []
+        other = compose_model(loaded, HeadSelection("lin1", "mlp2", "lin1"))
+        other = dataclasses.replace(other, model_id=models[0].model_id)
+        with pytest.raises(ConfigError, match="names two different head sets"):
+            infer_corpus([], self.CFG, tax, models + [other])
 
 
 class TestBenchmarkHooks:
